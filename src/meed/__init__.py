@@ -1,9 +1,8 @@
 """Instance-wise feature selection for black-box models via adversarial
 infidelity learning, with a prior warm start and a fidelity evaluation harness."""
 
-from .core import (BlackBoxModel, ConfigError, Mlp, RelaxedMask, Sample,
-                   SelectionSet, ShapeError, TrainConfig, net_forward,
-                   net_gradient)
+from .core import (BlackBoxModel, ConfigError, Mlp, RelaxedMask, SelectionSet,
+                   ShapeError, TrainConfig)
 from .sampler import GumbelNoise, hard_topk, relaxed_topk, sample_gumbel_noise
 from .explainer import ExplainerNet, PriorScores, fuse_prior, prior_constraint_loss
 from .approximators import (ApproximatorPair, cross_entropy, impute_selected,
@@ -15,10 +14,10 @@ from .metrics import MetricsReport, brute_force_best_subset, mi_estimate
 __all__ = [
     "ApproximatorPair", "BlackBoxModel", "Checkpoint", "ConfigError",
     "ExplainerNet", "GumbelNoise", "MetricsReport", "Mlp", "PriorScores",
-    "RelaxedMask", "Sample", "SelectionSet", "ShapeError", "TrainConfig",
+    "RelaxedMask", "SelectionSet", "ShapeError", "TrainConfig",
     "brute_force_best_subset", "cross_entropy", "fuse_prior", "hard_topk",
     "impute_selected", "impute_unselected", "load_checkpoint", "mi_estimate",
-    "net_forward", "net_gradient", "prior_constraint_loss", "relativistic_flip",
+    "prior_constraint_loss", "relativistic_flip",
     "relaxed_topk", "sample_gumbel_noise", "save_checkpoint",
     "sliced_wasserstein", "train",
 ]

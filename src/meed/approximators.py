@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from . import autodiff as ad
-from .core import Mlp, RelaxedMask, SelectionSet
+from .core import Mlp, RelaxedMask, SelectionSet, classifier_layers
 
 CE_EPS = 1e-12  # predictions clamped before the log
 
@@ -22,10 +22,7 @@ class ApproximatorPair:
 def make_pair(d: int, c: int, hidden: Sequence[int],
               rng: np.random.Generator) -> ApproximatorPair:
     """Two fresh nets of the same shape (never shared parameters)."""
-    layers = []
-    for h in hidden:
-        layers += [("dense", int(h)), ("relu",)]
-    layers += [("dense", int(c)), ("softmax",)]
+    layers = classifier_layers(hidden, c)
     return ApproximatorPair(a_selected=Mlp(d, layers, rng=rng),
                             a_unselected=Mlp(d, layers, rng=rng))
 
@@ -50,9 +47,8 @@ def impute_unselected(x: np.ndarray, mask) -> np.ndarray:
 
 def cross_entropy(target: np.ndarray, pred: np.ndarray) -> float:
     """-sum_j target_j log pred_j with the prediction clamped at 1e-12."""
-    target = np.asarray(target, dtype=np.float64)
-    pred = np.clip(np.asarray(pred, dtype=np.float64), CE_EPS, None)
-    return float(-(target * np.log(pred)).sum())
+    pred = ad.Var(np.atleast_2d(np.asarray(pred, dtype=np.float64)))
+    return float(cross_entropy_var(np.atleast_2d(target), pred).value)
 
 
 def cross_entropy_var(target: np.ndarray, pred: ad.Var) -> ad.Var:
@@ -101,21 +97,3 @@ def sliced_wasserstein(batch_a: np.ndarray, batch_b: np.ndarray,
     thetas = sw_directions(batch_a.shape[1], n_proj, rng)
     return float(sliced_wasserstein_var(batch_a, ad.Var(batch_b), thetas).value)
 
-
-def batch_losses(pair: ApproximatorPair, x: np.ndarray, y: np.ndarray, v: np.ndarray,
-                 loss_u: str = "cross-entropy", n_proj: int = 128,
-                 rng: Optional[np.random.Generator] = None) -> tuple:
-    """(L_s, L_u) over a batch given relaxed masks v."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-    v = np.atleast_2d(np.asarray(v, dtype=np.float64))
-    pred_s = pair.a_selected.predict(x * v)
-    pred_u = pair.a_unselected.predict(x * (1.0 - v))
-    l_s = float(np.mean([cross_entropy(t, p) for t, p in zip(y, pred_s)]))
-    if loss_u == "cross-entropy":
-        l_u = float(np.mean([cross_entropy(t, p) for t, p in zip(y, pred_u)]))
-    else:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        l_u = sliced_wasserstein(y, pred_u, n_proj, rng)
-    return l_s, l_u

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 import numpy as np
@@ -18,10 +19,10 @@ import numpy as np
 from . import data as datamod
 from . import metrics as metricsmod
 from .baselines import ABLATION_VARIANTS, ablation_config
-from .core import ConfigError, TrainConfig
+from .core import ConfigError, ShapeError, TrainConfig, parse_int_tuple
 from .sampler import hard_topk
-from .trainer import (TrainingAbort, load_checkpoint, nets_from_checkpoint,
-                      train)
+from .trainer import (CheckpointError, TrainingAbort, load_checkpoint,
+                      nets_from_checkpoint, train)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -34,14 +35,15 @@ class ConfigFileError(ValueError):
 
 
 def parse_config_file(path: str) -> dict:
-    """`[section]` headers with `key = value` lines; returns nested dict."""
+    """`[section]` headers with `key = value` lines and `#` or `;` comments;
+    returns nested dict."""
     if not os.path.exists(path):
         raise ConfigFileError(f"config file not found: {path}")
     sections: dict = {}
     current = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
+            line = re.split("[#;]", raw, maxsplit=1)[0].strip()
             if not line:
                 continue
             if line.startswith("[") and line.endswith("]"):
@@ -67,16 +69,15 @@ def _get(section: dict, key: str, conv, default=None, required=False):
         raise ConfigFileError(f"bad value for config key {key}: {exc}") from exc
 
 
-def _int_tuple(val: str) -> tuple:
-    return tuple(int(v) for v in val.split(",")) if val else ()
-
-
-def _bool(val: str) -> bool:
-    if val.lower() in ("true", "1", "yes"):
-        return True
-    if val.lower() in ("false", "0", "no"):
-        return False
-    raise ValueError(f"not a boolean: {val}")
+def _synthetic_spec(section: dict, seed_override=None) -> datamod.SyntheticSpec:
+    """The `[data]` section of a synthetic run as a SyntheticSpec."""
+    return datamod.SyntheticSpec(
+        d=_get(section, "d", int, required=True),
+        true_subset=_get(section, "true_subset", parse_int_tuple, required=True),
+        n=_get(section, "n", int, required=True),
+        noise_std=_get(section, "noise_std", float, 0.0),
+        kind=_get(section, "kind", str, required=True),
+        seed=seed_override if seed_override is not None else _get(section, "seed", int, 0))
 
 
 def build_dataset(cfg: dict):
@@ -84,21 +85,14 @@ def build_dataset(cfg: dict):
     section = cfg.get("data", {})
     kind = _get(section, "kind", str, required=True)
     if kind in datamod.SYNTH_KINDS:
-        spec = datamod.SyntheticSpec(
-            d=_get(section, "d", int, required=True),
-            true_subset=_get(section, "true_subset", _int_tuple, required=True),
-            n=_get(section, "n", int, required=True),
-            noise_std=_get(section, "noise_std", float, 0.0),
-            kind=kind,
-            seed=_get(section, "seed", int, 0))
-        ds, subset = datamod.generate_synthetic(spec)
+        ds, subset = datamod.generate_synthetic(_synthetic_spec(section))
         tr, va, te = datamod.split_dataset(ds)
         return tr, va, te, subset
     if kind == "idx":
         ds = datamod.load_idx_images(
             _get(section, "images_path", str, required=True),
             _get(section, "labels_path", str, required=True),
-            tuple(_get(section, "class_pair", _int_tuple, required=True)))
+            tuple(_get(section, "class_pair", parse_int_tuple, required=True)))
         tr, va, te = datamod.split_dataset(ds)
         return tr, va, te, None
     if kind == "file":
@@ -112,23 +106,12 @@ def build_dataset(cfg: dict):
 
 
 def build_train_config(cfg: dict, seed_override=None) -> TrainConfig:
-    s = cfg.get("train", {})
+    """TrainConfig from the `[train]` section; unknown keys are rejected."""
+    s = dict(cfg.get("train", {}))
+    if seed_override is not None:
+        s["seed"] = str(seed_override)
     try:
-        return TrainConfig(
-            k=_get(s, "k", int, required=True),
-            epochs=_get(s, "epochs", int, required=True),
-            seed=seed_override if seed_override is not None else _get(s, "seed", int, 0),
-            tau=_get(s, "tau", float, 0.5),
-            lambda_u=_get(s, "lambda_u", float, 1.0),
-            lambda_e=_get(s, "lambda_e", float, 0.0),
-            batch_size=_get(s, "batch_size", int, 64),
-            optimizer=_get(s, "optimizer", str, "adam"),
-            learning_rate=_get(s, "learning_rate", float, 1e-3),
-            decay=_get(s, "decay", float, 0.0),
-            loss_u=_get(s, "loss_u", str, "cross-entropy"),
-            use_output_feedback=_get(s, "use_output_feedback", _bool, True),
-            prior_method=_get(s, "prior_method", str, "none"),
-            n_projections=_get(s, "n_projections", int, 128))
+        return TrainConfig.from_strings(s)
     except ConfigError as exc:
         raise ConfigFileError(str(exc)) from exc
 
@@ -137,7 +120,7 @@ def build_model(cfg: dict, train_set):
     s = cfg.get("model", {})
     return datamod.train_given_model(
         train_set,
-        hidden=_get(s, "hidden", _int_tuple, (32, 32)),
+        hidden=_get(s, "hidden", parse_int_tuple, (32, 32)),
         seed=_get(s, "seed", int, 0),
         epochs=_get(s, "epochs", int, 30),
         learning_rate=_get(s, "learning_rate", float, 1e-3))
@@ -147,8 +130,8 @@ def _run_section(cfg: dict) -> dict:
     s = dict(cfg.get("run", {}))
     return {
         "out_dir": s.get("out_dir", "out"),
-        "explainer_hidden": _int_tuple(s.get("explainer_hidden", "32,32")),
-        "approx_hidden": _int_tuple(s.get("approx_hidden", "32,32")),
+        "explainer_hidden": parse_int_tuple(s.get("explainer_hidden", "32,32")),
+        "approx_hidden": parse_int_tuple(s.get("approx_hidden", "32,32")),
         "fusion": s.get("fusion", "concat-raw"),
         "retrain_budget": int(s.get("retrain_budget", "20")),
     }
@@ -163,15 +146,7 @@ def cmd_synth(args) -> int:
     run = _run_section(cfg)
     out_dir = args.out or run["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
-    section = cfg.get("data", {})
-    spec = datamod.SyntheticSpec(
-        d=_get(section, "d", int, required=True),
-        true_subset=_get(section, "true_subset", _int_tuple, required=True),
-        n=_get(section, "n", int, required=True),
-        noise_std=_get(section, "noise_std", float, 0.0),
-        kind=_get(section, "kind", str, required=True),
-        seed=args.seed if args.seed is not None else _get(section, "seed", int, 0))
-    ds, subset = datamod.generate_synthetic(spec)
+    ds, subset = datamod.generate_synthetic(_synthetic_spec(cfg.get("data", {}), args.seed))
     path = os.path.join(out_dir, "dataset.txt")
     datamod.export_dataset(ds, subset, path)
     print(f"wrote {path} ({len(ds)} samples, d={ds.d})")
@@ -203,9 +178,7 @@ def cmd_explain(args) -> int:
     model = datamod.load_model(model_path)
     ds, _ = datamod.import_dataset(args.data)
     if ds.d != ckpt.meta["d"]:
-        print(f"error: checkpoint expects d={ckpt.meta['d']} but data has d={ds.d}",
-              file=sys.stderr)
-        return EXIT_SHAPE
+        raise ShapeError(f"checkpoint expects d={ckpt.meta['d']} but data has d={ds.d}")
     k = args.k if args.k is not None else ckpt.config.k
     y = model.evaluate(ds.X)
     z = explainer.score(ds.X, y)
@@ -225,14 +198,14 @@ def _load_run(args):
     run = _run_section(cfg)
     train_set, _, test_set, _ = build_dataset(cfg)
     ckpt = load_checkpoint(args.checkpoint)
+    if train_set.d != ckpt.meta["d"]:
+        raise ShapeError(f"checkpoint expects d={ckpt.meta['d']} but data has d={train_set.d}")
     explainer, _ = nets_from_checkpoint(ckpt)
     model_path = os.path.join(os.path.dirname(args.checkpoint), "model.bin")
     if os.path.exists(model_path):
         model = datamod.load_model(model_path)
     else:
         model = build_model(cfg, train_set)
-    if train_set.d != ckpt.meta["d"]:
-        raise ConfigError(f"checkpoint expects d={ckpt.meta['d']} but data has d={train_set.d}")
     return cfg, run, train_set, test_set, ckpt, explainer, model
 
 
@@ -336,9 +309,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigFileError, ConfigError, FileNotFoundError) as exc:
+    except (ConfigFileError, ConfigError, FileNotFoundError, CheckpointError,
+            datamod.IdxParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except ShapeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SHAPE
     except TrainingAbort as exc:
         print(f"training aborted: {exc}", file=sys.stderr)
         return EXIT_TRAINING

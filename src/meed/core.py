@@ -6,8 +6,9 @@ vector so optimizers and checkpoints can treat them uniformly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+import typing
+from dataclasses import MISSING, dataclass, fields
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -25,32 +26,10 @@ class ConfigError(ValueError):
 
 
 def is_simplex(vec: np.ndarray, tol: float = SIMPLEX_TOL) -> bool:
+    """True when every vector along the last axis is a distribution (NaN and
+    inf entries fail)."""
     vec = np.asarray(vec)
-    return bool(np.all(vec >= 0.0) and abs(vec.sum() - 1.0) <= tol)
-
-
-@dataclass(frozen=True)
-class Sample:
-    """One instance to explain: features, cached model output, optional label.
-
-    `true_label` exists for evaluation only and is never read while training
-    an explainer.
-    """
-
-    id: str
-    x: np.ndarray
-    y: np.ndarray
-    true_label: Optional[int] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=np.float64))
-        object.__setattr__(self, "y", np.asarray(self.y, dtype=np.float64))
-        if self.x.ndim != 1 or self.x.size == 0:
-            raise ValueError("x must be a nonempty vector")
-        if self.y.ndim != 1 or self.y.size == 0:
-            raise ValueError("y must be a nonempty vector")
-        if not is_simplex(self.y):
-            raise ShapeError("y must lie on the probability simplex")
+    return bool(np.all(vec >= 0.0) and np.all(np.abs(vec.sum(axis=-1) - 1.0) <= tol))
 
 
 @dataclass(frozen=True)
@@ -109,7 +88,7 @@ class TrainConfig:
 
     k: int
     epochs: int
-    seed: int
+    seed: int = 0
     tau: float = 0.5
     lambda_u: float = 1.0
     lambda_e: float = 0.0
@@ -144,6 +123,42 @@ class TrainConfig:
         if self.n_projections < 1:
             raise ConfigError("n_projections must be >= 1")
 
+    @classmethod
+    def from_strings(cls, mapping: dict) -> "TrainConfig":
+        """Build from text values (a config file section or a checkpoint),
+        converted by each field's annotated type; unset fields keep their
+        defaults."""
+        types = typing.get_type_hints(cls)
+        unknown = sorted(set(mapping) - set(types))
+        if unknown:
+            raise ConfigError(f"unknown train key(s): {', '.join(unknown)}")
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in mapping]
+        if missing:
+            raise ConfigError(f"missing required config key: {missing[0]}")
+        kwargs = {}
+        for name, text in mapping.items():
+            try:
+                kwargs[name] = _FROM_TEXT[types[name]](text)
+            except ValueError as exc:
+                raise ConfigError(f"bad value for config key {name}: {exc}") from exc
+        return cls(**kwargs)
+
+
+def parse_bool(val: str) -> bool:
+    if val.lower() in ("true", "1", "yes"):
+        return True
+    if val.lower() in ("false", "0", "no"):
+        return False
+    raise ValueError(f"not a boolean: {val}")
+
+
+def parse_int_tuple(val: str) -> tuple:
+    """Comma-separated integers; the empty string is the empty tuple."""
+    return tuple(int(v) for v in val.split(",")) if val else ()
+
+
+_FROM_TEXT = {int: int, float: float, str: str, bool: parse_bool}
+
 
 class BlackBoxModel:
     """Contract for the model being explained: deterministic x -> y."""
@@ -168,6 +183,14 @@ def named_rng(seed: int, stream: str) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 Layer = tuple  # ("dense", width) | ("relu",) | ("softmax",)
+
+
+def classifier_layers(hidden: Sequence[int], out: int) -> list:
+    """dense(h)/relu for each hidden width, then dense(out) and softmax."""
+    layers = []
+    for h in hidden:
+        layers += [("dense", int(h)), ("relu",)]
+    return layers + [("dense", int(out)), ("softmax",)]
 
 
 def _glorot_limit(fan_in: int, fan_out: int) -> float:
@@ -230,21 +253,13 @@ class Mlp:
     def clone(self) -> "Mlp":
         return Mlp(self.in_dim, self.layers, parameters=self._params)
 
-    def _check_input(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        squeeze = x.ndim == 1
-        if squeeze:
-            x = x[None, :]
-        if x.shape[1] != self.in_dim:
-            raise ShapeError(
-                f"dense layer 0 expects input width {self.in_dim}, got {x.shape[1]}")
-        return x if not squeeze else x  # caller handles squeeze via flag
-
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Fast forward pass without building a graph."""
         x = np.asarray(x, dtype=np.float64)
         squeeze = x.ndim == 1
-        h = self._check_input(x if not squeeze else x[None, :])
+        h = x[None, :] if squeeze else x
+        if h.shape[1] != self.in_dim:
+            raise ShapeError(f"dense layer 0 expects input width {self.in_dim}, got {h.shape[1]}")
         dense_i = 0
         for layer in self.layers:
             if layer[0] == "dense":
@@ -295,22 +310,3 @@ class Mlp:
             flat[b_sl] = gb if gb is not None else 0.0
         return flat
 
-
-def net_forward(net: Mlp, x: np.ndarray) -> np.ndarray:
-    return net.predict(x)
-
-
-def net_gradient(net: Mlp, loss_fn: Callable) -> np.ndarray:
-    """Gradient of a scalar loss with respect to the net's flat parameters.
-
-    `loss_fn` receives a forward callable mapping a (n, in_dim) array to the
-    network output Var, and must return a scalar Var.
-    """
-    leaves = net.make_leaves()
-    loss = loss_fn(lambda x: net.forward_var(ad.as_var(np.atleast_2d(np.asarray(x, dtype=np.float64))), leaves))
-    ad.check_finite(loss, "loss")
-    ad.backward(loss)
-    grad = net.grad_from_leaves(leaves)
-    if not np.all(np.isfinite(grad)):
-        raise ad.NonFiniteError("non-finite value encountered in gradient")
-    return grad

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import autodiff as ad
 from .core import BlackBoxModel, Mlp, SelectionSet, named_rng
+from .trainer import fit_classifier
 
 SYNTH_KINDS = ("sparse-logit", "xor", "shortcut-bait")
 
@@ -265,33 +266,12 @@ def train_given_model(dataset: Dataset, hidden: Sequence[int] = (32, 32),
                       learning_rate: float = 1e-3,
                       n_classes: Optional[int] = None) -> MlpModel:
     """Fit the model-to-be-explained on true labels (the only label consumer)."""
-    from .trainer import Adam  # local import to avoid a cycle at module load
-
     if dataset.y_true is None:
         raise ValueError("train_given_model needs true labels")
-    x = dataset.X
     labels = np.asarray(dataset.y_true, dtype=int)
-    c = n_classes or int(labels.max()) + 1
-    targets = np.eye(c)[labels]
-    rng = named_rng(seed, "model")
-    layers = []
-    for h in hidden:
-        layers += [("dense", int(h)), ("relu",)]
-    layers += [("dense", c), ("softmax",)]
-    net = Mlp(x.shape[1], layers, rng=rng)
-    opt = Adam(learning_rate, net.n_params)
-    n = x.shape[0]
-    for _ in range(epochs):
-        perm = rng.permutation(n)
-        for lo in range(0, n, batch_size):
-            idx = perm[lo:lo + batch_size]
-            leaves = net.make_leaves()
-            pred = net.forward_var(ad.Var(x[idx]), leaves)
-            from .approximators import cross_entropy_var
-            loss = cross_entropy_var(targets[idx], pred)
-            ad.backward(loss)
-            opt.step(net.parameters, net.grad_from_leaves(leaves))
-    return MlpModel(net)
+    targets = np.eye(n_classes or int(labels.max()) + 1)[labels]
+    return MlpModel(fit_classifier(dataset.X, targets, hidden, epochs, named_rng(seed, "model"),
+                                   learning_rate=learning_rate, batch_size=batch_size))
 
 
 MODEL_MAGIC = b"MEEDMODL"

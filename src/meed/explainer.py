@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .core import ConfigError, Mlp, ShapeError, is_simplex
+from .core import ConfigError, Mlp, ShapeError, classifier_layers, is_simplex
 from .sampler import Z_EPS
 
 FUSION_MODES = ("concat-raw", "concat-embedded", "none")
@@ -41,7 +41,7 @@ class ExplainerNet:
     """Maps (x, y) to a feature-importance distribution over d features."""
 
     def __init__(self, d: int, c: int, hidden: Sequence[int] = (32, 32),
-                 feedback_fusion: str = "concat-embedded",
+                 feedback_fusion: str = "concat-raw",
                  rng: Optional[np.random.Generator] = None):
         if feedback_fusion not in FUSION_MODES:
             raise ConfigError(f"unknown feedback fusion: {feedback_fusion}")
@@ -57,11 +57,7 @@ class ExplainerNet:
             in_dim = self.d + self.c
         else:
             in_dim = self.d
-        layers = []
-        for h in self.hidden:
-            layers += [("dense", h), ("relu",)]
-        layers += [("dense", self.d), ("softmax",)]
-        self.backbone = Mlp(in_dim, layers, rng=rng)
+        self.backbone = Mlp(in_dim, classifier_layers(self.hidden, self.d), rng=rng)
 
     @property
     def n_params(self) -> int:

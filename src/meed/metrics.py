@@ -17,11 +17,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import autodiff as ad
-from .approximators import cross_entropy_var
 from .core import Mlp, SelectionSet, named_rng
 from .data import Dataset
 from .sampler import hard_topk, hard_topk_batch
+from .trainer import fit_classifier, train
 
 RETRAIN_BUDGET_DEFAULT = 20
 SEN_RADIUS_FRACTION = 0.05  # of the per-feature data range
@@ -94,25 +93,7 @@ def fidelity_unselected_model(explainer, model, eval_set: Dataset, k: int) -> fl
 
 def _retrain_approximator(inputs: np.ndarray, targets: np.ndarray,
                           hidden: Sequence[int], budget: int, seed: int) -> Mlp:
-    from .trainer import Adam
-
-    rng = named_rng(seed, "init")
-    layers = []
-    for h in hidden:
-        layers += [("dense", int(h)), ("relu",)]
-    layers += [("dense", targets.shape[1]), ("softmax",)]
-    net = Mlp(inputs.shape[1], layers, rng=rng)
-    opt = Adam(1e-3, net.n_params)
-    n = inputs.shape[0]
-    for _ in range(budget):
-        perm = rng.permutation(n)
-        for lo in range(0, n, 64):
-            idx = perm[lo:lo + 64]
-            leaves = net.make_leaves()
-            loss = cross_entropy_var(targets[idx], net.forward_var(ad.Var(inputs[idx]), leaves))
-            ad.backward(loss)
-            opt.step(net.parameters, net.grad_from_leaves(leaves))
-    return net
+    return fit_classifier(inputs, targets, hidden, budget, named_rng(seed, "init"))
 
 
 def fidelity_selected_approx(explainer, model, train_set: Dataset, eval_set: Dataset,
@@ -195,8 +176,6 @@ def sanity_tests(explainer, model, eval_set: Dataset, k: int,
         new_masks = explainer_masks(explainer, eval_set.X, y_new, k)
         return mask_cosine(base_masks, new_masks)
     if mode == "data-randomization":
-        from .trainer import train
-
         if train_set is None or config is None or model_builder is None:
             raise ValueError("data-randomization needs train_set, config and model_builder")
         shuffled = Dataset(ids=list(train_set.ids), X=train_set.X,

@@ -8,7 +8,7 @@ differentiable with respect to the scores.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -22,7 +22,6 @@ Z_EPS = 1e-20  # scores clamped below this before log
 @dataclass(frozen=True)
 class GumbelNoise:
     xi: np.ndarray  # (d, k)
-    source_seed: Optional[int] = None
 
 
 def gumbel_from_uniform(u: np.ndarray) -> np.ndarray:

@@ -22,7 +22,8 @@ from . import autodiff as ad
 from .approximators import (ApproximatorPair, cross_entropy_var, make_pair,
                             relativistic_flip, sliced_wasserstein_var,
                             sw_directions)
-from .core import ConfigError, TrainConfig, named_rng
+from .core import (ConfigError, Mlp, ShapeError, TrainConfig, classifier_layers,
+                   is_simplex, named_rng, parse_int_tuple)
 from .explainer import ExplainerNet, fuse_prior, fuse_prior_var, prior_constraint_loss_var
 from .sampler import relaxed_topk_var, sample_gumbel_batch
 
@@ -43,66 +44,49 @@ class CheckpointError(ValueError):
 # ---------------------------------------------------------------------------
 
 class Optimizer:
-    name = "base"
+    """In-place update of a flat parameter vector. `slots` names the
+    per-parameter state vectors, saved with the step count `t`."""
+
+    slots: tuple = ()
+
+    def __init__(self, rate: float, n: int, decay: float = 0.0):
+        self.rate, self.decay, self.t = rate, decay, 0
+        for slot in self.slots:
+            setattr(self, slot, np.zeros(n))
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> None:
         raise NotImplementedError
 
     def get_state(self) -> dict:
-        raise NotImplementedError
+        return {"t": self.t, **{slot: getattr(self, slot) for slot in self.slots}}
 
     def set_state(self, state: dict) -> None:
-        raise NotImplementedError
+        self.t = int(state["t"])
+        for slot in self.slots:
+            setattr(self, slot, np.asarray(state[slot], dtype=np.float64))
 
 
 class Sgd(Optimizer):
-    name = "sgd"
-
-    def __init__(self, rate: float, n: int, decay: float = 0.0):
-        self.rate, self.decay, self.t = rate, decay, 0
-
     def step(self, params, grad):
         self.t += 1
         params -= self.rate / (1.0 + self.decay * self.t) * grad
 
-    def get_state(self):
-        return {"t": self.t}
-
-    def set_state(self, state):
-        self.t = int(state["t"])
-
 
 class RmsProp(Optimizer):
-    name = "rmsprop"
-
-    def __init__(self, rate: float, n: int, decay: float = 0.0,
-                 rho: float = 0.9, eps: float = 1e-8):
-        self.rate, self.decay, self.rho, self.eps = rate, decay, rho, eps
-        self.avg = np.zeros(n)
-        self.t = 0
+    slots = ("avg",)
+    rho, eps = 0.9, 1e-8
 
     def step(self, params, grad):
         self.t += 1
         self.avg = self.rho * self.avg + (1 - self.rho) * grad * grad
         params -= self.rate / (1.0 + self.decay * self.t) * grad / (np.sqrt(self.avg) + self.eps)
 
-    def get_state(self):
-        return {"t": self.t, "avg": self.avg}
-
-    def set_state(self, state):
-        self.t = int(state["t"])
-        self.avg = np.asarray(state["avg"], dtype=np.float64)
-
 
 class Adadelta(Optimizer):
-    name = "adadelta"
+    """Ignores `decay`: its step size adapts per parameter."""
 
-    def __init__(self, rate: float, n: int, decay: float = 0.0,
-                 rho: float = 0.95, eps: float = 1e-6):
-        self.rate, self.rho, self.eps = rate, rho, eps
-        self.acc_g = np.zeros(n)
-        self.acc_d = np.zeros(n)
-        self.t = 0
+    slots = ("acc_g", "acc_d")
+    rho, eps = 0.95, 1e-6
 
     def step(self, params, grad):
         self.t += 1
@@ -111,25 +95,10 @@ class Adadelta(Optimizer):
         self.acc_d = self.rho * self.acc_d + (1 - self.rho) * delta * delta
         params -= self.rate * delta
 
-    def get_state(self):
-        return {"t": self.t, "acc_g": self.acc_g, "acc_d": self.acc_d}
-
-    def set_state(self, state):
-        self.t = int(state["t"])
-        self.acc_g = np.asarray(state["acc_g"], dtype=np.float64)
-        self.acc_d = np.asarray(state["acc_d"], dtype=np.float64)
-
 
 class Adam(Optimizer):
-    name = "adam"
-
-    def __init__(self, rate: float, n: int, decay: float = 0.0,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.rate, self.decay = rate, decay
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m = np.zeros(n)
-        self.v = np.zeros(n)
-        self.t = 0
+    slots = ("m", "v")
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
 
     def step(self, params, grad):
         self.t += 1
@@ -139,18 +108,30 @@ class Adam(Optimizer):
         vhat = self.v / (1 - self.beta2**self.t)
         params -= self.rate / (1.0 + self.decay * self.t) * mhat / (np.sqrt(vhat) + self.eps)
 
-    def get_state(self):
-        return {"t": self.t, "m": self.m, "v": self.v}
-
-    def set_state(self, state):
-        self.t = int(state["t"])
-        self.m = np.asarray(state["m"], dtype=np.float64)
-        self.v = np.asarray(state["v"], dtype=np.float64)
-
 
 def make_optimizer(config: TrainConfig, n: int) -> Optimizer:
     cls = {"sgd": Sgd, "rmsprop": RmsProp, "adadelta": Adadelta, "adam": Adam}[config.optimizer]
     return cls(config.learning_rate, n, decay=config.decay)
+
+
+def fit_classifier(x: np.ndarray, targets: np.ndarray, hidden: Sequence[int], epochs: int,
+                   rng: np.random.Generator, learning_rate: float = 1e-3,
+                   batch_size: int = 64) -> Mlp:
+    """Softmax MLP fitted to `targets` (n, c) by minibatch Adam on cross-entropy.
+
+    `rng` draws the initial weights first, then one permutation per epoch.
+    """
+    net = Mlp(x.shape[1], classifier_layers(hidden, targets.shape[1]), rng=rng)
+    opt = Adam(learning_rate, net.n_params)
+    n = x.shape[0]
+    for _ in range(epochs):
+        perm = rng.permutation(n)
+        for lo in range(0, n, batch_size):
+            idx = perm[lo:lo + batch_size]
+            leaves = net.make_leaves()
+            ad.backward(cross_entropy_var(targets[idx], net.forward_var(ad.Var(x[idx]), leaves)))
+            opt.step(net.parameters, net.grad_from_leaves(leaves))
+    return net
 
 
 # ---------------------------------------------------------------------------
@@ -265,33 +246,15 @@ def _config_text(config: TrainConfig, meta: dict, epoch_counter: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+_ARCH_FROM_TEXT = {"d": int, "c": int, "explainer_hidden": parse_int_tuple,
+                   "approx_hidden": parse_int_tuple, "fusion": str}
+
+
 def _parse_config_text(text: str) -> tuple:
-    raw = {}
-    for line in text.strip().splitlines():
-        key, _, val = line.partition("=")
-        raw[key] = val
-    def conv(key, val):
-        if key in ("train.use_output_feedback",):
-            return val == "true"
-        if key in ("train.k", "train.epochs", "train.seed", "train.batch_size",
-                   "train.n_projections"):
-            return int(val)
-        if key in ("train.tau", "train.lambda_u", "train.lambda_e",
-                   "train.learning_rate", "train.decay"):
-            return float(val)
-        return val
-    cfg_kwargs = {k[len("train."):]: conv(k, v) for k, v in raw.items() if k.startswith("train.")}
-    config = TrainConfig(**cfg_kwargs)
-    meta = {}
-    for k, v in raw.items():
-        if k.startswith("arch."):
-            name = k[len("arch."):]
-            if name in ("d", "c"):
-                meta[name] = int(v)
-            elif name in ("explainer_hidden", "approx_hidden"):
-                meta[name] = tuple(int(s) for s in v.split(",")) if v else ()
-            else:
-                meta[name] = v
+    raw = dict(line.split("=", 1) for line in text.strip().splitlines())
+    config = TrainConfig.from_strings(
+        {k[len("train."):]: v for k, v in raw.items() if k.startswith("train.")})
+    meta = {name: conv(raw["arch." + name]) for name, conv in _ARCH_FROM_TEXT.items()}
     return config, meta, int(raw["epoch_counter"])
 
 
@@ -333,23 +296,32 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> Checkpoint:
+    """Read a checkpoint; any malformed or incompatible file raises CheckpointError."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:8] != CHECKPOINT_MAGIC:
         raise CheckpointError("bad magic: not a MEED checkpoint")
+    if len(blob) < 12:
+        raise CheckpointError(f"truncated checkpoint header at offset {len(blob)}")
     (version,) = struct.unpack_from("<I", blob, 8)
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"format version mismatch: file has {version}, library supports {CHECKPOINT_VERSION}")
     reader = _Reader(blob, 12)
-    config, meta, m = _parse_config_text(reader.section().decode("utf-8"))
+    try:
+        config, meta, m = _parse_config_text(reader.section().decode("utf-8"))
+    except (UnicodeDecodeError, KeyError, ValueError) as exc:
+        raise CheckpointError(f"bad config section: {exc!r}") from exc
     vecs = []
     for _ in range(3):
+        offset = reader.offset
         section = reader.section()
-        (count,) = struct.unpack_from("<Q", section, 0)
-        vec = np.frombuffer(section, dtype="<f8", count=count, offset=8).astype(np.float64)
-        vecs.append(vec)
+        if len(section) < 8 or len(section) != 8 + 8 * struct.unpack_from("<Q", section)[0]:
+            raise CheckpointError(f"vector section at offset {offset} does not hold its count")
+        vecs.append(np.frombuffer(section, dtype="<f8", offset=8).astype(np.float64))
     runtime = reader.section()
+    if reader.offset != len(blob):
+        raise CheckpointError(f"trailing bytes after offset {reader.offset}")
     return Checkpoint(format_version=version, config=config, meta=meta,
                       explainer_params=vecs[0], a_selected_params=vecs[1],
                       a_unselected_params=vecs[2], epoch_counter=m,
@@ -394,7 +366,7 @@ def _restore_runtime_state(blob: bytes, rngs: dict, opts: dict) -> None:
 
 def build_explainer(meta: dict, config: TrainConfig,
                     rng: Optional[np.random.Generator] = None) -> ExplainerNet:
-    fusion = meta.get("fusion", "concat-raw") if config.use_output_feedback else "none"
+    fusion = meta["fusion"] if config.use_output_feedback else "none"
     return ExplainerNet(meta["d"], meta["c"], hidden=meta["explainer_hidden"],
                         feedback_fusion=fusion, rng=rng)
 
@@ -439,6 +411,9 @@ def train(dataset, model, config: TrainConfig,
     if y_all is None:
         y_all = model.evaluate(x_all)
     y_all = np.asarray(y_all, dtype=np.float64)
+    if y_all.ndim != 2 or y_all.shape[0] != n or not is_simplex(y_all):
+        raise ShapeError(f"model outputs must be ({n}, c) rows of finite values on the "
+                         f"probability simplex, got shape {y_all.shape}")
     c = y_all.shape[1]
 
     meta = {"d": d, "c": c, "explainer_hidden": tuple(explainer_hidden),
@@ -512,7 +487,7 @@ def train(dataset, model, config: TrainConfig,
         if log_lines is not None:
             log_lines.append(line)
         if out_dir:
-            with open(os.path.join(out_dir, "train.log"), "a" if m > start_epoch else "w",
+            with open(os.path.join(out_dir, "train.log"), "w" if m == 0 else "a",
                       encoding="utf-8") as fh:
                 fh.write(line + "\n")
         ckpt = snapshot(m + 1)

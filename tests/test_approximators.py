@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from meed import autodiff as ad
 from meed.core import RelaxedMask, SelectionSet, ShapeError
-from meed.approximators import (ApproximatorPair, batch_losses, cross_entropy,
+from meed.approximators import (ApproximatorPair, cross_entropy,
                                 cross_entropy_var, impute_selected,
                                 impute_unselected, make_pair,
                                 relativistic_flip, sliced_wasserstein,
@@ -102,17 +102,12 @@ def test_sliced_wasserstein_var_matches_scalar(rng):
     assert np.isclose(got, np.mean((proj_a - proj_b) ** 2))
 
 
-def test_make_pair_and_batch_losses(rng):
+def test_make_pair(rng):
     pair = make_pair(d=5, c=2, hidden=(8,), rng=rng)
     assert isinstance(pair, ApproximatorPair)
-    x = rng.standard_normal((6, 5))
-    y = rng.random((6, 2))
-    y /= y.sum(axis=1, keepdims=True)
-    v = rng.random((6, 5))
-    l_s, l_u = batch_losses(pair, x, y, v, loss_u="cross-entropy",
-                            n_proj=8, rng=rng)
-    assert np.isfinite(l_s) and np.isfinite(l_u)
-    assert l_s > 0 and l_u > 0
+    assert pair.a_selected.layers == pair.a_unselected.layers
+    assert not np.shares_memory(pair.a_selected.parameters, pair.a_unselected.parameters)
+    assert not np.allclose(pair.a_selected.parameters, pair.a_unselected.parameters)
 
 
 def test_pair_outputs_are_simplex(rng):

@@ -1,14 +1,19 @@
 """Command-line pipeline: config parsing, exit codes and artifacts."""
 
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
 from meed.cli import (EXIT_CONFIG, EXIT_OK, EXIT_SHAPE, ConfigFileError,
-                      build_train_config, main, parse_config_file)
+                      build_dataset, build_train_config, main, parse_config_file)
+from meed.core import TrainConfig
 from meed.data import SyntheticSpec, export_dataset, generate_synthetic
 from meed.metrics import MetricsReport
+from meed.trainer import CHECKPOINT_MAGIC, Checkpoint, load_checkpoint, save_checkpoint
+
+README = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")
 
 
 CONFIG = """
@@ -55,6 +60,75 @@ def test_parse_config_file(run_dir):
     assert cfg["train"]["k"] == "2"
     tc = build_train_config(cfg)
     assert tc.k == 2 and tc.epochs == 3 and tc.batch_size == 32
+
+
+def test_readme_config_example_parses(tmp_path):
+    block = open(README, encoding="utf-8").read().split("```ini\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "readme.cfg"
+    path.write_text(block)
+    cfg = parse_config_file(str(path))
+    assert cfg["model"]["hidden"] == "16"
+    train_set, _, _, subset = build_dataset(cfg)
+    assert train_set.d == 6 and subset.indices == (0, 1)
+    tc = build_train_config(cfg)
+    assert (tc.k, tc.epochs, tc.seed, tc.batch_size) == (2, 25, 1, 32)
+    assert (tc.lambda_u, tc.learning_rate) == (0.2, 2e-3)
+
+
+# One value per TrainConfig field, each different from the field's default.
+NON_DEFAULT = {"k": 3, "epochs": 5, "seed": 11, "tau": 0.25, "lambda_u": 0.5,
+               "lambda_e": 0.125, "batch_size": 7, "optimizer": "rmsprop",
+               "learning_rate": 0.003, "decay": 0.01, "loss_u": "sliced-wasserstein",
+               "use_output_feedback": False, "prior_method": "grad", "n_projections": 9}
+
+
+def test_every_train_config_field_round_trips(tmp_path):
+    config = TrainConfig(**NON_DEFAULT)
+    ckpt = Checkpoint(format_version=1, config=config,
+                      meta={"d": 2, "c": 2, "explainer_hidden": (3,), "approx_hidden": (),
+                            "fusion": "concat-raw"},
+                      explainer_params=np.zeros(2), a_selected_params=np.zeros(1),
+                      a_unselected_params=np.zeros(0), epoch_counter=1, runtime_state=b"{}")
+    save_checkpoint(ckpt, str(tmp_path / "ckpt.bin"))
+    from_checkpoint = load_checkpoint(str(tmp_path / "ckpt.bin")).config
+    section = "".join(f"{name} = {str(val).lower() if isinstance(val, bool) else val}\n"
+                      for name, val in NON_DEFAULT.items())
+    (tmp_path / "run.cfg").write_text("[train]\n" + section)
+    from_cli = build_train_config(parse_config_file(str(tmp_path / "run.cfg")))
+    for field in dataclasses.fields(TrainConfig):
+        want = NON_DEFAULT[field.name]
+        assert want != field.default, field.name
+        for got in (getattr(from_checkpoint, field.name), getattr(from_cli, field.name)):
+            assert got == want and type(got) is type(want), field.name
+
+
+def test_unknown_train_key_exits_2(tmp_path):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text(CONFIG.format(out=tmp_path / "out").replace("batch_size", "batch_sise"))
+    with pytest.raises(ConfigFileError, match="batch_sise"):
+        build_train_config(parse_config_file(str(cfg)))
+    assert main(["train", "--config", str(cfg)]) == EXIT_CONFIG
+
+
+def test_corrupt_checkpoint_exits_2(tmp_path):
+    data_path = str(tmp_path / "data.txt")
+    export_dataset(generate_synthetic(SyntheticSpec(d=6, true_subset=(0, 1), n=8,
+                                                    noise_std=0.1, kind="sparse-logit",
+                                                    seed=12))[0], None, data_path)
+    for blob in (b"garbage", CHECKPOINT_MAGIC + b"\x01\x00"):
+        bad = tmp_path / "checkpoint.bin"
+        bad.write_bytes(blob)
+        assert main(["explain", "--checkpoint", str(bad), "--data", data_path]) == EXIT_CONFIG
+
+
+def test_malformed_idx_file_exits_2(tmp_path):
+    for name in ("images", "labels"):
+        (tmp_path / name).write_bytes(b"\x00\x00")
+    cfg = tmp_path / "idx.cfg"
+    cfg.write_text(f"[data]\nkind = idx\nimages_path = {tmp_path / 'images'}\n"
+                   f"labels_path = {tmp_path / 'labels'}\nclass_pair = 3,8\n"
+                   "[train]\nk = 2\nepochs = 1\n")
+    assert main(["train", "--config", str(cfg)]) == EXIT_CONFIG
 
 
 def test_parse_rejects_stray_lines(tmp_path):
@@ -122,6 +196,16 @@ def test_explain_shape_mismatch_exits_4(trained_dir, tmp_path):
     code = main(["explain", "--checkpoint", os.path.join(out, "checkpoint.bin"),
                  "--data", data_path])
     assert code == EXIT_SHAPE
+
+
+def test_evaluate_and_sanity_shape_mismatch_exit_4(trained_dir, tmp_path):
+    config_path, out = trained_dir
+    wide = tmp_path / "wide.cfg"
+    wide.write_text(open(config_path).read().replace("d = 6", "d = 9"))
+    for command in ("evaluate", "sanity"):
+        code = main([command, "--config", str(wide),
+                     "--checkpoint", os.path.join(out, "checkpoint.bin")])
+        assert code == EXIT_SHAPE
 
 
 def test_evaluate_writes_parseable_report(trained_dir):

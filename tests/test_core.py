@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from meed import autodiff as ad
-from meed.core import (ConfigError, Mlp, RelaxedMask, Sample, SelectionSet,
-                       ShapeError, TrainConfig, is_simplex, named_rng,
-                       net_forward, net_gradient)
+from meed.core import (ConfigError, Mlp, RelaxedMask, SelectionSet, ShapeError,
+                       TrainConfig, classifier_layers, is_simplex, named_rng)
 from tests.conftest import finite_difference, relative_error
 
 
@@ -14,13 +13,10 @@ def test_is_simplex():
     assert is_simplex(np.array([0.25, 0.75]))
     assert not is_simplex(np.array([0.5, 0.6]))
     assert not is_simplex(np.array([-0.1, 1.1]))
-
-
-def test_sample_validation():
-    s = Sample(id="a", x=np.zeros(3), y=np.array([0.3, 0.7]))
-    assert s.true_label is None
-    with pytest.raises(ShapeError):
-        Sample(id="b", x=np.zeros(3), y=np.array([0.5, 0.9]))
+    assert is_simplex(np.array([[0.25, 0.75], [1.0, 0.0]]))
+    assert not is_simplex(np.array([[0.5, 0.5], [0.9, 0.9]]))
+    assert not is_simplex(np.array([np.nan, 1.0]))
+    assert not is_simplex(np.array([np.inf, 1.0]))
 
 
 def test_selection_set_invariants():
@@ -71,8 +67,7 @@ def test_named_rng_streams_are_stable_and_distinct():
 
 
 def make_net(rng, in_dim=5, hidden=4, out=3):
-    return Mlp(in_dim, [("dense", hidden), ("relu",), ("dense", out), ("softmax",)],
-               rng=rng)
+    return Mlp(in_dim, classifier_layers((hidden,), out), rng=rng)
 
 
 def test_mlp_predict_is_simplex(rng):
@@ -114,12 +109,11 @@ def test_net_gradient_matches_finite_differences(rng):
     target = rng.random((6, 2))
     target /= target.sum(axis=1, keepdims=True)
 
-    def loss_fn(forward):
-        pred = forward(x)
-        eps = 1e-12
-        return -ad.mean_all(ad.mul(ad.Var(target), ad.log(ad.clamp_min(pred, eps)))) * 2.0
-
-    grad = net_gradient(net, loss_fn)
+    leaves = net.make_leaves()
+    pred = net.forward_var(x, leaves)
+    loss = -ad.mean_all(ad.mul(ad.Var(target), ad.log(ad.clamp_min(pred, 1e-12)))) * 2.0
+    ad.backward(loss)
+    grad = net.grad_from_leaves(leaves)
 
     def scalar(params):
         probe = net.clone()
@@ -129,9 +123,3 @@ def test_net_gradient_matches_finite_differences(rng):
 
     fd = finite_difference(scalar, net.parameters.copy())
     assert relative_error(grad, fd) < 1e-6
-
-
-def test_net_forward_helper(rng):
-    net = make_net(rng)
-    x = rng.standard_normal((2, 5))
-    assert np.allclose(net_forward(net, x), net.predict(x))

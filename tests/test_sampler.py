@@ -13,7 +13,7 @@ from meed.sampler import (GumbelNoise, gumbel_from_uniform, hard_topk,
 
 
 def zero_noise(d, k):
-    return GumbelNoise(xi=np.zeros((d, k)), source_seed=0)
+    return GumbelNoise(xi=np.zeros((d, k)))
 
 
 def test_zero_noise_tau_one_is_identity():
@@ -99,7 +99,7 @@ def test_relaxed_topk_var_matches_numpy_path(rng):
     out = relaxed_topk_var(ad.Var(z), xi, tau=0.5)
     for i in range(3):
         single = relaxed_topk(z[i], k=2, tau=0.5,
-                              noise=GumbelNoise(xi=xi[i], source_seed=0))
+                              noise=GumbelNoise(xi=xi[i]))
         assert np.allclose(out.value[i], single.v)
 
 

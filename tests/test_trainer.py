@@ -1,12 +1,16 @@
 """Alternating trainer, optimizers, checkpoint format and resume."""
 
 import copy
+import dataclasses
 import os
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from meed.core import ConfigError, TrainConfig, named_rng
+from meed.core import ConfigError, ShapeError, TrainConfig, named_rng
 from meed.approximators import make_pair
 from meed.data import Dataset
 from meed.explainer import ExplainerNet
@@ -56,17 +60,21 @@ def test_optimizers_descend_a_quadratic(name):
 
 
 def test_optimizer_state_round_trip():
-    config = TrainConfig(k=1, epochs=1, seed=0, optimizer="adam")
-    opt = make_optimizer(config, 4)
-    params = np.ones(4)
-    for _ in range(5):
-        opt.step(params, params * 0.3)
-    twin = make_optimizer(config, 4)
-    twin.set_state(copy.deepcopy(opt.get_state()))
-    p1, p2 = params.copy(), params.copy()
-    opt.step(p1, p1 * 0.3)
-    twin.step(p2, p2 * 0.3)
-    assert np.array_equal(p1, p2)
+    keys = {"sgd": {"t"}, "rmsprop": {"t", "avg"}, "adadelta": {"t", "acc_g", "acc_d"},
+            "adam": {"t", "m", "v"}}
+    for name, state_keys in keys.items():
+        config = TrainConfig(k=1, epochs=1, seed=0, optimizer=name, decay=0.1)
+        opt = make_optimizer(config, 4)
+        params = np.ones(4)
+        for _ in range(5):
+            opt.step(params, params * 0.3)
+        assert set(opt.get_state()) == state_keys
+        twin = make_optimizer(config, 4)
+        twin.set_state(copy.deepcopy(opt.get_state()))
+        p1, p2 = params.copy(), params.copy()
+        opt.step(p1, p1 * 0.3)
+        twin.step(p2, p2 * 0.3)
+        assert np.array_equal(p1, p2)
 
 
 def step_inputs(config, seed=0):
@@ -140,6 +148,58 @@ def test_train_rejects_empty_or_oversized_k():
         train(empty, FixedModel(), TrainConfig(k=2, epochs=1, seed=0))
 
 
+def test_train_rejects_invalid_model_outputs():
+    ds = make_dataset()
+    config = TrainConfig(k=2, epochs=1, seed=0)
+    good = FixedModel().evaluate(ds.X)
+    nan_row, inf_row = good.copy(), good.copy()
+    nan_row[3, 0] = np.nan
+    inf_row[3, 0] = np.inf
+    for y in (np.full_like(good, 0.9), nan_row, inf_row, good[:-1], good.ravel()):
+        with pytest.raises(ShapeError):
+            train(Dataset(ids=ds.ids, X=ds.X, Y=y), FixedModel(), config)
+
+    class OffSimplexModel(FixedModel):
+        def evaluate(self, x):
+            return np.full((len(x), 2), 0.9)
+
+    with pytest.raises(ShapeError):
+        train(ds, OffSimplexModel(), config)
+
+
+def same_checkpoint(a: Checkpoint, b: Checkpoint) -> bool:
+    return (a.config == b.config and a.meta == b.meta and a.epoch_counter == b.epoch_counter
+            and a.runtime_state == b.runtime_state
+            and all(np.array_equal(getattr(a, f), getattr(b, f))
+                    for f in ("explainer_params", "a_selected_params", "a_unselected_params")))
+
+
+@pytest.fixture(scope="module")
+def saved_checkpoint(tmp_path_factory):
+    """(file bytes, loaded checkpoint, scratch path) of a small trained run."""
+    config = TrainConfig(k=2, epochs=1, seed=3, batch_size=16)
+    _, _, ckpt = train(make_dataset(), FixedModel(), config, explainer_hidden=(8,),
+                       approx_hidden=(8,))
+    path = str(tmp_path_factory.mktemp("ckpt") / "ckpt.bin")
+    save_checkpoint(ckpt, path)
+    return open(path, "rb").read(), load_checkpoint(path), path + ".corrupt"
+
+
+def section_offsets(blob: bytes) -> list:
+    """Offset of each section's length field: config, three vectors, runtime."""
+    offsets, pos = [], 12
+    for _ in range(5):
+        offsets.append(pos)
+        pos += 8 + struct.unpack_from("<Q", blob, pos)[0]
+    return offsets
+
+
+def load_bytes(blob: bytes, path: str) -> Checkpoint:
+    with open(path, "wb") as fh:
+        fh.write(blob)
+    return load_checkpoint(path)
+
+
 def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     ds = make_dataset()
     config = TrainConfig(k=2, epochs=1, seed=3, batch_size=16)
@@ -162,12 +222,44 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     assert open(second, "rb").read() == blob
 
 
-def test_checkpoint_rejects_corrupt_blob(tmp_path):
-    path = os.path.join(tmp_path, "bad.bin")
-    with open(path, "wb") as fh:
-        fh.write(b"NOTMEED!" + b"\x00" * 32)
-    with pytest.raises(CheckpointError):
-        load_checkpoint(path)
+def test_checkpoint_rejects_corrupt_blob(saved_checkpoint):
+    blob, _, path = saved_checkpoint
+    config_at, vector_at = section_offsets(blob)[:2]
+    oversized = bytearray(blob)
+    struct.pack_into("<Q", oversized, vector_at + 8, 2**40)
+    non_utf8 = bytearray(blob)
+    non_utf8[config_at + 8] = 0xFF
+    partial = b"epoch_counter=1\n"
+    incomplete = (blob[:config_at] + struct.pack("<Q", len(partial)) + partial
+                  + blob[vector_at:])
+    for bad in (b"NOTMEED!" + b"\x00" * 32, blob[:10], bytes(oversized), bytes(non_utf8),
+                incomplete, blob + b"\x00"):
+        with pytest.raises(CheckpointError):
+            load_bytes(bad, path)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_damaged_checkpoint_fails_with_checkpoint_error_or_loads_identically(
+        saved_checkpoint, data):
+    blob, original, path = saved_checkpoint
+    if data.draw(st.booleans(), label="truncate"):
+        damaged = blob[:data.draw(st.integers(0, len(blob) - 1), label="length")]
+    else:
+        fields = list(range(12))  # magic and version
+        for pos in section_offsets(blob):
+            fields += range(pos, pos + 8)
+        for pos in section_offsets(blob)[1:4]:
+            fields += range(pos + 8, pos + 16)  # vector element counts
+        pos = data.draw(st.sampled_from(fields), label="byte")
+        damaged = bytearray(blob)
+        damaged[pos] ^= data.draw(st.integers(1, 255), label="xor")
+        damaged = bytes(damaged)
+    try:
+        loaded = load_bytes(damaged, path)
+    except CheckpointError:
+        return
+    assert same_checkpoint(loaded, original)
 
 
 def test_resume_matches_uninterrupted_trajectory(tmp_path):
@@ -195,6 +287,17 @@ def test_resume_matches_uninterrupted_trajectory(tmp_path):
     assert np.array_equal(e_full.parameters, e_res.parameters)
     assert np.array_equal(p_full.a_selected.parameters, p_res.a_selected.parameters)
     assert np.array_equal(p_full.a_unselected.parameters, p_res.a_unselected.parameters)
+
+
+def test_resume_appends_to_train_log(tmp_path):
+    ds = make_dataset()
+    full_cfg = TrainConfig(k=2, epochs=4, seed=9, batch_size=16)
+    kwargs = dict(explainer_hidden=(8,), approx_hidden=(8,), out_dir=str(tmp_path))
+    _, _, half = train(ds, FixedModel(), dataclasses.replace(full_cfg, epochs=2), **kwargs)
+    train(ds, FixedModel(), full_cfg, resume=dataclasses.replace(half, config=full_cfg),
+          **kwargs)
+    log = open(os.path.join(tmp_path, "train.log")).read().splitlines()
+    assert [line.split()[0] for line in log] == ["epoch=0", "epoch=1", "epoch=2", "epoch=3"]
 
 
 def test_resume_rejects_mismatched_architecture():
