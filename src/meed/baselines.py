@@ -1,4 +1,4 @@
-"""Gradient baselines and the ablation harness shared with the metrics module."""
+"""Gradient baselines and the ablation variants."""
 
 from __future__ import annotations
 
@@ -75,16 +75,3 @@ def ablation_config(variant: str, base: TrainConfig) -> TrainConfig:
         return dataclasses.replace(base, prior_method="none", lambda_e=0.0)
     raise ValueError(f"unknown ablation variant: {variant}")
 
-
-def run_ablation(variant: str, train_set, eval_set, model, base_config: TrainConfig,
-                 retrain_budget: int = 20, **train_kwargs):
-    """Train one variant and evaluate it; returns (MetricsReport, explainer)."""
-    from . import metrics
-    from .trainer import train
-
-    config = ablation_config(variant, base_config)
-    explainer, _, _ = train(train_set, model, config, **train_kwargs)
-    report = metrics.evaluate_explainer(explainer, model, train_set, eval_set,
-                                        config.k, retrain_budget=retrain_budget,
-                                        seed=config.seed)
-    return report, explainer

@@ -4,7 +4,8 @@ Subcommands: train, explain, evaluate, sanity, ablate, synth. Configs are
 flat `key = value` text files with `[section]` headers; all randomness flows
 from the seeds declared there, so every command is rerun-idempotent.
 
-Exit codes: 0 ok, 2 configuration problem, 3 training abort, 4 shape mismatch.
+Exit codes: 0 ok, 2 configuration or file-format problem, 3 training abort,
+4 shape mismatch.
 """
 
 from __future__ import annotations
@@ -127,13 +128,13 @@ def build_model(cfg: dict, train_set):
 
 
 def _run_section(cfg: dict) -> dict:
-    s = dict(cfg.get("run", {}))
+    s = cfg.get("run", {})
     return {
-        "out_dir": s.get("out_dir", "out"),
-        "explainer_hidden": parse_int_tuple(s.get("explainer_hidden", "32,32")),
-        "approx_hidden": parse_int_tuple(s.get("approx_hidden", "32,32")),
-        "fusion": s.get("fusion", "concat-raw"),
-        "retrain_budget": int(s.get("retrain_budget", "20")),
+        "out_dir": _get(s, "out_dir", str, "out"),
+        "explainer_hidden": _get(s, "explainer_hidden", parse_int_tuple, (32, 32)),
+        "approx_hidden": _get(s, "approx_hidden", parse_int_tuple, (32, 32)),
+        "fusion": _get(s, "fusion", str, "concat-raw"),
+        "retrain_budget": _get(s, "retrain_budget", int, 20),
     }
 
 
@@ -162,8 +163,7 @@ def cmd_train(args) -> int:
     config = build_train_config(cfg, seed_override=args.seed)
     model = build_model(cfg, train_set)
     datamod.save_model(model, os.path.join(out_dir, "model.bin"))
-    features_only = datamod.Dataset(ids=list(train_set.ids), X=train_set.X)
-    train(features_only, model, config,
+    train(train_set, model, config,
           explainer_hidden=run["explainer_hidden"],
           approx_hidden=run["approx_hidden"],
           fusion=run["fusion"], out_dir=out_dir)
@@ -211,10 +211,8 @@ def _load_run(args):
 
 def cmd_evaluate(args) -> int:
     cfg, run, train_set, test_set, ckpt, explainer, model = _load_run(args)
-    features_tr = datamod.Dataset(ids=list(train_set.ids), X=train_set.X)
-    features_te = datamod.Dataset(ids=list(test_set.ids), X=test_set.X)
     report = metricsmod.evaluate_explainer(
-        explainer, model, features_tr, features_te, ckpt.config.k,
+        explainer, model, train_set, test_set, ckpt.config.k,
         retrain_budget=run["retrain_budget"], hidden=run["approx_hidden"],
         seed=ckpt.config.seed)
     out_dir = args.out or run["out_dir"]
@@ -229,12 +227,11 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sanity(args) -> int:
     cfg, run, train_set, test_set, ckpt, explainer, model = _load_run(args)
-    features_te = datamod.Dataset(ids=list(test_set.ids), X=test_set.X)
     rng = np.random.default_rng(ckpt.config.seed)
-    score_model = metricsmod.sanity_tests(explainer, model, features_te, ckpt.config.k,
+    score_model = metricsmod.sanity_tests(explainer, model, test_set, ckpt.config.k,
                                           mode="model-randomization", rng=rng)
     score_data = metricsmod.sanity_tests(
-        explainer, model, features_te, ckpt.config.k, mode="data-randomization",
+        explainer, model, test_set, ckpt.config.k, mode="data-randomization",
         rng=rng, train_set=train_set, config=ckpt.config,
         train_kwargs={"explainer_hidden": run["explainer_hidden"],
                       "approx_hidden": run["approx_hidden"],
@@ -259,16 +256,14 @@ def cmd_ablate(args) -> int:
     train_set, _, test_set, _ = build_dataset(cfg)
     base = build_train_config(cfg, seed_override=args.seed)
     model = build_model(cfg, train_set)
-    features_tr = datamod.Dataset(ids=list(train_set.ids), X=train_set.X)
-    features_te = datamod.Dataset(ids=list(test_set.ids), X=test_set.X)
     for variant in ABLATION_VARIANTS:
         config = ablation_config(variant, base)
-        explainer, _, _ = train(features_tr, model, config,
+        explainer, _, _ = train(train_set, model, config,
                                 explainer_hidden=run["explainer_hidden"],
                                 approx_hidden=run["approx_hidden"],
                                 fusion=run["fusion"])
         report = metricsmod.evaluate_explainer(
-            explainer, model, features_tr, features_te, config.k,
+            explainer, model, train_set, test_set, config.k,
             retrain_budget=run["retrain_budget"], hidden=run["approx_hidden"],
             seed=config.seed)
         slug = variant.replace("/", "").replace(" ", "-").lower()
@@ -310,7 +305,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (ConfigFileError, ConfigError, FileNotFoundError, CheckpointError,
-            datamod.IdxParseError) as exc:
+            datamod.IdxParseError, datamod.ModelFileError, datamod.DatasetFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ShapeError as exc:

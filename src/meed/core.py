@@ -6,6 +6,9 @@ vector so optimizers and checkpoints can treat them uniformly.
 
 from __future__ import annotations
 
+import json
+import os
+import struct
 import typing
 from dataclasses import MISSING, dataclass, fields
 from typing import Optional, Sequence
@@ -158,6 +161,60 @@ def parse_int_tuple(val: str) -> tuple:
 
 
 _FROM_TEXT = {int: int, float: float, str: str, bool: parse_bool}
+
+
+# ---------------------------------------------------------------------------
+# Binary record files (checkpoints and model files)
+# ---------------------------------------------------------------------------
+
+def write_record(path: str, magic: bytes, version: int, header: dict,
+                 vectors: dict) -> None:
+    """Atomically write magic, u32 version, a length-prefixed JSON header that
+    names the vectors, then one length-prefixed section per vector holding a
+    u64 count and its little-endian float64 values."""
+    head = json.dumps({**header, "vectors": list(vectors)}, sort_keys=True).encode("utf-8")
+    parts = [magic, struct.pack("<I", version), struct.pack("<Q", len(head)), head]
+    for vec in vectors.values():
+        vec = np.asarray(vec, dtype="<f8").ravel()
+        parts += [struct.pack("<QQ", 8 + 8 * vec.size, vec.size), vec.tobytes()]
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(b"".join(parts))
+    os.replace(tmp, path)
+
+
+def read_record(path: str, magic: bytes, version: int, error: type) -> tuple:
+    """(header, {name: float64 vector}) of a file written by `write_record`;
+    any malformed, truncated or other-version file raises `error`."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if blob[:len(magic)] != magic:
+        raise error(f"{path}: bad magic, expected {magic!r}")
+    offset = len(magic) + 4
+    found = struct.unpack_from("<I", blob, len(magic))[0] if len(blob) >= offset else None
+    if found != version:
+        raise error(f"{path}: format version {found}, library supports {version}")
+    sections = []
+    while offset < len(blob):
+        length = struct.unpack_from("<Q", blob, offset)[0] if offset + 8 <= len(blob) else len(blob)
+        if offset + 8 + length > len(blob):
+            raise error(f"{path}: truncated section at offset {offset}")
+        sections.append(blob[offset + 8:offset + 8 + length])
+        offset += 8 + length
+    try:
+        header = json.loads(sections[0].decode("utf-8"))
+        names = header.pop("vectors")
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise error(f"{path}: bad header section: {exc!r}") from exc
+    if (not isinstance(names, list) or not all(isinstance(n, str) for n in names)
+            or len(set(names)) != len(names) or len(names) != len(sections) - 1):
+        raise error(f"{path}: header names {names!r}, file holds {len(sections) - 1} vectors")
+    vectors = {}
+    for name, body in zip(names, sections[1:]):
+        if len(body) < 8 or len(body) != 8 + 8 * struct.unpack_from("<Q", body)[0]:
+            raise error(f"{path}: vector section {name} does not hold its count")
+        vectors[name] = np.frombuffer(body, dtype="<f8", offset=8).astype(np.float64)
+    return header, vectors
 
 
 class BlackBoxModel:

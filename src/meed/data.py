@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -10,7 +11,8 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from . import autodiff as ad
-from .core import BlackBoxModel, Mlp, SelectionSet, named_rng
+from .core import (BlackBoxModel, ConfigError, Mlp, SelectionSet, named_rng, read_record,
+                   write_record)
 from .trainer import fit_classifier
 
 SYNTH_KINDS = ("sparse-logit", "xor", "shortcut-bait")
@@ -20,14 +22,22 @@ class IdxParseError(ValueError):
     """Malformed IDX file; message includes the byte offset."""
 
 
+class DatasetFileError(ValueError):
+    """Malformed dataset text file; message names the path and line."""
+
+
+class ModelFileError(ValueError):
+    """Corrupt or incompatible model file."""
+
+
 @dataclass
 class Dataset:
-    """Feature matrix plus optional true labels and cached model outputs."""
+    """Feature matrix plus optional true labels and model outputs."""
 
     ids: list
     X: np.ndarray
     y_true: Optional[np.ndarray] = None
-    Y: Optional[np.ndarray] = None  # cached model outputs, filled lazily
+    Y: Optional[np.ndarray] = None  # model outputs; computed from the model when None
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=np.float64)
@@ -58,15 +68,12 @@ class SyntheticSpec:
     def __post_init__(self):
         object.__setattr__(self, "true_subset", tuple(int(i) for i in self.true_subset))
         if self.kind not in SYNTH_KINDS:
-            raise ValueError(f"unknown synthetic kind: {self.kind}")
-        if any(i >= self.d for i in self.true_subset):
-            raise ValueError("true_subset index out of range")
+            raise ConfigError(f"unknown synthetic kind: {self.kind}")
+        sub = self.true_subset
+        if len(set(sub)) != len(sub) or any(not 0 <= i < self.d for i in sub):
+            raise ConfigError(f"true_subset {sub} needs distinct indices in [0, d={self.d})")
         if self.n < 1:
-            raise ValueError("n must be >= 1")
-
-
-def _sigmoid(t: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-t))
+            raise ConfigError("n must be >= 1")
 
 
 def generate_synthetic(spec: SyntheticSpec) -> Tuple[Dataset, SelectionSet]:
@@ -130,18 +137,38 @@ def export_dataset(ds: Dataset, true_subset: Optional[SelectionSet], path: str) 
 
 
 def import_dataset(path: str) -> Tuple[Dataset, Optional[tuple]]:
+    """Read an `export_dataset` file: `id,feature...,label` rows (an empty label
+    for none) and `#` comment lines, of which `#trueSubset=i;j;...` is kept.
+    A malformed file raises DatasetFileError naming the path and line."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise DatasetFileError(f"{path}: not UTF-8 text: {exc}") from exc
     ids, rows, labels = [], [], []
     true_subset = None
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header.startswith("#trueSubset="):
-            txt = header[len("#trueSubset="):]
-            true_subset = tuple(int(s) for s in txt.split(";")) if txt else None
-        for line in fh:
-            parts = line.strip().split(",")
-            ids.append(parts[0])
-            rows.append([float(v) for v in parts[1:-1]])
-            labels.append(int(parts[-1]) if parts[-1] else -1)
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        try:
+            if line.startswith("#trueSubset=") and line != "#trueSubset=":
+                true_subset = tuple(int(s) for s in line[len("#trueSubset="):].split(";"))
+            if not line or line.startswith("#"):
+                continue
+            *fields, label = line.split(",")
+            if len(fields) < 2:
+                raise ValueError(f"expected id, features and label, got {len(fields) + 1} field(s)")
+            row = [float(v) for v in fields[1:]]
+            if rows and len(row) != len(rows[0]):
+                raise ValueError(f"{len(row)} features, the first row has {len(rows[0])}")
+            if not np.all(np.isfinite(row)):
+                raise ValueError("non-finite feature")
+            labels.append(int(label) if label else -1)
+        except ValueError as exc:
+            raise DatasetFileError(f"{path}:{lineno}: {exc}") from exc
+        ids.append(fields[0])
+        rows.append(row)
+    if not rows:
+        raise DatasetFileError(f"{path}: no data rows")
     y_true = np.asarray(labels)
     if np.all(y_true == -1):
         y_true = None
@@ -156,33 +183,21 @@ IDX_IMAGES_MAGIC = 2051
 IDX_LABELS_MAGIC = 2049
 
 
-def _read_idx_images(path: str) -> np.ndarray:
+def _read_idx(path: str, magic: int) -> np.ndarray:
+    """uint8 tensor of an IDX file; the magic's low byte is its number of dimensions."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < 16:
+    head = 4 + 4 * (magic & 0xFF)
+    if len(blob) < head:
         raise IdxParseError(f"{path}: truncated header at offset {len(blob)}")
-    magic, count, rows, cols = struct.unpack_from(">IIII", blob, 0)
-    if magic != IDX_IMAGES_MAGIC:
-        raise IdxParseError(f"{path}: bad magic {magic} at offset 0, expected {IDX_IMAGES_MAGIC}")
-    expected = 16 + count * rows * cols
+    found, *shape = struct.unpack_from(f">{head // 4}I", blob, 0)
+    if found != magic:
+        raise IdxParseError(f"{path}: bad magic {found} at offset 0, expected {magic}")
+    expected = head + math.prod(shape)
     if len(blob) != expected:
         raise IdxParseError(f"{path}: expected {expected} bytes, got {len(blob)} "
                             f"(truncation at offset {len(blob)})")
-    return np.frombuffer(blob, dtype=np.uint8, offset=16).reshape(count, rows, cols)
-
-
-def _read_idx_labels(path: str) -> np.ndarray:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 8:
-        raise IdxParseError(f"{path}: truncated header at offset {len(blob)}")
-    magic, count = struct.unpack_from(">II", blob, 0)
-    if magic != IDX_LABELS_MAGIC:
-        raise IdxParseError(f"{path}: bad magic {magic} at offset 0, expected {IDX_LABELS_MAGIC}")
-    if len(blob) != 8 + count:
-        raise IdxParseError(f"{path}: expected {8 + count} bytes, got {len(blob)} "
-                            f"(truncation at offset {len(blob)})")
-    return np.frombuffer(blob, dtype=np.uint8, offset=8)
+    return np.frombuffer(blob, dtype=np.uint8, offset=head).reshape(shape)
 
 
 def write_idx_images(images: np.ndarray, path: str) -> None:
@@ -205,8 +220,8 @@ def load_idx_images(images_path: str, labels_path: str,
 
     Pixels are scaled to [0, 1] and images flattened to rows*cols features.
     """
-    images = _read_idx_images(images_path)
-    labels = _read_idx_labels(labels_path)
+    images = _read_idx(images_path, IDX_IMAGES_MAGIC)
+    labels = _read_idx(labels_path, IDX_LABELS_MAGIC)
     if images.shape[0] != labels.shape[0]:
         raise IdxParseError(f"image/label count mismatch: {images.shape[0]} vs {labels.shape[0]}")
     a, b = class_pair
@@ -275,41 +290,23 @@ def train_given_model(dataset: Dataset, hidden: Sequence[int] = (32, 32),
 
 
 MODEL_MAGIC = b"MEEDMODL"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 
 def save_model(model: MlpModel, path: str) -> None:
     net = model.net
-    arch = ";".join(":".join(str(p) for p in layer) for layer in net.layers)
-    header = f"{net.in_dim}|{arch}".encode("utf-8")
-    params = net.parameters.astype("<f8").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<I", MODEL_VERSION))
-        fh.write(struct.pack("<Q", len(header)) + header)
-        fh.write(struct.pack("<Q", net.n_params) + params)
+    write_record(path, MODEL_MAGIC, MODEL_VERSION, {"in_dim": net.in_dim, "layers": net.layers},
+                 {"params": net.parameters})
 
 
 def load_model(path: str) -> MlpModel:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:8] != MODEL_MAGIC:
-        raise ValueError("not a MEED model file")
-    (version,) = struct.unpack_from("<I", blob, 8)
-    if version != MODEL_VERSION:
-        raise ValueError(f"model format version mismatch: file has {version}, "
-                         f"library supports {MODEL_VERSION}")
-    (hlen,) = struct.unpack_from("<Q", blob, 12)
-    header = blob[20:20 + hlen].decode("utf-8")
-    in_dim_txt, arch_txt = header.split("|", 1)
-    layers = []
-    for part in arch_txt.split(";"):
-        bits = part.split(":")
-        layers.append((bits[0],) if len(bits) == 1 else (bits[0], int(bits[1])))
-    off = 20 + hlen
-    (count,) = struct.unpack_from("<Q", blob, off)
-    params = np.frombuffer(blob, dtype="<f8", count=count, offset=off + 8).copy()
-    return MlpModel(Mlp(int(in_dim_txt), layers, parameters=params))
+    """Read a model file; any malformed or incompatible file raises ModelFileError."""
+    header, vectors = read_record(path, MODEL_MAGIC, MODEL_VERSION, ModelFileError)
+    try:
+        layers = [tuple(layer) for layer in header["layers"]]
+        return MlpModel(Mlp(int(header["in_dim"]), layers, parameters=vectors["params"]))
+    except (IndexError, KeyError, TypeError, ValueError) as exc:
+        raise ModelFileError(f"{path}: bad model header: {exc!r}") from exc
 
 
 def model_accuracy(model: MlpModel, dataset: Dataset) -> float:

@@ -12,7 +12,7 @@ import copy
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -64,10 +64,9 @@ class MetricsReport:
                    k=int(kv["K"]), n_eval=int(kv["N-EVAL"]))
 
 
-def _cached_outputs(dataset: Dataset, model) -> np.ndarray:
-    if dataset.Y is None:
-        dataset.Y = model.evaluate(dataset.X)
-    return dataset.Y
+def _outputs(dataset: Dataset, model) -> np.ndarray:
+    """The dataset's model outputs: its `Y` when set, else computed (not stored)."""
+    return model.evaluate(dataset.X) if dataset.Y is None else dataset.Y
 
 
 def explainer_masks(explainer, x: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
@@ -80,13 +79,13 @@ def _agreement(pred: np.ndarray, y: np.ndarray) -> float:
 
 
 def fidelity_selected_model(explainer, model, eval_set: Dataset, k: int) -> float:
-    y = _cached_outputs(eval_set, model)
+    y = _outputs(eval_set, model)
     masks = explainer_masks(explainer, eval_set.X, y, k)
     return _agreement(model.evaluate(eval_set.X * masks), y)
 
 
 def fidelity_unselected_model(explainer, model, eval_set: Dataset, k: int) -> float:
-    y = _cached_outputs(eval_set, model)
+    y = _outputs(eval_set, model)
     masks = explainer_masks(explainer, eval_set.X, y, k)
     return _agreement(model.evaluate(eval_set.X * (1.0 - masks)), y)
 
@@ -100,8 +99,8 @@ def fidelity_selected_approx(explainer, model, train_set: Dataset, eval_set: Dat
                              k: int, retrain_budget: int = RETRAIN_BUDGET_DEFAULT,
                              hidden: Sequence[int] = (32, 32), seed: int = 0) -> float:
     """FS-A: agreement of a freshly trained approximator on masked inputs."""
-    y_tr = _cached_outputs(train_set, model)
-    y_ev = _cached_outputs(eval_set, model)
+    y_tr = _outputs(train_set, model)
+    y_ev = _outputs(eval_set, model)
     m_tr = explainer_masks(explainer, train_set.X, y_tr, k)
     m_ev = explainer_masks(explainer, eval_set.X, y_ev, k)
     net = _retrain_approximator(train_set.X * m_tr, y_tr, hidden, retrain_budget, seed)
@@ -112,8 +111,8 @@ def fidelity_unselected_approx(explainer, model, train_set: Dataset, eval_set: D
                                k: int, retrain_budget: int = RETRAIN_BUDGET_DEFAULT,
                                hidden: Sequence[int] = (32, 32), seed: int = 0) -> float:
     """FU-A: same protocol on the complement masks."""
-    y_tr = _cached_outputs(train_set, model)
-    y_ev = _cached_outputs(eval_set, model)
+    y_tr = _outputs(train_set, model)
+    y_ev = _outputs(eval_set, model)
     m_tr = 1.0 - explainer_masks(explainer, train_set.X, y_tr, k)
     m_ev = 1.0 - explainer_masks(explainer, eval_set.X, y_ev, k)
     net = _retrain_approximator(train_set.X * m_tr, y_tr, hidden, retrain_budget, seed)
@@ -133,7 +132,7 @@ def sensitivity(explainer, model, eval_set: Dataset, radius: Optional[float] = N
         radius = default_sen_radius(eval_set)
     if rng is None:
         rng = np.random.default_rng(0)
-    y = _cached_outputs(eval_set, model)
+    y = _outputs(eval_set, model)
     z0 = explainer.score(eval_set.X, y)
     norms = np.linalg.norm(z0, axis=1)
     worst = np.zeros(len(eval_set))
@@ -167,7 +166,7 @@ def sanity_tests(explainer, model, eval_set: Dataset, k: int,
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    y = _cached_outputs(eval_set, model)
+    y = _outputs(eval_set, model)
     base_masks = explainer_masks(explainer, eval_set.X, y, k)
     if mode == "model-randomization":
         randomized = copy.deepcopy(model)
@@ -211,6 +210,9 @@ def evaluate_explainer(explainer, model, train_set: Dataset, eval_set: Dataset, 
     """Full report over one trained explainer (data-randomization left at -1
     unless run separately; it needs a retraining budget the caller controls)."""
     rng = named_rng(seed, "perturb")
+    # Each set's outputs once, on local copies; the caller's datasets stay as given.
+    train_set = replace(train_set, Y=_outputs(train_set, model))
+    eval_set = replace(eval_set, Y=_outputs(eval_set, model))
     return MetricsReport(
         fs_m=fidelity_selected_model(explainer, model, eval_set, k),
         fu_m=fidelity_unselected_model(explainer, model, eval_set, k),

@@ -8,12 +8,9 @@ the prior warm-start decay.
 
 from __future__ import annotations
 
-import base64
-import json
 import os
-import struct
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,12 +20,12 @@ from .approximators import (ApproximatorPair, cross_entropy_var, make_pair,
                             relativistic_flip, sliced_wasserstein_var,
                             sw_directions)
 from .core import (ConfigError, Mlp, ShapeError, TrainConfig, classifier_layers,
-                   is_simplex, named_rng, parse_int_tuple)
+                   is_simplex, named_rng, read_record, write_record)
 from .explainer import ExplainerNet, fuse_prior, fuse_prior_var, prior_constraint_loss_var
 from .sampler import relaxed_topk_var, sample_gumbel_batch
 
 CHECKPOINT_MAGIC = b"MEEDCKPT"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class TrainingAbort(RuntimeError):
@@ -58,12 +55,18 @@ class Optimizer:
         raise NotImplementedError
 
     def get_state(self) -> dict:
-        return {"t": self.t, **{slot: getattr(self, slot) for slot in self.slots}}
+        return {"t": self.t, **{slot: getattr(self, slot).copy() for slot in self.slots}}
 
     def set_state(self, state: dict) -> None:
-        self.t = int(state["t"])
+        """Raises KeyError or ValueError when `state` lacks an entry or a slot
+        does not fit this optimizer's parameter count."""
         for slot in self.slots:
-            setattr(self, slot, np.asarray(state[slot], dtype=np.float64))
+            vec = np.asarray(state[slot], dtype=np.float64)
+            if vec.shape != getattr(self, slot).shape:
+                raise ValueError(f"optimizer slot {slot} has shape {vec.shape}, "
+                                 f"expected {getattr(self, slot).shape}")
+            setattr(self, slot, vec)
+        self.t = int(state["t"])
 
 
 class Sgd(Optimizer):
@@ -218,146 +221,52 @@ def explainer_step(explainer: ExplainerNet, pair: ApproximatorPair,
 
 @dataclass
 class Checkpoint:
-    format_version: int
     config: TrainConfig
     meta: dict  # architecture: d, c, explainer_hidden, approx_hidden, fusion
     explainer_params: np.ndarray
     a_selected_params: np.ndarray
     a_unselected_params: np.ndarray
     epoch_counter: int
-    runtime_state: bytes  # RNG + optimizer state, opaque
+    rng_states: dict  # stream name -> numpy bit-generator state
+    optimizer_states: dict  # net name -> Optimizer.get_state()
 
 
-def _config_text(config: TrainConfig, meta: dict, epoch_counter: int) -> str:
-    items = {f"train.{f.name}": getattr(config, f.name) for f in fields(TrainConfig)}
-    for key, val in meta.items():
-        items[f"arch.{key}"] = val
-    items["epoch_counter"] = epoch_counter
-    lines = []
-    for key in sorted(items):
-        val = items[key]
-        if isinstance(val, (tuple, list)):
-            val = ",".join(str(v) for v in val)
-        elif isinstance(val, bool):
-            val = "true" if val else "false"
-        elif isinstance(val, float):
-            val = repr(val)
-        lines.append(f"{key}={val}")
-    return "\n".join(lines) + "\n"
-
-
-_ARCH_FROM_TEXT = {"d": int, "c": int, "explainer_hidden": parse_int_tuple,
-                   "approx_hidden": parse_int_tuple, "fusion": str}
-
-
-def _parse_config_text(text: str) -> tuple:
-    raw = dict(line.split("=", 1) for line in text.strip().splitlines())
-    config = TrainConfig.from_strings(
-        {k[len("train."):]: v for k, v in raw.items() if k.startswith("train.")})
-    meta = {name: conv(raw["arch." + name]) for name, conv in _ARCH_FROM_TEXT.items()}
-    return config, meta, int(raw["epoch_counter"])
-
-
-def _pack_section(payload: bytes) -> bytes:
-    return struct.pack("<Q", len(payload)) + payload
-
-
-class _Reader:
-    def __init__(self, blob: bytes, offset: int):
-        self.blob, self.offset = blob, offset
-
-    def section(self) -> bytes:
-        if self.offset + 8 > len(self.blob):
-            raise CheckpointError(f"truncated checkpoint at offset {self.offset}")
-        (length,) = struct.unpack_from("<Q", self.blob, self.offset)
-        self.offset += 8
-        if self.offset + length > len(self.blob):
-            raise CheckpointError(f"truncated checkpoint section at offset {self.offset}")
-        out = self.blob[self.offset:self.offset + length]
-        self.offset += length
-        return out
+NETS = ("explainer", "a_selected", "a_unselected")
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
-    """Atomic, bit-exact binary serialization."""
-    parts = [CHECKPOINT_MAGIC, struct.pack("<I", ckpt.format_version)]
-    parts.append(_pack_section(_config_text(ckpt.config, ckpt.meta,
-                                            ckpt.epoch_counter).encode("utf-8")))
-    for vec in (ckpt.explainer_params, ckpt.a_selected_params, ckpt.a_unselected_params):
-        vec = np.asarray(vec, dtype=np.float64)
-        parts.append(_pack_section(struct.pack("<Q", vec.size)
-                                   + vec.astype("<f8").tobytes()))
-    parts.append(_pack_section(ckpt.runtime_state))
-    blob = b"".join(parts)
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(blob)
-    os.replace(tmp, path)
+    """Atomic, bit-exact binary serialization: the parameter vectors and every
+    optimizer slot (named `<net>.<slot>`) as vectors, the rest in the header."""
+    vectors = {net: getattr(ckpt, f"{net}_params") for net in NETS}
+    for net, state in sorted(ckpt.optimizer_states.items()):
+        vectors.update({f"{net}.{slot}": vec for slot, vec in state.items() if slot != "t"})
+    header = {"config": asdict(ckpt.config), "meta": ckpt.meta,
+              "epoch_counter": ckpt.epoch_counter, "rng_states": ckpt.rng_states,
+              "optimizer_t": {net: state["t"] for net, state in ckpt.optimizer_states.items()}}
+    write_record(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, header, vectors)
 
 
 def load_checkpoint(path: str) -> Checkpoint:
     """Read a checkpoint; any malformed or incompatible file raises CheckpointError."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:8] != CHECKPOINT_MAGIC:
-        raise CheckpointError("bad magic: not a MEED checkpoint")
-    if len(blob) < 12:
-        raise CheckpointError(f"truncated checkpoint header at offset {len(blob)}")
-    (version,) = struct.unpack_from("<I", blob, 8)
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"format version mismatch: file has {version}, library supports {CHECKPOINT_VERSION}")
-    reader = _Reader(blob, 12)
+    header, vectors = read_record(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, CheckpointError)
     try:
-        config, meta, m = _parse_config_text(reader.section().decode("utf-8"))
-    except (UnicodeDecodeError, KeyError, ValueError) as exc:
-        raise CheckpointError(f"bad config section: {exc!r}") from exc
-    vecs = []
-    for _ in range(3):
-        offset = reader.offset
-        section = reader.section()
-        if len(section) < 8 or len(section) != 8 + 8 * struct.unpack_from("<Q", section)[0]:
-            raise CheckpointError(f"vector section at offset {offset} does not hold its count")
-        vecs.append(np.frombuffer(section, dtype="<f8", offset=8).astype(np.float64))
-    runtime = reader.section()
-    if reader.offset != len(blob):
-        raise CheckpointError(f"trailing bytes after offset {reader.offset}")
-    return Checkpoint(format_version=version, config=config, meta=meta,
-                      explainer_params=vecs[0], a_selected_params=vecs[1],
-                      a_unselected_params=vecs[2], epoch_counter=m,
-                      runtime_state=runtime)
-
-
-def _encode_arrays(obj):
-    if isinstance(obj, dict):
-        return {k: _encode_arrays(v) for k, v in obj.items()}
-    if isinstance(obj, np.ndarray):
-        return {"__ndarray__": base64.b64encode(obj.astype("<f8").tobytes()).decode("ascii")}
-    return obj
-
-
-def _decode_arrays(obj):
-    if isinstance(obj, dict):
-        if "__ndarray__" in obj:
-            return np.frombuffer(base64.b64decode(obj["__ndarray__"]), dtype="<f8").copy()
-        return {k: _decode_arrays(v) for k, v in obj.items()}
-    return obj
-
-
-def _runtime_state_bytes(rngs: dict, opts: dict) -> bytes:
-    payload = {
-        "rng": {name: gen.bit_generator.state for name, gen in rngs.items()},
-        "opt": {name: _encode_arrays(opt.get_state()) for name, opt in opts.items()},
-    }
-    return json.dumps(payload, sort_keys=True).encode("utf-8")
-
-
-def _restore_runtime_state(blob: bytes, rngs: dict, opts: dict) -> None:
-    payload = json.loads(blob.decode("utf-8"))
-    for name, gen in rngs.items():
-        gen.bit_generator.state = payload["rng"][name]
-    for name, opt in opts.items():
-        opt.set_state(_decode_arrays(payload["opt"][name]))
+        config = TrainConfig.from_strings({k: str(v) for k, v in header["config"].items()})
+        arch = header["meta"]
+        meta = {"d": int(arch["d"]), "c": int(arch["c"]),
+                "explainer_hidden": tuple(int(h) for h in arch["explainer_hidden"]),
+                "approx_hidden": tuple(int(h) for h in arch["approx_hidden"]),
+                "fusion": str(arch["fusion"])}
+        params = {f"{net}_params": vectors.pop(net) for net in NETS}
+        optimizer_states = {net: {"t": int(t)} for net, t in header["optimizer_t"].items()}
+        for name, vec in vectors.items():
+            net, slot = name.split(".")
+            optimizer_states[net][slot] = vec
+        return Checkpoint(config=config, meta=meta, **params,
+                          epoch_counter=int(header["epoch_counter"]),
+                          rng_states=dict(header["rng_states"]),
+                          optimizer_states=optimizer_states)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: bad checkpoint header: {exc!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -372,13 +281,17 @@ def build_explainer(meta: dict, config: TrainConfig,
 
 
 def nets_from_checkpoint(ckpt: Checkpoint) -> tuple:
-    """Rebuild (explainer, pair) with the stored architecture and parameters."""
+    """Rebuild (explainer, pair) with the stored architecture and parameters;
+    parameters that do not fit the stored architecture raise CheckpointError."""
     explainer = build_explainer(ckpt.meta, ckpt.config)
-    explainer.set_parameters(ckpt.explainer_params)
     pair = make_pair(ckpt.meta["d"], ckpt.meta["c"], ckpt.meta["approx_hidden"],
                      np.random.default_rng(0))
-    pair.a_selected.set_parameters(ckpt.a_selected_params)
-    pair.a_unselected.set_parameters(ckpt.a_unselected_params)
+    try:
+        explainer.set_parameters(ckpt.explainer_params)
+        pair.a_selected.set_parameters(ckpt.a_selected_params)
+        pair.a_unselected.set_parameters(ckpt.a_unselected_params)
+    except ShapeError as exc:
+        raise CheckpointError(f"checkpoint parameters do not fit its architecture: {exc}") from exc
     return explainer, pair
 
 
@@ -438,19 +351,27 @@ def train(dataset, model, config: TrainConfig,
             "a_selected": make_optimizer(config, pair.a_selected.n_params),
             "a_unselected": make_optimizer(config, pair.a_unselected.n_params)}
     if resume is not None:
-        _restore_runtime_state(resume.runtime_state, rngs, opts)
+        try:
+            for name, gen in rngs.items():
+                gen.bit_generator.state = resume.rng_states[name]
+            for name, opt in opts.items():
+                opt.set_state(resume.optimizer_states[name])
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"resume checkpoint's RNG or optimizer state does not fit "
+                                  f"this run: {exc!r}") from exc
 
     prior_all = None
     if config.prior_method != "none":
         prior_all = compute_prior_scores(x_all, y_all, model, config.prior_method)
 
     def snapshot(epoch: int) -> Checkpoint:
-        return Checkpoint(format_version=CHECKPOINT_VERSION, config=config, meta=meta,
+        return Checkpoint(config=config, meta=meta,
                           explainer_params=explainer.parameters,
                           a_selected_params=pair.a_selected.parameters.copy(),
                           a_unselected_params=pair.a_unselected.parameters.copy(),
                           epoch_counter=epoch,
-                          runtime_state=_runtime_state_bytes(rngs, opts))
+                          rng_states={name: gen.bit_generator.state for name, gen in rngs.items()},
+                          optimizer_states={name: opt.get_state() for name, opt in opts.items()})
 
     ckpt = snapshot(start_epoch)
     ckpt_path = os.path.join(out_dir, "checkpoint.bin") if out_dir else None

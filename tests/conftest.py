@@ -1,9 +1,11 @@
 """Shared fixtures and helpers for the test suite."""
 
 import os
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from meed.core import Mlp, named_rng
 from meed.data import Dataset, MlpModel, SyntheticSpec, generate_synthetic, split_dataset, train_given_model
@@ -25,6 +27,32 @@ def finite_difference(fn, params: np.ndarray, step: float = 1e-6) -> np.ndarray:
 def relative_error(approx: np.ndarray, exact: np.ndarray) -> float:
     denom = max(np.linalg.norm(exact), 1e-12)
     return np.linalg.norm(approx - exact) / denom
+
+
+def record_sections(blob: bytes) -> list:
+    """Offset of each section's length field in a record file (8-byte magic,
+    u32 version): the JSON header, then one per vector."""
+    offsets, pos = [], 12
+    while pos < len(blob):
+        offsets.append(pos)
+        pos += 8 + struct.unpack_from("<Q", blob, pos)[0]
+    return offsets
+
+
+def damage_record(blob: bytes, data) -> bytes:
+    """A hypothesis-drawn truncation of a record file, or a flip of one of its
+    magic, version, section-length or vector-count bytes."""
+    if data.draw(st.booleans(), label="truncate"):
+        return blob[:data.draw(st.integers(0, len(blob) - 1), label="length")]
+    fields = list(range(12))  # magic and version
+    for pos in record_sections(blob):
+        fields += range(pos, pos + 8)
+    for pos in record_sections(blob)[1:]:
+        fields += range(pos + 8, pos + 16)  # vector element counts
+    pos = data.draw(st.sampled_from(fields), label="byte")
+    damaged = bytearray(blob)
+    damaged[pos] ^= data.draw(st.integers(1, 255), label="xor")
+    return bytes(damaged)
 
 
 @pytest.fixture

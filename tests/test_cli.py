@@ -1,7 +1,9 @@
 """Command-line pipeline: config parsing, exit codes and artifacts."""
 
 import dataclasses
+import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -84,11 +86,12 @@ NON_DEFAULT = {"k": 3, "epochs": 5, "seed": 11, "tau": 0.25, "lambda_u": 0.5,
 
 def test_every_train_config_field_round_trips(tmp_path):
     config = TrainConfig(**NON_DEFAULT)
-    ckpt = Checkpoint(format_version=1, config=config,
+    ckpt = Checkpoint(config=config,
                       meta={"d": 2, "c": 2, "explainer_hidden": (3,), "approx_hidden": (),
                             "fusion": "concat-raw"},
                       explainer_params=np.zeros(2), a_selected_params=np.zeros(1),
-                      a_unselected_params=np.zeros(0), epoch_counter=1, runtime_state=b"{}")
+                      a_unselected_params=np.zeros(0), epoch_counter=1, rng_states={},
+                      optimizer_states={})
     save_checkpoint(ckpt, str(tmp_path / "ckpt.bin"))
     from_checkpoint = load_checkpoint(str(tmp_path / "ckpt.bin")).config
     section = "".join(f"{name} = {str(val).lower() if isinstance(val, bool) else val}\n"
@@ -119,6 +122,25 @@ def test_corrupt_checkpoint_exits_2(tmp_path):
         bad = tmp_path / "checkpoint.bin"
         bad.write_bytes(blob)
         assert main(["explain", "--checkpoint", str(bad), "--data", data_path]) == EXIT_CONFIG
+
+
+def test_synth_bad_true_subset_exits_2(tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(CONFIG.format(out=tmp_path / "out").replace("d = 6", "d = 4")
+                   .replace("true_subset = 0,1", "true_subset = 0,9"))
+    assert main(["synth", "--config", str(cfg)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("key, value", [("retrain_budget", "abc"),
+                                        ("explainer_hidden", "8,x"),
+                                        ("approx_hidden", "wide")])
+def test_bad_run_value_exits_2(tmp_path, capsys, key, value):
+    cfg = tmp_path / "bad.cfg"
+    lines = CONFIG.format(out=tmp_path / "out").splitlines()
+    cfg.write_text("\n".join(f"{key} = {value}" if line.startswith(f"{key} =") else line
+                             for line in lines))
+    assert main(["train", "--config", str(cfg)]) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
 
 
 def test_malformed_idx_file_exits_2(tmp_path):
@@ -184,6 +206,45 @@ def test_explain_writes_records(trained_dir, tmp_path):
         assert line.startswith("id=") and "selected=" in line and "scores=" in line
         selected = line.split("selected=")[1].split(" ")[0].split(";")
         assert len(selected) == 2
+
+
+def test_explain_malformed_data_exits_2(trained_dir, tmp_path, capsys):
+    _, out = trained_dir
+    data_path = tmp_path / "ragged.txt"
+    data_path.write_text("#trueSubset=0;1\na,1,2,3,4,5,6,1\nb,1,2,3,1\n")
+    code = main(["explain", "--checkpoint", os.path.join(out, "checkpoint.bin"),
+                 "--data", str(data_path)])
+    assert code == EXIT_CONFIG
+    assert f"{data_path}:3" in capsys.readouterr().err
+
+
+def test_old_or_corrupt_files_exit_2(trained_dir, tmp_path):
+    """A version-1 checkpoint, a checkpoint whose parameters do not fit its
+    architecture and a corrupt model.bin fail explain and evaluate with exit 2."""
+    config_path, out = trained_dir
+    data_path = str(tmp_path / "data.txt")
+    export_dataset(generate_synthetic(SyntheticSpec(d=6, true_subset=(0, 1), n=8,
+                                                    noise_std=0.1, kind="sparse-logit",
+                                                    seed=12))[0], None, data_path)
+    checkpoint = os.path.join(out, "checkpoint.bin")
+    blob = open(checkpoint, "rb").read()
+    old = tmp_path / "old" / "checkpoint.bin"
+    old.parent.mkdir()
+    old.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", 1) + blob[12:])
+    header_len = struct.unpack_from("<Q", blob, 12)[0]
+    header = json.loads(blob[20:20 + header_len])
+    header["meta"]["explainer_hidden"] = [9]  # parameters no longer fit
+    head = json.dumps(header).encode()
+    misfit = tmp_path / "misfit" / "checkpoint.bin"
+    misfit.parent.mkdir()
+    misfit.write_bytes(blob[:12] + struct.pack("<Q", len(head)) + head
+                       + blob[20 + header_len:])
+    model_bin = os.path.join(out, "model.bin")
+    with open(model_bin, "r+b") as fh:
+        fh.truncate(14)
+    for ckpt in (str(old), str(misfit), checkpoint):
+        assert main(["explain", "--checkpoint", ckpt, "--data", data_path]) == EXIT_CONFIG
+        assert main(["evaluate", "--config", config_path, "--checkpoint", ckpt]) == EXIT_CONFIG
 
 
 def test_explain_shape_mismatch_exits_4(trained_dir, tmp_path):

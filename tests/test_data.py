@@ -1,16 +1,20 @@
 """Synthetic generators, splits, text/IDX serialization and the given model."""
 
 import os
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meed.core import named_rng
-from meed.data import (Dataset, IdxParseError, MlpModel, SyntheticSpec,
-                       export_dataset, generate_synthetic, import_dataset,
-                       load_idx_images, load_model, model_accuracy, save_model,
-                       split_dataset, train_given_model, write_idx_images,
-                       write_idx_labels, _read_idx_images, _read_idx_labels)
+from meed.data import (MODEL_MAGIC, Dataset, DatasetFileError, IdxParseError, MlpModel,
+                       ModelFileError, SyntheticSpec, export_dataset, generate_synthetic,
+                       import_dataset, load_idx_images, load_model, model_accuracy,
+                       save_model, split_dataset, train_given_model, write_idx_images,
+                       write_idx_labels, IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, _read_idx)
+from tests.conftest import damage_record, record_sections
 
 
 def test_generators_are_deterministic():
@@ -103,6 +107,36 @@ def test_export_import_round_trip(tmp_path):
     assert np.array_equal(loaded.y_true, ds.y_true)
 
 
+GOOD_ROWS = "#trueSubset=0;1\na,0.5,1.0,1\nb,-0.5,2.0,0\n"
+
+
+@pytest.mark.parametrize("bad_line, what", [
+    ("c,0.5,1\n", "ragged row"),
+    ("c,0.5,1.0,2.0,1\n", "ragged row"),
+    ("c,0.5,abc,1\n", "non-numeric feature"),
+    ("c,0.5,1.0,yes\n", "non-numeric label"),
+    ("c,0.5\n", "two fields"),
+    ("c\n", "one field"),
+    ("c,nan,1.0,1\n", "non-finite feature"),
+])
+def test_import_dataset_rejects_malformed_rows(tmp_path, bad_line, what):
+    path = tmp_path / "ds.txt"
+    path.write_text(GOOD_ROWS + bad_line + "d,1.0,1.0,1\n")
+    with pytest.raises(DatasetFileError, match=f"{path}:4"):
+        import_dataset(str(path))
+
+
+def test_import_dataset_rejects_bad_header_and_empty_file(tmp_path):
+    path = tmp_path / "ds.txt"
+    for text in ("#trueSubset=0;x\na,0.5,1.0,1\n", "#trueSubset=\n", ""):
+        path.write_text(text)
+        with pytest.raises(DatasetFileError):
+            import_dataset(str(path))
+    path.write_bytes(b"a,0.5,1.0,1\n\xff\xfe,1.0,1.0,0\n")
+    with pytest.raises(DatasetFileError):
+        import_dataset(str(path))
+
+
 def test_idx_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     images = rng.integers(0, 256, size=(30, 4, 4)).astype(np.uint8)
@@ -111,11 +145,11 @@ def test_idx_round_trip(tmp_path):
     lpath = os.path.join(tmp_path, "labs")
     write_idx_images(images, ipath)
     write_idx_labels(labels, lpath)
-    assert np.array_equal(_read_idx_images(ipath), images)
-    assert np.array_equal(_read_idx_labels(lpath), labels)
+    assert np.array_equal(_read_idx(ipath, IDX_IMAGES_MAGIC), images)
+    assert np.array_equal(_read_idx(lpath, IDX_LABELS_MAGIC), labels)
     # re-serializing the loaded tensors reproduces the source bytes
     again = os.path.join(tmp_path, "imgs2")
-    write_idx_images(_read_idx_images(ipath), again)
+    write_idx_images(_read_idx(ipath, IDX_IMAGES_MAGIC), again)
     assert open(again, "rb").read() == open(ipath, "rb").read()
 
 
@@ -138,7 +172,7 @@ def test_idx_bad_magic_reports_offset(tmp_path):
     with open(path, "wb") as fh:
         fh.write(b"\x00\x00\x08\x01" + b"\x00" * 20)
     with pytest.raises(IdxParseError, match="offset"):
-        _read_idx_images(path)
+        _read_idx(path, IDX_IMAGES_MAGIC)
 
 
 def test_idx_truncation_detected(tmp_path):
@@ -149,7 +183,7 @@ def test_idx_truncation_detected(tmp_path):
     with open(path, "wb") as fh:
         fh.write(blob[:-2])
     with pytest.raises(IdxParseError):
-        _read_idx_images(path)
+        _read_idx(path, IDX_IMAGES_MAGIC)
 
 
 def test_idx_empty_pair_warns(tmp_path):
@@ -191,6 +225,56 @@ def test_model_save_load_round_trip(tiny_model, tmp_path):
     save_model(model, path)
     loaded = load_model(path)
     assert np.array_equal(model.evaluate(te.X), loaded.evaluate(te.X))
+
+
+@pytest.fixture(scope="module")
+def saved_model(tmp_path_factory):
+    """(file bytes, loaded model, scratch path) of a small model with two hidden layers."""
+    spec = SyntheticSpec(d=5, true_subset=(0, 1), n=120, noise_std=0.1,
+                         kind="sparse-logit", seed=3)
+    model = train_given_model(generate_synthetic(spec)[0], hidden=(4, 3), seed=0, epochs=2)
+    path = str(tmp_path_factory.mktemp("model") / "model.bin")
+    save_model(model, path)
+    return open(path, "rb").read(), load_model(path), path + ".corrupt"
+
+
+def load_model_bytes(blob: bytes, path: str) -> MlpModel:
+    with open(path, "wb") as fh:
+        fh.write(blob)
+    return load_model(path)
+
+
+def test_model_file_round_trip_is_byte_identical(saved_model, tmp_path):
+    blob, loaded, _ = saved_model
+    assert blob.startswith(MODEL_MAGIC)
+    again = str(tmp_path / "again.bin")
+    save_model(loaded, again)
+    assert open(again, "rb").read() == blob
+
+
+def test_model_file_rejects_corrupt_blob(saved_model):
+    blob, _, path = saved_model
+    params_at = record_sections(blob)[1]
+    wrong_count = bytearray(blob)
+    struct.pack_into("<Q", wrong_count, params_at + 8, 2**40)
+    for bad in (b"", b"NOTMEED!" + blob[8:], blob[:14], blob + b"\x00", blob + bytes(8),
+                bytes(wrong_count), MODEL_MAGIC + struct.pack("<I", 1) + blob[12:]):
+        with pytest.raises(ModelFileError):
+            load_model_bytes(bad, path)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_damaged_model_file_fails_with_model_file_error_or_loads_identically(
+        saved_model, data):
+    blob, original, path = saved_model
+    try:
+        loaded = load_model_bytes(damage_record(blob, data), path)
+    except ModelFileError:
+        return
+    assert loaded.net.in_dim == original.net.in_dim
+    assert loaded.net.layers == original.net.layers
+    assert np.array_equal(loaded.net.parameters, original.net.parameters)
 
 
 def test_model_randomize_changes_outputs(tiny_model):

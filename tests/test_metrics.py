@@ -132,6 +132,25 @@ def test_evaluate_explainer_produces_full_report(trained_run):
     assert report.k == 2 and report.n_eval == len(te)
 
 
+def test_evaluate_explainer_leaves_caller_datasets_untouched(trained_run):
+    """One dataset scored against two models gives each model's own report."""
+    explainer, model, feats, te, _, _ = trained_run
+    other = model.copy()
+    other.randomize(named_rng(5, "model"))
+
+    def fresh():
+        return Dataset(ids=list(feats.ids), X=feats.X), Dataset(ids=list(te.ids), X=te.X)
+
+    kwargs = dict(k=2, retrain_budget=2, hidden=(8,), seed=0)
+    reused_tr, reused_te = fresh()
+    evaluate_explainer(explainer, model, reused_tr, reused_te, **kwargs)
+    reused = evaluate_explainer(explainer, other, reused_tr, reused_te, **kwargs)
+    expected = evaluate_explainer(explainer, other, *fresh(), **kwargs)
+    reused.tps = expected.tps = 0.0
+    assert reused == expected
+    assert reused_tr.Y is None and reused_te.Y is None
+
+
 def test_brute_force_recovers_strong_pair():
     rng = np.random.default_rng(3)
     n, d = 4000, 5

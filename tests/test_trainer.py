@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import json
 import os
 import struct
 
@@ -19,6 +20,7 @@ from meed.trainer import (CHECKPOINT_MAGIC, Checkpoint, CheckpointError,
                           TrainingAbort, approximator_step, explainer_step,
                           load_checkpoint, make_optimizer, nets_from_checkpoint,
                           save_checkpoint, train)
+from tests.conftest import damage_record, record_sections
 
 
 def small_problem(seed=0, n=48, d=6, c=2):
@@ -167,9 +169,20 @@ def test_train_rejects_invalid_model_outputs():
         train(ds, OffSimplexModel(), config)
 
 
+def same_state(a, b) -> bool:
+    """Equality of nested dicts whose leaves may be numpy arrays."""
+    if isinstance(a, dict):
+        return isinstance(b, dict) and a.keys() == b.keys() and all(same_state(a[k], b[k])
+                                                                   for k in a)
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b)
+    return type(a) is type(b) and a == b
+
+
 def same_checkpoint(a: Checkpoint, b: Checkpoint) -> bool:
     return (a.config == b.config and a.meta == b.meta and a.epoch_counter == b.epoch_counter
-            and a.runtime_state == b.runtime_state
+            and same_state(a.rng_states, b.rng_states)
+            and same_state(a.optimizer_states, b.optimizer_states)
             and all(np.array_equal(getattr(a, f), getattr(b, f))
                     for f in ("explainer_params", "a_selected_params", "a_unselected_params")))
 
@@ -183,15 +196,6 @@ def saved_checkpoint(tmp_path_factory):
     path = str(tmp_path_factory.mktemp("ckpt") / "ckpt.bin")
     save_checkpoint(ckpt, path)
     return open(path, "rb").read(), load_checkpoint(path), path + ".corrupt"
-
-
-def section_offsets(blob: bytes) -> list:
-    """Offset of each section's length field: config, three vectors, runtime."""
-    offsets, pos = [], 12
-    for _ in range(5):
-        offsets.append(pos)
-        pos += 8 + struct.unpack_from("<Q", blob, pos)[0]
-    return offsets
 
 
 def load_bytes(blob: bytes, path: str) -> Checkpoint:
@@ -216,7 +220,8 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     assert np.array_equal(loaded.explainer_params, ckpt.explainer_params)
     assert np.array_equal(loaded.a_selected_params, ckpt.a_selected_params)
     assert np.array_equal(loaded.a_unselected_params, ckpt.a_unselected_params)
-    assert loaded.runtime_state == ckpt.runtime_state
+    assert same_state(loaded.rng_states, ckpt.rng_states)
+    assert same_state(loaded.optimizer_states, ckpt.optimizer_states)
     second = os.path.join(tmp_path, "again.bin")
     save_checkpoint(loaded, second)
     assert open(second, "rb").read() == blob
@@ -224,7 +229,7 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
 
 def test_checkpoint_rejects_corrupt_blob(saved_checkpoint):
     blob, _, path = saved_checkpoint
-    config_at, vector_at = section_offsets(blob)[:2]
+    config_at, vector_at = record_sections(blob)[:2]
     oversized = bytearray(blob)
     struct.pack_into("<Q", oversized, vector_at + 8, 2**40)
     non_utf8 = bytearray(blob)
@@ -232,8 +237,14 @@ def test_checkpoint_rejects_corrupt_blob(saved_checkpoint):
     partial = b"epoch_counter=1\n"
     incomplete = (blob[:config_at] + struct.pack("<Q", len(partial)) + partial
                   + blob[vector_at:])
+    header = json.loads(blob[config_at + 8:vector_at])
+    del header["optimizer_t"]
+    partial = json.dumps(header, sort_keys=True).encode()
+    no_optimizer_t = (blob[:config_at] + struct.pack("<Q", len(partial)) + partial
+                      + blob[vector_at:])
+    version_1 = CHECKPOINT_MAGIC + struct.pack("<I", 1) + blob[12:]
     for bad in (b"NOTMEED!" + b"\x00" * 32, blob[:10], bytes(oversized), bytes(non_utf8),
-                incomplete, blob + b"\x00"):
+                incomplete, blob + b"\x00", blob + bytes(16), no_optimizer_t, version_1):
         with pytest.raises(CheckpointError):
             load_bytes(bad, path)
 
@@ -243,18 +254,7 @@ def test_checkpoint_rejects_corrupt_blob(saved_checkpoint):
 def test_damaged_checkpoint_fails_with_checkpoint_error_or_loads_identically(
         saved_checkpoint, data):
     blob, original, path = saved_checkpoint
-    if data.draw(st.booleans(), label="truncate"):
-        damaged = blob[:data.draw(st.integers(0, len(blob) - 1), label="length")]
-    else:
-        fields = list(range(12))  # magic and version
-        for pos in section_offsets(blob):
-            fields += range(pos, pos + 8)
-        for pos in section_offsets(blob)[1:4]:
-            fields += range(pos + 8, pos + 16)  # vector element counts
-        pos = data.draw(st.sampled_from(fields), label="byte")
-        damaged = bytearray(blob)
-        damaged[pos] ^= data.draw(st.integers(1, 255), label="xor")
-        damaged = bytes(damaged)
+    damaged = damage_record(blob, data)
     try:
         loaded = load_bytes(damaged, path)
     except CheckpointError:
@@ -275,18 +275,52 @@ def test_resume_matches_uninterrupted_trajectory(tmp_path):
     path = os.path.join(tmp_path, "half.bin")
     save_checkpoint(half_ckpt, path)
     reloaded = load_checkpoint(path)
-    resumed = Checkpoint(format_version=reloaded.format_version, config=full_cfg,
+    resumed = Checkpoint(config=full_cfg,
                          meta=reloaded.meta,
                          explainer_params=reloaded.explainer_params,
                          a_selected_params=reloaded.a_selected_params,
                          a_unselected_params=reloaded.a_unselected_params,
                          epoch_counter=reloaded.epoch_counter,
-                         runtime_state=reloaded.runtime_state)
+                         rng_states=reloaded.rng_states,
+                         optimizer_states=reloaded.optimizer_states)
     e_res, p_res, _ = train(ds, model, full_cfg, explainer_hidden=(8,),
                             approx_hidden=(8,), resume=resumed)
     assert np.array_equal(e_full.parameters, e_res.parameters)
     assert np.array_equal(p_full.a_selected.parameters, p_res.a_selected.parameters)
     assert np.array_equal(p_full.a_unselected.parameters, p_res.a_unselected.parameters)
+
+
+def test_resume_restores_every_optimizer(tmp_path):
+    """Save, load and resume continue the uninterrupted run for each optimizer,
+    sgd included, which has a step count but no slot vectors."""
+    ds = make_dataset()
+    kwargs = dict(explainer_hidden=(8,), approx_hidden=(8,))
+    for name in ("sgd", "rmsprop", "adadelta"):
+        full_cfg = TrainConfig(k=2, epochs=3, seed=5, batch_size=16, optimizer=name)
+        e_full, p_full, _ = train(ds, FixedModel(), full_cfg, **kwargs)
+        _, _, half = train(ds, FixedModel(), dataclasses.replace(full_cfg, epochs=1), **kwargs)
+        path = os.path.join(tmp_path, f"{name}.bin")
+        save_checkpoint(half, path)
+        resumed = dataclasses.replace(load_checkpoint(path), config=full_cfg)
+        e_res, p_res, _ = train(ds, FixedModel(), full_cfg, resume=resumed, **kwargs)
+        assert np.array_equal(e_full.parameters, e_res.parameters), name
+        assert np.array_equal(p_full.a_selected.parameters, p_res.a_selected.parameters), name
+        assert np.array_equal(p_full.a_unselected.parameters, p_res.a_unselected.parameters), name
+
+
+def test_resume_rejects_damaged_runtime_state(saved_checkpoint):
+    _, ckpt, _ = saved_checkpoint
+    opts = ckpt.optimizer_states
+    short_slot = {**opts["explainer"], "m": opts["explainer"]["m"][:-1]}
+    for bad in (dataclasses.replace(ckpt, rng_states={}),
+                dataclasses.replace(ckpt, rng_states={**ckpt.rng_states,
+                                                      "data": {"bit_generator": "PCG64"}}),
+                dataclasses.replace(ckpt, optimizer_states={k: v for k, v in opts.items()
+                                                            if k != "a_selected"}),
+                dataclasses.replace(ckpt, optimizer_states={**opts, "explainer": short_slot})):
+        with pytest.raises(CheckpointError):
+            train(make_dataset(), FixedModel(), ckpt.config, explainer_hidden=(8,),
+                  approx_hidden=(8,), resume=bad)
 
 
 def test_resume_appends_to_train_log(tmp_path):
