@@ -258,15 +258,19 @@ class MlpModel(BlackBoxModel):
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         return self.net.predict(x)
 
-    def gradient(self, x: np.ndarray, class_index: int) -> np.ndarray:
-        """Exact d(output_class)/dx for one input vector."""
-        x = np.asarray(x, dtype=np.float64)[None, :]
+    def gradient(self, x: np.ndarray, class_index) -> np.ndarray:
+        """Exact d(output_class)/dx: a vector x (d,) with an int index gives (d,);
+        rows x (n, d) with indices (n,) give (n, d), row i holding the gradient
+        of out[i, class_index[i]]. The rows share one graph: the backward of
+        sum_i out[i, class_index[i]] yields every row's gradient at once."""
+        x = np.asarray(x, dtype=np.float64)
+        single = x.ndim == 1
         leaves = self.net.make_leaves()
-        xv = ad.Var(x)
+        xv = ad.Var(x[None, :] if single else x)
         out = self.net.forward_var(xv, leaves)
-        picked = ad.sum_along(ad.mul(out, np.eye(self.c)[class_index][None, :]))
+        picked = ad.sum_along(ad.mul(out, np.eye(self.c)[np.atleast_1d(class_index)]))
         ad.backward(picked)
-        return xv.grad[0].copy()
+        return xv.grad[0].copy() if single else xv.grad
 
     def randomize(self, rng: np.random.Generator) -> None:
         fresh = Mlp(self.net.in_dim, self.net.layers, rng=rng)

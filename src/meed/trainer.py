@@ -8,6 +8,7 @@ the prior warm-start decay.
 
 from __future__ import annotations
 
+import logging
 import os
 import time
 from dataclasses import asdict, dataclass
@@ -19,10 +20,13 @@ from . import autodiff as ad
 from .approximators import (ApproximatorPair, cross_entropy_var, make_pair,
                             relativistic_flip, sliced_wasserstein_var,
                             sw_directions)
+from .baselines import prior_scores
 from .core import (ConfigError, Mlp, ShapeError, TrainConfig, classifier_layers,
                    is_simplex, named_rng, read_record, write_record)
 from .explainer import ExplainerNet, fuse_prior, fuse_prior_var, prior_constraint_loss_var
 from .sampler import relaxed_topk_var, sample_gumbel_batch
+
+log = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = b"MEEDCKPT"
 CHECKPOINT_VERSION = 2
@@ -297,9 +301,8 @@ def nets_from_checkpoint(ckpt: Checkpoint) -> tuple:
 
 def compute_prior_scores(x: np.ndarray, y: np.ndarray, model,
                          method: str) -> np.ndarray:
-    from .baselines import grad_scores, gradient_times_input_scores
-    fn = grad_scores if method == "grad" else gradient_times_input_scores
-    return np.stack([fn(model, xi).r for xi in x])
+    """(n, d) prior scores of every row of x for the class its model output y picks."""
+    return prior_scores(model, x, np.argmax(y, axis=1), method)
 
 
 def train(dataset, model, config: TrainConfig,
@@ -360,9 +363,12 @@ def train(dataset, model, config: TrainConfig,
             raise CheckpointError(f"resume checkpoint's RNG or optimizer state does not fit "
                                   f"this run: {exc!r}") from exc
 
+    tic = time.perf_counter()
     prior_all = None
     if config.prior_method != "none":
         prior_all = compute_prior_scores(x_all, y_all, model, config.prior_method)
+    log.info("prior method=%s rows=%d seconds=%.3f", config.prior_method,
+             0 if prior_all is None else n, time.perf_counter() - tic)
 
     def snapshot(epoch: int) -> Checkpoint:
         return Checkpoint(config=config, meta=meta,

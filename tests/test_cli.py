@@ -8,8 +8,9 @@ import struct
 import numpy as np
 import pytest
 
-from meed.cli import (EXIT_CONFIG, EXIT_OK, EXIT_SHAPE, ConfigFileError,
-                      build_dataset, build_train_config, main, parse_config_file)
+from meed.cli import (EXIT_CONFIG, EXIT_OK, EXIT_SHAPE, ConfigFileError, build_dataset,
+                      build_model, build_train_config, main, parse_config_file)
+from meed.baselines import FD_STEP
 from meed.core import TrainConfig
 from meed.data import SyntheticSpec, export_dataset, generate_synthetic
 from meed.metrics import MetricsReport
@@ -151,6 +152,31 @@ def test_malformed_idx_file_exits_2(tmp_path):
                    f"labels_path = {tmp_path / 'labels'}\nclass_pair = 3,8\n"
                    "[train]\nk = 2\nepochs = 1\n")
     assert main(["train", "--config", str(cfg)]) == EXIT_CONFIG
+
+
+def test_non_finite_output_on_perturbed_row_exits_4(tmp_path, capsys, monkeypatch):
+    """A black box answering NaN for one perturbed copy of row 0 under a `grad` prior."""
+    class NanOnPerturbedRow:
+        def __init__(self, model, row):
+            self.net = model.net
+            self.bad = row.copy()
+            self.bad[0] += FD_STEP
+
+        def evaluate(self, x):
+            out = self.net.predict(np.atleast_2d(x))
+            out[np.all(np.atleast_2d(x) == self.bad, axis=1)] = np.nan
+            return out
+
+        def randomize(self, rng):
+            pass
+
+    monkeypatch.setattr("meed.cli.build_model", lambda cfg, train_set: NanOnPerturbedRow(
+        build_model(cfg, train_set), train_set.X[0]))
+    cfg = tmp_path / "prior.cfg"
+    cfg.write_text(CONFIG.format(out=tmp_path / "out")
+                   .replace("batch_size = 32", "batch_size = 32\nprior_method = grad"))
+    assert main(["train", "--config", str(cfg)]) == EXIT_SHAPE
+    assert "perturbed copies of row 0" in capsys.readouterr().err
 
 
 def test_parse_rejects_stray_lines(tmp_path):

@@ -3,17 +3,21 @@
 import copy
 import dataclasses
 import json
+import logging
 import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meed.core import ConfigError, ShapeError, TrainConfig, named_rng
+from meed.core import ConfigError, Mlp, ShapeError, TrainConfig, classifier_layers, named_rng
 from meed.approximators import make_pair
-from meed.data import Dataset
+from meed.baselines import FD_STEP
+from meed.data import Dataset, MlpModel
 from meed.explainer import ExplainerNet
 from meed.sampler import sample_gumbel_batch
 from meed.trainer import (CHECKPOINT_MAGIC, Checkpoint, CheckpointError,
@@ -392,3 +396,88 @@ def test_sliced_wasserstein_training_smoke():
                             approx_hidden=(8,))
     z = explainer.score(ds.X, FixedModel().evaluate(ds.X))
     assert np.allclose(z.sum(axis=1), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Training with a prior
+# ---------------------------------------------------------------------------
+
+class EvaluateOnly:
+    """A model behind `evaluate` only, so the prior uses central differences."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def evaluate(self, x):
+        return self.model.evaluate(x)
+
+    def randomize(self, rng):
+        self.model.randomize(rng)
+
+
+def prior_model():
+    return MlpModel(Mlp(6, classifier_layers((8,), 2), rng=np.random.default_rng(4)))
+
+
+@pytest.mark.parametrize("wrap", [lambda m: m, EvaluateOnly], ids=["exact", "evaluate-only"])
+def test_train_with_prior_is_finite_and_resumes_bit_exact(tmp_path, wrap):
+    ds = make_dataset()
+    model = wrap(prior_model())
+    full_cfg = TrainConfig(k=2, epochs=2, seed=4, batch_size=16, lambda_e=1.0,
+                           prior_method="gradient-times-input")
+    kwargs = dict(explainer_hidden=(8,), approx_hidden=(8,))
+    lines = []
+    _, _, full = train(ds, model, full_cfg, log_lines=lines, **kwargs)
+    losses = [float(field.split("=")[1]) for line in lines for field in line.split()[1:4]]
+    assert len(losses) == 6 and np.all(np.isfinite(losses))
+
+    train(ds, model, dataclasses.replace(full_cfg, epochs=1), out_dir=str(tmp_path), **kwargs)
+    half = load_checkpoint(os.path.join(tmp_path, "checkpoint.bin"))
+    _, _, resumed = train(ds, model, full_cfg, resume=dataclasses.replace(half, config=full_cfg),
+                          **kwargs)
+    assert same_checkpoint(full, resumed)
+
+
+def test_train_logs_prior_timing_once(caplog):
+    ds = make_dataset()
+    config = TrainConfig(k=2, epochs=1, seed=0, batch_size=16, prior_method="grad")
+    with caplog.at_level(logging.INFO, logger="meed.trainer"):
+        train(ds, prior_model(), config, explainer_hidden=(8,), approx_hidden=(8,))
+    records = [r for r in caplog.records if r.name == "meed.trainer"]
+    assert len(records) == 1 and records[0].levelno == logging.INFO
+    assert "method=grad rows=48 seconds=" in records[0].getMessage()
+
+
+def test_train_prints_nothing_at_default_log_levels():
+    code = ("import numpy as np\n"
+            "from meed.core import Mlp, TrainConfig, classifier_layers\n"
+            "from meed.data import Dataset, MlpModel\n"
+            "from meed.trainer import train\n"
+            "x = np.random.default_rng(0).standard_normal((16, 4))\n"
+            "model = MlpModel(Mlp(4, classifier_layers((4,), 2)))\n"
+            "train(Dataset(ids=list(range(16)), X=x), model,\n"
+            "      TrainConfig(k=2, epochs=1, prior_method='grad'),\n"
+            "      explainer_hidden=(4,), approx_hidden=(4,))\n")
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "" and done.stderr == ""
+
+
+def test_train_rejects_non_finite_output_on_perturbed_row():
+    ds = make_dataset()
+
+    class NanOnPerturbedRow(FixedModel):
+        def evaluate(self, x):
+            out = super().evaluate(x)
+            bad = ds.X[5].copy()
+            bad[0] += FD_STEP
+            out[np.all(np.atleast_2d(x) == bad, axis=1)] = np.nan
+            return out
+
+    config = TrainConfig(k=2, epochs=1, seed=0, prior_method="grad")
+    with pytest.raises(ShapeError, match="row 5"):
+        train(ds, NanOnPerturbedRow(), config, explainer_hidden=(8,), approx_hidden=(8,))
