@@ -11,10 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 
-class NonFiniteError(ValueError):
-    """A forward or backward value became NaN/inf; names the offending op."""
-
-
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Reduce `grad` back to `shape` after numpy broadcasting."""
     if grad.shape == shape:
@@ -146,15 +142,6 @@ def exp(a) -> Var:
     return Var(out, parents=(a,), vjps=(lambda g: g * out,))
 
 
-def power(a, p: float) -> Var:
-    a = as_var(a)
-    return Var(
-        a.value**p,
-        parents=(a,),
-        vjps=(lambda g: g * p * a.value ** (p - 1.0),),
-    )
-
-
 def absolute(a) -> Var:
     a = as_var(a)
     sign = np.sign(a.value)
@@ -226,26 +213,6 @@ def expand_dims(a, axis: int) -> Var:
     )
 
 
-def concat(parts, axis: int = 1) -> Var:
-    parts = [as_var(p) for p in parts]
-    sizes = [p.value.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def make_vjp(i):
-        def vjp(g):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(offsets[i], offsets[i + 1])
-            return g[tuple(sl)]
-
-        return vjp
-
-    return Var(
-        np.concatenate([p.value for p in parts], axis=axis),
-        parents=tuple(parts),
-        vjps=tuple(make_vjp(i) for i in range(len(parts))),
-    )
-
-
 def sort_axis0(a) -> Var:
     """Ascending sort of each column; gradient is scattered back by position."""
     a = as_var(a)
@@ -288,9 +255,3 @@ def backward(root: Var) -> None:
             if parent.grad is None:
                 parent.grad = np.zeros_like(parent.value)
             parent.grad += contrib
-
-
-def check_finite(v: Var, what: str) -> Var:
-    if not np.all(np.isfinite(v.value)):
-        raise NonFiniteError(f"non-finite value encountered in {what}")
-    return v

@@ -11,6 +11,7 @@ Exit codes: 0 ok, 2 configuration or file-format problem, 3 training abort,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import re
 import sys
@@ -35,9 +36,19 @@ class ConfigFileError(ValueError):
     pass
 
 
+# The keys each section accepts; those of [data] depend on its kind.
+SYNTH_KEYS = ("kind", "d", "true_subset", "n", "noise_std", "seed")
+DATA_KEYS = {**dict.fromkeys(datamod.SYNTH_KINDS, SYNTH_KEYS),
+             "idx": ("kind", "images_path", "labels_path", "class_pair"),
+             "file": ("kind", "path")}
+SECTION_KEYS = {"model": ("hidden", "seed", "epochs", "learning_rate"),
+                "train": tuple(f.name for f in dataclasses.fields(TrainConfig)),
+                "run": ("out_dir", "explainer_hidden", "approx_hidden", "retrain_budget")}
+
+
 def parse_config_file(path: str) -> dict:
     """`[section]` headers with `key = value` lines and `#` or `;` comments;
-    returns nested dict."""
+    returns nested dict. Unknown sections and keys raise ConfigFileError."""
     if not os.path.exists(path):
         raise ConfigFileError(f"config file not found: {path}")
     sections: dict = {}
@@ -56,6 +67,17 @@ def parse_config_file(path: str) -> dict:
                                       f"inside a section, got: {line}")
             key, _, val = line.partition("=")
             sections[current][key.strip()] = val.strip()
+    for name, section in sections.items():
+        if name == "data":
+            # A missing or unknown kind is reported by the dataset builders.
+            allowed = DATA_KEYS.get(section.get("kind"), section)
+        elif name in SECTION_KEYS:
+            allowed = SECTION_KEYS[name]
+        else:
+            raise ConfigFileError(f"{path}: unknown config section [{name}]")
+        unknown = sorted(set(section) - set(allowed))
+        if unknown:
+            raise ConfigFileError(f"{path}: unknown [{name}] key(s): {', '.join(unknown)}")
     return sections
 
 
@@ -133,7 +155,6 @@ def _run_section(cfg: dict) -> dict:
         "out_dir": _get(s, "out_dir", str, "out"),
         "explainer_hidden": _get(s, "explainer_hidden", parse_int_tuple, (32, 32)),
         "approx_hidden": _get(s, "approx_hidden", parse_int_tuple, (32, 32)),
-        "fusion": _get(s, "fusion", str, "concat-raw"),
         "retrain_budget": _get(s, "retrain_budget", int, 20),
     }
 
@@ -165,8 +186,7 @@ def cmd_train(args) -> int:
     datamod.save_model(model, os.path.join(out_dir, "model.bin"))
     train(train_set, model, config,
           explainer_hidden=run["explainer_hidden"],
-          approx_hidden=run["approx_hidden"],
-          fusion=run["fusion"], out_dir=out_dir)
+          approx_hidden=run["approx_hidden"], out_dir=out_dir)
     print(f"wrote {os.path.join(out_dir, 'checkpoint.bin')}")
     return EXIT_OK
 
@@ -234,8 +254,7 @@ def cmd_sanity(args) -> int:
         explainer, model, test_set, ckpt.config.k, mode="data-randomization",
         rng=rng, train_set=train_set, config=ckpt.config,
         train_kwargs={"explainer_hidden": run["explainer_hidden"],
-                      "approx_hidden": run["approx_hidden"],
-                      "fusion": run["fusion"]},
+                      "approx_hidden": run["approx_hidden"]},
         model_builder=lambda ds: build_model(cfg, ds))
     out_dir = args.out or run["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
@@ -260,8 +279,7 @@ def cmd_ablate(args) -> int:
         config = ablation_config(variant, base)
         explainer, _, _ = train(train_set, model, config,
                                 explainer_hidden=run["explainer_hidden"],
-                                approx_hidden=run["approx_hidden"],
-                                fusion=run["fusion"])
+                                approx_hidden=run["approx_hidden"])
         report = metricsmod.evaluate_explainer(
             explainer, model, train_set, test_set, config.k,
             retrain_budget=run["retrain_budget"], hidden=run["approx_hidden"],

@@ -268,7 +268,6 @@ class Mlp:
         self._slices = []  # (w_slice, w_shape, b_slice) per dense layer
         width = self.in_dim
         offset = 0
-        self.out_dim = width
         for i, layer in enumerate(self.layers):
             kind = layer[0]
             if kind == "dense":

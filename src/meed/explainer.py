@@ -18,12 +18,6 @@ from . import autodiff as ad
 from .core import ConfigError, Mlp, ShapeError, classifier_layers, is_simplex
 from .sampler import Z_EPS
 
-FUSION_MODES = ("concat-raw", "concat-embedded", "none")
-
-# Embedding MLP for the model output before concatenation: three hidden
-# relu layers of width 100.
-EMBED_LAYERS = (("dense", 100), ("relu",), ("dense", 100), ("relu",), ("dense", 100), ("relu",))
-
 
 @dataclass(frozen=True)
 class PriorScores:
@@ -37,99 +31,37 @@ class PriorScores:
             raise ValueError("prior scores must lie on the probability simplex")
 
 
-class ExplainerNet:
-    """Maps (x, y) to a feature-importance distribution over d features."""
+class ExplainerNet(Mlp):
+    """Maps (x, y) to a feature-importance distribution over d features.
+
+    The network reads [x, y], the features followed by the model output, or
+    x alone when `use_output` is off.
+    """
 
     def __init__(self, d: int, c: int, hidden: Sequence[int] = (32, 32),
-                 feedback_fusion: str = "concat-raw",
-                 rng: Optional[np.random.Generator] = None):
-        if feedback_fusion not in FUSION_MODES:
-            raise ConfigError(f"unknown feedback fusion: {feedback_fusion}")
+                 use_output: bool = True, rng: Optional[np.random.Generator] = None):
         self.d = int(d)
         self.c = int(c)
-        self.hidden = tuple(int(h) for h in hidden)
-        self.feedback_fusion = feedback_fusion
-        self.embed: Optional[Mlp] = None
-        if feedback_fusion == "concat-embedded":
-            self.embed = Mlp(c, EMBED_LAYERS, rng=rng)
-            in_dim = self.d + self.embed.out_dim
-        elif feedback_fusion == "concat-raw":
-            in_dim = self.d + self.c
-        else:
-            in_dim = self.d
-        self.backbone = Mlp(in_dim, classifier_layers(self.hidden, self.d), rng=rng)
+        self.use_output = bool(use_output)
+        super().__init__(self.d + self.c if self.use_output else self.d,
+                         classifier_layers(hidden, self.d), rng=rng)
 
-    @property
-    def n_params(self) -> int:
-        n = self.backbone.n_params
-        if self.embed is not None:
-            n += self.embed.n_params
-        return n
-
-    @property
-    def parameters(self) -> np.ndarray:
-        if self.embed is None:
-            return self.backbone.parameters.copy()
-        return np.concatenate([self.embed.parameters, self.backbone.parameters])
-
-    def set_parameters(self, vec: np.ndarray) -> None:
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.shape != (self.n_params,):
-            raise ShapeError(f"expected {self.n_params} parameters, got {vec.shape}")
-        if self.embed is None:
-            self.backbone.set_parameters(vec)
-        else:
-            ne = self.embed.n_params
-            self.embed.set_parameters(vec[:ne])
-            self.backbone.set_parameters(vec[ne:])
-
-    def _check(self, x: np.ndarray, y: np.ndarray):
+    def _input(self, x, y) -> np.ndarray:
+        """[x, y] (or x) after checking the feature and output widths."""
+        x = np.asarray(x, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
         if x.shape[-1] != self.d:
             raise ShapeError(f"expected {self.d} features, got {x.shape[-1]}")
         if y.shape[-1] != self.c:
             raise ShapeError(f"expected {self.c} model outputs, got {y.shape[-1]}")
+        return np.concatenate([x, y], axis=-1) if self.use_output else x
 
     def score(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Importance distribution z; batched when x is (n, d)."""
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        squeeze = x.ndim == 1
-        if squeeze:
-            x, y = x[None, :], y[None, :]
-        self._check(x, y)
-        if self.feedback_fusion == "none":
-            inp = x
-        elif self.feedback_fusion == "concat-raw":
-            inp = np.concatenate([x, y], axis=1)
-        else:
-            inp = np.concatenate([x, self.embed.predict(y)], axis=1)
-        z = self.backbone.predict(inp)
-        return z[0] if squeeze else z
-
-    def make_leaves(self) -> tuple:
-        embed_leaves = self.embed.make_leaves() if self.embed is not None else []
-        return embed_leaves, self.backbone.make_leaves()
+        return self.predict(self._input(x, y))
 
     def score_var(self, x: np.ndarray, y: np.ndarray, leaves) -> ad.Var:
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        self._check(x, y)
-        embed_leaves, backbone_leaves = leaves
-        if self.feedback_fusion == "none":
-            inp = ad.Var(x)
-        elif self.feedback_fusion == "concat-raw":
-            inp = ad.Var(np.concatenate([x, y], axis=1))
-        else:
-            emb = self.embed.forward_var(ad.Var(y), embed_leaves)
-            inp = ad.concat([ad.Var(x), emb], axis=1)
-        return self.backbone.forward_var(inp, backbone_leaves)
-
-    def grad_from_leaves(self, leaves) -> np.ndarray:
-        embed_leaves, backbone_leaves = leaves
-        g = self.backbone.grad_from_leaves(backbone_leaves)
-        if self.embed is None:
-            return g
-        return np.concatenate([self.embed.grad_from_leaves(embed_leaves), g])
+        return self.forward_var(self._input(x, y), leaves)
 
 
 # ---------------------------------------------------------------------------

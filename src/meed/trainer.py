@@ -179,14 +179,13 @@ def approximator_step(pair: ApproximatorPair, explainer: ExplainerNet,
     return float(l_s.value), float(l_u.value)
 
 
-def explainer_step(explainer: ExplainerNet, pair: ApproximatorPair,
-                   x: np.ndarray, y: np.ndarray, config: TrainConfig,
-                   xi: np.ndarray, opt_e: Optimizer,
-                   prior_r: Optional[np.ndarray] = None, m: int = 0,
-                   sw_thetas: Optional[np.ndarray] = None,
-                   batch_id: str = "?") -> tuple:
-    """One explainer update; approximator parameters stay frozen."""
-    leaves = explainer.make_leaves()
+def explainer_objective(explainer: ExplainerNet, leaves: list, pair: ApproximatorPair,
+                        x: np.ndarray, y: np.ndarray, config: TrainConfig,
+                        xi: np.ndarray, prior_r: Optional[np.ndarray] = None, m: int = 0,
+                        sw_thetas: Optional[np.ndarray] = None) -> tuple:
+    """Graph of the explainer update's objective L_s + lambda_u*L~_u + lambda_e*L_e
+    (minus lambda_u*L~_u for sliced-Wasserstein) over the explainer `leaves`;
+    returns (objective, L_s, L~_u, L_e)."""
     z = explainer.score_var(x, y, leaves)
     if prior_r is not None:
         z_tilde = fuse_prior_var(z, prior_r, m)
@@ -208,14 +207,24 @@ def explainer_step(explainer: ExplainerNet, pair: ApproximatorPair,
         objective = ad.sub(l_s, ad.mul(l_u_tilde, config.lambda_u))
     if config.lambda_e != 0.0 and prior_r is not None:
         objective = ad.add(objective, ad.mul(l_e, config.lambda_e))
+    return objective, l_s, l_u_tilde, l_e
+
+
+def explainer_step(explainer: ExplainerNet, pair: ApproximatorPair,
+                   x: np.ndarray, y: np.ndarray, config: TrainConfig,
+                   xi: np.ndarray, opt_e: Optimizer,
+                   prior_r: Optional[np.ndarray] = None, m: int = 0,
+                   sw_thetas: Optional[np.ndarray] = None,
+                   batch_id: str = "?") -> tuple:
+    """One explainer update; approximator parameters stay frozen."""
+    leaves = explainer.make_leaves()
+    objective, l_s, l_u_tilde, l_e = explainer_objective(
+        explainer, leaves, pair, x, y, config, xi, prior_r, m, sw_thetas)
     for name, val in (("L_s", l_s.value), ("L_u", l_u_tilde.value), ("L_e", l_e.value)):
         if not np.isfinite(val):
             raise TrainingAbort(f"non-finite {name} in explainer step, batch {batch_id}")
     ad.backward(objective)
-    grad = explainer.grad_from_leaves(leaves)
-    params = explainer.parameters
-    opt_e.step(params, grad)
-    explainer.set_parameters(params)
+    opt_e.step(explainer.parameters, explainer.grad_from_leaves(leaves))
     return float(l_s.value), float(l_u_tilde.value), float(l_e.value)
 
 
@@ -226,7 +235,7 @@ def explainer_step(explainer: ExplainerNet, pair: ApproximatorPair,
 @dataclass
 class Checkpoint:
     config: TrainConfig
-    meta: dict  # architecture: d, c, explainer_hidden, approx_hidden, fusion
+    meta: dict  # architecture: d, c, explainer_hidden, approx_hidden
     explainer_params: np.ndarray
     a_selected_params: np.ndarray
     a_unselected_params: np.ndarray
@@ -258,8 +267,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         arch = header["meta"]
         meta = {"d": int(arch["d"]), "c": int(arch["c"]),
                 "explainer_hidden": tuple(int(h) for h in arch["explainer_hidden"]),
-                "approx_hidden": tuple(int(h) for h in arch["approx_hidden"]),
-                "fusion": str(arch["fusion"])}
+                "approx_hidden": tuple(int(h) for h in arch["approx_hidden"])}
         params = {f"{net}_params": vectors.pop(net) for net in NETS}
         optimizer_states = {net: {"t": int(t)} for net, t in header["optimizer_t"].items()}
         for name, vec in vectors.items():
@@ -279,9 +287,8 @@ def load_checkpoint(path: str) -> Checkpoint:
 
 def build_explainer(meta: dict, config: TrainConfig,
                     rng: Optional[np.random.Generator] = None) -> ExplainerNet:
-    fusion = meta["fusion"] if config.use_output_feedback else "none"
     return ExplainerNet(meta["d"], meta["c"], hidden=meta["explainer_hidden"],
-                        feedback_fusion=fusion, rng=rng)
+                        use_output=config.use_output_feedback, rng=rng)
 
 
 def nets_from_checkpoint(ckpt: Checkpoint) -> tuple:
@@ -316,11 +323,20 @@ def train(dataset, model, config: TrainConfig,
 
     `dataset` needs `.X` (n, d); model outputs are computed once and cached.
     With `resume`, continues the stored trajectory up to config.epochs.
+    `fusion` is kept for callers that still pass it and accepts only
+    "concat-raw"; `config.use_output_feedback` switches the output feedback.
     """
+    if fusion != "concat-raw":
+        raise ConfigError(f"unknown feedback fusion: {fusion}")
     x_all = np.asarray(dataset.X, dtype=np.float64)
     n, d = x_all.shape
     if n == 0:
         raise ConfigError("dataset is empty")
+    bad = np.argwhere(~np.isfinite(x_all))
+    if len(bad):
+        row, col = bad[0]
+        raise ShapeError(f"features must be finite values, row {row} column {col} "
+                         f"holds {x_all[row, col]}")
     if config.k > d:
         raise ConfigError(f"k={config.k} exceeds d={d}")
     y_all = getattr(dataset, "Y", None)
@@ -333,7 +349,7 @@ def train(dataset, model, config: TrainConfig,
     c = y_all.shape[1]
 
     meta = {"d": d, "c": c, "explainer_hidden": tuple(explainer_hidden),
-            "approx_hidden": tuple(approx_hidden), "fusion": fusion}
+            "approx_hidden": tuple(approx_hidden)}
 
     rngs = {"data": named_rng(config.seed, "data"),
             "gumbel": named_rng(config.seed, "gumbel"),
@@ -372,7 +388,7 @@ def train(dataset, model, config: TrainConfig,
 
     def snapshot(epoch: int) -> Checkpoint:
         return Checkpoint(config=config, meta=meta,
-                          explainer_params=explainer.parameters,
+                          explainer_params=explainer.parameters.copy(),
                           a_selected_params=pair.a_selected.parameters.copy(),
                           a_unselected_params=pair.a_unselected.parameters.copy(),
                           epoch_counter=epoch,

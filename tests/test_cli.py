@@ -11,10 +11,11 @@ import pytest
 from meed.cli import (EXIT_CONFIG, EXIT_OK, EXIT_SHAPE, ConfigFileError, build_dataset,
                       build_model, build_train_config, main, parse_config_file)
 from meed.baselines import FD_STEP
-from meed.core import TrainConfig
+from meed.core import Mlp, TrainConfig, classifier_layers
 from meed.data import SyntheticSpec, export_dataset, generate_synthetic
 from meed.metrics import MetricsReport
-from meed.trainer import CHECKPOINT_MAGIC, Checkpoint, load_checkpoint, save_checkpoint
+from meed.trainer import (CHECKPOINT_MAGIC, Adam, Checkpoint, load_checkpoint,
+                          save_checkpoint)
 
 README = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")
 
@@ -88,8 +89,7 @@ NON_DEFAULT = {"k": 3, "epochs": 5, "seed": 11, "tau": 0.25, "lambda_u": 0.5,
 def test_every_train_config_field_round_trips(tmp_path):
     config = TrainConfig(**NON_DEFAULT)
     ckpt = Checkpoint(config=config,
-                      meta={"d": 2, "c": 2, "explainer_hidden": (3,), "approx_hidden": (),
-                            "fusion": "concat-raw"},
+                      meta={"d": 2, "c": 2, "explainer_hidden": (3,), "approx_hidden": ()},
                       explainer_params=np.zeros(2), a_selected_params=np.zeros(1),
                       a_unselected_params=np.zeros(0), epoch_counter=1, rng_states={},
                       optimizer_states={})
@@ -112,6 +112,22 @@ def test_unknown_train_key_exits_2(tmp_path):
     with pytest.raises(ConfigFileError, match="batch_sise"):
         build_train_config(parse_config_file(str(cfg)))
     assert main(["train", "--config", str(cfg)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("old, new, name", [
+    ("noise_std = 0.1", "noise_sdt = 0.1", "noise_sdt"),
+    ("hidden = 8", "hiden = 8", "hiden"),
+    ("retrain_budget = 3", "retrain_budgt = 3", "retrain_budgt"),
+    ("retrain_budget = 3", "retrain_budget = 3\nfusion = concat-embedded", "fusion"),
+    ("[run]", "[rnu]", "[rnu]"),
+    # [data] keys depend on the kind: a synthetic key is unknown to kind = file.
+    ("kind = sparse-logit", "kind = file\npath = data.txt", "true_subset")])
+def test_unknown_config_key_or_section_exits_2(tmp_path, capsys, old, new, name):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text(CONFIG.format(out=tmp_path / "out").replace(old, new))
+    for command in ("synth", "train"):
+        assert main([command, "--config", str(cfg)]) == EXIT_CONFIG
+        assert name in capsys.readouterr().err
 
 
 def test_corrupt_checkpoint_exits_2(tmp_path):
@@ -244,8 +260,8 @@ def test_explain_malformed_data_exits_2(trained_dir, tmp_path, capsys):
     assert f"{data_path}:3" in capsys.readouterr().err
 
 
-def test_old_or_corrupt_files_exit_2(trained_dir, tmp_path):
-    """A version-1 checkpoint, a checkpoint whose parameters do not fit its
+def test_old_or_corrupt_files_exit_2(trained_dir, tmp_path, capsys):
+    """A version-1 checkpoint, checkpoints whose parameters do not fit their
     architecture and a corrupt model.bin fail explain and evaluate with exit 2."""
     config_path, out = trained_dir
     data_path = str(tmp_path / "data.txt")
@@ -265,12 +281,24 @@ def test_old_or_corrupt_files_exit_2(trained_dir, tmp_path):
     misfit.parent.mkdir()
     misfit.write_bytes(blob[:12] + struct.pack("<Q", len(head)) + head
                        + blob[20 + header_len:])
+    # A checkpoint from a release that still had a fusion option, whose
+    # explainer read x alone while use_output_feedback was on.
+    ckpt = load_checkpoint(checkpoint)
+    x_only = Mlp(6, classifier_layers((8,), 6)).n_params
+    no_feedback = tmp_path / "no-feedback" / "checkpoint.bin"
+    no_feedback.parent.mkdir()
+    save_checkpoint(dataclasses.replace(
+        ckpt, meta={**ckpt.meta, "fusion": "none"}, explainer_params=np.zeros(x_only),
+        optimizer_states={**ckpt.optimizer_states, "explainer": Adam(1e-3, x_only).get_state()}),
+        str(no_feedback))
     model_bin = os.path.join(out, "model.bin")
     with open(model_bin, "r+b") as fh:
         fh.truncate(14)
-    for ckpt in (str(old), str(misfit), checkpoint):
+    for ckpt in (str(old), str(misfit), str(no_feedback), checkpoint):
         assert main(["explain", "--checkpoint", ckpt, "--data", data_path]) == EXIT_CONFIG
         assert main(["evaluate", "--config", config_path, "--checkpoint", ckpt]) == EXIT_CONFIG
+        # Each damaged checkpoint fails before the corrupt model.bin is read.
+        assert ("model.bin" in capsys.readouterr().err) == (ckpt == checkpoint)
 
 
 def test_explain_shape_mismatch_exits_4(trained_dir, tmp_path):

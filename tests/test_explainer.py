@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 
 from meed import autodiff as ad
-from meed.core import ShapeError
+from meed.core import ConfigError, ShapeError, TrainConfig
+from meed.data import Dataset
 from meed.explainer import (ExplainerNet, PriorScores, fuse_prior,
                             fuse_prior_var, prior_constraint_loss,
                             prior_constraint_loss_var)
+from meed.trainer import train
 from tests.conftest import finite_difference, relative_error
 
 
 def test_scores_are_simplex(rng):
-    net = ExplainerNet(d=7, c=3, hidden=(8,), feedback_fusion="concat-raw", rng=rng)
+    net = ExplainerNet(d=7, c=3, hidden=(8,), rng=rng)
     x = rng.standard_normal((5, 7))
     y = rng.random((5, 3))
     y /= y.sum(axis=1, keepdims=True)
@@ -23,7 +25,7 @@ def test_scores_are_simplex(rng):
 
 
 def test_fusion_none_ignores_model_output(rng):
-    net = ExplainerNet(d=5, c=2, hidden=(6,), feedback_fusion="none", rng=rng)
+    net = ExplainerNet(d=5, c=2, hidden=(6,), use_output=False, rng=rng)
     x = rng.standard_normal((3, 5))
     y1 = np.tile([0.9, 0.1], (3, 1))
     y2 = np.tile([0.1, 0.9], (3, 1))
@@ -31,31 +33,27 @@ def test_fusion_none_ignores_model_output(rng):
 
 
 def test_fusion_raw_uses_model_output(rng):
-    net = ExplainerNet(d=5, c=2, hidden=(6,), feedback_fusion="concat-raw", rng=rng)
+    net = ExplainerNet(d=5, c=2, hidden=(6,), rng=rng)
     x = rng.standard_normal((3, 5))
     y1 = np.tile([0.9, 0.1], (3, 1))
     y2 = np.tile([0.1, 0.9], (3, 1))
     assert not np.allclose(net.score(x, y1), net.score(x, y2))
 
 
-def test_fusion_embedded_has_extra_parameters(rng):
-    raw = ExplainerNet(d=5, c=2, hidden=(6,), feedback_fusion="concat-raw", rng=rng)
-    emb = ExplainerNet(d=5, c=2, hidden=(6,), feedback_fusion="concat-embedded",
-                       rng=np.random.default_rng(1))
-    assert emb.n_params > raw.n_params
-    x = np.zeros((2, 5))
-    y = np.tile([0.5, 0.5], (2, 1))
-    z = emb.score(x, y)
-    assert np.allclose(z.sum(axis=1), 1.0)
-
-
 def test_unknown_fusion_rejected(rng):
-    with pytest.raises(ValueError):
-        ExplainerNet(d=5, c=2, feedback_fusion="concat-magic", rng=rng)
+    """`train(fusion=)` accepts only concat-raw, before the model is called."""
+    class NoCalls:
+        def evaluate(self, x):
+            raise AssertionError("model called")
+
+    ds = Dataset(ids=[str(i) for i in range(8)], X=rng.standard_normal((8, 5)))
+    for fusion in ("concat-embedded", "none"):
+        with pytest.raises(ConfigError, match=fusion):
+            train(ds, NoCalls(), TrainConfig(k=2, epochs=1), fusion=fusion)
 
 
 def test_score_rejects_mismatched_shapes(rng):
-    net = ExplainerNet(d=5, c=2, hidden=(6,), feedback_fusion="concat-raw", rng=rng)
+    net = ExplainerNet(d=5, c=2, hidden=(6,), rng=rng)
     with pytest.raises(ShapeError):
         net.score(np.zeros((2, 4)), np.tile([0.5, 0.5], (2, 1)))
     with pytest.raises(ShapeError):
@@ -63,7 +61,7 @@ def test_score_rejects_mismatched_shapes(rng):
 
 
 def test_score_var_matches_score(rng):
-    net = ExplainerNet(d=4, c=2, hidden=(5,), feedback_fusion="concat-raw", rng=rng)
+    net = ExplainerNet(d=4, c=2, hidden=(5,), rng=rng)
     x = rng.standard_normal((3, 4))
     y = rng.random((3, 2))
     y /= y.sum(axis=1, keepdims=True)

@@ -88,7 +88,7 @@ def step_inputs(config, seed=0):
     rng = named_rng(seed, "gumbel")
     xi = sample_gumbel_batch(len(x), x.shape[1], config.k, rng)
     init = named_rng(seed, "init")
-    explainer = ExplainerNet(6, 2, hidden=(8,), feedback_fusion="concat-raw", rng=init)
+    explainer = ExplainerNet(6, 2, hidden=(8,), rng=init)
     pair = make_pair(6, 2, (8,), init)
     opts = {"e": make_optimizer(config, explainer.n_params),
             "s": make_optimizer(config, pair.a_selected.n_params),
@@ -171,6 +171,19 @@ def test_train_rejects_invalid_model_outputs():
 
     with pytest.raises(ShapeError):
         train(ds, OffSimplexModel(), config)
+
+
+@pytest.mark.parametrize("outputs_supplied", [False, True])
+def test_train_rejects_non_finite_features(outputs_supplied):
+    """A NaN feature is reported as the data's fault before any model call,
+    whether train() computes the model outputs or they come with a prior."""
+    ds = make_dataset(n=16, d=4)
+    model = MlpModel(Mlp(4, classifier_layers((8,), 2), rng=np.random.default_rng(0)))
+    y = model.evaluate(ds.X) if outputs_supplied else None
+    ds.X[3, 1] = np.nan
+    config = TrainConfig(k=2, epochs=1, prior_method="grad" if outputs_supplied else "none")
+    with pytest.raises(ShapeError, match="features must be finite.*row 3 column 1"):
+        train(Dataset(ids=ds.ids, X=ds.X, Y=y), model, config)
 
 
 def same_state(a, b) -> bool:
