@@ -1,15 +1,13 @@
-"""Gradient baselines, the batched prior scores and the ablation variants."""
+"""Gradient prior scores (grad, gradient-times-input) and the ablation variants."""
 
 from __future__ import annotations
 
 import dataclasses
 import logging
-from typing import Optional
 
 import numpy as np
 
 from .core import ShapeError, TrainConfig, is_simplex
-from .explainer import PriorScores
 
 log = logging.getLogger(__name__)
 
@@ -68,25 +66,6 @@ def prior_scores(model, x: np.ndarray, class_index, method: str) -> np.ndarray:
     if not is_simplex(scores):
         raise ValueError("prior scores must lie on the probability simplex")
     return scores
-
-
-def _row_scores(model, x: np.ndarray, class_index: Optional[int], method: str) -> PriorScores:
-    x = np.asarray(x, dtype=np.float64)
-    if class_index is None:
-        class_index = int(np.argmax(model.evaluate(x)))
-    return PriorScores(r=prior_scores(model, x[None, :], [class_index], method)[0],
-                       source_method=method)
-
-
-def grad_scores(model, x: np.ndarray, class_index: Optional[int] = None) -> PriorScores:
-    """Absolute gradient of the selected class output, sum-normalized."""
-    return _row_scores(model, x, class_index, "grad")
-
-
-def gradient_times_input_scores(model, x: np.ndarray,
-                                class_index: Optional[int] = None) -> PriorScores:
-    """|x_j * gradient_j| scores; also serves as the warm-start prior method."""
-    return _row_scores(model, x, class_index, "gradient-times-input")
 
 
 def ablation_config(variant: str, base: TrainConfig) -> TrainConfig:

@@ -302,8 +302,9 @@ def main(argv=None) -> int:
             p.add_argument("--config", required=True)
         if needs_checkpoint:
             p.add_argument("--checkpoint", required=True)
+        else:  # a checkpoint brings its own seed
+            p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None)
-        p.add_argument("--seed", type=int, default=None)
         for flag, kwargs in extra:
             p.add_argument(flag, **kwargs)
         p.set_defaults(fn=fn)

@@ -52,38 +52,6 @@ class SelectionSet:
         if any(b <= a for a, b in zip(idx, idx[1:])):
             raise ValueError("indices must be strictly increasing")
 
-    @property
-    def k(self) -> int:
-        return len(self.indices)
-
-    def mask(self) -> np.ndarray:
-        m = np.zeros(self.d)
-        m[list(self.indices)] = 1.0
-        return m
-
-    def complement(self) -> tuple:
-        chosen = set(self.indices)
-        return tuple(i for i in range(self.d) if i not in chosen)
-
-
-@dataclass(frozen=True)
-class RelaxedMask:
-    """Differentiable approximately-k-hot mask."""
-
-    v: np.ndarray
-    k: int
-    tau: float
-
-    def __post_init__(self):
-        v = np.asarray(self.v, dtype=np.float64)
-        object.__setattr__(self, "v", v)
-        if self.k < 1 or self.tau <= 0:
-            raise ValueError("need k >= 1 and tau > 0")
-        if v.min() < -SIMPLEX_TOL or v.max() > 1.0 + SIMPLEX_TOL:
-            raise ValueError("mask entries must lie in [0, 1]")
-        if v.sum() > self.k + SIMPLEX_TOL:
-            raise ValueError("mask entries must sum to at most k")
-
 
 @dataclass
 class TrainConfig:
@@ -305,9 +273,6 @@ class Mlp:
         if vec.shape != (self.n_params,):
             raise ShapeError(f"expected {self.n_params} parameters, got {vec.shape}")
         self._params[:] = vec
-
-    def clone(self) -> "Mlp":
-        return Mlp(self.in_dim, self.layers, parameters=self._params)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Fast forward pass without building a graph."""

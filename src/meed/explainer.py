@@ -9,26 +9,13 @@ decays as the epoch counter m grows:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
-from .core import ConfigError, Mlp, ShapeError, classifier_layers, is_simplex
+from .core import ConfigError, Mlp, ShapeError, classifier_layers
 from .sampler import Z_EPS
-
-
-@dataclass(frozen=True)
-class PriorScores:
-    r: np.ndarray
-    source_method: str
-
-    def __post_init__(self):
-        r = np.asarray(self.r, dtype=np.float64)
-        object.__setattr__(self, "r", r)
-        if not is_simplex(r):
-            raise ValueError("prior scores must lie on the probability simplex")
 
 
 class ExplainerNet(Mlp):
@@ -47,9 +34,13 @@ class ExplainerNet(Mlp):
                          classifier_layers(hidden, self.d), rng=rng)
 
     def _input(self, x, y) -> np.ndarray:
-        """[x, y] (or x) after checking the feature and output widths."""
+        """[x, y] (or x) after checking the row counts and the feature and
+        output widths."""
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
+        if x.shape[:-1] != y.shape[:-1]:
+            raise ShapeError(f"features {x.shape} and model outputs {y.shape} "
+                             f"differ in their rows")
         if x.shape[-1] != self.d:
             raise ShapeError(f"expected {self.d} features, got {x.shape[-1]}")
         if y.shape[-1] != self.c:
@@ -69,7 +60,8 @@ class ExplainerNet(Mlp):
 # ---------------------------------------------------------------------------
 
 def fuse_prior_var(z: ad.Var, r: np.ndarray, m: int) -> ad.Var:
-    """Differentiable fusion for a batch: z (n, d), r (n, d) or (d,)."""
+    """z~ propto (z^m r)^(1/(m+1)) for a batch: z (n, d), r (n, d) or (d,);
+    m=0 returns the prior, m->inf returns z."""
     if m < 0:
         raise ConfigError("epoch counter m must be >= 0")
     r = np.clip(np.asarray(r, dtype=np.float64), Z_EPS, None)
@@ -82,26 +74,8 @@ def fuse_prior_var(z: ad.Var, r: np.ndarray, m: int) -> ad.Var:
     return ad.div(u, total)
 
 
-def fuse_prior(z: np.ndarray, r, m: int) -> np.ndarray:
-    """z~ propto (z^m r)^(1/(m+1)); m=0 returns the prior, m->inf returns z."""
-    if m < 0:
-        raise ConfigError("epoch counter m must be >= 0")
-    z = np.asarray(z, dtype=np.float64)
-    r_arr = r.r if isinstance(r, PriorScores) else np.asarray(r, dtype=np.float64)
-    squeeze = z.ndim == 1
-    zb = np.atleast_2d(z)
-    out = fuse_prior_var(ad.Var(zb), np.atleast_2d(np.broadcast_to(r_arr, zb.shape)), m).value
-    return out[0] if squeeze else out
-
-
 def prior_constraint_loss_var(z_tilde: ad.Var, z: ad.Var, m: int) -> ad.Var:
+    """Mean absolute error between z~ and z, faded by 1/(m+1)."""
     if m < 0:
         raise ConfigError("epoch counter m must be >= 0")
     return ad.mul(ad.mean_all(ad.absolute(ad.sub(z_tilde, z))), 1.0 / (m + 1.0))
-
-
-def prior_constraint_loss(z_tilde: np.ndarray, z: np.ndarray, m: int) -> float:
-    """Mean absolute error between z~ and z, faded by 1/(m+1)."""
-    out = prior_constraint_loss_var(ad.Var(np.asarray(z_tilde, dtype=np.float64)),
-                                    ad.Var(np.asarray(z, dtype=np.float64)), m)
-    return float(out.value)

@@ -23,7 +23,7 @@ from .approximators import (ApproximatorPair, cross_entropy_var, make_pair,
 from .baselines import prior_scores
 from .core import (ConfigError, Mlp, ShapeError, TrainConfig, classifier_layers,
                    is_simplex, named_rng, read_record, write_record)
-from .explainer import ExplainerNet, fuse_prior, fuse_prior_var, prior_constraint_loss_var
+from .explainer import ExplainerNet, fuse_prior_var, prior_constraint_loss_var
 from .sampler import relaxed_topk_var, sample_gumbel_batch
 
 log = logging.getLogger(__name__)
@@ -161,7 +161,7 @@ def approximator_step(pair: ApproximatorPair, explainer: ExplainerNet,
     """One update of both approximators; explainer parameters stay frozen."""
     z = explainer.score(x, y)
     if prior_r is not None:
-        z = fuse_prior(z, prior_r, m)
+        z = fuse_prior_var(ad.Var(z), prior_r, m).value
     v = relaxed_topk_var(ad.Var(z), xi, config.tau).value
     leaves_s = pair.a_selected.make_leaves()
     leaves_u = pair.a_unselected.make_leaves()
@@ -329,6 +329,8 @@ def train(dataset, model, config: TrainConfig,
     if fusion != "concat-raw":
         raise ConfigError(f"unknown feedback fusion: {fusion}")
     x_all = np.asarray(dataset.X, dtype=np.float64)
+    if x_all.ndim != 2:
+        raise ShapeError(f"features must be an (n, d) array, got shape {x_all.shape}")
     n, d = x_all.shape
     if n == 0:
         raise ConfigError("dataset is empty")

@@ -21,12 +21,11 @@ from meed.baselines import ablation_config
 from meed.data import (Dataset, SyntheticSpec, generate_synthetic,
                        load_idx_images, model_accuracy, split_dataset,
                        train_given_model)
-from meed.explainer import ExplainerNet, fuse_prior, prior_constraint_loss
+from meed.explainer import ExplainerNet, fuse_prior_var, prior_constraint_loss_var
 from meed.metrics import (brute_force_best_subset, evaluate_explainer,
                           explainer_masks, fidelity_selected_model,
                           fidelity_unselected_approx, mask_cosine, mi_estimate)
-from meed.sampler import (GumbelNoise, relaxed_topk, sample_gumbel_batch,
-                          sample_gumbel_noise)
+from meed.sampler import relaxed_topk_var, sample_gumbel_batch
 from meed.trainer import explainer_objective, load_checkpoint, save_checkpoint, train
 from tests.conftest import finite_difference, mnist_dir, relative_error
 
@@ -89,17 +88,17 @@ def ablation_runs(sparse_run):
 # ---------------------------------------------------------------------------
 
 def test_criterion_01_prior_fusion_exactness():
-    r = np.array([0.9, 0.1])
-    m0 = fuse_prior(np.array([0.2, 0.8]), r, m=0)
-    assert np.allclose(m0, r, atol=1e-12)
+    r = np.array([[0.9, 0.1]])
+    m0 = fuse_prior_var(ad.Var(np.array([[0.2, 0.8]])), r, m=0).value[0]
+    assert np.allclose(m0, r[0], atol=1e-12)
 
-    fused = fuse_prior(np.array([0.5, 0.5]), r, m=1)
+    fused = fuse_prior_var(ad.Var(np.array([[0.5, 0.5]])), r, m=1).value[0]
     assert np.max(np.abs(fused - np.array([0.75, 0.25]))) <= 1e-9
 
-    z_tilde = np.array([[0.75, 0.25]])
-    z_now = np.array([[0.25, 0.75]])
-    l0 = prior_constraint_loss(z_tilde, z_now, m=0)
-    l1 = prior_constraint_loss(z_tilde, z_now, m=1)
+    z_tilde = ad.Var(np.array([[0.75, 0.25]]))
+    z_now = ad.Var(np.array([[0.25, 0.75]]))
+    l0 = float(prior_constraint_loss_var(z_tilde, z_now, m=0).value)
+    l1 = float(prior_constraint_loss_var(z_tilde, z_now, m=1).value)
     assert np.isclose(l1, l0 / 2.0)
     report(1, f"m=0 returns the prior; fused=({fused[0]:.9f}, {fused[1]:.9f}); "
               f"constraint loss fades {l0:.4f} -> {l1:.4f}")
@@ -110,10 +109,9 @@ def test_criterion_01_prior_fusion_exactness():
 # ---------------------------------------------------------------------------
 
 def test_criterion_02_gumbel_sampler():
-    z = np.array([0.5, 0.3, 0.2])
-    ident = relaxed_topk(z, k=2, tau=1.0,
-                         noise=GumbelNoise(xi=np.zeros((3, 2))))
-    assert np.allclose(ident.v, z, atol=1e-12)
+    z = np.array([[0.5, 0.3, 0.2]])
+    ident = relaxed_topk_var(ad.Var(z), np.zeros((1, 3, 2)), tau=1.0).value
+    assert np.allclose(ident, z, atol=1e-12)
 
     z3 = np.array([0.7, 0.2, 0.1])
     rng = named_rng(123, "gumbel")
@@ -123,15 +121,12 @@ def test_criterion_02_gumbel_sampler():
     freqs = np.bincount(winners, minlength=3) / draws
     assert np.all(np.abs(freqs - z3) <= 0.01)
 
-    near_binary = []
-    rng2 = named_rng(77, "gumbel")
-    for _ in range(2000):
-        noise = sample_gumbel_noise(3, 2, rng2)
-        mask = relaxed_topk(z3, k=2, tau=0.5, noise=noise)
-        assert mask.v.sum() <= 2 + 1e-9
-        cold = relaxed_topk(z3, k=2, tau=0.01, noise=noise)
-        near_binary.append(np.minimum(cold.v, 1 - cold.v) < 0.05)
-    frac = np.concatenate(near_binary).mean()
+    noise = sample_gumbel_batch(2000, 3, 2, named_rng(77, "gumbel"))
+    z_rows = ad.Var(np.tile(z3, (2000, 1)))
+    mask = relaxed_topk_var(z_rows, noise, tau=0.5).value
+    assert np.all(mask.sum(axis=1) <= 2 + 1e-9)
+    cold = relaxed_topk_var(z_rows, noise, tau=0.01).value
+    frac = (np.minimum(cold, 1 - cold) < 0.05).mean()
     # near-ties between the k Gumbel races leave a small fraction of entries
     # fractional at any fixed positive temperature
     assert frac >= 0.95

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from meed.core import BlackBoxModel, Mlp, ShapeError, TrainConfig
-from meed.baselines import (ABLATION_VARIANTS, FD_STEP, ablation_config, grad_scores,
-                            gradient_times_input_scores, prior_scores)
+from meed.baselines import ABLATION_VARIANTS, FD_STEP, ablation_config, prior_scores
 from meed.data import MlpModel
 from meed.trainer import compute_prior_scores
 from tests.conftest import finite_difference
@@ -50,6 +49,13 @@ class WithGradient(SoftmaxLinear):
         return analytic_gradients(self, x, np.asarray(class_index))
 
 
+def row_scores(model, x, method="grad", class_index=None):
+    """Prior scores of one row x (d,) for its class, by default the model's argmax."""
+    if class_index is None:
+        class_index = int(np.argmax(model.evaluate(x)))
+    return prior_scores(model, x[None], [class_index], method)[0]
+
+
 def test_grad_scores_match_analytic_softmax():
     w = np.array([[1.0, -2.0, 0.5], [-1.0, 2.0, -0.5]])
     model = SoftmaxLinear(w)
@@ -57,25 +63,23 @@ def test_grad_scores_match_analytic_softmax():
     cls = int(np.argmax(model.evaluate(x)[0]))
     expected = np.abs(analytic_gradient(model, x, cls))
     expected /= expected.sum()
-    scores = grad_scores(model, x)
-    assert np.allclose(scores.r, expected, atol=1e-3)
-    assert scores.source_method == "grad"
+    assert np.allclose(row_scores(model, x), expected, atol=1e-3)
 
 
 def test_grad_scores_use_exact_gradient_when_available():
     w = np.array([[1.0, -2.0, 0.5], [-1.0, 2.0, -0.5]])
-    fd_scores = grad_scores(SoftmaxLinear(w), np.array([0.3, -0.7, 1.2]))
-    exact_scores = grad_scores(WithGradient(w), np.array([0.3, -0.7, 1.2]))
-    assert np.allclose(fd_scores.r, exact_scores.r, atol=1e-4)
+    fd_scores = row_scores(SoftmaxLinear(w), np.array([0.3, -0.7, 1.2]))
+    exact_scores = row_scores(WithGradient(w), np.array([0.3, -0.7, 1.2]))
+    assert np.allclose(fd_scores, exact_scores, atol=1e-4)
 
 
 def test_grad_scores_explicit_class_index():
     w = np.array([[1.0, 0.0], [0.0, 1.0]])
     model = SoftmaxLinear(w)
     x = np.array([2.0, -2.0])
-    s0 = grad_scores(model, x, class_index=0)
-    s1 = grad_scores(model, x, class_index=1)
-    assert np.allclose(s0.r.sum(), 1.0) and np.allclose(s1.r.sum(), 1.0)
+    s0 = row_scores(model, x, class_index=0)
+    s1 = row_scores(model, x, class_index=1)
+    assert np.allclose(s0.sum(), 1.0) and np.allclose(s1.sum(), 1.0)
 
 
 def test_zero_gradient_falls_back_to_uniform():
@@ -87,22 +91,22 @@ def test_zero_gradient_falls_back_to_uniform():
         def randomize(self, rng):
             pass
 
-    scores = grad_scores(Constant(), np.array([1.0, 2.0, 3.0, 4.0]))
-    assert np.allclose(scores.r, 0.25)
+    scores = row_scores(Constant(), np.array([1.0, 2.0, 3.0, 4.0]))
+    assert np.allclose(scores, 0.25)
 
 
 def test_gradient_times_input_zero_input_uniform():
     w = np.array([[1.0, -2.0], [-1.0, 2.0]])
-    scores = gradient_times_input_scores(SoftmaxLinear(w), np.zeros(2))
-    assert np.allclose(scores.r, 0.5)
+    scores = row_scores(SoftmaxLinear(w), np.zeros(2), "gradient-times-input")
+    assert np.allclose(scores, 0.5)
 
 
 def test_gradient_times_input_weights_by_feature_value():
     w = np.array([[1.0, 1.0], [-1.0, -1.0]])
     model = SoftmaxLinear(w)
     x = np.array([2.0, 0.001])
-    scores = gradient_times_input_scores(model, x)
-    assert scores.r[0] > scores.r[1]
+    scores = row_scores(model, x, "gradient-times-input")
+    assert scores[0] > scores[1]
 
 
 def test_ablation_variants_cover_table():
@@ -194,11 +198,8 @@ def test_single_row_scores_are_rows_of_the_batch(method):
     x = np.random.default_rng(3).standard_normal((4, 3))
     classes = np.array([0, 1, 1, 0])
     batch = prior_scores(model, x, classes, method)
-    single = grad_scores if method == "grad" else gradient_times_input_scores
     for xi, c, row in zip(x, classes, batch):
-        scores = single(model, xi, class_index=int(c))
-        assert scores.source_method == method
-        assert np.array_equal(scores.r, row)
+        assert np.array_equal(row_scores(model, xi, method, class_index=int(c)), row)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +256,7 @@ def test_batched_mlp_gradient_rows_match_single_row_calls():
     batch = model.gradient(x, classes)
     assert batch.shape == (11, 7)
     for xi, c, row in zip(x, classes, batch):
-        assert np.allclose(model.gradient(xi, int(c)), row, rtol=0, atol=1e-12)
+        assert np.allclose(model.gradient(xi[None], [c])[0], row, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

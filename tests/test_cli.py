@@ -323,6 +323,23 @@ def test_evaluate_and_sanity_shape_mismatch_exit_4(trained_dir, tmp_path):
         assert code == EXIT_SHAPE
 
 
+def test_seed_option_only_on_commands_without_a_checkpoint(trained_dir, tmp_path, capsys):
+    """explain, evaluate and sanity use the checkpoint's seed and reject --seed;
+    synth keeps it."""
+    config_path, out = trained_dir
+    code = main(["synth", "--config", config_path, "--seed", "3", "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    ckpt = os.path.join(out, "checkpoint.bin")
+    for argv in (["explain", "--checkpoint", ckpt, "--data", str(tmp_path / "dataset.txt")],
+                 ["evaluate", "--config", config_path, "--checkpoint", ckpt],
+                 ["sanity", "--config", config_path, "--checkpoint", ckpt]):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "3"])
+        assert exc.value.code == EXIT_CONFIG
+        assert "--seed" in capsys.readouterr().err
+
+
 def test_evaluate_writes_parseable_report(trained_dir):
     config_path, out = trained_dir
     code = main(["evaluate", "--config", config_path,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from meed import autodiff as ad
-from meed.core import (ConfigError, Mlp, RelaxedMask, SelectionSet, ShapeError,
+from meed.core import (ConfigError, Mlp, SelectionSet, ShapeError,
                        TrainConfig, classifier_layers, is_simplex, named_rng)
 from tests.conftest import finite_difference, relative_error
 
@@ -20,22 +20,14 @@ def test_is_simplex():
 
 
 def test_selection_set_invariants():
-    sel = SelectionSet(indices=(1, 4), d=6)
-    assert sel.k == 2
-    assert np.allclose(sel.mask(), [0, 1, 0, 0, 1, 0])
-    assert sel.complement() == (0, 2, 3, 5)
+    sel = SelectionSet(indices=(np.int64(1), 4), d=6)
+    assert sel.indices == (1, 4) and all(type(i) is int for i in sel.indices)
     with pytest.raises(ValueError):
         SelectionSet(indices=(4, 1), d=6)
     with pytest.raises(ValueError):
         SelectionSet(indices=(1, 1), d=6)
     with pytest.raises(ValueError):
         SelectionSet(indices=(0, 6), d=6)
-
-
-def test_relaxed_mask_bounds():
-    RelaxedMask(v=np.array([0.5, 0.5]), k=1, tau=0.5)
-    with pytest.raises(ValueError):
-        RelaxedMask(v=np.array([1.5, 0.0]), k=1, tau=0.5)
 
 
 def test_train_config_validation():
@@ -88,7 +80,7 @@ def test_mlp_forward_var_matches_predict(rng):
 
 def test_mlp_clone_and_set_parameters(rng):
     net = make_net(rng)
-    other = net.clone()
+    other = Mlp(net.in_dim, net.layers, parameters=net.parameters)
     x = rng.standard_normal((3, 5))
     assert np.allclose(net.predict(x), other.predict(x))
     other.set_parameters(other.parameters * 0.0)
@@ -116,8 +108,7 @@ def test_net_gradient_matches_finite_differences(rng):
     grad = net.grad_from_leaves(leaves)
 
     def scalar(params):
-        probe = net.clone()
-        probe.set_parameters(params)
+        probe = Mlp(net.in_dim, net.layers, parameters=params)
         pred = probe.predict(x)
         return float(-np.mean(target * np.log(np.maximum(pred, 1e-12))) * 2.0)
 

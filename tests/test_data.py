@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meed.core import named_rng
+from meed.core import Mlp, named_rng
 from meed.data import (MODEL_MAGIC, Dataset, DatasetFileError, IdxParseError, MlpModel,
                        ModelFileError, SyntheticSpec, export_dataset, generate_synthetic,
                        import_dataset, load_idx_images, load_model, model_accuracy,
@@ -209,7 +209,7 @@ def test_given_model_accuracy_and_determinism(tiny_model):
 def test_model_gradient_matches_finite_differences(tiny_model):
     model, _, te, _ = tiny_model
     x = te.X[0]
-    g = model.gradient(x, 0)
+    g = model.gradient(x[None], [0])[0]
     fd = np.zeros_like(x)
     for j in range(x.size):
         hi, lo = x.copy(), x.copy()
@@ -279,6 +279,6 @@ def test_damaged_model_file_fails_with_model_file_error_or_loads_identically(
 
 def test_model_randomize_changes_outputs(tiny_model):
     model, _, te, _ = tiny_model
-    twin = model.copy()
+    twin = MlpModel(Mlp(model.net.in_dim, model.net.layers, parameters=model.net.parameters))
     twin.randomize(named_rng(0, "model"))
     assert not np.allclose(model.evaluate(te.X), twin.evaluate(te.X))

@@ -6,11 +6,18 @@ import pytest
 from meed import autodiff as ad
 from meed.core import ConfigError, ShapeError, TrainConfig
 from meed.data import Dataset
-from meed.explainer import (ExplainerNet, PriorScores, fuse_prior,
-                            fuse_prior_var, prior_constraint_loss,
-                            prior_constraint_loss_var)
+from meed.explainer import ExplainerNet, fuse_prior_var, prior_constraint_loss_var
 from meed.trainer import train
 from tests.conftest import finite_difference, relative_error
+
+
+def fuse_prior(z, r, m):
+    """Fused scores of one score row z (d,) and its prior r (d,)."""
+    return fuse_prior_var(ad.Var(np.asarray(z)[None]), np.asarray(r)[None], m).value[0]
+
+
+def prior_constraint_loss(z_tilde, z, m):
+    return float(prior_constraint_loss_var(ad.Var(z_tilde), ad.Var(z), m).value)
 
 
 def test_scores_are_simplex(rng):
@@ -60,6 +67,16 @@ def test_score_rejects_mismatched_shapes(rng):
         net.score(np.zeros((2, 5)), np.tile([0.3, 0.3, 0.4], (2, 1)))
 
 
+@pytest.mark.parametrize("use_output", [True, False])
+def test_score_rejects_mismatched_rows(rng, use_output):
+    net = ExplainerNet(d=5, c=2, hidden=(6,), use_output=use_output, rng=rng)
+    x, y = np.zeros((3, 5)), np.tile([0.5, 0.5], (2, 1))
+    with pytest.raises(ShapeError, match="rows"):
+        net.score(x, y)
+    with pytest.raises(ShapeError, match="rows"):
+        net.score_var(x, y, net.make_leaves())
+
+
 def test_score_var_matches_score(rng):
     net = ExplainerNet(d=4, c=2, hidden=(5,), rng=rng)
     x = rng.standard_normal((3, 4))
@@ -86,12 +103,6 @@ def test_fuse_prior_decays_toward_explainer():
     gaps = [abs(fuse_prior(z, r, m)[0] - 0.5) for m in (0, 1, 5, 50)]
     assert gaps == sorted(gaps, reverse=True)
     assert gaps[-1] < 0.02
-
-
-def test_fuse_prior_accepts_prior_scores_wrapper():
-    prior = PriorScores(r=np.array([0.6, 0.4]), source_method="grad")
-    fused = fuse_prior(np.array([0.5, 0.5]), prior, m=0)
-    assert np.allclose(fused, prior.r)
 
 
 def test_prior_constraint_loss_halves_with_epoch():
@@ -124,9 +135,5 @@ def test_prior_constraint_loss_var_matches_scalar(rng):
     z_tilde = rng.random((3, 4))
     z = rng.random((3, 4))
     got = prior_constraint_loss_var(ad.Var(z_tilde), ad.Var(z), m=3).value
-    assert np.isclose(got, prior_constraint_loss(z_tilde, z, m=3))
+    assert np.isclose(got, np.mean(np.abs(z_tilde - z)) / 4.0)
 
-
-def test_prior_scores_must_be_simplex():
-    with pytest.raises(ValueError):
-        PriorScores(r=np.array([0.9, 0.4]), source_method="grad")

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from meed.core import SelectionSet, TrainConfig, named_rng
-from meed.data import Dataset, SyntheticSpec, generate_synthetic, split_dataset, train_given_model
+from meed.core import Mlp, SelectionSet, TrainConfig, named_rng
+from meed.data import (Dataset, MlpModel, SyntheticSpec, generate_synthetic, split_dataset,
+                       train_given_model)
 from meed.metrics import (MetricsReport, brute_force_best_subset,
                           default_sen_radius, evaluate_explainer,
                           explainer_masks, fidelity_selected_model,
@@ -135,7 +136,7 @@ def test_evaluate_explainer_produces_full_report(trained_run):
 def test_evaluate_explainer_leaves_caller_datasets_untouched(trained_run):
     """One dataset scored against two models gives each model's own report."""
     explainer, model, feats, te, _, _ = trained_run
-    other = model.copy()
+    other = MlpModel(Mlp(model.net.in_dim, model.net.layers, parameters=model.net.parameters))
     other.randomize(named_rng(5, "model"))
 
     def fresh():

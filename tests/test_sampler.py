@@ -6,44 +6,38 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meed import autodiff as ad
-from meed.core import SelectionSet, named_rng
-from meed.sampler import (GumbelNoise, gumbel_from_uniform, hard_topk,
-                          hard_topk_batch, relaxed_topk, relaxed_topk_var,
-                          sample_gumbel_batch, sample_gumbel_noise)
+from meed.core import ConfigError, SelectionSet, named_rng
+from meed.sampler import (gumbel_from_uniform, hard_topk, hard_topk_batch,
+                          relaxed_topk_var, sample_gumbel_batch)
 
 
-def zero_noise(d, k):
-    return GumbelNoise(xi=np.zeros((d, k)))
+def relaxed(z, xi, tau):
+    """Masks (n, d) for score rows z (n, d) and noise xi (n, d, k)."""
+    return relaxed_topk_var(ad.Var(z), xi, tau).value
 
 
 def test_zero_noise_tau_one_is_identity():
-    z = np.array([0.5, 0.3, 0.2])
-    mask = relaxed_topk(z, k=2, tau=1.0, noise=zero_noise(3, 2))
-    assert np.allclose(mask.v, z, atol=1e-12)
+    z = np.array([[0.5, 0.3, 0.2]])
+    assert np.allclose(relaxed(z, np.zeros((1, 3, 2)), tau=1.0), z, atol=1e-12)
 
 
 def test_mask_sum_bounded_by_k(rng):
     for _ in range(200):
         d = rng.integers(3, 12)
         k = int(rng.integers(1, d))
-        z = rng.random(d)
+        z = rng.random((1, d))
         z /= z.sum()
-        noise = sample_gumbel_noise(d, k, rng)
-        mask = relaxed_topk(z, k=k, tau=0.5, noise=noise)
-        assert mask.v.sum() <= k + 1e-6
-        assert mask.v.min() >= 0.0 and mask.v.max() <= 1.0
+        v = relaxed(z, sample_gumbel_batch(1, d, k, rng), tau=0.5)
+        assert v.sum() <= k + 1e-6
+        assert v.min() >= 0.0 and v.max() <= 1.0
 
 
 def test_low_temperature_is_near_binary(rng):
     # Entries sit at 0 or 1 except when two Gumbel races nearly tie, which
     # happens for a small fraction of draws at any fixed positive tau.
-    z = np.array([0.4, 0.3, 0.2, 0.1])
-    gaps = []
-    for _ in range(500):
-        noise = sample_gumbel_noise(4, 2, rng)
-        mask = relaxed_topk(z, k=2, tau=0.01, noise=noise)
-        gaps.append(np.minimum(mask.v, 1.0 - mask.v))
-    near_binary = np.concatenate(gaps) < 0.05
+    z = np.tile([0.4, 0.3, 0.2, 0.1], (500, 1))
+    v = relaxed(z, sample_gumbel_batch(500, 4, 2, rng), tau=0.01)
+    near_binary = np.minimum(v, 1.0 - v) < 0.05
     assert near_binary.mean() >= 0.95
 
 
@@ -83,12 +77,18 @@ def test_hard_topk_batch_matches_single(rng):
     z /= z.sum(axis=1, keepdims=True)
     masks = hard_topk_batch(z, 2)
     for i in range(6):
-        assert np.allclose(masks[i], hard_topk(z[i], 2).mask())
+        assert np.flatnonzero(masks[i]).tolist() == list(hard_topk(z[i], 2).indices)
+
+
+@pytest.mark.parametrize("k", [-1, 0, 4, 5])
+def test_hard_topk_batch_rejects_k_outside_1_to_d(k):
+    with pytest.raises(ConfigError, match="1 <= k <= d"):
+        hard_topk_batch(np.full((2, 3), 1 / 3), k)
 
 
 def test_noise_is_deterministic_per_rng():
-    a = sample_gumbel_noise(4, 2, named_rng(3, "gumbel")).xi
-    b = sample_gumbel_noise(4, 2, named_rng(3, "gumbel")).xi
+    a = sample_gumbel_batch(1, 4, 2, named_rng(3, "gumbel"))
+    b = sample_gumbel_batch(1, 4, 2, named_rng(3, "gumbel"))
     assert np.allclose(a, b)
 
 
@@ -96,24 +96,18 @@ def test_relaxed_topk_var_matches_numpy_path(rng):
     z = rng.random((3, 5))
     z /= z.sum(axis=1, keepdims=True)
     xi = sample_gumbel_batch(3, 5, 2, rng)
-    out = relaxed_topk_var(ad.Var(z), xi, tau=0.5)
-    for i in range(3):
-        single = relaxed_topk(z[i], k=2, tau=0.5,
-                              noise=GumbelNoise(xi=xi[i]))
-        assert np.allclose(out.value[i], single.v)
-
-
-def test_relaxed_topk_rejects_bad_noise_shape():
-    with pytest.raises(ValueError):
-        relaxed_topk(np.array([0.5, 0.5]), k=1, tau=0.5, noise=zero_noise(3, 1))
+    # v_j = max over the k races of softmax_j((log z + xi[:, l]) / tau)
+    races = np.exp((np.log(z)[:, :, None] + xi) / 0.5)
+    want = (races / races.sum(axis=1, keepdims=True)).max(axis=2)
+    assert np.allclose(relaxed(z, xi, tau=0.5), want)
 
 
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 @settings(max_examples=25, deadline=None)
 def test_mask_bounds_hold_for_any_seed(seed):
     rng = np.random.default_rng(seed)
-    z = rng.random(6)
+    z = rng.random((1, 6))
     z /= z.sum()
-    mask = relaxed_topk(z, k=3, tau=0.5, noise=sample_gumbel_noise(6, 3, rng))
-    assert mask.v.sum() <= 3 + 1e-6
-    assert mask.v.min() >= 0.0
+    v = relaxed(z, sample_gumbel_batch(1, 6, 3, rng), tau=0.5)
+    assert v.sum() <= 3 + 1e-6
+    assert v.min() >= 0.0

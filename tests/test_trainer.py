@@ -186,6 +186,13 @@ def test_train_rejects_non_finite_features(outputs_supplied):
         train(Dataset(ids=ds.ids, X=ds.X, Y=y), model, config)
 
 
+@pytest.mark.parametrize("shape", [(6,), (2, 3, 2)])
+def test_train_rejects_features_that_are_not_rows(shape):
+    ds = Dataset(ids=[str(i) for i in range(shape[0])], X=np.zeros(shape))
+    with pytest.raises(ShapeError, match=r"\(n, d\) array"):
+        train(ds, FixedModel(), TrainConfig(k=1, epochs=1))
+
+
 def same_state(a, b) -> bool:
     """Equality of nested dicts whose leaves may be numpy arrays."""
     if isinstance(a, dict):
