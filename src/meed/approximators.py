@@ -27,11 +27,16 @@ def make_pair(d: int, c: int, hidden: Sequence[int],
                             a_unselected=Mlp(d, layers, rng=rng))
 
 
-def cross_entropy_var(target: np.ndarray, pred: ad.Var) -> ad.Var:
-    """Batch-mean cross-entropy: target (n, c) constant, pred (n, c) Var."""
-    logp = ad.log(ad.clamp_min(pred, CE_EPS))
-    per_sample = ad.sum_along(ad.mul(logp, -np.asarray(target, dtype=np.float64)), axis=1)
-    return ad.mean_all(per_sample)
+def cross_entropy_var(target: np.ndarray, pred) -> ad.Var:
+    """Batch-mean cross-entropy: target (n, c) constant, pred (n, c) Var.
+    One tape node; its VJP is -target / (n * pred) where pred > CE_EPS."""
+    pred = ad.as_var(pred)
+    neg_target = -np.asarray(target, dtype=np.float64)
+    above = pred.value > CE_EPS
+    p = np.maximum(pred.value, CE_EPS)
+    n = p.shape[0]
+    return ad.Var((np.log(p) * neg_target).sum(axis=1).mean(), (pred,),
+                  lambda g: (g / n * neg_target / p * above,))
 
 
 def relativistic_flip(y: np.ndarray) -> np.ndarray:
@@ -53,10 +58,21 @@ def sw_directions(c: int, n_proj: int, rng: np.random.Generator) -> np.ndarray:
     return theta / np.linalg.norm(theta, axis=0, keepdims=True)
 
 
-def sliced_wasserstein_var(batch_a: np.ndarray, batch_b: ad.Var,
+def sliced_wasserstein_var(batch_a: np.ndarray, batch_b,
                            thetas: np.ndarray) -> ad.Var:
-    """Mean over projections of the squared 1-D 2-Wasserstein distance."""
+    """Mean over projections of the squared 1-D 2-Wasserstein distance.
+    One tape node; its VJP sends each sorted difference back through the
+    inverse of its projection's sort, then through the projection."""
+    batch_b = ad.as_var(batch_b)
     proj_a = np.sort(np.asarray(batch_a, dtype=np.float64) @ thetas, axis=0)
-    proj_b = ad.sort_axis0(ad.matmul(batch_b, thetas))
-    diff = ad.sub(proj_b, proj_a)
-    return ad.mean_all(ad.mul(diff, diff))
+    proj_b = batch_b.value @ thetas
+    order = np.argsort(proj_b, axis=0, kind="stable")
+    diff = np.take_along_axis(proj_b, order, axis=0) - proj_a
+
+    def vjp(g):
+        half = g / diff.size * diff
+        g_proj = np.zeros_like(proj_b)
+        np.put_along_axis(g_proj, order, half + half, axis=0)
+        return (g_proj @ thetas.T,)
+
+    return ad.Var((diff * diff).mean(), (batch_b,), vjp)

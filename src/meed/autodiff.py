@@ -1,9 +1,10 @@
 """Minimal reverse-mode automatic differentiation over float64 numpy arrays.
 
-Only the operations needed by the explainer/approximator networks and the
-loss paths are implemented: dense algebra, relu, softmax, hard max, log/exp,
-elementwise arithmetic with broadcasting, sorting (for sliced Wasserstein),
-and reductions.
+The tape is coarse: each network and each loss is one node whose VJP is
+written out in closed form where it is defined (`Mlp.forward_var`, the
+relaxed top-k, the losses and the prior fusion). This module keeps only the
+graph, the backward pass, and the elementwise arithmetic and sum that glue
+those nodes together.
 """
 
 from __future__ import annotations
@@ -24,161 +25,49 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class Var:
-    """A node in the computation graph holding a float64 array."""
+    """A node in the computation graph holding a float64 array. `backward(g)`
+    maps the node's gradient g to one gradient per parent, in order."""
 
-    __slots__ = ("value", "grad", "_parents", "_vjps")
+    __slots__ = ("value", "grad", "_parents", "_backward")
 
-    def __init__(self, value, parents=(), vjps=()):
+    def __init__(self, value, parents=(), backward=None):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
         self._parents = parents
-        self._vjps = vjps
-
-    @property
-    def shape(self):
-        return self.value.shape
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
+        self._backward = backward
 
 
 def as_var(x) -> Var:
     return x if isinstance(x, Var) else Var(x)
 
 
+def _value(x) -> np.ndarray:
+    return x.value if isinstance(x, Var) else np.asarray(x, dtype=np.float64)
+
+
+def _glue(value, operands) -> Var:
+    """Node of an elementwise op over its (operand, VJP) pairs. Only Var
+    operands become parents: a constant gets no gradient."""
+    pairs = [(x, vjp) for x, vjp in operands if isinstance(x, Var)]
+    return Var(value, tuple(x for x, _ in pairs), lambda g: [vjp(g) for _, vjp in pairs])
+
+
 def add(a, b) -> Var:
-    a, b = as_var(a), as_var(b)
-    return Var(
-        a.value + b.value,
-        parents=(a, b),
-        vjps=(
-            lambda g: _unbroadcast(g, a.value.shape),
-            lambda g: _unbroadcast(g, b.value.shape),
-        ),
-    )
+    av, bv = _value(a), _value(b)
+    return _glue(av + bv, ((a, lambda g: _unbroadcast(g, av.shape)),
+                           (b, lambda g: _unbroadcast(g, bv.shape))))
 
 
 def sub(a, b) -> Var:
-    a, b = as_var(a), as_var(b)
-    return Var(
-        a.value - b.value,
-        parents=(a, b),
-        vjps=(
-            lambda g: _unbroadcast(g, a.value.shape),
-            lambda g: _unbroadcast(-g, b.value.shape),
-        ),
-    )
+    av, bv = _value(a), _value(b)
+    return _glue(av - bv, ((a, lambda g: _unbroadcast(g, av.shape)),
+                           (b, lambda g: _unbroadcast(-g, bv.shape))))
 
 
 def mul(a, b) -> Var:
-    a, b = as_var(a), as_var(b)
-    return Var(
-        a.value * b.value,
-        parents=(a, b),
-        vjps=(
-            lambda g: _unbroadcast(g * b.value, a.value.shape),
-            lambda g: _unbroadcast(g * a.value, b.value.shape),
-        ),
-    )
-
-
-def div(a, b) -> Var:
-    a, b = as_var(a), as_var(b)
-    out = a.value / b.value
-    return Var(
-        out,
-        parents=(a, b),
-        vjps=(
-            lambda g: _unbroadcast(g / b.value, a.value.shape),
-            lambda g: _unbroadcast(-g * out / b.value, b.value.shape),
-        ),
-    )
-
-
-def matmul(a, b) -> Var:
-    a, b = as_var(a), as_var(b)
-    return Var(
-        a.value @ b.value,
-        parents=(a, b),
-        vjps=(
-            lambda g: g @ b.value.T,
-            lambda g: a.value.T @ g,
-        ),
-    )
-
-
-def relu(a) -> Var:
-    a = as_var(a)
-    mask = a.value > 0.0
-    return Var(a.value * mask, parents=(a,), vjps=(lambda g: g * mask,))
-
-
-def log(a) -> Var:
-    a = as_var(a)
-    return Var(np.log(a.value), parents=(a,), vjps=(lambda g: g / a.value,))
-
-
-def exp(a) -> Var:
-    a = as_var(a)
-    out = np.exp(a.value)
-    return Var(out, parents=(a,), vjps=(lambda g: g * out,))
-
-
-def absolute(a) -> Var:
-    a = as_var(a)
-    sign = np.sign(a.value)
-    return Var(np.abs(a.value), parents=(a,), vjps=(lambda g: g * sign,))
-
-
-def clamp_min(a, lo: float) -> Var:
-    """max(a, lo) elementwise; subgradient passes only where a > lo."""
-    a = as_var(a)
-    mask = a.value > lo
-    return Var(np.maximum(a.value, lo), parents=(a,), vjps=(lambda g: g * mask,))
-
-
-def softmax(a, axis: int = -1) -> Var:
-    a = as_var(a)
-    shifted = a.value - a.value.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
-
-    def vjp(g):
-        return s * (g - (g * s).sum(axis=axis, keepdims=True))
-
-    return Var(s, parents=(a,), vjps=(vjp,))
-
-
-def max_along(a, axis: int) -> Var:
-    """Hard max over one axis; subgradient goes to the first achieving entry."""
-    a = as_var(a)
-    idx = np.expand_dims(np.argmax(a.value, axis=axis), axis)
-    out = np.take_along_axis(a.value, idx, axis=axis).squeeze(axis)
-
-    def vjp(g):
-        full = np.zeros_like(a.value)
-        np.put_along_axis(full, idx, np.expand_dims(g, axis), axis=axis)
-        return full
-
-    return Var(out, parents=(a,), vjps=(vjp,))
+    av, bv = _value(a), _value(b)
+    return _glue(av * bv, ((a, lambda g: _unbroadcast(g * bv, av.shape)),
+                           (b, lambda g: _unbroadcast(g * av, bv.shape))))
 
 
 def sum_along(a, axis=None, keepdims: bool = False) -> Var:
@@ -189,42 +78,9 @@ def sum_along(a, axis=None, keepdims: bool = False) -> Var:
         g = np.asarray(g)
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return np.broadcast_to(g, a.value.shape).copy()
+        return (np.broadcast_to(g, a.value.shape).copy(),)
 
-    return Var(out, parents=(a,), vjps=(vjp,))
-
-
-def mean_all(a) -> Var:
-    a = as_var(a)
-    n = a.value.size
-    return Var(
-        a.value.mean(),
-        parents=(a,),
-        vjps=(lambda g: np.full(a.value.shape, g / n),),
-    )
-
-
-def expand_dims(a, axis: int) -> Var:
-    a = as_var(a)
-    return Var(
-        np.expand_dims(a.value, axis),
-        parents=(a,),
-        vjps=(lambda g: g.squeeze(axis),),
-    )
-
-
-def sort_axis0(a) -> Var:
-    """Ascending sort of each column; gradient is scattered back by position."""
-    a = as_var(a)
-    order = np.argsort(a.value, axis=0, kind="stable")
-    out = np.take_along_axis(a.value, order, axis=0)
-
-    def vjp(g):
-        full = np.zeros_like(a.value)
-        np.put_along_axis(full, order, g, axis=0)
-        return full
-
-    return Var(out, parents=(a,), vjps=(vjp,))
+    return Var(out, (a,), vjp)
 
 
 def backward(root: Var) -> None:
@@ -248,10 +104,8 @@ def backward(root: Var) -> None:
                 stack.append((p, False))
     root.grad = np.ones_like(root.value)
     for node in reversed(order):
-        if node.grad is None:
+        if node.grad is None or not node._parents:
             continue
-        for parent, vjp in zip(node._parents, node._vjps):
-            contrib = vjp(node.grad)
-            if parent.grad is None:
-                parent.grad = np.zeros_like(parent.value)
-            parent.grad += contrib
+        for parent, contrib in zip(node._parents, node._backward(node.grad)):
+            # Out of place: a VJP may hand back its own input or a shared array.
+            parent.grad = contrib if parent.grad is None else parent.grad + contrib

@@ -296,31 +296,64 @@ class Mlp:
                 h = e / e.sum(axis=1, keepdims=True)
         return h[0] if squeeze else h
 
+    def _weights(self) -> list:
+        """Views into the flat parameters: each weight matrix, then its bias."""
+        return [p for w_sl, w_shape, b_sl in self._slices
+                for p in (self._params[w_sl].reshape(w_shape), self._params[b_sl])]
+
     def make_leaves(self) -> list:
         """Fresh graph leaves (one Var per weight matrix / bias vector)."""
-        leaves = []
-        for w_sl, w_shape, b_sl in self._slices:
-            leaves.append(ad.Var(self._params[w_sl].reshape(w_shape)))
-            leaves.append(ad.Var(self._params[b_sl]))
-        return leaves
+        return [ad.Var(p) for p in self._weights()]
 
-    def forward_var(self, x, leaves) -> ad.Var:
-        h = ad.as_var(x)
-        if h.value.ndim != 2 or h.value.shape[1] != self.in_dim:
-            raise ShapeError(
-                f"dense layer 0 expects input width {self.in_dim}, got {h.value.shape}")
+    def forward_var(self, x, leaves=None) -> ad.Var:
+        """The whole net as one tape node over a batch x (n, in_dim).
+
+        The node's parents are `x` when it is a Var, then `leaves`. With
+        `leaves=None` the weights are frozen and no weight gradient is
+        computed. One backward serves every parent: the softmax VJP, the relu
+        masks and, per dense layer, `g @ W.T`, `a.T @ g` and a bias sum.
+        """
+        x_var = x if isinstance(x, ad.Var) else None
+        h = x.value if x_var is not None else np.asarray(x, dtype=np.float64)
+        if h.ndim != 2 or h.shape[1] != self.in_dim:
+            raise ShapeError(f"dense layer 0 expects input width {self.in_dim}, got {h.shape}")
+        params = [leaf.value for leaf in leaves] if leaves is not None else self._weights()
+        saved = []  # per layer: the dense input, the relu mask or the softmax output
         dense_i = 0
         for layer in self.layers:
             if layer[0] == "dense":
-                w = leaves[2 * dense_i]
-                b = leaves[2 * dense_i + 1]
-                h = ad.add(ad.matmul(h, w), b)
+                saved.append(h)
+                h = h @ params[2 * dense_i] + params[2 * dense_i + 1]
                 dense_i += 1
             elif layer[0] == "relu":
-                h = ad.relu(h)
+                saved.append(h > 0.0)
+                h = h * saved[-1]
             else:
-                h = ad.softmax(h, axis=1)
-        return h
+                e = np.exp(h - h.max(axis=1, keepdims=True))
+                h = e / e.sum(axis=1, keepdims=True)
+                saved.append(h)
+
+        def backward(g):
+            grads = [None] * len(params) if leaves is not None else []
+            dense_i = len(self._slices)
+            for i in reversed(range(len(self.layers))):
+                kind, val = self.layers[i][0], saved[i]
+                if kind == "softmax":
+                    g = val * (g - (g * val).sum(axis=1, keepdims=True))
+                elif kind == "relu":
+                    g = g * val
+                else:
+                    dense_i -= 1
+                    if leaves is not None:
+                        grads[2 * dense_i] = val.T @ g
+                        grads[2 * dense_i + 1] = g.sum(axis=0)
+                    if i == 0 and x_var is None:
+                        break
+                    g = g @ params[2 * dense_i].T
+            return ([g] if x_var is not None else []) + grads
+
+        parents = ((x_var,) if x_var is not None else ()) + tuple(leaves or ())
+        return ad.Var(h, parents, backward)
 
     def grad_from_leaves(self, leaves) -> np.ndarray:
         flat = np.zeros(self.n_params)

@@ -262,9 +262,10 @@ class MlpModel(BlackBoxModel):
         """Exact d(output_class)/dx for rows x (n, d) with indices (n,): row i
         of the (n, d) result holds the gradient of out[i, class_index[i]]. The
         rows share one graph: the backward of sum_i out[i, class_index[i]]
-        yields every row's gradient at once."""
+        yields every row's gradient at once, and the frozen net computes no
+        weight gradients."""
         xv = ad.Var(np.asarray(x, dtype=np.float64))
-        out = self.net.forward_var(xv, self.net.make_leaves())
+        out = self.net.forward_var(xv)
         ad.backward(ad.sum_along(ad.mul(out, np.eye(self.c)[class_index])))
         return xv.grad
 

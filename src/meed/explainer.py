@@ -59,23 +59,40 @@ class ExplainerNet(Mlp):
 # Prior fusion and constraint
 # ---------------------------------------------------------------------------
 
-def fuse_prior_var(z: ad.Var, r: np.ndarray, m: int) -> ad.Var:
+def fuse_prior_var(z, r: np.ndarray, m: int) -> ad.Var:
     """z~ propto (z^m r)^(1/(m+1)) for a batch: z (n, d), r (n, d) or (d,);
-    m=0 returns the prior, m->inf returns z."""
+    m=0 returns the prior, m->inf returns z. One tape node."""
     if m < 0:
         raise ConfigError("epoch counter m must be >= 0")
+    z = ad.as_var(z)
     r = np.clip(np.asarray(r, dtype=np.float64), Z_EPS, None)
-    logz = ad.log(ad.clamp_min(z, Z_EPS))
-    logu = ad.mul(ad.add(ad.mul(logz, float(m)), np.log(r)), 1.0 / (m + 1.0))
+    inv = 1.0 / (m + 1.0)
+    above = z.value > Z_EPS
+    z_floor = np.maximum(z.value, Z_EPS)
+    logu = (np.log(z_floor) * float(m) + np.log(r)) * inv
     # Subtract the row max (a constant; it cancels in the normalization).
-    shift = logu.value.max(axis=-1, keepdims=True)
-    u = ad.exp(ad.sub(logu, shift))
-    total = ad.sum_along(u, axis=1, keepdims=True)
-    return ad.div(u, total)
+    u = np.exp(logu - logu.max(axis=-1, keepdims=True))
+    total = u.sum(axis=1, keepdims=True)
+    out = u / total
+
+    def vjp(g):
+        g_u = g / total + (-g * out / total).sum(axis=1, keepdims=True)
+        return (g_u * u * inv * float(m) / z_floor * above,)
+
+    return ad.Var(out, (z,), vjp)
 
 
-def prior_constraint_loss_var(z_tilde: ad.Var, z: ad.Var, m: int) -> ad.Var:
-    """Mean absolute error between z~ and z, faded by 1/(m+1)."""
+def prior_constraint_loss_var(z_tilde, z, m: int) -> ad.Var:
+    """Mean absolute error between z~ and z, faded by 1/(m+1). One tape node."""
     if m < 0:
         raise ConfigError("epoch counter m must be >= 0")
-    return ad.mul(ad.mean_all(ad.absolute(ad.sub(z_tilde, z))), 1.0 / (m + 1.0))
+    z_tilde, z = ad.as_var(z_tilde), ad.as_var(z)
+    diff = z_tilde.value - z.value
+    sign = np.sign(diff)
+    inv = 1.0 / (m + 1.0)
+
+    def vjp(g):
+        g_tilde = g * inv / diff.size * sign
+        return g_tilde, -g_tilde
+
+    return ad.Var(np.abs(diff).mean() * inv, (z_tilde, z), vjp)

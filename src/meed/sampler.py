@@ -26,14 +26,35 @@ def sample_gumbel_batch(n: int, d: int, k: int, rng: np.random.Generator) -> np.
     return gumbel_from_uniform(rng.random((n, d, k)))
 
 
-def relaxed_topk_var(z: ad.Var, xi: np.ndarray, tau: float) -> ad.Var:
-    """Differentiable mask for a batch: z (n, d), xi (n, d, k) -> v (n, d)."""
+def relaxed_topk_var(z, xi: np.ndarray, tau: float) -> ad.Var:
+    """Differentiable mask for a batch: z (n, d), xi (n, d, k) -> v (n, d).
+
+    One tape node. The forward keeps the softmax races s (n, d, k) and the
+    winning race of each entry; the VJP scatters g to the winner, applies the
+    softmax VJP over d, sums over k and scales by 1/(tau*z) where z > Z_EPS.
+    """
     if tau <= 0:
         raise ConfigError("tau must be positive")
-    logz = ad.log(ad.clamp_min(z, Z_EPS))
-    perturbed = ad.mul(ad.add(ad.expand_dims(logz, 2), xi), 1.0 / tau)
-    races = ad.softmax(perturbed, axis=1)
-    return ad.max_along(races, axis=2)
+    z = ad.as_var(z)
+    inv_tau = 1.0 / tau
+    above = z.value > Z_EPS
+    z_floor = np.maximum(z.value, Z_EPS)
+    races = np.expand_dims(np.log(z_floor), 2) + xi
+    races *= inv_tau
+    races -= races.max(axis=1, keepdims=True)
+    np.exp(races, out=races)
+    races /= races.sum(axis=1, keepdims=True)
+    win = np.expand_dims(np.argmax(races, axis=2), 2)
+
+    def vjp(g):
+        g_races = np.zeros_like(races)
+        np.put_along_axis(g_races, win, np.expand_dims(g, 2), axis=2)
+        g_races -= (g_races * races).sum(axis=1, keepdims=True)
+        g_races *= races
+        g_races *= inv_tau
+        return (g_races.sum(axis=2) / z_floor * above,)
+
+    return ad.Var(np.take_along_axis(races, win, axis=2).squeeze(2), (z,), vjp)
 
 
 def _check_k(k: int, d: int) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import logging
 import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -136,7 +136,7 @@ def fit_classifier(x: np.ndarray, targets: np.ndarray, hidden: Sequence[int], ep
         for lo in range(0, n, batch_size):
             idx = perm[lo:lo + batch_size]
             leaves = net.make_leaves()
-            ad.backward(cross_entropy_var(targets[idx], net.forward_var(ad.Var(x[idx]), leaves)))
+            ad.backward(cross_entropy_var(targets[idx], net.forward_var(x[idx], leaves)))
             opt.step(net.parameters, net.grad_from_leaves(leaves))
     return net
 
@@ -161,12 +161,12 @@ def approximator_step(pair: ApproximatorPair, explainer: ExplainerNet,
     """One update of both approximators; explainer parameters stay frozen."""
     z = explainer.score(x, y)
     if prior_r is not None:
-        z = fuse_prior_var(ad.Var(z), prior_r, m).value
-    v = relaxed_topk_var(ad.Var(z), xi, config.tau).value
+        z = fuse_prior_var(z, prior_r, m).value
+    v = relaxed_topk_var(z, xi, config.tau).value
     leaves_s = pair.a_selected.make_leaves()
     leaves_u = pair.a_unselected.make_leaves()
-    pred_s = pair.a_selected.forward_var(ad.Var(x * v), leaves_s)
-    pred_u = pair.a_unselected.forward_var(ad.Var(x * (1.0 - v)), leaves_u)
+    pred_s = pair.a_selected.forward_var(x * v, leaves_s)
+    pred_u = pair.a_unselected.forward_var(x * (1.0 - v), leaves_u)
     l_s = cross_entropy_var(y, pred_s)
     l_u = _loss_u_var(y, pred_u, config, sw_thetas)
     total = ad.add(l_s, ad.mul(l_u, config.lambda_u))
@@ -194,9 +194,9 @@ def explainer_objective(explainer: ExplainerNet, leaves: list, pair: Approximato
         z_tilde = z
         l_e = ad.Var(0.0)
     v = relaxed_topk_var(z_tilde, xi, config.tau)
-    pred_s = pair.a_selected.forward_var(ad.mul(v, x), pair.a_selected.make_leaves())
-    pred_u = pair.a_unselected.forward_var(ad.mul(ad.sub(1.0, v), x),
-                                           pair.a_unselected.make_leaves())
+    # Frozen approximators: gradients reach their inputs, not their weights.
+    pred_s = pair.a_selected.forward_var(ad.mul(v, x))
+    pred_u = pair.a_unselected.forward_var(ad.mul(ad.sub(1.0, v), x))
     l_s = cross_entropy_var(y, pred_s)
     if config.loss_u == "cross-entropy":
         # Relativistic variant: still minimize, against the flipped target.
@@ -322,7 +322,8 @@ def train(dataset, model, config: TrainConfig,
     """Train explainer and approximators; returns (explainer, pair, checkpoint).
 
     `dataset` needs `.X` (n, d); model outputs are computed once and cached.
-    With `resume`, continues the stored trajectory up to config.epochs.
+    With `resume`, continues the stored trajectory up to config.epochs; the
+    stored config may differ from `config` in `epochs` only.
     `fusion` is kept for callers that still pass it and accepts only
     "concat-raw"; `config.use_output_feedback` switches the output feedback.
     """
@@ -359,8 +360,11 @@ def train(dataset, model, config: TrainConfig,
     init_rng = named_rng(config.seed, "init")
 
     if resume is not None:
-        if resume.meta != meta or resume.config != config:
-            raise CheckpointError("resume checkpoint does not match this run's configuration")
+        if (resume.meta != meta or replace(resume.config, epochs=config.epochs) != config
+                or config.epochs < resume.epoch_counter):
+            raise CheckpointError(f"resume checkpoint does not match this run's configuration "
+                                  f"(only epochs may differ, and not below the "
+                                  f"{resume.epoch_counter} already run)")
         explainer, pair = nets_from_checkpoint(resume)
         start_epoch = resume.epoch_counter
     else:

@@ -1,112 +1,38 @@
-"""Gradient checks for the reverse-mode tape against finite differences."""
+"""Gradient checks of the tape against central finite differences: the
+elementwise glue, and each fused node's closed-form VJP."""
 
 import numpy as np
 
 from meed import autodiff as ad
+from meed.approximators import CE_EPS, cross_entropy_var, sliced_wasserstein_var, sw_directions
+from meed.core import Mlp, classifier_layers
+from meed.explainer import fuse_prior_var, prior_constraint_loss_var
+from meed.sampler import Z_EPS, relaxed_topk_var
 from tests.conftest import finite_difference, relative_error
 
 
-def check_scalar_fn(build, params, tol=1e-6):
-    """build(Var) must return a scalar Var; compares grad with central FD."""
-    leaf = ad.Var(params.copy())
-    out = build(leaf)
-    ad.backward(out)
-    fd = finite_difference(lambda p: build(ad.Var(p)).value, params)
-    assert relative_error(leaf.grad, fd) < tol
+def check_gradient(build, value, tol=1e-6):
+    """build(Var) must return a scalar Var; compares the gradient with respect
+    to the Var's `value` with central FD and returns it."""
+    leaf = ad.Var(value.copy())
+    ad.backward(build(leaf))
+    fd = finite_difference(lambda p: float(build(ad.Var(p.reshape(value.shape))).value),
+                           value.ravel())
+    assert relative_error(leaf.grad.ravel(), fd) < tol
+    return leaf.grad
+
+
+def weighted_sum(out, weights):
+    """A scalar that depends on every entry of `out`."""
+    return ad.sum_along(ad.mul(out, weights))
 
 
 def test_add_mul_broadcast(rng):
-    p = rng.standard_normal(6)
-    w = rng.standard_normal((2, 3))
-
     def build(leaf):
         m = ad.add(ad.mul(leaf, 2.0), 1.5)
         return ad.sum_along(ad.mul(m, m))
 
-    check_scalar_fn(build, p)
-    del w
-
-
-def test_matmul_relu_chain(rng):
-    w = rng.standard_normal((4, 3))
-    x = rng.standard_normal((5, 4))
-
-    def build(leaf):
-        h = ad.relu(ad.matmul(ad.Var(x), leaf))
-        return ad.mean_all(ad.mul(h, h))
-
-    leaf = ad.Var(w.copy())
-    out = build(leaf)
-    ad.backward(out)
-    fd = finite_difference(
-        lambda p: build(ad.Var(p.reshape(4, 3))).value, w.ravel())
-    assert relative_error(leaf.grad.ravel(), fd) < 1e-6
-
-
-def test_log_exp_power(rng):
-    p = np.abs(rng.standard_normal(5)) + 0.5
-    check_scalar_fn(lambda leaf: ad.sum_along(ad.log(leaf)), p)
-    check_scalar_fn(lambda leaf: ad.sum_along(ad.exp(ad.mul(leaf, 0.3))), p)
-
-
-def test_absolute_away_from_zero(rng):
-    p = rng.standard_normal(8)
-    p[np.abs(p) < 0.1] = 0.5
-    check_scalar_fn(lambda leaf: ad.sum_along(ad.absolute(leaf)), p)
-
-
-def test_clamp_min_passes_gradient_above_floor():
-    leaf = ad.Var(np.array([0.5, 2.0]))
-    out = ad.sum_along(ad.clamp_min(leaf, 1.0))
-    ad.backward(out)
-    assert np.allclose(leaf.grad, [0.0, 1.0])
-    assert np.allclose(out.value, 3.0)
-
-
-def test_softmax_rows_and_gradient(rng):
-    p = rng.standard_normal((3, 4))
-
-    def build(leaf):
-        s = ad.softmax(leaf, axis=1)
-        return ad.sum_along(ad.mul(s, ad.Var(np.arange(12.0).reshape(3, 4))))
-
-    leaf = ad.Var(p.copy())
-    out = build(leaf)
-    ad.backward(out)
-    sm = ad.softmax(ad.Var(p), axis=1).value
-    assert np.allclose(sm.sum(axis=1), 1.0)
-    fd = finite_difference(lambda q: build(ad.Var(q.reshape(3, 4))).value, p.ravel())
-    assert relative_error(leaf.grad.ravel(), fd) < 1e-6
-
-
-def test_max_along_subgradient_first_argmax():
-    vals = np.array([[1.0, 3.0, 3.0]])
-    leaf = ad.Var(vals)
-    out = ad.sum_along(ad.max_along(leaf, axis=1))
-    ad.backward(out)
-    assert np.allclose(leaf.grad, [[0.0, 1.0, 0.0]])
-
-
-def test_sort_axis0_gradient(rng):
-    p = rng.standard_normal((6, 2))
-    weights = rng.standard_normal((6, 2))
-
-    def build(leaf):
-        return ad.sum_along(ad.mul(ad.sort_axis0(leaf), ad.Var(weights)))
-
-    leaf = ad.Var(p.copy())
-    out = build(leaf)
-    ad.backward(out)
-    fd = finite_difference(lambda q: build(ad.Var(q.reshape(6, 2))).value, p.ravel())
-    assert relative_error(leaf.grad.ravel(), fd) < 1e-6
-
-
-def test_concat_and_expand_dims(rng):
-    a = rng.standard_normal((3, 2))
-    leaf = ad.Var(a.copy())
-    out = ad.sum_along(ad.expand_dims(leaf, axis=2))
-    ad.backward(out)
-    assert np.allclose(leaf.grad, np.ones_like(a))
+    check_gradient(build, rng.standard_normal(6))
 
 
 def test_diamond_graph_accumulates():
@@ -116,3 +42,106 @@ def test_diamond_graph_accumulates():
     out = ad.sum_along(ad.add(left, right))
     ad.backward(out)
     assert np.allclose(leaf.grad, [3.0 + 2 * 2.0])
+
+
+def test_node_gives_each_parent_its_part():
+    a, b = ad.Var(np.ones(2)), ad.Var(np.ones(2))
+    ad.backward(ad.sum_along(ad.Var(np.zeros(2), (a, b), lambda g: (g * 2.0, g * 3.0))))
+    assert np.array_equal(a.grad, [2.0, 2.0]) and np.array_equal(b.grad, [3.0, 3.0])
+
+
+def test_mlp_node_gradients_match_finite_differences(rng):
+    net = Mlp(4, classifier_layers((5, 3), 3), rng=rng)
+    x = rng.standard_normal((6, 4))
+    weights = rng.standard_normal((6, 3))
+    base = [leaf.value.copy() for leaf in net.make_leaves()]
+
+    def with_leaf(i):
+        def build(leaf):
+            leaves = [leaf if j == i else ad.Var(v) for j, v in enumerate(base)]
+            return weighted_sum(net.forward_var(x, leaves), weights)
+        return build
+
+    check_gradient(lambda xv: weighted_sum(net.forward_var(xv, net.make_leaves()), weights), x)
+    for i, value in enumerate(base):
+        check_gradient(with_leaf(i), value)
+
+
+def test_matmul_relu_chain(rng):
+    """A dense layer then relu: the weight gradient of mean(h * h) matches FD."""
+    x = rng.standard_normal((5, 4))
+    net = Mlp(4, [("dense", 3), ("relu",)], rng=rng)
+    w, b = (leaf.value.copy() for leaf in net.make_leaves())
+
+    def build(leaf):
+        h = net.forward_var(x, [leaf, ad.Var(b)])
+        return ad.mul(ad.sum_along(ad.mul(h, h)), 1.0 / h.value.size)
+
+    check_gradient(build, w)
+
+
+def test_softmax_rows_and_gradient(rng):
+    """A softmax layer: its rows sum to one and its input gradient matches FD."""
+    p = rng.standard_normal((3, 4))
+    net = Mlp(4, [("softmax",)])
+    assert np.allclose(net.forward_var(p).value.sum(axis=1), 1.0)
+    assert np.allclose(net.predict(p), net.forward_var(p).value)
+    check_gradient(lambda leaf: weighted_sum(net.forward_var(leaf), np.arange(12.0).reshape(3, 4)), p)
+
+
+def test_frozen_mlp_node_differentiates_its_input_only(rng):
+    net = Mlp(4, classifier_layers((5,), 3), rng=rng)
+    x = rng.standard_normal((6, 4))
+    weights = rng.standard_normal((6, 3))
+    xv = ad.Var(x)
+    assert net.forward_var(xv)._parents == (xv,)
+    leaves = net.make_leaves()
+    assert net.forward_var(x, leaves)._parents == tuple(leaves)
+    check_gradient(lambda v: weighted_sum(net.forward_var(v), weights), x)
+
+
+def test_relaxed_topk_node_matches_finite_differences(rng):
+    z = rng.random((3, 5)) + 0.1
+    z[0, 2] = -0.3  # below Z_EPS: clamped, so it gets no gradient
+    assert z[0, 2] < Z_EPS
+    xi = rng.gumbel(size=(3, 5, 2))
+    weights = rng.standard_normal((3, 5))
+    grad = check_gradient(lambda zv: weighted_sum(relaxed_topk_var(zv, xi, 0.7), weights), z)
+    assert grad[0, 2] == 0.0 and np.all(grad[z > Z_EPS] != 0.0)
+
+
+def test_cross_entropy_node_matches_finite_differences(rng):
+    target = rng.random((4, 3))
+    target /= target.sum(axis=1, keepdims=True)
+    pred = rng.random((4, 3)) + 0.05
+    pred[1, 0] = -0.2  # below CE_EPS: clamped, so it gets no gradient
+    assert pred[1, 0] < CE_EPS
+    grad = check_gradient(lambda p: cross_entropy_var(target, p), pred)
+    assert grad[1, 0] == 0.0
+
+
+def test_fuse_prior_node_matches_finite_differences(rng):
+    z = rng.random((3, 4)) + 0.1
+    z /= z.sum(axis=1, keepdims=True)
+    z[2, 1] = -0.1  # below Z_EPS: clamped, so it gets no gradient
+    r = rng.random((3, 4)) + 0.1
+    r /= r.sum(axis=1, keepdims=True)
+    weights = rng.standard_normal((3, 4))
+    for m in (0, 3):
+        grad = check_gradient(lambda zv: weighted_sum(fuse_prior_var(zv, r, m), weights), z)
+        assert grad[2, 1] == 0.0
+        assert np.all(grad == 0.0) == (m == 0)  # m=0 returns the prior alone
+
+
+def test_prior_constraint_node_matches_finite_differences(rng):
+    z = rng.random((3, 4))
+    z_tilde = z + rng.choice([-1.0, 1.0], size=z.shape) * (0.1 + rng.random(z.shape))
+    check_gradient(lambda v: prior_constraint_loss_var(v, ad.Var(z), 2), z_tilde)
+    check_gradient(lambda v: prior_constraint_loss_var(ad.Var(z_tilde), v, 2), z)
+
+
+def test_sliced_wasserstein_node_matches_finite_differences(rng):
+    batch_a = rng.standard_normal((6, 3))
+    batch_b = rng.standard_normal((6, 3))
+    thetas = sw_directions(3, 5, rng)
+    check_gradient(lambda b: sliced_wasserstein_var(batch_a, b, thetas), batch_b)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from meed import autodiff as ad
+from meed.approximators import cross_entropy_var
 from meed.core import (ConfigError, Mlp, SelectionSet, ShapeError,
                        TrainConfig, classifier_layers, is_simplex, named_rng)
 from tests.conftest import finite_difference, relative_error
@@ -103,14 +104,13 @@ def test_net_gradient_matches_finite_differences(rng):
 
     leaves = net.make_leaves()
     pred = net.forward_var(x, leaves)
-    loss = -ad.mean_all(ad.mul(ad.Var(target), ad.log(ad.clamp_min(pred, 1e-12)))) * 2.0
-    ad.backward(loss)
+    ad.backward(cross_entropy_var(target, pred))
     grad = net.grad_from_leaves(leaves)
 
     def scalar(params):
         probe = Mlp(net.in_dim, net.layers, parameters=params)
         pred = probe.predict(x)
-        return float(-np.mean(target * np.log(np.maximum(pred, 1e-12))) * 2.0)
+        return float(-np.mean(np.sum(target * np.log(np.maximum(pred, 1e-12)), axis=1)))
 
     fd = finite_difference(scalar, net.parameters.copy())
     assert relative_error(grad, fd) < 1e-6

@@ -121,6 +121,26 @@ def test_time_per_sample_positive(trained_run):
     assert time_per_sample(explainer, model, te, n_samples=20, k=2) > 0.0
 
 
+class RowsModel:
+    """A black box that answers every input, a single row included, with
+    (n, c) rows, as a model applying np.atleast_2d does."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def evaluate(self, x):
+        return self.model.evaluate(np.atleast_2d(x))
+
+    def randomize(self, rng):
+        self.model.randomize(rng)
+
+
+def test_evaluate_explainer_accepts_a_model_that_answers_rows(trained_run):
+    explainer, model, feats, te, _, _ = trained_run
+    report = evaluate_explainer(explainer, RowsModel(model), feats, te, 2, retrain_budget=2)
+    assert report.tps > 0.0
+
+
 def test_evaluate_explainer_produces_full_report(trained_run):
     explainer, model, feats, te, _, _ = trained_run
     report = evaluate_explainer(explainer, model, feats, te, k=2,

@@ -314,6 +314,23 @@ def test_resume_matches_uninterrupted_trajectory(tmp_path):
     assert np.array_equal(p_full.a_unselected.parameters, p_res.a_unselected.parameters)
 
 
+def test_resume_may_extend_epochs_only(tmp_path):
+    """A 1-epoch checkpoint resumed under its config with more epochs continues
+    the uninterrupted run bit for bit; any other change still raises."""
+    ds = make_dataset()
+    kwargs = dict(explainer_hidden=(8,), approx_hidden=(8,))
+    full_cfg = TrainConfig(k=2, epochs=3, seed=9, batch_size=16)
+    _, _, full = train(ds, FixedModel(), full_cfg, **kwargs)
+    _, _, one = train(ds, FixedModel(), dataclasses.replace(full_cfg, epochs=1), **kwargs)
+    path = os.path.join(tmp_path, "one.bin")
+    save_checkpoint(one, path)
+    _, _, resumed = train(ds, FixedModel(), full_cfg, resume=load_checkpoint(path), **kwargs)
+    assert same_checkpoint(full, resumed)
+    for bad in (dataclasses.replace(full_cfg, tau=0.25), dataclasses.replace(full_cfg, epochs=0)):
+        with pytest.raises(CheckpointError):
+            train(ds, FixedModel(), bad, resume=load_checkpoint(path), **kwargs)
+
+
 def test_resume_restores_every_optimizer(tmp_path):
     """Save, load and resume continue the uninterrupted run for each optimizer,
     sgd included, which has a step count but no slot vectors."""
