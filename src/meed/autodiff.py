@@ -3,8 +3,8 @@
 The tape is coarse: each network and each loss is one node whose VJP is
 written out in closed form where it is defined (`Mlp.forward_var`, the
 relaxed top-k, the losses and the prior fusion). This module keeps only the
-graph, the backward pass, and the elementwise arithmetic and sum that glue
-those nodes together.
+graph, the backward pass, and the elementwise arithmetic that glues those
+nodes together.
 """
 
 from __future__ import annotations
@@ -68,19 +68,6 @@ def mul(a, b) -> Var:
     av, bv = _value(a), _value(b)
     return _glue(av * bv, ((a, lambda g: _unbroadcast(g * bv, av.shape)),
                            (b, lambda g: _unbroadcast(g * av, bv.shape))))
-
-
-def sum_along(a, axis=None, keepdims: bool = False) -> Var:
-    a = as_var(a)
-    out = a.value.sum(axis=axis, keepdims=keepdims)
-
-    def vjp(g):
-        g = np.asarray(g)
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.value.shape).copy(),)
-
-    return Var(out, (a,), vjp)
 
 
 def backward(root: Var) -> None:

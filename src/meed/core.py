@@ -274,93 +274,83 @@ class Mlp:
             raise ShapeError(f"expected {self.n_params} parameters, got {vec.shape}")
         self._params[:] = vec
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        """Fast forward pass without building a graph."""
-        x = np.asarray(x, dtype=np.float64)
-        squeeze = x.ndim == 1
-        h = x[None, :] if squeeze else x
-        if h.shape[1] != self.in_dim:
-            raise ShapeError(f"dense layer 0 expects input width {self.in_dim}, got {h.shape[1]}")
-        dense_i = 0
-        for layer in self.layers:
-            if layer[0] == "dense":
-                w_sl, w_shape, b_sl = self._slices[dense_i]
-                w = self._params[w_sl].reshape(w_shape)
-                b = self._params[b_sl]
-                h = h @ w + b
-                dense_i += 1
-            elif layer[0] == "relu":
-                h = np.maximum(h, 0.0)
-            else:  # softmax
-                e = np.exp(h - h.max(axis=1, keepdims=True))
-                h = e / e.sum(axis=1, keepdims=True)
-        return h[0] if squeeze else h
-
-    def _weights(self) -> list:
-        """Views into the flat parameters: each weight matrix, then its bias."""
-        return [p for w_sl, w_shape, b_sl in self._slices
-                for p in (self._params[w_sl].reshape(w_shape), self._params[b_sl])]
-
-    def make_leaves(self) -> list:
-        """Fresh graph leaves (one Var per weight matrix / bias vector)."""
-        return [ad.Var(p) for p in self._weights()]
-
-    def forward_var(self, x, leaves=None) -> ad.Var:
-        """The whole net as one tape node over a batch x (n, in_dim).
-
-        The node's parents are `x` when it is a Var, then `leaves`. With
-        `leaves=None` the weights are frozen and no weight gradient is
-        computed. One backward serves every parent: the softmax VJP, the relu
-        masks and, per dense layer, `g @ W.T`, `a.T @ g` and a bias sum.
-        """
-        x_var = x if isinstance(x, ad.Var) else None
-        h = x.value if x_var is not None else np.asarray(x, dtype=np.float64)
+    def forward(self, x: np.ndarray, params: Optional[np.ndarray] = None,
+                keep: bool = True) -> tuple:
+        """(out, saved) for a batch x (n, in_dim) over the flat `params`
+        (default: this net's). `saved` holds, per layer, what `backward`
+        needs: the dense input, or the relu or softmax output. With
+        `keep=False` it stays empty, so each activation is freed once the
+        next layer has read it."""
+        params = self._params if params is None else params
+        h = np.asarray(x, dtype=np.float64)
         if h.ndim != 2 or h.shape[1] != self.in_dim:
             raise ShapeError(f"dense layer 0 expects input width {self.in_dim}, got {h.shape}")
-        params = [leaf.value for leaf in leaves] if leaves is not None else self._weights()
-        saved = []  # per layer: the dense input, the relu mask or the softmax output
+        saved = []
         dense_i = 0
         for layer in self.layers:
-            if layer[0] == "dense":
-                saved.append(h)
-                h = h @ params[2 * dense_i] + params[2 * dense_i + 1]
+            kind = layer[0]
+            if kind == "dense":
+                w_sl, w_shape, b_sl = self._slices[dense_i]
+                out = h @ params[w_sl].reshape(w_shape) + params[b_sl]
                 dense_i += 1
-            elif layer[0] == "relu":
-                saved.append(h > 0.0)
-                h = h * saved[-1]
-            else:
+            elif kind == "relu":
+                out = np.maximum(h, 0.0)
+            else:  # softmax
                 e = np.exp(h - h.max(axis=1, keepdims=True))
-                h = e / e.sum(axis=1, keepdims=True)
-                saved.append(h)
+                out = e / e.sum(axis=1, keepdims=True)
+            if keep:
+                saved.append(h if kind == "dense" else out)
+            h = out
+        return h, saved
 
-        def backward(g):
-            grads = [None] * len(params) if leaves is not None else []
-            dense_i = len(self._slices)
-            for i in reversed(range(len(self.layers))):
-                kind, val = self.layers[i][0], saved[i]
-                if kind == "softmax":
-                    g = val * (g - (g * val).sum(axis=1, keepdims=True))
-                elif kind == "relu":
-                    g = g * val
-                else:
-                    dense_i -= 1
-                    if leaves is not None:
-                        grads[2 * dense_i] = val.T @ g
-                        grads[2 * dense_i + 1] = g.sum(axis=0)
-                    if i == 0 and x_var is None:
-                        break
-                    g = g @ params[2 * dense_i].T
-            return ([g] if x_var is not None else []) + grads
+    def backward(self, saved, g: np.ndarray, params: Optional[np.ndarray] = None,
+                 weights: bool = True, inputs: bool = True) -> tuple:
+        """(g_in, g_flat): the gradient `g` at the output of `forward` pulled
+        back to its input and to the flat parameters. Per dense layer this is
+        one `g @ W.T`, one `a.T @ g` and one bias sum. `weights=False` (a
+        frozen net) skips the weight gradients and `inputs=False` the input
+        gradient; each skipped part comes back as None."""
+        params = self._params if params is None else params
+        g_flat = np.empty(self.n_params) if weights else None
+        dense_i = len(self._slices)
+        for i in reversed(range(len(self.layers))):
+            kind, val = self.layers[i][0], saved[i]
+            if kind == "softmax":
+                g = val * (g - (g * val).sum(axis=1, keepdims=True))
+            elif kind == "relu":
+                g = g * (val > 0.0)
+            else:
+                dense_i -= 1
+                w_sl, w_shape, b_sl = self._slices[dense_i]
+                if weights:
+                    g_flat[w_sl] = (val.T @ g).ravel()
+                    g_flat[b_sl] = g.sum(axis=0)
+                if i == 0 and not inputs:
+                    break
+                g = g @ params[w_sl].reshape(w_shape).T
+        return (g if inputs else None), g_flat
 
-        parents = ((x_var,) if x_var is not None else ()) + tuple(leaves or ())
-        return ad.Var(h, parents, backward)
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """`forward`'s output alone; a single row x (in_dim,) gives one (out_dim,) row."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim == 1:
+            return self.forward(x[None, :], keep=False)[0][0]
+        return self.forward(x, keep=False)[0]
 
-    def grad_from_leaves(self, leaves) -> np.ndarray:
-        flat = np.zeros(self.n_params)
-        for i, (w_sl, w_shape, b_sl) in enumerate(self._slices):
-            gw = leaves[2 * i].grad
-            gb = leaves[2 * i + 1].grad
-            flat[w_sl] = (gw if gw is not None else np.zeros(w_shape)).ravel()
-            flat[b_sl] = gb if gb is not None else 0.0
-        return flat
+    def forward_var(self, x, leaf: Optional[ad.Var] = None) -> ad.Var:
+        """The whole net as one tape node over a batch x (n, in_dim).
 
+        The node's parents are `x` when it is a Var, then `leaf`, a Var over
+        the flat parameters, so `leaf.grad` is the flat weight gradient. With
+        `leaf=None` the weights are frozen and no weight gradient is computed.
+        """
+        x_var = x if isinstance(x, ad.Var) else None
+        params = None if leaf is None else leaf.value
+        out, saved = self.forward(x.value if x_var is not None else x, params)
+
+        def vjp(g):
+            grads = self.backward(saved, g, params, weights=leaf is not None,
+                                  inputs=x_var is not None)
+            return [grad for grad in grads if grad is not None]
+
+        return ad.Var(out, tuple(p for p in (x_var, leaf) if p is not None), vjp)

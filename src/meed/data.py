@@ -10,7 +10,6 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import autodiff as ad
 from .core import (BlackBoxModel, ConfigError, Mlp, SelectionSet, named_rng, read_record,
                    write_record)
 from .trainer import fit_classifier
@@ -139,7 +138,8 @@ def export_dataset(ds: Dataset, true_subset: Optional[SelectionSet], path: str) 
 def import_dataset(path: str) -> Tuple[Dataset, Optional[tuple]]:
     """Read an `export_dataset` file: `id,feature...,label` rows (an empty label
     for none) and `#` comment lines, of which `#trueSubset=i;j;...` is kept.
-    A malformed file raises DatasetFileError naming the path and line."""
+    Labels are nonnegative, and either every row has one or none does. A
+    malformed file raises DatasetFileError naming the path and line."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -162,16 +162,20 @@ def import_dataset(path: str) -> Tuple[Dataset, Optional[tuple]]:
                 raise ValueError(f"{len(row)} features, the first row has {len(rows[0])}")
             if not np.all(np.isfinite(row)):
                 raise ValueError("non-finite feature")
-            labels.append(int(label) if label else -1)
+            value = int(label) if label else None
+            if value is not None and value < 0:
+                raise ValueError(f"negative label {value}")
+            if labels and (value is None) != (labels[0] is None):
+                raise ValueError("labelled and unlabelled rows are mixed: the first row "
+                                 f"has {'no' if labels[0] is None else 'a'} label")
+            labels.append(value)
         except ValueError as exc:
             raise DatasetFileError(f"{path}:{lineno}: {exc}") from exc
         ids.append(fields[0])
         rows.append(row)
     if not rows:
         raise DatasetFileError(f"{path}: no data rows")
-    y_true = np.asarray(labels)
-    if np.all(y_true == -1):
-        y_true = None
+    y_true = None if labels[0] is None else np.asarray(labels)
     return Dataset(ids=ids, X=np.asarray(rows), y_true=y_true), true_subset
 
 
@@ -260,14 +264,11 @@ class MlpModel(BlackBoxModel):
 
     def gradient(self, x: np.ndarray, class_index) -> np.ndarray:
         """Exact d(output_class)/dx for rows x (n, d) with indices (n,): row i
-        of the (n, d) result holds the gradient of out[i, class_index[i]]. The
-        rows share one graph: the backward of sum_i out[i, class_index[i]]
-        yields every row's gradient at once, and the frozen net computes no
-        weight gradients."""
-        xv = ad.Var(np.asarray(x, dtype=np.float64))
-        out = self.net.forward_var(xv)
-        ad.backward(ad.sum_along(ad.mul(out, np.eye(self.c)[class_index])))
-        return xv.grad
+        of the (n, d) result holds the gradient of out[i, class_index[i]]. One
+        backward of the one-hot output gradient yields every row's at once;
+        the frozen net computes no weight gradients."""
+        _, saved = self.net.forward(x)
+        return self.net.backward(saved, np.eye(self.c)[class_index], weights=False)[0]
 
     def randomize(self, rng: np.random.Generator) -> None:
         fresh = Mlp(self.net.in_dim, self.net.layers, rng=rng)

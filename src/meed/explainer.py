@@ -51,8 +51,9 @@ class ExplainerNet(Mlp):
         """Importance distribution z; batched when x is (n, d)."""
         return self.predict(self._input(x, y))
 
-    def score_var(self, x: np.ndarray, y: np.ndarray, leaves) -> ad.Var:
-        return self.forward_var(self._input(x, y), leaves)
+    def score_var(self, x: np.ndarray, y: np.ndarray, leaf: ad.Var) -> ad.Var:
+        """`score` as one tape node; `leaf` is a Var over the flat parameters."""
+        return self.forward_var(self._input(x, y), leaf)
 
 
 # ---------------------------------------------------------------------------

@@ -135,9 +135,9 @@ def fit_classifier(x: np.ndarray, targets: np.ndarray, hidden: Sequence[int], ep
         perm = rng.permutation(n)
         for lo in range(0, n, batch_size):
             idx = perm[lo:lo + batch_size]
-            leaves = net.make_leaves()
-            ad.backward(cross_entropy_var(targets[idx], net.forward_var(x[idx], leaves)))
-            opt.step(net.parameters, net.grad_from_leaves(leaves))
+            leaf = ad.Var(net.parameters)
+            ad.backward(cross_entropy_var(targets[idx], net.forward_var(x[idx], leaf)))
+            opt.step(net.parameters, leaf.grad)
     return net
 
 
@@ -163,10 +163,10 @@ def approximator_step(pair: ApproximatorPair, explainer: ExplainerNet,
     if prior_r is not None:
         z = fuse_prior_var(z, prior_r, m).value
     v = relaxed_topk_var(z, xi, config.tau).value
-    leaves_s = pair.a_selected.make_leaves()
-    leaves_u = pair.a_unselected.make_leaves()
-    pred_s = pair.a_selected.forward_var(x * v, leaves_s)
-    pred_u = pair.a_unselected.forward_var(x * (1.0 - v), leaves_u)
+    leaf_s = ad.Var(pair.a_selected.parameters)
+    leaf_u = ad.Var(pair.a_unselected.parameters)
+    pred_s = pair.a_selected.forward_var(x * v, leaf_s)
+    pred_u = pair.a_unselected.forward_var(x * (1.0 - v), leaf_u)
     l_s = cross_entropy_var(y, pred_s)
     l_u = _loss_u_var(y, pred_u, config, sw_thetas)
     total = ad.add(l_s, ad.mul(l_u, config.lambda_u))
@@ -174,19 +174,19 @@ def approximator_step(pair: ApproximatorPair, explainer: ExplainerNet,
         if not np.isfinite(val):
             raise TrainingAbort(f"non-finite {name} in approximator step, batch {batch_id}")
     ad.backward(total)
-    opt_s.step(pair.a_selected.parameters, pair.a_selected.grad_from_leaves(leaves_s))
-    opt_u.step(pair.a_unselected.parameters, pair.a_unselected.grad_from_leaves(leaves_u))
+    opt_s.step(pair.a_selected.parameters, leaf_s.grad)
+    opt_u.step(pair.a_unselected.parameters, leaf_u.grad)
     return float(l_s.value), float(l_u.value)
 
 
-def explainer_objective(explainer: ExplainerNet, leaves: list, pair: ApproximatorPair,
+def explainer_objective(explainer: ExplainerNet, leaf: ad.Var, pair: ApproximatorPair,
                         x: np.ndarray, y: np.ndarray, config: TrainConfig,
                         xi: np.ndarray, prior_r: Optional[np.ndarray] = None, m: int = 0,
                         sw_thetas: Optional[np.ndarray] = None) -> tuple:
     """Graph of the explainer update's objective L_s + lambda_u*L~_u + lambda_e*L_e
-    (minus lambda_u*L~_u for sliced-Wasserstein) over the explainer `leaves`;
-    returns (objective, L_s, L~_u, L_e)."""
-    z = explainer.score_var(x, y, leaves)
+    (minus lambda_u*L~_u for sliced-Wasserstein) over `leaf`, a Var over the
+    explainer's flat parameters; returns (objective, L_s, L~_u, L_e)."""
+    z = explainer.score_var(x, y, leaf)
     if prior_r is not None:
         z_tilde = fuse_prior_var(z, prior_r, m)
         l_e = prior_constraint_loss_var(z_tilde, z, m)
@@ -217,14 +217,14 @@ def explainer_step(explainer: ExplainerNet, pair: ApproximatorPair,
                    sw_thetas: Optional[np.ndarray] = None,
                    batch_id: str = "?") -> tuple:
     """One explainer update; approximator parameters stay frozen."""
-    leaves = explainer.make_leaves()
+    leaf = ad.Var(explainer.parameters)
     objective, l_s, l_u_tilde, l_e = explainer_objective(
-        explainer, leaves, pair, x, y, config, xi, prior_r, m, sw_thetas)
+        explainer, leaf, pair, x, y, config, xi, prior_r, m, sw_thetas)
     for name, val in (("L_s", l_s.value), ("L_u", l_u_tilde.value), ("L_e", l_e.value)):
         if not np.isfinite(val):
             raise TrainingAbort(f"non-finite {name} in explainer step, batch {batch_id}")
     ad.backward(objective)
-    opt_e.step(explainer.parameters, explainer.grad_from_leaves(leaves))
+    opt_e.step(explainer.parameters, leaf.grad)
     return float(l_s.value), float(l_u_tilde.value), float(l_e.value)
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from meed import autodiff as ad
 from meed.core import Mlp, named_rng
 from meed.data import Dataset, MlpModel, SyntheticSpec, generate_synthetic, split_dataset, train_given_model
 
@@ -22,6 +23,13 @@ def finite_difference(fn, params: np.ndarray, step: float = 1e-6) -> np.ndarray:
         lo = fn(bumped)
         grad[i] = (hi - lo) / (2 * step)
     return grad
+
+
+def weighted_sum(out, weights=1.0):
+    """A scalar tape node, sum(out * weights), that depends on every entry of
+    the Var `out`."""
+    weights = np.broadcast_to(np.asarray(weights, dtype=np.float64), out.value.shape)
+    return ad.Var((out.value * weights).sum(), (out,), lambda g: (g * weights,))
 
 
 def relative_error(approx: np.ndarray, exact: np.ndarray) -> float:

@@ -165,17 +165,17 @@ def test_criterion_03_gradients_match_finite_differences():
             prior_r /= prior_r.sum()
         thetas = sw_directions(c, config.n_projections, init)
 
-        leaves = explainer.make_leaves()
-        objective, *_ = explainer_objective(explainer, leaves, pair, x, y, config, xi,
+        leaf = ad.Var(explainer.parameters)
+        objective, *_ = explainer_objective(explainer, leaf, pair, x, y, config, xi,
                                             prior_r, m=1, sw_thetas=thetas)
         ad.backward(objective)
-        grad = explainer.grad_from_leaves(leaves)
+        grad = leaf.grad
 
         base = explainer.parameters.copy()
 
         def scalar(params):
             explainer.set_parameters(params)
-            val, *_ = explainer_objective(explainer, explainer.make_leaves(), pair, x, y,
+            val, *_ = explainer_objective(explainer, ad.Var(explainer.parameters), pair, x, y,
                                           config, xi, prior_r, m=1, sw_thetas=thetas)
             return float(val.value)
 

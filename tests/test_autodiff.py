@@ -8,7 +8,7 @@ from meed.approximators import CE_EPS, cross_entropy_var, sliced_wasserstein_var
 from meed.core import Mlp, classifier_layers
 from meed.explainer import fuse_prior_var, prior_constraint_loss_var
 from meed.sampler import Z_EPS, relaxed_topk_var
-from tests.conftest import finite_difference, relative_error
+from tests.conftest import finite_difference, relative_error, weighted_sum
 
 
 def check_gradient(build, value, tol=1e-6):
@@ -22,15 +22,10 @@ def check_gradient(build, value, tol=1e-6):
     return leaf.grad
 
 
-def weighted_sum(out, weights):
-    """A scalar that depends on every entry of `out`."""
-    return ad.sum_along(ad.mul(out, weights))
-
-
 def test_add_mul_broadcast(rng):
     def build(leaf):
         m = ad.add(ad.mul(leaf, 2.0), 1.5)
-        return ad.sum_along(ad.mul(m, m))
+        return weighted_sum(ad.mul(m, m))
 
     check_gradient(build, rng.standard_normal(6))
 
@@ -39,14 +34,14 @@ def test_diamond_graph_accumulates():
     leaf = ad.Var(np.array([2.0]))
     left = ad.mul(leaf, 3.0)
     right = ad.mul(leaf, leaf)
-    out = ad.sum_along(ad.add(left, right))
+    out = weighted_sum(ad.add(left, right))
     ad.backward(out)
     assert np.allclose(leaf.grad, [3.0 + 2 * 2.0])
 
 
 def test_node_gives_each_parent_its_part():
     a, b = ad.Var(np.ones(2)), ad.Var(np.ones(2))
-    ad.backward(ad.sum_along(ad.Var(np.zeros(2), (a, b), lambda g: (g * 2.0, g * 3.0))))
+    ad.backward(weighted_sum(ad.Var(np.zeros(2), (a, b), lambda g: (g * 2.0, g * 3.0))))
     assert np.array_equal(a.grad, [2.0, 2.0]) and np.array_equal(b.grad, [3.0, 3.0])
 
 
@@ -54,30 +49,21 @@ def test_mlp_node_gradients_match_finite_differences(rng):
     net = Mlp(4, classifier_layers((5, 3), 3), rng=rng)
     x = rng.standard_normal((6, 4))
     weights = rng.standard_normal((6, 3))
-    base = [leaf.value.copy() for leaf in net.make_leaves()]
-
-    def with_leaf(i):
-        def build(leaf):
-            leaves = [leaf if j == i else ad.Var(v) for j, v in enumerate(base)]
-            return weighted_sum(net.forward_var(x, leaves), weights)
-        return build
-
-    check_gradient(lambda xv: weighted_sum(net.forward_var(xv, net.make_leaves()), weights), x)
-    for i, value in enumerate(base):
-        check_gradient(with_leaf(i), value)
+    params = net.parameters.copy()
+    check_gradient(lambda xv: weighted_sum(net.forward_var(xv, ad.Var(params)), weights), x)
+    check_gradient(lambda leaf: weighted_sum(net.forward_var(x, leaf), weights), params)
 
 
 def test_matmul_relu_chain(rng):
-    """A dense layer then relu: the weight gradient of mean(h * h) matches FD."""
+    """A dense layer then relu: the flat weight gradient of mean(h * h) matches FD."""
     x = rng.standard_normal((5, 4))
     net = Mlp(4, [("dense", 3), ("relu",)], rng=rng)
-    w, b = (leaf.value.copy() for leaf in net.make_leaves())
 
     def build(leaf):
-        h = net.forward_var(x, [leaf, ad.Var(b)])
-        return ad.mul(ad.sum_along(ad.mul(h, h)), 1.0 / h.value.size)
+        h = net.forward_var(x, leaf)
+        return ad.mul(weighted_sum(ad.mul(h, h)), 1.0 / h.value.size)
 
-    check_gradient(build, w)
+    check_gradient(build, net.parameters.copy())
 
 
 def test_softmax_rows_and_gradient(rng):
@@ -95,8 +81,8 @@ def test_frozen_mlp_node_differentiates_its_input_only(rng):
     weights = rng.standard_normal((6, 3))
     xv = ad.Var(x)
     assert net.forward_var(xv)._parents == (xv,)
-    leaves = net.make_leaves()
-    assert net.forward_var(x, leaves)._parents == tuple(leaves)
+    leaf = ad.Var(net.parameters)
+    assert net.forward_var(x, leaf)._parents == (leaf,)
     check_gradient(lambda v: weighted_sum(net.forward_var(v), weights), x)
 
 

@@ -160,6 +160,22 @@ def test_bad_run_value_exits_2(tmp_path, capsys, key, value):
     assert key in capsys.readouterr().err
 
 
+def test_dataset_file_with_a_missing_label_exits_2(tmp_path, capsys):
+    """A row with an empty label in a labelled file is an error, not the last class."""
+    data_path = tmp_path / "data.txt"
+    export_dataset(generate_synthetic(SyntheticSpec(d=6, true_subset=(0, 1), n=40,
+                                                    noise_std=0.1, kind="sparse-logit",
+                                                    seed=12))[0], None, str(data_path))
+    lines = data_path.read_text().splitlines()
+    lines[5] = lines[5].rsplit(",", 1)[0] + ","
+    data_path.write_text("\n".join(lines) + "\n")
+    cfg = tmp_path / "file.cfg"
+    cfg.write_text(f"[data]\nkind = file\npath = {data_path}\n"
+                   f"[train]\nk = 2\nepochs = 1\n[run]\nout_dir = {tmp_path / 'out'}\n")
+    assert main(["train", "--config", str(cfg)]) == EXIT_CONFIG
+    assert f"{data_path}:6" in capsys.readouterr().err
+
+
 def test_malformed_idx_file_exits_2(tmp_path):
     for name in ("images", "labels"):
         (tmp_path / name).write_bytes(b"\x00\x00")

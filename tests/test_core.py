@@ -74,9 +74,53 @@ def test_mlp_predict_is_simplex(rng):
 def test_mlp_forward_var_matches_predict(rng):
     net = make_net(rng)
     x = rng.standard_normal((4, 5))
-    leaves = net.make_leaves()
-    out = net.forward_var(x, leaves)
-    assert np.allclose(out.value, net.predict(x))
+    out = net.forward_var(x, ad.Var(net.parameters))
+    assert np.array_equal(out.value, net.predict(x))
+
+
+def forward_backward_case(rng):
+    """A two-hidden-layer net, a batch, and the output gradient g of the
+    scalar sum(out * g)."""
+    net = Mlp(4, classifier_layers((5, 3), 3), rng=rng)
+    return net, rng.standard_normal((6, 4)), rng.standard_normal((6, 3))
+
+
+def test_mlp_backward_matches_finite_differences(rng):
+    net, x, g = forward_backward_case(rng)
+    out, saved = net.forward(x)
+    assert np.array_equal(out, net.predict(x))
+    lean_out, lean_saved = net.forward(x, keep=False)
+    assert np.array_equal(lean_out, out) and lean_saved == []
+    g_in, g_flat = net.backward(saved, g)
+    params = net.parameters.copy()
+    fd_in = finite_difference(lambda v: float((net.forward(v.reshape(x.shape))[0] * g).sum()),
+                              x.ravel())
+    fd_flat = finite_difference(lambda p: float((net.forward(x, p)[0] * g).sum()), params)
+    assert relative_error(g_in.ravel(), fd_in) < 1e-6
+    assert relative_error(g_flat, fd_flat) < 1e-6
+    assert np.array_equal(net.parameters, params)
+
+
+def test_mlp_backward_of_a_frozen_net_gives_the_input_gradient_only(rng):
+    net, x, g = forward_backward_case(rng)
+    _, saved = net.forward(x)
+    g_in, g_flat = net.backward(saved, g, weights=False)
+    assert g_flat is None
+    fd_in = finite_difference(lambda v: float((net.forward(v.reshape(x.shape))[0] * g).sum()),
+                              x.ravel())
+    assert relative_error(g_in.ravel(), fd_in) < 1e-6
+    assert np.array_equal(g_in, net.backward(saved, g)[0])
+
+
+def test_mlp_backward_without_the_input_gradient(rng):
+    net, x, g = forward_backward_case(rng)
+    other = net.parameters + 0.1 * rng.standard_normal(net.n_params)
+    _, saved = net.forward(x, other)
+    g_in, g_flat = net.backward(saved, g, other, inputs=False)
+    assert g_in is None
+    fd_flat = finite_difference(lambda p: float((net.forward(x, p)[0] * g).sum()), other.copy())
+    assert relative_error(g_flat, fd_flat) < 1e-6
+    assert np.array_equal(g_flat, net.backward(saved, g, other)[1])
 
 
 def test_mlp_clone_and_set_parameters(rng):
@@ -102,10 +146,10 @@ def test_net_gradient_matches_finite_differences(rng):
     target = rng.random((6, 2))
     target /= target.sum(axis=1, keepdims=True)
 
-    leaves = net.make_leaves()
-    pred = net.forward_var(x, leaves)
+    leaf = ad.Var(net.parameters)
+    pred = net.forward_var(x, leaf)
     ad.backward(cross_entropy_var(target, pred))
-    grad = net.grad_from_leaves(leaves)
+    grad = leaf.grad
 
     def scalar(params):
         probe = Mlp(net.in_dim, net.layers, parameters=params)

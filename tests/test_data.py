@@ -118,11 +118,23 @@ GOOD_ROWS = "#trueSubset=0;1\na,0.5,1.0,1\nb,-0.5,2.0,0\n"
     ("c,0.5\n", "two fields"),
     ("c\n", "one field"),
     ("c,nan,1.0,1\n", "non-finite feature"),
+    ("c,0.5,1.0,-3\n", "negative label"),
+    ("c,0.5,1.0,\n", "unlabelled row in a labelled file"),
 ])
 def test_import_dataset_rejects_malformed_rows(tmp_path, bad_line, what):
     path = tmp_path / "ds.txt"
     path.write_text(GOOD_ROWS + bad_line + "d,1.0,1.0,1\n")
     with pytest.raises(DatasetFileError, match=f"{path}:4"):
+        import_dataset(str(path))
+
+
+def test_import_dataset_rejects_a_labelled_row_in_an_unlabelled_file(tmp_path):
+    path = tmp_path / "ds.txt"
+    path.write_text("a,0.5,1.0,\nb,-0.5,2.0,\n")
+    loaded, _ = import_dataset(str(path))
+    assert loaded.y_true is None and loaded.X.shape == (2, 2)
+    path.write_text("a,0.5,1.0,\nb,-0.5,2.0,\nc,1.0,1.0,0\n")
+    with pytest.raises(DatasetFileError, match=f"{path}:3: labelled and unlabelled"):
         import_dataset(str(path))
 
 

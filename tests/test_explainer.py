@@ -8,7 +8,7 @@ from meed.core import ConfigError, ShapeError, TrainConfig
 from meed.data import Dataset
 from meed.explainer import ExplainerNet, fuse_prior_var, prior_constraint_loss_var
 from meed.trainer import train
-from tests.conftest import finite_difference, relative_error
+from tests.conftest import finite_difference, relative_error, weighted_sum
 
 
 def fuse_prior(z, r, m):
@@ -74,7 +74,7 @@ def test_score_rejects_mismatched_rows(rng, use_output):
     with pytest.raises(ShapeError, match="rows"):
         net.score(x, y)
     with pytest.raises(ShapeError, match="rows"):
-        net.score_var(x, y, net.make_leaves())
+        net.score_var(x, y, ad.Var(net.parameters))
 
 
 def test_score_var_matches_score(rng):
@@ -82,7 +82,7 @@ def test_score_var_matches_score(rng):
     x = rng.standard_normal((3, 4))
     y = rng.random((3, 2))
     y /= y.sum(axis=1, keepdims=True)
-    out = net.score_var(x, y, net.make_leaves())
+    out = net.score_var(x, y, ad.Var(net.parameters))
     assert np.allclose(out.value, net.score(x, y))
 
 
@@ -123,7 +123,7 @@ def test_fuse_prior_var_gradient_matches_fd(rng):
 
     def build(leaf):
         fused = fuse_prior_var(leaf, r, m=2)
-        return ad.sum_along(ad.mul(fused, ad.Var(w)))
+        return weighted_sum(fused, w)
 
     leaf = ad.Var(z.copy())
     ad.backward(build(leaf))
