@@ -1,8 +1,8 @@
 """Gumbel top-k subset sampling (training) and hard top-k selection (inference).
 
-The relaxed mask runs k Gumbel-perturbed softmax races over log-scores and
-takes the coordinate-wise max, giving an approximately k-hot vector that is
-differentiable with respect to the scores.
+The relaxed mask is the coordinate-wise max of k Gumbel-perturbed softmax races
+over log-scores: an approximately k-hot vector, differentiable in the scores.
+Only the races are kept; the closed-form VJP makes no other (n, d, k) array.
 """
 
 from __future__ import annotations
@@ -16,45 +16,50 @@ U_EPS = 1e-12  # uniform draws clamped to (U_EPS, 1 - U_EPS) before the double l
 Z_EPS = 1e-20  # scores clamped below this before log
 
 
+def _gumbel_in_place(u: np.ndarray) -> np.ndarray:
+    np.clip(u, U_EPS, 1.0 - U_EPS, out=u)
+    for op in (np.log, np.negative, np.log, np.negative):
+        op(u, out=u)
+    return u
+
+
 def gumbel_from_uniform(u: np.ndarray) -> np.ndarray:
-    u = np.clip(np.asarray(u, dtype=np.float64), U_EPS, 1.0 - U_EPS)
-    return -np.log(-np.log(u))
+    """-log(-log(u)) on one clipped copy of u; the argument is not mutated."""
+    return _gumbel_in_place(np.array(u, dtype=np.float64))
 
 
 def sample_gumbel_batch(n: int, d: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Fresh per-sample noise, shape (n, d, k)."""
-    return gumbel_from_uniform(rng.random((n, d, k)))
+    """Fresh per-sample noise, shape (n, d, k), transformed in the draw's own array."""
+    return _gumbel_in_place(rng.random((n, d, k)))
 
 
 def relaxed_topk_var(z, xi: np.ndarray, tau: float) -> ad.Var:
     """Differentiable mask for a batch: z (n, d), xi (n, d, k) -> v (n, d).
 
-    One tape node. The forward keeps the softmax races s (n, d, k) and the
-    winning race of each entry; the VJP scatters g to the winner, applies the
-    softmax VJP over d, sums over k and scales by 1/(tau*z) where z > Z_EPS.
+    One tape node; v is the max over k of the softmax races s_j (n, d), and
+    only the races are kept. With c_j the sum of g*v over the entries race j
+    wins, the VJP is (g*v - sum_j c_j s_j) / (tau*z) where z > Z_EPS, else 0.
     """
     if tau <= 0:
         raise ConfigError("tau must be positive")
     z = ad.as_var(z)
     inv_tau = 1.0 / tau
-    above = z.value > Z_EPS
     z_floor = np.maximum(z.value, Z_EPS)
     races = np.expand_dims(np.log(z_floor), 2) + xi
     races *= inv_tau
     races -= races.max(axis=1, keepdims=True)
     np.exp(races, out=races)
     races /= races.sum(axis=1, keepdims=True)
-    win = np.expand_dims(np.argmax(races, axis=2), 2)
+    v = races.max(axis=2)
 
     def vjp(g):
-        g_races = np.zeros_like(races)
-        np.put_along_axis(g_races, win, np.expand_dims(g, 2), axis=2)
-        g_races -= (g_races * races).sum(axis=1, keepdims=True)
-        g_races *= races
-        g_races *= inv_tau
-        return (g_races.sum(axis=2) / z_floor * above,)
+        n, _, k = races.shape
+        gv = g * v
+        win = np.argmax(races, axis=2) + k * np.arange(n)[:, None]
+        c = np.bincount(win.ravel(), gv.ravel(), n * k).reshape(n, k, 1)
+        return ((gv - np.matmul(races, c)[:, :, 0]) * inv_tau / z_floor * (z.value > Z_EPS),)
 
-    return ad.Var(np.take_along_axis(races, win, axis=2).squeeze(2), (z,), vjp)
+    return ad.Var(v, (z,), vjp)
 
 
 def _check_k(k: int, d: int) -> None:

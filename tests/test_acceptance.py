@@ -9,7 +9,6 @@ point MEED_MNIST_DIR at a directory containing the four files to enable them.
 
 import itertools
 import os
-from dataclasses import replace as dc_replace
 
 import numpy as np
 import pytest
@@ -356,7 +355,7 @@ def test_criterion_10_infrastructure(tmp_path, sparse_run):
                        approx_hidden=(16,))
     e_res, p_res, _ = train(small, model, full_cfg, explainer_hidden=(16,),
                             approx_hidden=(16,),
-                            resume=dc_replace(half, config=full_cfg))
+                            resume=half)
     assert np.array_equal(e_full.parameters, e_res.parameters)
     assert np.array_equal(p_full.a_selected.parameters,
                           p_res.a_selected.parameters)

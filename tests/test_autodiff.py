@@ -96,6 +96,24 @@ def test_relaxed_topk_node_matches_finite_differences(rng):
     assert grad[0, 2] == 0.0 and np.all(grad[z > Z_EPS] != 0.0)
 
 
+def test_relaxed_topk_vjp_with_uneven_race_wins(rng):
+    """k=3 races where race 0 wins two entries, race 2 wins none (c_2 = 0),
+    and one score sits below Z_EPS."""
+    z = np.array([[0.3, 0.25, 0.2, 0.15, 0.1, -0.3], rng.random(6) + 0.1])
+    assert z[0, 5] < Z_EPS
+    xi = np.zeros((2, 6, 3))
+    xi[0, :2, 0] = 1.0  # race 0 peaks on entries 0 and 1
+    xi[0, :2, 2] = 0.5  # race 2 peaks there too, but less: it wins nothing
+    xi[1] = rng.gumbel(size=(6, 3))
+    races = np.exp((np.log(np.maximum(z, Z_EPS))[:, :, None] + xi) / 0.37)
+    wins = np.bincount(np.argmax(races / races.sum(axis=1, keepdims=True), axis=2)[0, :5],
+                       minlength=3)
+    assert wins[0] >= 2 and wins[2] == 0
+    weights = rng.standard_normal((2, 6))
+    grad = check_gradient(lambda zv: weighted_sum(relaxed_topk_var(zv, xi, 0.37), weights), z)
+    assert grad[0, 5] == 0.0 and np.all(grad[z > Z_EPS] != 0.0)
+
+
 def test_cross_entropy_node_matches_finite_differences(rng):
     target = rng.random((4, 3))
     target /= target.sum(axis=1, keepdims=True)

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from meed import autodiff as ad
 from meed.core import ConfigError, SelectionSet, named_rng
-from meed.sampler import (gumbel_from_uniform, hard_topk, hard_topk_batch,
+from meed.sampler import (U_EPS, Z_EPS, gumbel_from_uniform, hard_topk, hard_topk_batch,
                           relaxed_topk_var, sample_gumbel_batch)
+from tests.conftest import relative_error
 
 
 def relaxed(z, xi, tau):
@@ -100,6 +101,62 @@ def test_relaxed_topk_var_matches_numpy_path(rng):
     races = np.exp((np.log(z)[:, :, None] + xi) / 0.5)
     want = (races / races.sum(axis=1, keepdims=True)).max(axis=2)
     assert np.allclose(relaxed(z, xi, tau=0.5), want)
+
+
+def explicit_relaxed_topk(z, xi, tau):
+    """The explicit form kept as a reference: the mask by take_along_axis at
+    the winning race, and a VJP that scatters g to the winner, applies the
+    softmax VJP over d and sums over k."""
+    z_floor = np.maximum(z, Z_EPS)
+    races = np.expand_dims(np.log(z_floor), 2) + xi
+    races *= 1.0 / tau
+    races -= races.max(axis=1, keepdims=True)
+    np.exp(races, out=races)
+    races /= races.sum(axis=1, keepdims=True)
+    win = np.expand_dims(np.argmax(races, axis=2), 2)
+
+    def vjp(g):
+        g_races = np.zeros_like(races)
+        np.put_along_axis(g_races, win, np.expand_dims(g, 2), axis=2)
+        g_races -= (g_races * races).sum(axis=1, keepdims=True)
+        g_races *= races
+        g_races *= 1.0 / tau
+        return g_races.sum(axis=2) / z_floor * (z > Z_EPS)
+
+    return np.take_along_axis(races, win, axis=2).squeeze(2), vjp
+
+
+STROKES_SHAPE = (4, 784, 25)
+
+
+def test_gumbel_draw_matches_the_double_log_bit_for_bit():
+    want = -np.log(-np.log(np.clip(named_rng(9, "gumbel").random(STROKES_SHAPE),
+                                   U_EPS, 1.0 - U_EPS)))
+    assert np.array_equal(sample_gumbel_batch(*STROKES_SHAPE, named_rng(9, "gumbel")), want)
+
+
+def test_gumbel_from_uniform_leaves_its_argument_unchanged(rng):
+    u = rng.random(STROKES_SHAPE)
+    u[0, 0, :2] = (0.0, 1.0)  # clipped in the copy, not in u
+    kept = u.copy()
+    gumbel_from_uniform(u)
+    assert np.array_equal(u, kept)
+
+
+def test_relaxed_topk_matches_the_explicit_form(rng):
+    n, d, k = STROKES_SHAPE
+    z = rng.random((n, d))
+    z /= z.sum(axis=1, keepdims=True)
+    z[0, :3] = (0.0, -1.0, Z_EPS)
+    xi = sample_gumbel_batch(n, d, k, rng)
+    g = rng.standard_normal((n, d))
+    want_v, want_vjp = explicit_relaxed_topk(z, xi, 0.5)
+    node = relaxed_topk_var(ad.Var(z), xi, 0.5)
+    assert np.array_equal(node.value, want_v)
+    want = want_vjp(g)
+    (got,) = node._backward(g)
+    assert relative_error(got, want) < 1e-12
+    assert np.all(got[0, :3] == 0.0)
 
 
 @given(st.integers(min_value=0, max_value=2**31 - 1))
