@@ -27,16 +27,19 @@ def make_pair(d: int, c: int, hidden: Sequence[int],
                             a_unselected=Mlp(d, layers, rng=rng))
 
 
+def cross_entropy_grad(target: np.ndarray, pred: np.ndarray, g=1.0) -> np.ndarray:
+    """g times the batch-mean cross-entropy's gradient at pred (..., n, c)."""
+    neg_target = -np.asarray(target, dtype=np.float64)
+    return g / pred.shape[-2] * neg_target / np.maximum(pred, CE_EPS) * (pred > CE_EPS)
+
+
 def cross_entropy_var(target: np.ndarray, pred) -> ad.Var:
     """Batch-mean cross-entropy: target (n, c) constant, pred (n, c) Var.
-    One tape node; its VJP is -target / (n * pred) where pred > CE_EPS."""
+    One tape node; its VJP is `cross_entropy_grad`."""
     pred = ad.as_var(pred)
-    neg_target = -np.asarray(target, dtype=np.float64)
-    above = pred.value > CE_EPS
-    p = np.maximum(pred.value, CE_EPS)
-    n = p.shape[0]
-    return ad.Var((np.log(p) * neg_target).sum(axis=1).mean(), (pred,),
-                  lambda g: (g / n * neg_target / p * above,))
+    loss = np.log(np.maximum(pred.value, CE_EPS)) * -np.asarray(target, dtype=np.float64)
+    return ad.Var(loss.sum(axis=1).mean(), (pred,),
+                  lambda g: (cross_entropy_grad(target, pred.value, g),))
 
 
 def relativistic_flip(y: np.ndarray) -> np.ndarray:

@@ -227,13 +227,16 @@ class Mlp:
 
     Layers are drawn from dense(width), relu and softmax. Weights use
     uniform Glorot initialization from the provided RNG; biases start at 0.
+    With `nets=m` it holds m such nets of P parameters, net i's vector at
+    `parameters[i*P:(i+1)*P]` (drawn in that order), and runs (m, n, in_dim) stacks.
     """
 
     def __init__(self, in_dim: int, layers: Sequence[Layer], rng: Optional[np.random.Generator] = None,
-                 parameters: Optional[np.ndarray] = None):
+                 parameters: Optional[np.ndarray] = None, nets: int = 1):
         self.in_dim = int(in_dim)
         self.layers = [tuple(l) for l in layers]
-        self._slices = []  # (w_slice, w_shape, b_slice) per dense layer
+        self.nets = int(nets)
+        self._slices = []  # (w_slice, w_shape, b_slice) per dense layer, within one net's vector
         width = self.in_dim
         offset = 0
         for i, layer in enumerate(self.layers):
@@ -250,7 +253,7 @@ class Mlp:
             else:
                 raise ConfigError(f"unknown layer kind at position {i}: {kind}")
         self.out_dim = width
-        self.n_params = offset
+        self.n_params = offset * self.nets
         if parameters is not None:
             params = np.asarray(parameters, dtype=np.float64)
             if params.shape != (self.n_params,):
@@ -258,11 +261,11 @@ class Mlp:
             self._params = params.copy()
         else:
             self._params = np.zeros(self.n_params)
-            if rng is None:
-                rng = np.random.default_rng(0)
-            for w_sl, w_shape, _ in self._slices:
-                lim = _glorot_limit(*w_shape)
-                self._params[w_sl] = rng.uniform(-lim, lim, size=w_shape[0] * w_shape[1])
+            rng = np.random.default_rng(0) if rng is None else rng
+            for net in self._params.reshape(self.nets, offset):
+                for w_sl, w_shape, _ in self._slices:
+                    lim = _glorot_limit(*w_shape)
+                    net[w_sl] = rng.uniform(-lim, lim, size=w_shape[0] * w_shape[1])
 
     @property
     def parameters(self) -> np.ndarray:
@@ -276,28 +279,32 @@ class Mlp:
 
     def forward(self, x: np.ndarray, params: Optional[np.ndarray] = None,
                 keep: bool = True) -> tuple:
-        """(out, saved) for a batch x (n, in_dim) over the flat `params`
-        (default: this net's). `saved` holds, per layer, what `backward`
-        needs: the dense input, or the relu or softmax output. With
-        `keep=False` it stays empty, so each activation is freed once the
+        """(out, saved) for a batch x (n, in_dim), or a stack (nets, n, in_dim),
+        over the flat `params` (default: this net's). `saved` holds, per layer,
+        what `backward` needs: the dense input, or the relu or softmax output.
+        With `keep=False` it stays empty, so each activation is freed once the
         next layer has read it."""
         params = self._params if params is None else params
         h = np.asarray(x, dtype=np.float64)
-        if h.ndim != 2 or h.shape[1] != self.in_dim:
-            raise ShapeError(f"dense layer 0 expects input width {self.in_dim}, got {h.shape}")
+        lead = h.shape[:-2]
+        if (h.ndim not in (2, 3) or h.shape[-1] != self.in_dim
+                or lead != ((self.nets,) if h.ndim == 3 or self.nets > 1 else ())):
+            raise ShapeError(f"dense layer 0 expects input width {self.in_dim} "
+                             f"for {self.nets} net(s), got {h.shape}")
+        flat = params.reshape(lead + (-1,))
         saved = []
         dense_i = 0
         for layer in self.layers:
             kind = layer[0]
             if kind == "dense":
                 w_sl, w_shape, b_sl = self._slices[dense_i]
-                out = h @ params[w_sl].reshape(w_shape) + params[b_sl]
+                out = h @ flat[..., w_sl].reshape(lead + w_shape) + flat[..., None, b_sl]
                 dense_i += 1
             elif kind == "relu":
                 out = np.maximum(h, 0.0)
             else:  # softmax
-                e = np.exp(h - h.max(axis=1, keepdims=True))
-                out = e / e.sum(axis=1, keepdims=True)
+                e = np.exp(h - h.max(axis=-1, keepdims=True))
+                out = e / e.sum(axis=-1, keepdims=True)
             if keep:
                 saved.append(h if kind == "dense" else out)
             h = out
@@ -307,27 +314,31 @@ class Mlp:
                  weights: bool = True, inputs: bool = True) -> tuple:
         """(g_in, g_flat): the gradient `g` at the output of `forward` pulled
         back to its input and to the flat parameters. Per dense layer this is
-        one `g @ W.T`, one `a.T @ g` and one bias sum. `weights=False` (a
-        frozen net) skips the weight gradients and `inputs=False` the input
-        gradient; each skipped part comes back as None."""
+        one `g @ W.T`, one `a.T @ g` and one bias sum, over a stack's net axis.
+        `weights=False` (a frozen net) skips the weight gradients and
+        `inputs=False` the input gradient; each skipped part comes back as None."""
         params = self._params if params is None else params
+        lead = g.shape[:-2]
+        rows = lead + (-1,)  # one row of parameters per net of a stack
+        flat = params.reshape(rows)
         g_flat = np.empty(self.n_params) if weights else None
+        g_nets = g_flat.reshape(rows) if weights else None
         dense_i = len(self._slices)
         for i in reversed(range(len(self.layers))):
             kind, val = self.layers[i][0], saved[i]
             if kind == "softmax":
-                g = val * (g - (g * val).sum(axis=1, keepdims=True))
+                g = val * (g - (g * val).sum(axis=-1, keepdims=True))
             elif kind == "relu":
                 g = g * (val > 0.0)
             else:
                 dense_i -= 1
                 w_sl, w_shape, b_sl = self._slices[dense_i]
                 if weights:
-                    g_flat[w_sl] = (val.T @ g).ravel()
-                    g_flat[b_sl] = g.sum(axis=0)
+                    g_nets[..., w_sl] = (val.swapaxes(-1, -2) @ g).reshape(rows)
+                    g_nets[..., b_sl] = g.sum(axis=-2)
                 if i == 0 and not inputs:
                     break
-                g = g @ params[w_sl].reshape(w_shape).T
+                g = g @ flat[..., w_sl].reshape(lead + w_shape).swapaxes(-1, -2)
         return (g if inputs else None), g_flat
 
     def predict(self, x: np.ndarray) -> np.ndarray:

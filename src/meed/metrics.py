@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import Mlp, SelectionSet, named_rng
+from .core import ConfigError, SelectionSet, named_rng
 from .data import Dataset
 from .sampler import hard_topk, hard_topk_batch
 from .trainer import fit_classifier, train
@@ -90,33 +90,42 @@ def fidelity_unselected_model(explainer, model, eval_set: Dataset, k: int) -> fl
     return _agreement(model.evaluate(eval_set.X * (1.0 - masks)), y)
 
 
-def _retrain_approximator(inputs: np.ndarray, targets: np.ndarray,
-                          hidden: Sequence[int], budget: int, seed: int) -> Mlp:
-    return fit_classifier(inputs, targets, hidden, budget, named_rng(seed, "init"))
+def _require_rows(**sets: Optional[Dataset]) -> None:
+    """ConfigError naming the first given set that has no rows."""
+    for name, dataset in sets.items():
+        if dataset is not None and len(dataset) == 0:
+            raise ConfigError(f"the {name} set is empty; its split of the dataset got no rows")
+
+
+def _fidelity_approx(explainer, model, train_set: Dataset, eval_set: Dataset, k: int,
+                     sides: Sequence[str], retrain_budget: int, hidden: Sequence[int],
+                     seed: int) -> list:
+    """FS-A and FU-A: for each side, "selected" (the top-k masks) or
+    "unselected" (their complements), the agreement of an approximator
+    retrained on the masked training inputs; all sides are one stacked fit."""
+    y_tr, y_ev = _outputs(train_set, model), _outputs(eval_set, model)
+    m_tr = explainer_masks(explainer, train_set.X, y_tr, k)
+    m_ev = explainer_masks(explainer, eval_set.X, y_ev, k)
+    x_tr = np.stack([train_set.X * (m_tr if side == "selected" else 1.0 - m_tr) for side in sides])
+    x_ev = np.stack([eval_set.X * (m_ev if side == "selected" else 1.0 - m_ev) for side in sides])
+    net = fit_classifier(x_tr, y_tr, hidden, retrain_budget, named_rng(seed, "init"))
+    return [_agreement(pred, y_ev) for pred in net.predict(x_ev)]
 
 
 def fidelity_selected_approx(explainer, model, train_set: Dataset, eval_set: Dataset,
                              k: int, retrain_budget: int = RETRAIN_BUDGET_DEFAULT,
                              hidden: Sequence[int] = (32, 32), seed: int = 0) -> float:
     """FS-A: agreement of a freshly trained approximator on masked inputs."""
-    y_tr = _outputs(train_set, model)
-    y_ev = _outputs(eval_set, model)
-    m_tr = explainer_masks(explainer, train_set.X, y_tr, k)
-    m_ev = explainer_masks(explainer, eval_set.X, y_ev, k)
-    net = _retrain_approximator(train_set.X * m_tr, y_tr, hidden, retrain_budget, seed)
-    return _agreement(net.predict(eval_set.X * m_ev), y_ev)
+    return _fidelity_approx(explainer, model, train_set, eval_set, k, ("selected",),
+                            retrain_budget, hidden, seed)[0]
 
 
 def fidelity_unselected_approx(explainer, model, train_set: Dataset, eval_set: Dataset,
                                k: int, retrain_budget: int = RETRAIN_BUDGET_DEFAULT,
                                hidden: Sequence[int] = (32, 32), seed: int = 0) -> float:
     """FU-A: same protocol on the complement masks."""
-    y_tr = _outputs(train_set, model)
-    y_ev = _outputs(eval_set, model)
-    m_tr = 1.0 - explainer_masks(explainer, train_set.X, y_tr, k)
-    m_ev = 1.0 - explainer_masks(explainer, eval_set.X, y_ev, k)
-    net = _retrain_approximator(train_set.X * m_tr, y_tr, hidden, retrain_budget, seed)
-    return _agreement(net.predict(eval_set.X * m_ev), y_ev)
+    return _fidelity_approx(explainer, model, train_set, eval_set, k, ("unselected",),
+                            retrain_budget, hidden, seed)[0]
 
 
 def default_sen_radius(eval_set: Dataset) -> float:
@@ -164,6 +173,7 @@ def sanity_tests(explainer, model, eval_set: Dataset, k: int,
     outputs; data mode retrains the model on permuted labels and retrains the
     explainer from scratch against it.
     """
+    _require_rows(evaluation=eval_set, training=train_set)
     if rng is None:
         rng = np.random.default_rng(0)
     y = _outputs(eval_set, model)
@@ -210,17 +220,17 @@ def evaluate_explainer(explainer, model, train_set: Dataset, eval_set: Dataset, 
                        sanity_model: bool = True) -> MetricsReport:
     """Full report over one trained explainer (data-randomization left at -1
     unless run separately; it needs a retraining budget the caller controls)."""
+    _require_rows(training=train_set, evaluation=eval_set)
     rng = named_rng(seed, "perturb")
     # Each set's outputs once, on local copies; the caller's datasets stay as given.
     train_set = replace(train_set, Y=_outputs(train_set, model))
     eval_set = replace(eval_set, Y=_outputs(eval_set, model))
+    fs_a, fu_a = _fidelity_approx(explainer, model, train_set, eval_set, k,
+                                  ("selected", "unselected"), retrain_budget, hidden, seed)
     return MetricsReport(
         fs_m=fidelity_selected_model(explainer, model, eval_set, k),
         fu_m=fidelity_unselected_model(explainer, model, eval_set, k),
-        fs_a=fidelity_selected_approx(explainer, model, train_set, eval_set, k,
-                                      retrain_budget=retrain_budget, hidden=hidden, seed=seed),
-        fu_a=fidelity_unselected_approx(explainer, model, train_set, eval_set, k,
-                                        retrain_budget=retrain_budget, hidden=hidden, seed=seed),
+        fs_a=fs_a, fu_a=fu_a,
         sen=sensitivity(explainer, model, eval_set, rng=rng),
         sanity_model=(sanity_tests(explainer, model, eval_set, k,
                                    mode="model-randomization", rng=rng)

@@ -77,10 +77,11 @@ def hard_topk(z: np.ndarray, k: int) -> SelectionSet:
 
 
 def hard_topk_batch(z: np.ndarray, k: int) -> np.ndarray:
-    """Binary k-hot masks (n, d) for a batch of score vectors."""
+    """Binary k-hot masks (n, d) for a batch of score vectors; ties go to the lower index."""
     z = np.asarray(z, dtype=np.float64)
     _check_k(k, z.shape[1])
-    order = np.argsort(-z, axis=1, kind="stable")[:, :k]
-    masks = np.zeros_like(z)
-    np.put_along_axis(masks, order, 1.0, axis=1)
-    return masks
+    z = np.where(np.isnan(z), -np.inf, z)  # a NaN score ranks last, as in `hard_topk`
+    kth = np.partition(z, -k, axis=1)[:, -k, None]
+    above, tied = z > kth, z == kth
+    tied &= np.cumsum(tied, axis=1) <= k - above.sum(axis=1, keepdims=True)
+    return (above | tied).astype(np.float64)

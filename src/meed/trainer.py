@@ -17,8 +17,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .approximators import (ApproximatorPair, cross_entropy_var, make_pair,
-                            relativistic_flip, sliced_wasserstein_var,
+from .approximators import (ApproximatorPair, cross_entropy_grad, cross_entropy_var,
+                            make_pair, relativistic_flip, sliced_wasserstein_var,
                             sw_directions)
 from .baselines import prior_scores
 from .core import (ConfigError, Mlp, ShapeError, TrainConfig, classifier_layers,
@@ -127,17 +127,22 @@ def fit_classifier(x: np.ndarray, targets: np.ndarray, hidden: Sequence[int], ep
     """Softmax MLP fitted to `targets` (n, c) by minibatch Adam on cross-entropy.
 
     `rng` draws the initial weights first, then one permutation per epoch.
+    An (m, n, d) stack of inputs fits m nets of one `Mlp` at once, each
+    exactly as a fit of its own (n, d) slice from the same `rng` state.
     """
-    net = Mlp(x.shape[1], classifier_layers(hidden, targets.shape[1]), rng=rng)
+    layers = classifier_layers(hidden, targets.shape[1])
+    nets = len(x) if x.ndim == 3 else 1
+    net = Mlp(x.shape[-1], layers, nets=nets,
+              parameters=np.tile(Mlp(x.shape[-1], layers, rng=rng).parameters, nets))
     opt = Adam(learning_rate, net.n_params)
-    n = x.shape[0]
+    n = x.shape[-2]
     for _ in range(epochs):
         perm = rng.permutation(n)
         for lo in range(0, n, batch_size):
             idx = perm[lo:lo + batch_size]
-            leaf = ad.Var(net.parameters)
-            ad.backward(cross_entropy_var(targets[idx], net.forward_var(x[idx], leaf)))
-            opt.step(net.parameters, leaf.grad)
+            out, saved = net.forward(x[..., idx, :])
+            g_out = cross_entropy_grad(targets[idx], out)
+            opt.step(net.parameters, net.backward(saved, g_out, inputs=False)[1])
     return net
 
 

@@ -356,6 +356,22 @@ def test_seed_option_only_on_commands_without_a_checkpoint(trained_dir, tmp_path
         assert "--seed" in capsys.readouterr().err
 
 
+def test_empty_test_split_exits_2(tmp_path, capsys):
+    """At n=12 and data seed 0 the hash split leaves 10/2/0 rows: train runs,
+    while evaluate, sanity and ablate stop with exit 2 naming the empty set."""
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(CONFIG.format(out=tmp_path / "out").replace("d = 6", "d = 4")
+                   .replace("n = 800", "n = 12").replace("seed = 11", "seed = 0"))
+    assert [len(split) for split in build_dataset(parse_config_file(str(cfg)))[:3]] == [10, 2, 0]
+    assert main(["train", "--config", str(cfg)]) == EXIT_OK
+    ckpt = str(tmp_path / "out" / "checkpoint.bin")
+    for argv in (["evaluate", "--checkpoint", ckpt], ["sanity", "--checkpoint", ckpt],
+                 ["ablate"]):
+        capsys.readouterr()
+        assert main(argv + ["--config", str(cfg)]) == EXIT_CONFIG
+        assert "the evaluation set is empty" in capsys.readouterr().err
+
+
 def test_evaluate_writes_parseable_report(trained_dir):
     config_path, out = trained_dir
     code = main(["evaluate", "--config", config_path,

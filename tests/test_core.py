@@ -1,5 +1,7 @@
 """Domain types, configuration validation, RNG streams and the MLP base."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,58 @@ def test_mlp_backward_without_the_input_gradient(rng):
     fd_flat = finite_difference(lambda p: float((net.forward(x, p)[0] * g).sum()), other.copy())
     assert relative_error(g_flat, fd_flat) < 1e-6
     assert np.array_equal(g_flat, net.backward(saved, g, other)[1])
+
+
+def stacked_case(m=3, n=5):
+    """An m-net stack drawn from one seed, an (m, n, 4) input stack and an
+    output gradient stack."""
+    layers = classifier_layers((5, 3), 3)
+    stack = Mlp(4, layers, rng=np.random.default_rng(7), nets=m)
+    rng = np.random.default_rng(8)
+    return stack, rng.standard_normal((m, n, 4)), rng.standard_normal((m, n, 3))
+
+
+def test_stacked_mlp_equals_separate_nets_bit_for_bit():
+    stack, x, g = stacked_case()
+    draw = np.random.default_rng(7)
+    nets = [Mlp(4, stack.layers, rng=draw) for _ in range(stack.nets)]
+    assert np.array_equal(stack.parameters, np.concatenate([net.parameters for net in nets]))
+    out, saved = stack.forward(x)
+    assert np.array_equal(out, stack.predict(x))
+    p = stack.n_params // stack.nets
+    for weights, inputs in itertools.product((True, False), repeat=2):
+        g_in, g_flat = stack.backward(saved, g, weights=weights, inputs=inputs)
+        assert (g_in is None) != inputs and (g_flat is None) != weights
+        for i, net in enumerate(nets):
+            one_out, one_saved = net.forward(x[i])
+            assert np.array_equal(one_out, out[i])
+            one_in, one_flat = net.backward(one_saved, g[i], weights=weights, inputs=inputs)
+            if inputs:
+                assert np.array_equal(one_in, g_in[i])
+            if weights:
+                assert np.array_equal(one_flat, g_flat[i * p:(i + 1) * p])
+
+
+def test_stacked_mlp_backward_matches_finite_differences():
+    stack, x, g = stacked_case(m=2)
+    g_in, g_flat = stack.backward(stack.forward(x)[1], g)
+    fd_in = finite_difference(lambda v: float((stack.forward(v.reshape(x.shape))[0] * g).sum()),
+                              x.ravel())
+    fd_flat = finite_difference(lambda p: float((stack.forward(x, p)[0] * g).sum()),
+                                stack.parameters.copy())
+    assert relative_error(g_in.ravel(), fd_in) < 1e-6
+    assert relative_error(g_flat, fd_flat) < 1e-6
+
+
+def test_stacked_mlp_rejects_a_batch_without_its_net_axis():
+    stack, x, _ = stacked_case(m=2)
+    for bad in (x[0], x[:1], np.concatenate([x, x])):
+        with pytest.raises(ShapeError):
+            stack.forward(bad)
+    single = Mlp(4, stack.layers, parameters=stack.parameters[:stack.n_params // 2])
+    assert np.array_equal(single.predict(x[:1])[0], single.predict(x[0]))
+    with pytest.raises(ShapeError):
+        single.predict(x)
 
 
 def test_mlp_clone_and_set_parameters(rng):

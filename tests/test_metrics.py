@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from meed.core import Mlp, SelectionSet, TrainConfig, named_rng
+from meed.core import ConfigError, Mlp, SelectionSet, TrainConfig, named_rng
 from meed.data import (Dataset, MlpModel, SyntheticSpec, generate_synthetic, split_dataset,
                        train_given_model)
 from meed.metrics import (MetricsReport, brute_force_best_subset,
                           default_sen_radius, evaluate_explainer,
-                          explainer_masks, fidelity_selected_model,
+                          explainer_masks, fidelity_selected_approx,
+                          fidelity_selected_model, fidelity_unselected_approx,
                           fidelity_unselected_model, mask_cosine, mi_estimate,
                           sanity_tests, sensitivity, time_per_sample)
 from meed.trainer import train
@@ -151,6 +152,25 @@ def test_evaluate_explainer_produces_full_report(trained_run):
     assert report.tps > 0.0
     assert report.sanity_data == -1.0
     assert report.k == 2 and report.n_eval == len(te)
+
+
+def test_evaluate_explainer_fidelity_approx_equals_the_single_side_functions(trained_run):
+    explainer, model, feats, te, _, _ = trained_run
+    kwargs = dict(retrain_budget=3, hidden=(8,), seed=4)
+    report = evaluate_explainer(explainer, model, feats, te, 2, **kwargs)
+    assert report.fs_a == fidelity_selected_approx(explainer, model, feats, te, 2, **kwargs)
+    assert report.fu_a == fidelity_unselected_approx(explainer, model, feats, te, 2, **kwargs)
+
+
+@pytest.mark.parametrize("empty", ["training", "evaluation"])
+def test_evaluate_and_sanity_reject_an_empty_set(trained_run, empty):
+    explainer, model, feats, te, _, _ = trained_run
+    none = Dataset(ids=[], X=np.zeros((0, te.d)))
+    tr, ev = (none, te) if empty == "training" else (feats, none)
+    with pytest.raises(ConfigError, match=f"the {empty} set is empty"):
+        evaluate_explainer(explainer, model, tr, ev, 2, retrain_budget=1)
+    with pytest.raises(ConfigError, match=f"the {empty} set is empty"):
+        sanity_tests(explainer, model, ev, 2, train_set=tr)
 
 
 def test_evaluate_explainer_leaves_caller_datasets_untouched(trained_run):

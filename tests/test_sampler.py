@@ -81,6 +81,32 @@ def test_hard_topk_batch_matches_single(rng):
         assert np.flatnonzero(masks[i]).tolist() == list(hard_topk(z[i], 2).indices)
 
 
+def argsort_topk_batch(z, k):
+    """The stable-argsort form of the batched hard top-k."""
+    order = np.argsort(-z, axis=1, kind="stable")[:, :k]
+    masks = np.zeros_like(z)
+    np.put_along_axis(masks, order, 1.0, axis=1)
+    return masks
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 30), st.integers(0, 2**32 - 1),
+       st.sampled_from([None, 0, 1]), st.booleans(), st.data())
+def test_hard_topk_batch_matches_the_argsort_form(n, d, seed, decimals, nans, data):
+    """Scores rounded to 0 or 1 decimals force ties at the k-th largest score;
+    NaN scores, which the argsort ranks last, may fill any place."""
+    k = data.draw(st.sampled_from(sorted({1, d, data.draw(st.integers(1, d))})))
+    rng = np.random.default_rng(seed)
+    z = rng.random((n, d))
+    if decimals is not None:
+        z = np.round(z, decimals)
+    if nans:
+        z[rng.random((n, d)) < 0.3] = np.nan
+    masks = hard_topk_batch(z, k)
+    assert np.array_equal(masks, argsort_topk_batch(z, k))
+    assert masks.dtype == np.float64 and np.all(masks.sum(axis=1) == k)
+
+
 @pytest.mark.parametrize("k", [-1, 0, 4, 5])
 def test_hard_topk_batch_rejects_k_outside_1_to_d(k):
     with pytest.raises(ConfigError, match="1 <= k <= d"):

@@ -14,14 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from meed import autodiff as ad
 from meed.core import ConfigError, Mlp, ShapeError, TrainConfig, classifier_layers, named_rng
-from meed.approximators import make_pair
+from meed.approximators import cross_entropy_var, make_pair
 from meed.baselines import FD_STEP
 from meed.data import Dataset, MlpModel
 from meed.explainer import ExplainerNet
 from meed.sampler import sample_gumbel_batch
-from meed.trainer import (CHECKPOINT_MAGIC, Checkpoint, CheckpointError,
-                          TrainingAbort, approximator_step, explainer_step,
+from meed.trainer import (CHECKPOINT_MAGIC, Adam, Checkpoint, CheckpointError,
+                          TrainingAbort, fit_classifier, approximator_step, explainer_step,
                           load_checkpoint, make_optimizer, nets_from_checkpoint,
                           save_checkpoint, train)
 from tests.conftest import damage_record, record_sections
@@ -94,6 +95,43 @@ def step_inputs(config, seed=0):
             "s": make_optimizer(config, pair.a_selected.n_params),
             "u": make_optimizer(config, pair.a_unselected.n_params)}
     return x, y, xi, explainer, pair, opts
+
+
+def tape_fit_classifier(x, targets, hidden, epochs, rng, learning_rate=1e-3, batch_size=64):
+    """The classifier fit as a loop over the autodiff tape: one Mlp node and
+    one cross-entropy node per minibatch, then one Adam step."""
+    net = Mlp(x.shape[1], classifier_layers(hidden, targets.shape[1]), rng=rng)
+    opt = Adam(learning_rate, net.n_params)
+    n = x.shape[0]
+    for _ in range(epochs):
+        perm = rng.permutation(n)
+        for lo in range(0, n, batch_size):
+            idx = perm[lo:lo + batch_size]
+            leaf = ad.Var(net.parameters)
+            ad.backward(cross_entropy_var(targets[idx], net.forward_var(x[idx], leaf)))
+            opt.step(net.parameters, leaf.grad)
+    return net
+
+
+def test_fit_classifier_equals_the_tape_loop_bit_for_bit():
+    x, y = small_problem(n=70)  # 70 rows: the last minibatch of each epoch is short
+    fit = fit_classifier(x, y, (8, 4), 3, named_rng(2, "model"), learning_rate=1e-2,
+                         batch_size=16)
+    tape = tape_fit_classifier(x, y, (8, 4), 3, named_rng(2, "model"), learning_rate=1e-2,
+                               batch_size=16)
+    assert fit.nets == 1 and np.array_equal(fit.parameters, tape.parameters)
+
+
+def test_stacked_fit_classifier_equals_one_fit_per_slice():
+    x, y = small_problem(n=70)
+    stack = np.stack([x, x * (x > 0.0)])
+    fit = fit_classifier(stack, y, (8,), 3, named_rng(2, "init"), batch_size=16)
+    p = fit.n_params // 2
+    assert fit.nets == 2
+    for i in range(2):
+        one = fit_classifier(stack[i], y, (8,), 3, named_rng(2, "init"), batch_size=16)
+        assert np.array_equal(fit.parameters[i * p:(i + 1) * p], one.parameters)
+    assert not np.array_equal(fit.parameters[:p], fit.parameters[p:])
 
 
 def test_approximator_step_freezes_explainer():
