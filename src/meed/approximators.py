@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -13,18 +12,19 @@ from .core import Mlp, classifier_layers
 CE_EPS = 1e-12  # predictions clamped before the log
 
 
-@dataclass
 class ApproximatorPair:
-    a_selected: Mlp
-    a_unselected: Mlp
+    """A_s and A_u as one `net` (A_s first) that runs (2, n, d) stacks; `a_selected`
+    and `a_unselected` are one-net views of its parameters, writing through to it."""
+
+    def __init__(self, net: Mlp):
+        self.net = net
+        self.a_selected, self.a_unselected = net.view(0), net.view(1)
 
 
 def make_pair(d: int, c: int, hidden: Sequence[int],
               rng: np.random.Generator) -> ApproximatorPair:
-    """Two fresh nets of the same shape (never shared parameters)."""
-    layers = classifier_layers(hidden, c)
-    return ApproximatorPair(a_selected=Mlp(d, layers, rng=rng),
-                            a_unselected=Mlp(d, layers, rng=rng))
+    """Two fresh nets of the same shape, drawn A_s first (never shared parameters)."""
+    return ApproximatorPair(Mlp(d, classifier_layers(hidden, c), rng=rng, nets=2))
 
 
 def cross_entropy_grad(target: np.ndarray, pred: np.ndarray, g=1.0) -> np.ndarray:

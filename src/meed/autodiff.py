@@ -41,7 +41,7 @@ def as_var(x) -> Var:
     return x if isinstance(x, Var) else Var(x)
 
 
-def _value(x) -> np.ndarray:
+def value(x) -> np.ndarray:
     return x.value if isinstance(x, Var) else np.asarray(x, dtype=np.float64)
 
 
@@ -53,21 +53,27 @@ def _glue(value, operands) -> Var:
 
 
 def add(a, b) -> Var:
-    av, bv = _value(a), _value(b)
+    av, bv = value(a), value(b)
     return _glue(av + bv, ((a, lambda g: _unbroadcast(g, av.shape)),
                            (b, lambda g: _unbroadcast(g, bv.shape))))
 
 
 def sub(a, b) -> Var:
-    av, bv = _value(a), _value(b)
+    av, bv = value(a), value(b)
     return _glue(av - bv, ((a, lambda g: _unbroadcast(g, av.shape)),
                            (b, lambda g: _unbroadcast(-g, bv.shape))))
 
 
 def mul(a, b) -> Var:
-    av, bv = _value(a), _value(b)
+    av, bv = value(a), value(b)
     return _glue(av * bv, ((a, lambda g: _unbroadcast(g * bv, av.shape)),
                            (b, lambda g: _unbroadcast(g * av, bv.shape))))
+
+
+def take(a: Var, i: int) -> Var:
+    """a[i] along the leading axis; its VJP is g at i and zeros elsewhere."""
+    return Var(a.value[i], (a,), lambda g: (np.stack(
+        [g if j == i else np.zeros_like(g) for j in range(len(a.value))]),))
 
 
 def backward(root: Var) -> None:

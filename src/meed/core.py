@@ -6,6 +6,7 @@ vector so optimizers and checkpoints can treat them uniformly.
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 import struct
@@ -276,6 +277,13 @@ class Mlp:
         if vec.shape != (self.n_params,):
             raise ShapeError(f"expected {self.n_params} parameters, got {vec.shape}")
         self._params[:] = vec
+
+    def view(self, i: int) -> "Mlp":
+        """Net i of a stack as a one-net Mlp over a view of its parameters."""
+        one = copy.copy(self)
+        one.nets, one.n_params = 1, self.n_params // self.nets
+        one._params = self._params[i * one.n_params:(i + 1) * one.n_params]
+        return one
 
     def forward(self, x: np.ndarray, params: Optional[np.ndarray] = None,
                 keep: bool = True) -> tuple:

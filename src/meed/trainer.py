@@ -150,37 +150,39 @@ def fit_classifier(x: np.ndarray, targets: np.ndarray, hidden: Sequence[int], ep
 # Update steps
 # ---------------------------------------------------------------------------
 
-def _loss_u_var(y: np.ndarray, pred_u: ad.Var, config: TrainConfig,
-                thetas: Optional[np.ndarray]) -> ad.Var:
-    if config.loss_u == "cross-entropy":
-        return cross_entropy_var(y, pred_u)
-    return sliced_wasserstein_var(y, pred_u, thetas)
+def _pair_outputs(pair: ApproximatorPair, v, x: np.ndarray, leaf=None) -> tuple:
+    """A_s's and A_u's outputs on v*x and (1-v)*x, sliced from one pair node over
+    their (2, n, d) stack; a Var mask v makes the stack a node (VJP g[0]*x - g[1]*x)."""
+    stack = np.stack([ad.value(v) * x, (1.0 - ad.value(v)) * x])
+    if isinstance(v, ad.Var):
+        stack = ad.Var(stack, (v,), lambda g: (g[0] * x - g[1] * x,))
+    preds = pair.net.forward_var(stack, leaf)
+    return ad.take(preds, 0), ad.take(preds, 1)
 
 
 def approximator_step(pair: ApproximatorPair, explainer: ExplainerNet,
                       x: np.ndarray, y: np.ndarray, config: TrainConfig,
-                      xi: np.ndarray, opt_s: Optimizer, opt_u: Optimizer,
+                      xi: np.ndarray, opt: Optimizer,
                       prior_r: Optional[np.ndarray] = None, m: int = 0,
                       sw_thetas: Optional[np.ndarray] = None,
                       batch_id: str = "?") -> tuple:
-    """One update of both approximators; explainer parameters stay frozen."""
+    """One update of both approximators, stepping `opt` over the pair's
+    stacked parameters; explainer parameters stay frozen."""
     z = explainer.score(x, y)
     if prior_r is not None:
         z = fuse_prior_var(z, prior_r, m).value
     v = relaxed_topk_var(z, xi, config.tau).value
-    leaf_s = ad.Var(pair.a_selected.parameters)
-    leaf_u = ad.Var(pair.a_unselected.parameters)
-    pred_s = pair.a_selected.forward_var(x * v, leaf_s)
-    pred_u = pair.a_unselected.forward_var(x * (1.0 - v), leaf_u)
+    leaf = ad.Var(pair.net.parameters)
+    pred_s, pred_u = _pair_outputs(pair, v, x, leaf)
     l_s = cross_entropy_var(y, pred_s)
-    l_u = _loss_u_var(y, pred_u, config, sw_thetas)
+    l_u = (cross_entropy_var(y, pred_u) if config.loss_u == "cross-entropy"
+           else sliced_wasserstein_var(y, pred_u, sw_thetas))
     total = ad.add(l_s, ad.mul(l_u, config.lambda_u))
     for name, val in (("L_s", l_s.value), ("L_u", l_u.value)):
         if not np.isfinite(val):
             raise TrainingAbort(f"non-finite {name} in approximator step, batch {batch_id}")
     ad.backward(total)
-    opt_s.step(pair.a_selected.parameters, leaf_s.grad)
-    opt_u.step(pair.a_unselected.parameters, leaf_u.grad)
+    opt.step(pair.net.parameters, leaf.grad)
     return float(l_s.value), float(l_u.value)
 
 
@@ -192,16 +194,11 @@ def explainer_objective(explainer: ExplainerNet, leaf: ad.Var, pair: Approximato
     (minus lambda_u*L~_u for sliced-Wasserstein) over `leaf`, a Var over the
     explainer's flat parameters; returns (objective, L_s, L~_u, L_e)."""
     z = explainer.score_var(x, y, leaf)
-    if prior_r is not None:
-        z_tilde = fuse_prior_var(z, prior_r, m)
-        l_e = prior_constraint_loss_var(z_tilde, z, m)
-    else:
-        z_tilde = z
-        l_e = ad.Var(0.0)
+    z_tilde = z if prior_r is None else fuse_prior_var(z, prior_r, m)
+    l_e = ad.Var(0.0) if prior_r is None else prior_constraint_loss_var(z_tilde, z, m)
     v = relaxed_topk_var(z_tilde, xi, config.tau)
     # Frozen approximators: gradients reach their inputs, not their weights.
-    pred_s = pair.a_selected.forward_var(ad.mul(v, x))
-    pred_u = pair.a_unselected.forward_var(ad.mul(ad.sub(1.0, v), x))
+    pred_s, pred_u = _pair_outputs(pair, v, x)
     l_s = cross_entropy_var(y, pred_s)
     if config.loss_u == "cross-entropy":
         # Relativistic variant: still minimize, against the flipped target.
@@ -377,15 +374,18 @@ def train(dataset, model, config: TrainConfig,
         pair = make_pair(d, c, meta["approx_hidden"], init_rng)
         start_epoch = 0
 
-    opts = {"explainer": make_optimizer(config, explainer.n_params),
-            "a_selected": make_optimizer(config, pair.a_selected.n_params),
-            "a_unselected": make_optimizer(config, pair.a_unselected.n_params)}
+    opt_e = make_optimizer(config, explainer.n_params)
+    opt_pair = make_optimizer(config, pair.net.n_params)
     if resume is not None:
         try:
             for name, gen in rngs.items():
                 gen.bit_generator.state = resume.rng_states[name]
-            for name, opt in opts.items():
-                opt.set_state(resume.optimizer_states[name])
+            opt_e.set_state(resume.optimizer_states["explainer"])
+            s, u = (resume.optimizer_states[net] for net in NETS[1:])
+            if s["t"] != u["t"]:
+                raise CheckpointError(f"approximator step counts differ: {s['t']}, {u['t']}")
+            opt_pair.set_state({slot: val if slot == "t" else np.concatenate([val, u[slot]])
+                                for slot, val in s.items()})
         except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise CheckpointError(f"resume checkpoint's RNG or optimizer state does not fit "
                                   f"this run: {exc!r}") from exc
@@ -398,13 +398,17 @@ def train(dataset, model, config: TrainConfig,
              0 if prior_all is None else n, time.perf_counter() - tic)
 
     def snapshot(epoch: int) -> Checkpoint:
+        pair_state = opt_pair.get_state()  # stored as one half per net, `t` shared
         return Checkpoint(config=config, meta=meta,
                           explainer_params=explainer.parameters.copy(),
                           a_selected_params=pair.a_selected.parameters.copy(),
                           a_unselected_params=pair.a_unselected.parameters.copy(),
                           epoch_counter=epoch,
                           rng_states={name: gen.bit_generator.state for name, gen in rngs.items()},
-                          optimizer_states={name: opt.get_state() for name, opt in opts.items()})
+                          optimizer_states={"explainer": opt_e.get_state(), **{
+                              net: {slot: val if slot == "t" else np.split(val, 2)[i]
+                                    for slot, val in pair_state.items()}
+                              for i, net in enumerate(NETS[1:])}})
 
     ckpt = snapshot(start_epoch)
     ckpt_path = os.path.join(out_dir, "checkpoint.bin") if out_dir else None
@@ -426,13 +430,11 @@ def train(dataset, model, config: TrainConfig,
                       if config.loss_u == "sliced-wasserstein" else None)
             bid = f"epoch {m} offset {lo}"
             xi_a = sample_gumbel_batch(len(idx), d, config.k, rngs["gumbel"])
-            l_s, l_u = approximator_step(pair, explainer, xb, yb, config, xi_a,
-                                         opts["a_selected"], opts["a_unselected"],
+            l_s, l_u = approximator_step(pair, explainer, xb, yb, config, xi_a, opt_pair,
                                          prior_r=rb, m=m, sw_thetas=thetas, batch_id=bid)
             xi_e = sample_gumbel_batch(len(idx), d, config.k, rngs["gumbel"])
-            _, _, l_e = explainer_step(explainer, pair, xb, yb, config, xi_e,
-                                       opts["explainer"], prior_r=rb, m=m,
-                                       sw_thetas=thetas, batch_id=bid)
+            _, _, l_e = explainer_step(explainer, pair, xb, yb, config, xi_e, opt_e,
+                                       prior_r=rb, m=m, sw_thetas=thetas, batch_id=bid)
             sums += (l_s, l_u, l_e)
             n_batches += 1
         mean = sums / max(n_batches, 1)

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meed import autodiff as ad
+from meed.core import Mlp, classifier_layers
 from meed.approximators import (ApproximatorPair, cross_entropy_var, make_pair,
                                 relativistic_flip, sliced_wasserstein_var,
                                 sw_directions)
@@ -90,6 +91,32 @@ def test_make_pair(rng):
     assert pair.a_selected.layers == pair.a_unselected.layers
     assert not np.shares_memory(pair.a_selected.parameters, pair.a_unselected.parameters)
     assert not np.allclose(pair.a_selected.parameters, pair.a_unselected.parameters)
+
+
+def test_make_pair_equals_two_mlps_drawn_from_one_rng():
+    pair = make_pair(d=5, c=3, hidden=(8, 4), rng=np.random.default_rng(7))
+    rng = np.random.default_rng(7)
+    layers = classifier_layers((8, 4), 3)
+    first, second = Mlp(5, layers, rng=rng), Mlp(5, layers, rng=rng)
+    assert pair.net.nets == 2
+    assert np.array_equal(pair.a_selected.parameters, first.parameters)
+    assert np.array_equal(pair.a_unselected.parameters, second.parameters)
+    assert np.array_equal(pair.net.parameters,
+                          np.concatenate([first.parameters, second.parameters]))
+
+
+def test_pair_views_write_through_to_the_stacked_net(rng):
+    pair = make_pair(d=5, c=2, hidden=(8,), rng=rng)
+    for i, view in enumerate((pair.a_selected, pair.a_unselected)):
+        assert view.nets == 1 and view.n_params == pair.net.n_params // 2
+        assert np.shares_memory(view.parameters, pair.net.parameters)
+        fresh = rng.standard_normal(view.n_params)
+        view.set_parameters(fresh)
+        assert np.array_equal(np.split(pair.net.parameters, 2)[i], fresh)
+    x = rng.standard_normal((4, 5))
+    stacked = pair.net.predict(np.stack([x, 2.0 * x]))
+    assert np.array_equal(stacked[0], pair.a_selected.predict(x))
+    assert np.array_equal(stacked[1], pair.a_unselected.predict(2.0 * x))
 
 
 def test_pair_outputs_are_simplex(rng):

@@ -16,11 +16,12 @@ from hypothesis import strategies as st
 
 from meed import autodiff as ad
 from meed.core import ConfigError, Mlp, ShapeError, TrainConfig, classifier_layers, named_rng
-from meed.approximators import cross_entropy_var, make_pair
+from meed.approximators import (cross_entropy_var, make_pair, relativistic_flip,
+                                sliced_wasserstein_var, sw_directions)
 from meed.baselines import FD_STEP
 from meed.data import Dataset, MlpModel
-from meed.explainer import ExplainerNet
-from meed.sampler import sample_gumbel_batch
+from meed.explainer import ExplainerNet, fuse_prior_var, prior_constraint_loss_var
+from meed.sampler import relaxed_topk_var, sample_gumbel_batch
 from meed.trainer import (CHECKPOINT_MAGIC, Adam, Checkpoint, CheckpointError,
                           TrainingAbort, fit_classifier, approximator_step, explainer_step,
                           load_checkpoint, make_optimizer, nets_from_checkpoint,
@@ -92,8 +93,7 @@ def step_inputs(config, seed=0):
     explainer = ExplainerNet(6, 2, hidden=(8,), rng=init)
     pair = make_pair(6, 2, (8,), init)
     opts = {"e": make_optimizer(config, explainer.n_params),
-            "s": make_optimizer(config, pair.a_selected.n_params),
-            "u": make_optimizer(config, pair.a_unselected.n_params)}
+            "pair": make_optimizer(config, pair.net.n_params)}
     return x, y, xi, explainer, pair, opts
 
 
@@ -140,7 +140,7 @@ def test_approximator_step_freezes_explainer():
     before_e = explainer.parameters.copy()
     before_s = pair.a_selected.parameters.copy()
     before_u = pair.a_unselected.parameters.copy()
-    approximator_step(pair, explainer, x, y, config, xi, opts["s"], opts["u"],
+    approximator_step(pair, explainer, x, y, config, xi, opts["pair"],
                       prior_r=None, m=0, sw_thetas=None, batch_id="t")
     assert np.array_equal(explainer.parameters, before_e)
     assert not np.array_equal(pair.a_selected.parameters, before_s)
@@ -166,8 +166,88 @@ def test_non_finite_input_aborts_training():
     x = x.copy()
     x[0, 0] = np.nan
     with pytest.raises(TrainingAbort):
-        approximator_step(pair, explainer, x, y, config, xi, opts["s"], opts["u"],
+        approximator_step(pair, explainer, x, y, config, xi, opts["pair"],
                           prior_r=None, m=0, sw_thetas=None, batch_id="t")
+
+
+def two_net_approximator_step(nets, explainer, x, y, config, xi, opt_s, opt_u, prior_r, m,
+                              thetas):
+    """The approximator update with A_s and A_u as two nets and two optimizers."""
+    z = explainer.score(x, y)
+    if prior_r is not None:
+        z = fuse_prior_var(z, prior_r, m).value
+    v = relaxed_topk_var(z, xi, config.tau).value
+    leaf_s, leaf_u = ad.Var(nets[0].parameters), ad.Var(nets[1].parameters)
+    pred_s = nets[0].forward_var(x * v, leaf_s)
+    pred_u = nets[1].forward_var(x * (1.0 - v), leaf_u)
+    l_u = (cross_entropy_var(y, pred_u) if config.loss_u == "cross-entropy"
+           else sliced_wasserstein_var(y, pred_u, thetas))
+    ad.backward(ad.add(cross_entropy_var(y, pred_s), ad.mul(l_u, config.lambda_u)))
+    opt_s.step(nets[0].parameters, leaf_s.grad)
+    opt_u.step(nets[1].parameters, leaf_u.grad)
+
+
+def two_net_explainer_step(explainer, nets, x, y, config, xi, opt_e, prior_r, m, thetas):
+    """The explainer update against A_s and A_u as two frozen nets."""
+    leaf = ad.Var(explainer.parameters)
+    z = explainer.score_var(x, y, leaf)
+    l_e = None
+    if prior_r is not None:
+        z_tilde = fuse_prior_var(z, prior_r, m)
+        l_e = prior_constraint_loss_var(z_tilde, z, m)
+        z = z_tilde
+    v = relaxed_topk_var(z, xi, config.tau)
+    pred_s = nets[0].forward_var(ad.mul(v, x))
+    pred_u = nets[1].forward_var(ad.mul(ad.sub(1.0, v), x))
+    objective = cross_entropy_var(y, pred_s)
+    if config.loss_u == "cross-entropy":
+        objective = ad.add(objective, ad.mul(cross_entropy_var(relativistic_flip(y), pred_u),
+                                             config.lambda_u))
+    else:
+        objective = ad.sub(objective, ad.mul(sliced_wasserstein_var(y, pred_u, thetas),
+                                             config.lambda_u))
+    if config.lambda_e != 0.0 and l_e is not None:
+        objective = ad.add(objective, ad.mul(l_e, config.lambda_e))
+    ad.backward(objective)
+    opt_e.step(explainer.parameters, leaf.grad)
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "rmsprop", "adadelta", "adam"])
+@pytest.mark.parametrize("variant", ["cross-entropy", "sliced-wasserstein-prior"])
+def test_stacked_pair_steps_equal_the_two_net_steps(optimizer, variant):
+    """Three minibatches of both updates move every parameter and optimizer
+    slot exactly as A_s and A_u run as two nets with two optimizers."""
+    extra = (dict(loss_u="sliced-wasserstein", n_projections=8, lambda_e=1.0)
+             if variant != "cross-entropy" else {})
+    config = TrainConfig(k=2, epochs=1, seed=0, optimizer=optimizer, decay=0.01,
+                         lambda_u=0.7, tau=0.37, **extra)
+    x, y, _, explainer, pair, opts = step_inputs(config)
+    twin_e = ExplainerNet(6, 2, hidden=(8,), rng=np.random.default_rng(0))
+    twin_e.set_parameters(explainer.parameters)
+    nets = [Mlp(6, view.layers, parameters=view.parameters)
+            for view in (pair.a_selected, pair.a_unselected)]
+    twin_opts = [make_optimizer(config, n) for n in
+                 (explainer.n_params, nets[0].n_params, nets[1].n_params)]
+    prior_r = np.full((len(x), 6), 1.0 / 6) if extra else None
+    rng = np.random.default_rng(1)
+    for m in range(3):
+        xi_a, xi_e = (sample_gumbel_batch(len(x), 6, config.k, rng) for _ in range(2))
+        thetas = sw_directions(2, 8, rng) if extra else None
+        approximator_step(pair, explainer, x, y, config, xi_a, opts["pair"], prior_r, m, thetas)
+        explainer_step(explainer, pair, x, y, config, xi_e, opts["e"], prior_r, m, thetas)
+        two_net_approximator_step(nets, twin_e, x, y, config, xi_a, *twin_opts[1:], prior_r, m,
+                                  thetas)
+        two_net_explainer_step(twin_e, nets, x, y, config, xi_e, twin_opts[0], prior_r, m,
+                               thetas)
+    assert np.array_equal(explainer.parameters, twin_e.parameters)
+    assert np.array_equal(pair.a_selected.parameters, nets[0].parameters)
+    assert np.array_equal(pair.a_unselected.parameters, nets[1].parameters)
+    assert same_state(opts["e"].get_state(), twin_opts[0].get_state())
+    for i, opt in enumerate(twin_opts[1:]):
+        state = opt.get_state()
+        assert state["t"] == opts["pair"].t
+        for slot in opt.slots:
+            assert np.array_equal(np.split(getattr(opts["pair"], slot), 2)[i], state[slot])
 
 
 def test_train_is_deterministic_per_seed():
@@ -385,6 +465,40 @@ def test_resume_restores_every_optimizer(tmp_path):
         assert np.array_equal(e_full.parameters, e_res.parameters), name
         assert np.array_equal(p_full.a_selected.parameters, p_res.a_selected.parameters), name
         assert np.array_equal(p_full.a_unselected.parameters, p_res.a_unselected.parameters), name
+
+
+def test_split_resume_writes_the_straight_run_checkpoint_byte_for_byte(tmp_path):
+    ds = make_dataset()
+    kwargs = dict(explainer_hidden=(8,), approx_hidden=(8,))
+    full_cfg = TrainConfig(k=2, epochs=3, seed=5, batch_size=16, decay=0.01)
+    straight, split = (str(tmp_path / name) for name in ("straight", "split"))
+    train(ds, FixedModel(), full_cfg, out_dir=straight, **kwargs)
+    train(ds, FixedModel(), dataclasses.replace(full_cfg, epochs=1), out_dir=split, **kwargs)
+    half = load_checkpoint(os.path.join(split, "checkpoint.bin"))
+    _, pair, _ = train(ds, FixedModel(), full_cfg, out_dir=split, resume=half, **kwargs)
+    blobs = [open(os.path.join(d, "checkpoint.bin"), "rb").read() for d in (straight, split)]
+    assert blobs[0] == blobs[1]
+    final = load_checkpoint(os.path.join(split, "checkpoint.bin"))
+    assert np.array_equal(pair.net.parameters,
+                          np.concatenate([final.a_selected_params, final.a_unselected_params]))
+
+
+def test_checkpoint_restore_writes_through_the_pair_views(saved_checkpoint):
+    _, ckpt, _ = saved_checkpoint
+    _, pair = nets_from_checkpoint(ckpt)
+    assert np.array_equal(pair.net.parameters,
+                          np.concatenate([ckpt.a_selected_params, ckpt.a_unselected_params]))
+    assert np.shares_memory(pair.a_selected.parameters, pair.net.parameters)
+
+
+def test_resume_rejects_unequal_approximator_step_counts(saved_checkpoint):
+    _, ckpt, _ = saved_checkpoint
+    opts = ckpt.optimizer_states
+    assert opts["a_selected"]["t"] == opts["a_unselected"]["t"] > 0
+    skewed = {**opts, "a_unselected": {**opts["a_unselected"], "t": opts["a_selected"]["t"] + 1}}
+    with pytest.raises(CheckpointError, match="step counts differ"):
+        train(make_dataset(), FixedModel(), ckpt.config, explainer_hidden=(8,),
+              approx_hidden=(8,), resume=dataclasses.replace(ckpt, optimizer_states=skewed))
 
 
 def test_resume_rejects_damaged_runtime_state(saved_checkpoint):
