@@ -109,14 +109,14 @@ def test_criterion_01_prior_fusion_exactness():
 
 def test_criterion_02_gumbel_sampler():
     z = np.array([[0.5, 0.3, 0.2]])
-    ident = relaxed_topk_var(ad.Var(z), np.zeros((1, 3, 2)), tau=1.0).value
+    ident = relaxed_topk_var(ad.Var(z), np.zeros((2, 1, 3)), tau=1.0).value
     assert np.allclose(ident, z, atol=1e-12)
 
     z3 = np.array([0.7, 0.2, 0.1])
     rng = named_rng(123, "gumbel")
     draws = 100_000
     xi = sample_gumbel_batch(draws, 3, 1, rng)
-    winners = np.argmax(np.log(z3)[None, :] + xi[:, :, 0], axis=1)
+    winners = np.argmax(np.log(z3)[None, :] + xi[0], axis=1)
     freqs = np.bincount(winners, minlength=3) / draws
     assert np.all(np.abs(freqs - z3) <= 0.01)
 

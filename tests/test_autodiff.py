@@ -2,6 +2,7 @@
 elementwise glue, and each fused node's closed-form VJP."""
 
 import numpy as np
+import pytest
 
 from meed import autodiff as ad
 from meed.approximators import CE_EPS, cross_entropy_var, sliced_wasserstein_var, sw_directions
@@ -90,7 +91,7 @@ def test_relaxed_topk_node_matches_finite_differences(rng):
     z = rng.random((3, 5)) + 0.1
     z[0, 2] = -0.3  # below Z_EPS: clamped, so it gets no gradient
     assert z[0, 2] < Z_EPS
-    xi = rng.gumbel(size=(3, 5, 2))
+    xi = rng.gumbel(size=(2, 3, 5))
     weights = rng.standard_normal((3, 5))
     grad = check_gradient(lambda zv: weighted_sum(relaxed_topk_var(zv, xi, 0.7), weights), z)
     assert grad[0, 2] == 0.0 and np.all(grad[z > Z_EPS] != 0.0)
@@ -101,17 +102,28 @@ def test_relaxed_topk_vjp_with_uneven_race_wins(rng):
     and one score sits below Z_EPS."""
     z = np.array([[0.3, 0.25, 0.2, 0.15, 0.1, -0.3], rng.random(6) + 0.1])
     assert z[0, 5] < Z_EPS
-    xi = np.zeros((2, 6, 3))
-    xi[0, :2, 0] = 1.0  # race 0 peaks on entries 0 and 1
-    xi[0, :2, 2] = 0.5  # race 2 peaks there too, but less: it wins nothing
-    xi[1] = rng.gumbel(size=(6, 3))
-    races = np.exp((np.log(np.maximum(z, Z_EPS))[:, :, None] + xi) / 0.37)
-    wins = np.bincount(np.argmax(races / races.sum(axis=1, keepdims=True), axis=2)[0, :5],
+    xi = np.zeros((3, 2, 6))
+    xi[0, 0, :2] = 1.0  # race 0 peaks on entries 0 and 1
+    xi[2, 0, :2] = 0.5  # race 2 peaks there too, but less: it wins nothing
+    xi[:, 1] = rng.gumbel(size=(3, 6))
+    races = np.exp((np.log(np.maximum(z, Z_EPS)) + xi) / 0.37)
+    wins = np.bincount(np.argmax(races / races.sum(axis=2, keepdims=True), axis=0)[0, :5],
                        minlength=3)
     assert wins[0] >= 2 and wins[2] == 0
     weights = rng.standard_normal((2, 6))
     grad = check_gradient(lambda zv: weighted_sum(relaxed_topk_var(zv, xi, 0.37), weights), z)
     assert grad[0, 5] == 0.0 and np.all(grad[z > Z_EPS] != 0.0)
+
+
+@pytest.mark.parametrize("k", [1, 3, 6])
+def test_relaxed_topk_vjp_under_zero_noise_matches_finite_differences(rng, k):
+    """With zero noise every race ties at every entry, so the mask is one
+    smooth softmax; the VJP credits each entry to one race, not to all k."""
+    z = rng.random((3, 6)) + 0.1
+    z /= z.sum(axis=1, keepdims=True)
+    weights = rng.standard_normal((3, 6))
+    xi = np.zeros((k, 3, 6))
+    check_gradient(lambda zv: weighted_sum(relaxed_topk_var(zv, xi, 0.6), weights), z)
 
 
 def test_cross_entropy_node_matches_finite_differences(rng):

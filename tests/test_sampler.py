@@ -7,19 +7,19 @@ from hypothesis import strategies as st
 
 from meed import autodiff as ad
 from meed.core import ConfigError, SelectionSet, named_rng
-from meed.sampler import (U_EPS, Z_EPS, gumbel_from_uniform, hard_topk, hard_topk_batch,
-                          relaxed_topk_var, sample_gumbel_batch)
+from meed.sampler import (U_EPS, Z_EPS, hard_topk, hard_topk_batch, relaxed_topk_var,
+                          sample_gumbel_batch)
 from tests.conftest import relative_error
 
 
 def relaxed(z, xi, tau):
-    """Masks (n, d) for score rows z (n, d) and noise xi (n, d, k)."""
+    """Masks (n, d) for score rows z (n, d) and noise xi (k, n, d)."""
     return relaxed_topk_var(ad.Var(z), xi, tau).value
 
 
 def test_zero_noise_tau_one_is_identity():
     z = np.array([[0.5, 0.3, 0.2]])
-    assert np.allclose(relaxed(z, np.zeros((1, 3, 2)), tau=1.0), z, atol=1e-12)
+    assert np.allclose(relaxed(z, np.zeros((2, 1, 3)), tau=1.0), z, atol=1e-12)
 
 
 def test_mask_sum_bounded_by_k(rng):
@@ -47,16 +47,9 @@ def test_k1_selection_frequencies_match_scores():
     rng = named_rng(123, "gumbel")
     n = 100_000
     xi = sample_gumbel_batch(n, 3, 1, rng)
-    scores = np.log(z)[None, :, None] + xi
-    counts = np.bincount(np.argmax(scores[:, :, 0], axis=1), minlength=3) / n
+    scores = np.log(z) + xi[0]
+    counts = np.bincount(np.argmax(scores, axis=1), minlength=3) / n
     assert np.all(np.abs(counts - z) < 0.01)
-
-
-def test_gumbel_from_uniform_formula():
-    u = np.array([0.5, 0.9])
-    assert np.allclose(gumbel_from_uniform(u), -np.log(-np.log(u)))
-    extreme = gumbel_from_uniform(np.array([0.0, 1.0]))
-    assert np.all(np.isfinite(extreme))
 
 
 def test_gumbel_mean_close_to_euler_mascheroni():
@@ -123,9 +116,9 @@ def test_relaxed_topk_var_matches_numpy_path(rng):
     z = rng.random((3, 5))
     z /= z.sum(axis=1, keepdims=True)
     xi = sample_gumbel_batch(3, 5, 2, rng)
-    # v_j = max over the k races of softmax_j((log z + xi[:, l]) / tau)
-    races = np.exp((np.log(z)[:, :, None] + xi) / 0.5)
-    want = (races / races.sum(axis=1, keepdims=True)).max(axis=2)
+    # v_j = max over the k races of softmax_j((log z + xi[l]) / tau)
+    races = np.exp((np.log(z) + xi) / 0.5)
+    want = (races / races.sum(axis=2, keepdims=True)).max(axis=0)
     assert np.allclose(relaxed(z, xi, tau=0.5), want)
 
 
@@ -134,39 +127,48 @@ def explicit_relaxed_topk(z, xi, tau):
     the winning race, and a VJP that scatters g to the winner, applies the
     softmax VJP over d and sums over k."""
     z_floor = np.maximum(z, Z_EPS)
-    races = np.expand_dims(np.log(z_floor), 2) + xi
+    races = np.log(z_floor) + xi
     races *= 1.0 / tau
-    races -= races.max(axis=1, keepdims=True)
+    races -= races.max(axis=2, keepdims=True)
     np.exp(races, out=races)
-    races /= races.sum(axis=1, keepdims=True)
-    win = np.expand_dims(np.argmax(races, axis=2), 2)
+    races /= races.sum(axis=2, keepdims=True)
+    win = np.argmax(races, axis=0)[None]  # first winner on exact ties
 
     def vjp(g):
         g_races = np.zeros_like(races)
-        np.put_along_axis(g_races, win, np.expand_dims(g, 2), axis=2)
-        g_races -= (g_races * races).sum(axis=1, keepdims=True)
+        np.put_along_axis(g_races, win, g[None], axis=0)
+        g_races -= (g_races * races).sum(axis=2, keepdims=True)
         g_races *= races
         g_races *= 1.0 / tau
-        return g_races.sum(axis=2) / z_floor * (z > Z_EPS)
+        return g_races.sum(axis=0) / z_floor * (z > Z_EPS)
 
-    return np.take_along_axis(races, win, axis=2).squeeze(2), vjp
+    return np.take_along_axis(races, win, axis=0)[0], vjp
 
 
 STROKES_SHAPE = (4, 784, 25)
 
 
+class FixedDraws:
+    """An RNG whose `random` hands out the given uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=np.float64)
+
+    def random(self, shape):
+        return self.u.reshape(shape).copy()
+
+
 def test_gumbel_draw_matches_the_double_log_bit_for_bit():
-    want = -np.log(-np.log(np.clip(named_rng(9, "gumbel").random(STROKES_SHAPE),
+    n, d, k = STROKES_SHAPE
+    want = -np.log(-np.log(np.clip(named_rng(9, "gumbel").random((k, n, d)),
                                    U_EPS, 1.0 - U_EPS)))
-    assert np.array_equal(sample_gumbel_batch(*STROKES_SHAPE, named_rng(9, "gumbel")), want)
-
-
-def test_gumbel_from_uniform_leaves_its_argument_unchanged(rng):
-    u = rng.random(STROKES_SHAPE)
-    u[0, 0, :2] = (0.0, 1.0)  # clipped in the copy, not in u
-    kept = u.copy()
-    gumbel_from_uniform(u)
-    assert np.array_equal(u, kept)
+    assert np.array_equal(sample_gumbel_batch(n, d, k, named_rng(9, "gumbel")), want)
+    # The clip keeps the extreme draws 0 and the largest double below 1 finite.
+    u = np.array([0.0, 0.5, 0.9, np.nextafter(1.0, 0.0)])
+    got = sample_gumbel_batch(1, 2, 2, FixedDraws(u))
+    assert np.array_equal(got.ravel(), -np.log(-np.log(np.clip(u, U_EPS, 1.0 - U_EPS))))
+    assert np.allclose(got.ravel()[1:3], -np.log(-np.log(u[1:3])))
+    assert np.all(np.isfinite(got))
 
 
 def test_relaxed_topk_matches_the_explicit_form(rng):
@@ -175,6 +177,7 @@ def test_relaxed_topk_matches_the_explicit_form(rng):
     z /= z.sum(axis=1, keepdims=True)
     z[0, :3] = (0.0, -1.0, Z_EPS)
     xi = sample_gumbel_batch(n, d, k, rng)
+    assert xi.shape == (k, n, d)
     g = rng.standard_normal((n, d))
     want_v, want_vjp = explicit_relaxed_topk(z, xi, 0.5)
     node = relaxed_topk_var(ad.Var(z), xi, 0.5)
@@ -183,6 +186,22 @@ def test_relaxed_topk_matches_the_explicit_form(rng):
     (got,) = node._backward(g)
     assert relative_error(got, want) < 1e-12
     assert np.all(got[0, :3] == 0.0)
+
+
+def test_relaxed_topk_credits_each_exact_tie_to_one_race(rng):
+    """Row 0 has zero noise, so all k races tie at every entry; in row 1 two
+    races draw the same noise. Both match the first-winner explicit form."""
+    n, d, k = 2, 7, 3
+    z = rng.random((n, d)) + 0.05
+    z /= z.sum(axis=1, keepdims=True)
+    xi = rng.gumbel(size=(k, n, d))
+    xi[:, 0] = 0.0
+    xi[2, 1] = xi[0, 1]
+    g = rng.standard_normal((n, d))
+    want_v, want_vjp = explicit_relaxed_topk(z, xi, 0.5)
+    node = relaxed_topk_var(ad.Var(z), xi, 0.5)
+    assert np.array_equal(node.value, want_v)
+    assert relative_error(node._backward(g)[0], want_vjp(g)) < 1e-12
 
 
 @given(st.integers(min_value=0, max_value=2**31 - 1))
