@@ -7,7 +7,7 @@ import logging
 
 import numpy as np
 
-from .core import ShapeError, TrainConfig, is_simplex
+from .core import ShapeError, TrainConfig, checked_outputs, is_simplex
 
 log = logging.getLogger(__name__)
 
@@ -33,11 +33,8 @@ def _model_gradients(model, x: np.ndarray, class_index: np.ndarray) -> np.ndarra
     steps = np.concatenate([np.eye(d), -np.eye(d)]) * FD_STEP
     grads = np.empty_like(x)
     for i in range(n):
-        out = np.asarray(model.evaluate(x[i] + steps), dtype=np.float64)
-        if out.ndim != 2 or out.shape[0] != 2 * d or not is_simplex(out):
-            raise ShapeError(f"model outputs for the perturbed copies of row {i} must be "
-                             f"({2 * d}, c) rows of finite values on the probability "
-                             f"simplex, got shape {out.shape}")
+        out = checked_outputs(model.evaluate(x[i] + steps), 2 * d,
+                              f"model outputs for the perturbed copies of row {i}")
         picked = out[:, class_index[i]]
         grads[i] = (picked[:d] - picked[d:]) / (2 * FD_STEP)
     return grads

@@ -36,6 +36,16 @@ def is_simplex(vec: np.ndarray, tol: float = SIMPLEX_TOL) -> bool:
     return bool(np.all(vec >= 0.0) and np.all(np.abs(vec.sum(axis=-1) - 1.0) <= tol))
 
 
+def checked_outputs(y, n: int, what: str = "model outputs") -> np.ndarray:
+    """y as float64 once it holds (n, c) rows of finite values on the
+    probability simplex; anything else raises ShapeError naming `what`."""
+    y = np.asarray(y, dtype=np.float64)
+    if y.ndim != 2 or len(y) != n or not is_simplex(y):
+        raise ShapeError(f"{what} must be ({n}, c) rows of finite values on the "
+                         f"probability simplex, got shape {y.shape}")
+    return y
+
+
 @dataclass(frozen=True)
 class SelectionSet:
     """Hard selection of k feature indices out of d."""

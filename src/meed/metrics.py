@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ConfigError, SelectionSet, named_rng
+from .core import ConfigError, SelectionSet, checked_outputs, named_rng
 from .data import Dataset
 from .sampler import hard_topk, hard_topk_batch
 from .trainer import fit_classifier, train
@@ -65,8 +65,10 @@ class MetricsReport:
 
 
 def _outputs(dataset: Dataset, model) -> np.ndarray:
-    """The dataset's model outputs: its `Y` when set, else computed (not stored)."""
-    return model.evaluate(dataset.X) if dataset.Y is None else dataset.Y
+    """The dataset's model outputs: its `Y` when set, else computed (not
+    stored); outputs off the simplex raise ShapeError, as in `train()`."""
+    return checked_outputs(model.evaluate(dataset.X) if dataset.Y is None else dataset.Y,
+                           len(dataset))
 
 
 def explainer_masks(explainer, x: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:

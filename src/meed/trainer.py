@@ -21,8 +21,8 @@ from .approximators import (ApproximatorPair, cross_entropy_grad, cross_entropy_
                             make_pair, relativistic_flip, sliced_wasserstein_var,
                             sw_directions)
 from .baselines import prior_scores
-from .core import (ConfigError, Mlp, ShapeError, TrainConfig, classifier_layers,
-                   is_simplex, named_rng, read_record, write_record)
+from .core import (ConfigError, Mlp, ShapeError, TrainConfig, checked_outputs,
+                   classifier_layers, named_rng, read_record, write_record)
 from .explainer import ExplainerNet, fuse_prior_var, prior_constraint_loss_var
 from .sampler import relaxed_topk_var, sample_gumbel_batch
 
@@ -347,10 +347,7 @@ def train(dataset, model, config: TrainConfig,
     y_all = getattr(dataset, "Y", None)
     if y_all is None:
         y_all = model.evaluate(x_all)
-    y_all = np.asarray(y_all, dtype=np.float64)
-    if y_all.ndim != 2 or y_all.shape[0] != n or not is_simplex(y_all):
-        raise ShapeError(f"model outputs must be ({n}, c) rows of finite values on the "
-                         f"probability simplex, got shape {y_all.shape}")
+    y_all = checked_outputs(y_all, n)
     c = y_all.shape[1]
 
     meta = {"d": d, "c": c, "explainer_hidden": tuple(explainer_hidden),

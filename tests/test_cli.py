@@ -12,7 +12,7 @@ from meed.cli import (EXIT_CONFIG, EXIT_OK, EXIT_SHAPE, ConfigFileError, build_d
                       build_model, build_train_config, main, parse_config_file)
 from meed.baselines import FD_STEP
 from meed.core import Mlp, TrainConfig, classifier_layers
-from meed.data import SyntheticSpec, export_dataset, generate_synthetic
+from meed.data import SyntheticSpec, export_dataset, generate_synthetic, load_model
 from meed.metrics import MetricsReport
 from meed.trainer import (CHECKPOINT_MAGIC, Adam, Checkpoint, load_checkpoint,
                           save_checkpoint)
@@ -337,6 +337,36 @@ def test_evaluate_and_sanity_shape_mismatch_exit_4(trained_dir, tmp_path):
         code = main([command, "--config", str(wide),
                      "--checkpoint", os.path.join(out, "checkpoint.bin")])
         assert code == EXIT_SHAPE
+
+
+class NanEveryThirdRow:
+    """A black box that answers NaN for every third row it is given."""
+
+    def __init__(self, model):
+        self.net = model.net
+
+    def evaluate(self, x):
+        out = self.net.predict(np.atleast_2d(x))
+        out[::3] = np.nan
+        return out
+
+    def randomize(self, rng):
+        pass
+
+
+def test_evaluate_sanity_and_ablate_reject_non_finite_model_outputs_with_exit_4(
+        trained_dir, capsys, monkeypatch):
+    config_path, out = trained_dir
+    monkeypatch.setattr("meed.cli.datamod.load_model",
+                        lambda path: NanEveryThirdRow(load_model(path)))
+    monkeypatch.setattr("meed.cli.build_model", lambda cfg, train_set: NanEveryThirdRow(
+        build_model(cfg, train_set)))
+    ckpt = os.path.join(out, "checkpoint.bin")
+    for argv in (["evaluate", "--checkpoint", ckpt], ["sanity", "--checkpoint", ckpt],
+                 ["ablate"]):
+        capsys.readouterr()
+        assert main(argv + ["--config", config_path]) == EXIT_SHAPE, argv
+        assert "probability simplex" in capsys.readouterr().err
 
 
 def test_seed_option_only_on_commands_without_a_checkpoint(trained_dir, tmp_path, capsys):

@@ -250,6 +250,31 @@ def test_stacked_pair_steps_equal_the_two_net_steps(optimizer, variant):
             assert np.array_equal(np.split(getattr(opts["pair"], slot), 2)[i], state[slot])
 
 
+def test_checkpoint_holds_each_approximators_own_state():
+    """One epoch of train() against the two-net steps fed the same streams:
+    the checkpoint's per-net parameters and optimizer states are each net's own."""
+    ds, model = make_dataset(), FixedModel()
+    config = TrainConfig(k=2, epochs=1, seed=4, batch_size=16)
+    _, _, ckpt = train(ds, model, config, explainer_hidden=(8,), approx_hidden=(8,))
+    init = named_rng(4, "init")
+    explainer = ExplainerNet(6, 2, hidden=(8,), rng=init)
+    nets = [Mlp(6, classifier_layers((8,), 2), rng=init) for _ in range(2)]
+    opts = [make_optimizer(config, net.n_params) for net in (explainer, *nets)]
+    gumbel, y = named_rng(4, "gumbel"), model.evaluate(ds.X)
+    perm = named_rng(4, "data").permutation(len(ds.X))
+    for lo in range(0, len(perm), 16):
+        x, yb = ds.X[perm[lo:lo + 16]], y[perm[lo:lo + 16]]
+        xi = sample_gumbel_batch(len(x), 6, 2, gumbel)
+        two_net_approximator_step(nets, explainer, x, yb, config, xi, *opts[1:], None, 0, None)
+        xi = sample_gumbel_batch(len(x), 6, 2, gumbel)
+        two_net_explainer_step(explainer, nets, x, yb, config, xi, opts[0], None, 0, None)
+    assert np.array_equal(ckpt.explainer_params, explainer.parameters)
+    for i, net in enumerate(("a_selected", "a_unselected")):
+        assert np.array_equal(getattr(ckpt, f"{net}_params"), nets[i].parameters)
+        assert same_state(ckpt.optimizer_states[net], opts[i + 1].get_state())
+    assert same_state(ckpt.optimizer_states["explainer"], opts[0].get_state())
+
+
 def test_train_is_deterministic_per_seed():
     ds = make_dataset()
     config = TrainConfig(k=2, epochs=2, seed=5, batch_size=16)
