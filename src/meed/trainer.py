@@ -380,7 +380,7 @@ def train(dataset, model, config: TrainConfig,
             opt_e.set_state(resume.optimizer_states["explainer"])
             s, u = (resume.optimizer_states[net] for net in NETS[1:])
             if s["t"] != u["t"]:
-                raise CheckpointError(f"approximator step counts differ: {s['t']}, {u['t']}")
+                raise ValueError(f"approximator step counts differ: {s['t']}, {u['t']}")
             opt_pair.set_state({slot: val if slot == "t" else np.concatenate([val, u[slot]])
                                 for slot, val in s.items()})
         except (KeyError, OverflowError, TypeError, ValueError) as exc:
