@@ -163,6 +163,9 @@ def test_gumbel_draw_matches_the_double_log_bit_for_bit():
     want = -np.log(-np.log(np.clip(named_rng(9, "gumbel").random((k, n, d)),
                                    U_EPS, 1.0 - U_EPS)))
     assert np.array_equal(sample_gumbel_batch(n, d, k, named_rng(9, "gumbel")), want)
+
+
+def test_gumbel_from_uniform_formula():
     # The clip keeps the extreme draws 0 and the largest double below 1 finite.
     u = np.array([0.0, 0.5, 0.9, np.nextafter(1.0, 0.0)])
     got = sample_gumbel_batch(1, 2, 2, FixedDraws(u))
