@@ -11,17 +11,17 @@ Exit codes: 0 ok, 2 configuration or file-format problem, 3 training abort,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import re
 import sys
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import data as datamod
 from . import metrics as metricsmod
 from .baselines import ABLATION_VARIANTS, ablation_config
-from .core import ConfigError, ShapeError, TrainConfig, parse_int_tuple
+from .core import ConfigError, ShapeError, TrainConfig, checked_outputs, from_strings
 from .sampler import hard_topk
 from .trainer import (CheckpointError, TrainingAbort, load_checkpoint,
                       nets_from_checkpoint, train)
@@ -32,26 +32,71 @@ EXIT_TRAINING = 3
 EXIT_SHAPE = 4
 
 
-class ConfigFileError(ValueError):
-    pass
+@dataclass(frozen=True)
+class ModelSection:
+    """`[model]`: `train_given_model`'s arguments for the model to explain."""
+
+    hidden: tuple = (32, 32)
+    seed: int = 0
+    epochs: int = 30
+    learning_rate: float = 1e-3
+
+    def __post_init__(self):
+        if min(self.hidden, default=1) < 1:
+            raise ConfigError(f"hidden widths must be >= 1, got {self.hidden}")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
 
-# The keys each section accepts; those of [data] depend on its kind.
-SYNTH_KEYS = ("kind", "d", "true_subset", "n", "noise_std", "seed")
-DATA_KEYS = {**dict.fromkeys(datamod.SYNTH_KINDS, SYNTH_KEYS),
-             "idx": ("kind", "images_path", "labels_path", "class_pair"),
-             "file": ("kind", "path")}
-SECTION_KEYS = {"model": ("hidden", "seed", "epochs", "learning_rate"),
-                "train": tuple(f.name for f in dataclasses.fields(TrainConfig)),
-                "run": ("out_dir", "explainer_hidden", "approx_hidden", "retrain_budget")}
+@dataclass(frozen=True)
+class RunSection:
+    """`[run]`: the output directory, the nets' widths and FS-A/FU-A's epochs."""
+
+    out_dir: str = "out"
+    explainer_hidden: tuple = (32, 32)
+    approx_hidden: tuple = (32, 32)
+    retrain_budget: int = metricsmod.RETRAIN_BUDGET_DEFAULT
+
+    def __post_init__(self):
+        for name in ("explainer_hidden", "approx_hidden"):
+            if min(getattr(self, name), default=1) < 1:
+                raise ConfigError(f"{name} widths must be >= 1, got {getattr(self, name)}")
+
+
+@dataclass(frozen=True)
+class IdxSection:
+    """`[data]` of kind idx: two classes of an IDX image/label file pair."""
+
+    kind: str
+    images_path: str
+    labels_path: str
+    class_pair: tuple
+
+    def __post_init__(self):
+        if len(self.class_pair) != 2:
+            raise ConfigError(f"class_pair must be two class labels, got {self.class_pair}")
+
+
+@dataclass(frozen=True)
+class FileSection:
+    """`[data]` of kind file: a dataset text file as `meed synth` writes it."""
+
+    kind: str
+    path: str
+
+
+SECTIONS = {"model": ModelSection, "train": TrainConfig, "run": RunSection}
+DATA_SECTIONS = {**dict.fromkeys(datamod.SYNTH_KINDS, datamod.SyntheticSpec),
+                 "idx": IdxSection, "file": FileSection}
 
 
 def parse_config_file(path: str) -> dict:
-    """`[section]` headers with `key = value` lines and `#` or `;` comments;
-    returns nested dict. Unknown sections and keys raise ConfigFileError."""
+    """`[section]` headers over `key = value` lines (`#` or `;` comments) read
+    into {section: dataclass}, the keys its fields ([data]'s class set by `kind`);
+    an absent [model] or [run] defaults. Unknown keys or bad values: ConfigError."""
     if not os.path.exists(path):
-        raise ConfigFileError(f"config file not found: {path}")
-    sections: dict = {}
+        raise ConfigError(f"config file not found: {path}")
+    sections: dict = {"model": {}, "run": {}}
     current = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -63,100 +108,58 @@ def parse_config_file(path: str) -> dict:
                 sections.setdefault(current, {})
                 continue
             if "=" not in line or current is None:
-                raise ConfigFileError(f"{path}:{lineno}: expected 'key = value' "
-                                      f"inside a section, got: {line}")
+                raise ConfigError(f"{path}:{lineno}: expected 'key = value' "
+                                  f"inside a section, got: {line}")
             key, _, val = line.partition("=")
             sections[current][key.strip()] = val.strip()
     for name, section in sections.items():
-        if name == "data":
-            # A missing or unknown kind is reported by the dataset builders.
-            allowed = DATA_KEYS.get(section.get("kind"), section)
-        elif name in SECTION_KEYS:
-            allowed = SECTION_KEYS[name]
-        else:
-            raise ConfigFileError(f"{path}: unknown config section [{name}]")
-        unknown = sorted(set(section) - set(allowed))
-        if unknown:
-            raise ConfigFileError(f"{path}: unknown [{name}] key(s): {', '.join(unknown)}")
+        cls = DATA_SECTIONS.get(section.get("kind")) if name == "data" else SECTIONS.get(name)
+        if cls is None:
+            raise ConfigError(f"{path}: unknown config section [{name}]" if name != "data" else
+                              f"{path}: [data] kind must be one of {', '.join(DATA_SECTIONS)}")
+        sections[name] = from_strings(cls, section, name)
     return sections
-
-
-def _get(section: dict, key: str, conv, default=None, required=False):
-    if key not in section:
-        if required:
-            raise ConfigFileError(f"missing required config key: {key}")
-        return default
-    try:
-        return conv(section[key])
-    except ValueError as exc:
-        raise ConfigFileError(f"bad value for config key {key}: {exc}") from exc
-
-
-def _synthetic_spec(section: dict, seed_override=None) -> datamod.SyntheticSpec:
-    """The `[data]` section of a synthetic run as a SyntheticSpec."""
-    return datamod.SyntheticSpec(
-        d=_get(section, "d", int, required=True),
-        true_subset=_get(section, "true_subset", parse_int_tuple, required=True),
-        n=_get(section, "n", int, required=True),
-        noise_std=_get(section, "noise_std", float, 0.0),
-        kind=_get(section, "kind", str, required=True),
-        seed=seed_override if seed_override is not None else _get(section, "seed", int, 0))
 
 
 def build_dataset(cfg: dict):
     """Returns (train_set, val_set, test_set, true_subset or None)."""
-    section = cfg.get("data", {})
-    kind = _get(section, "kind", str, required=True)
-    if kind in datamod.SYNTH_KINDS:
-        ds, subset = datamod.generate_synthetic(_synthetic_spec(section))
-        tr, va, te = datamod.split_dataset(ds)
-        return tr, va, te, subset
-    if kind == "idx":
-        ds = datamod.load_idx_images(
-            _get(section, "images_path", str, required=True),
-            _get(section, "labels_path", str, required=True),
-            tuple(_get(section, "class_pair", parse_int_tuple, required=True)))
-        tr, va, te = datamod.split_dataset(ds)
-        return tr, va, te, None
-    if kind == "file":
-        ds, subset = datamod.import_dataset(_get(section, "path", str, required=True))
-        tr, va, te = datamod.split_dataset(ds)
-        sel = None
-        if subset:
-            sel = datamod.SelectionSet(indices=tuple(sorted(subset)), d=ds.d)
-        return tr, va, te, sel
-    raise ConfigFileError(f"unknown data kind: {kind}")
+    section = cfg.get("data")
+    if isinstance(section, datamod.SyntheticSpec):
+        ds, subset = datamod.generate_synthetic(section)
+    elif isinstance(section, IdxSection):
+        ds, subset = datamod.load_idx_images(section.images_path, section.labels_path,
+                                             section.class_pair), None
+    elif isinstance(section, FileSection):
+        ds, indices = datamod.import_dataset(section.path)
+        subset = datamod.SelectionSet(tuple(sorted(indices)), ds.d) if indices else None
+    else:
+        raise ConfigError("the config has no [data] section")
+    return (*datamod.split_dataset(ds), subset)
 
 
 def build_train_config(cfg: dict, seed_override=None) -> TrainConfig:
-    """TrainConfig from the `[train]` section; unknown keys are rejected."""
-    s = dict(cfg.get("train", {}))
-    if seed_override is not None:
-        s["seed"] = str(seed_override)
-    try:
-        return TrainConfig.from_strings(s)
-    except ConfigError as exc:
-        raise ConfigFileError(str(exc)) from exc
+    """The `[train]` section, with `seed_override` as its seed when given."""
+    if "train" not in cfg:
+        raise ConfigError("the config has no [train] section")
+    return cfg["train"] if seed_override is None else replace(cfg["train"], seed=seed_override)
+
+
+def _out_dir(args, cfg: dict) -> str:
+    """--out, else [run] out_dir, made if missing."""
+    out_dir = args.out or cfg["run"].out_dir
+    os.makedirs(out_dir, exist_ok=True)
+    return out_dir
+
+
+def _write(args, cfg: dict, name: str, text: str) -> str:
+    path = os.path.join(_out_dir(args, cfg), name)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return path
 
 
 def build_model(cfg: dict, train_set):
-    s = cfg.get("model", {})
-    return datamod.train_given_model(
-        train_set,
-        hidden=_get(s, "hidden", parse_int_tuple, (32, 32)),
-        seed=_get(s, "seed", int, 0),
-        epochs=_get(s, "epochs", int, 30),
-        learning_rate=_get(s, "learning_rate", float, 1e-3))
-
-
-def _run_section(cfg: dict) -> dict:
-    s = cfg.get("run", {})
-    return {
-        "out_dir": _get(s, "out_dir", str, "out"),
-        "explainer_hidden": _get(s, "explainer_hidden", parse_int_tuple, (32, 32)),
-        "approx_hidden": _get(s, "approx_hidden", parse_int_tuple, (32, 32)),
-        "retrain_budget": _get(s, "retrain_budget", int, 20),
-    }
+    return datamod.train_given_model(train_set, **asdict(cfg["model"]))
 
 
 # ---------------------------------------------------------------------------
@@ -165,11 +168,12 @@ def _run_section(cfg: dict) -> dict:
 
 def cmd_synth(args) -> int:
     cfg = parse_config_file(args.config)
-    run = _run_section(cfg)
-    out_dir = args.out or run["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
-    ds, subset = datamod.generate_synthetic(_synthetic_spec(cfg.get("data", {}), args.seed))
-    path = os.path.join(out_dir, "dataset.txt")
+    spec = cfg.get("data")
+    if not isinstance(spec, datamod.SyntheticSpec):
+        raise ConfigError(f"synth needs a [data] kind of {', '.join(datamod.SYNTH_KINDS)}")
+    ds, subset = datamod.generate_synthetic(spec if args.seed is None
+                                            else replace(spec, seed=args.seed))
+    path = os.path.join(_out_dir(args, cfg), "dataset.txt")
     datamod.export_dataset(ds, subset, path)
     print(f"wrote {path} ({len(ds)} samples, d={ds.d})")
     return EXIT_OK
@@ -177,16 +181,14 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = parse_config_file(args.config)
-    run = _run_section(cfg)
-    out_dir = args.out or run["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
+    run = cfg["run"]
+    out_dir = _out_dir(args, cfg)
     train_set, _, _, _ = build_dataset(cfg)
     config = build_train_config(cfg, seed_override=args.seed)
     model = build_model(cfg, train_set)
     datamod.save_model(model, os.path.join(out_dir, "model.bin"))
-    train(train_set, model, config,
-          explainer_hidden=run["explainer_hidden"],
-          approx_hidden=run["approx_hidden"], out_dir=out_dir)
+    train(train_set, model, config, explainer_hidden=run.explainer_hidden,
+          approx_hidden=run.approx_hidden, out_dir=out_dir)
     print(f"wrote {os.path.join(out_dir, 'checkpoint.bin')}")
     return EXIT_OK
 
@@ -200,7 +202,7 @@ def cmd_explain(args) -> int:
     if ds.d != ckpt.meta["d"]:
         raise ShapeError(f"checkpoint expects d={ckpt.meta['d']} but data has d={ds.d}")
     k = args.k if args.k is not None else ckpt.config.k
-    y = model.evaluate(ds.X)
+    y = checked_outputs(model.evaluate(ds.X), len(ds))
     z = explainer.score(ds.X, y)
     out_path = args.out or "explanations.txt"
     with open(out_path, "w", encoding="utf-8") as fh:
@@ -215,17 +217,15 @@ def cmd_explain(args) -> int:
 
 def _load_run(args):
     cfg = parse_config_file(args.config)
-    run = _run_section(cfg)
+    run = cfg["run"]
     train_set, _, test_set, _ = build_dataset(cfg)
     ckpt = load_checkpoint(args.checkpoint)
     if train_set.d != ckpt.meta["d"]:
         raise ShapeError(f"checkpoint expects d={ckpt.meta['d']} but data has d={train_set.d}")
     explainer, _ = nets_from_checkpoint(ckpt)
     model_path = os.path.join(os.path.dirname(args.checkpoint), "model.bin")
-    if os.path.exists(model_path):
-        model = datamod.load_model(model_path)
-    else:
-        model = build_model(cfg, train_set)
+    model = (datamod.load_model(model_path) if os.path.exists(model_path)
+             else build_model(cfg, train_set))
     return cfg, run, train_set, test_set, ckpt, explainer, model
 
 
@@ -233,13 +233,8 @@ def cmd_evaluate(args) -> int:
     cfg, run, train_set, test_set, ckpt, explainer, model = _load_run(args)
     report = metricsmod.evaluate_explainer(
         explainer, model, train_set, test_set, ckpt.config.k,
-        retrain_budget=run["retrain_budget"], hidden=run["approx_hidden"],
-        seed=ckpt.config.seed)
-    out_dir = args.out or run["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "report.txt")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(report.serialize())
+        retrain_budget=run.retrain_budget, hidden=run.approx_hidden, seed=ckpt.config.seed)
+    path = _write(args, cfg, "report.txt", report.serialize())
     print(report.serialize(), end="")
     print(f"wrote {path}")
     return EXIT_OK
@@ -253,41 +248,31 @@ def cmd_sanity(args) -> int:
     score_data = metricsmod.sanity_tests(
         explainer, model, test_set, ckpt.config.k, mode="data-randomization",
         rng=rng, train_set=train_set, config=ckpt.config,
-        train_kwargs={"explainer_hidden": run["explainer_hidden"],
-                      "approx_hidden": run["approx_hidden"]},
+        train_kwargs={"explainer_hidden": run.explainer_hidden,
+                      "approx_hidden": run.approx_hidden},
         model_builder=lambda ds: build_model(cfg, ds))
-    out_dir = args.out or run["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "sanity.txt")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"SANITY-MODEL={score_model:.2f}\nSANITY-DATA={score_data:.2f}\n")
-    print(f"SANITY-MODEL={score_model:.2f}")
-    print(f"SANITY-DATA={score_data:.2f}")
+    text = f"SANITY-MODEL={score_model:.2f}\nSANITY-DATA={score_data:.2f}\n"
+    path = _write(args, cfg, "sanity.txt", text)
+    print(text, end="")
     print(f"wrote {path}")
     return EXIT_OK
 
 
 def cmd_ablate(args) -> int:
     cfg = parse_config_file(args.config)
-    run = _run_section(cfg)
-    out_dir = args.out or run["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
+    run = cfg["run"]
     train_set, _, test_set, _ = build_dataset(cfg)
     base = build_train_config(cfg, seed_override=args.seed)
     model = build_model(cfg, train_set)
     for variant in ABLATION_VARIANTS:
         config = ablation_config(variant, base)
-        explainer, _, _ = train(train_set, model, config,
-                                explainer_hidden=run["explainer_hidden"],
-                                approx_hidden=run["approx_hidden"])
+        explainer, _, _ = train(train_set, model, config, explainer_hidden=run.explainer_hidden,
+                                approx_hidden=run.approx_hidden)
         report = metricsmod.evaluate_explainer(
             explainer, model, train_set, test_set, config.k,
-            retrain_budget=run["retrain_budget"], hidden=run["approx_hidden"],
-            seed=config.seed)
+            retrain_budget=run.retrain_budget, hidden=run.approx_hidden, seed=config.seed)
         slug = variant.replace("/", "").replace(" ", "-").lower()
-        path = os.path.join(out_dir, f"report-{slug}.txt")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(report.serialize())
+        path = _write(args, cfg, f"report-{slug}.txt", report.serialize())
         print(f"{variant}: FS-M={report.fs_m:.2f} FU-A={report.fu_a:.2f} -> {path}")
     return EXIT_OK
 
@@ -308,7 +293,6 @@ def main(argv=None) -> int:
         for flag, kwargs in extra:
             p.add_argument(flag, **kwargs)
         p.set_defaults(fn=fn)
-        return p
 
     add("synth", cmd_synth)
     add("train", cmd_train)
@@ -323,13 +307,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigFileError, ConfigError, FileNotFoundError, CheckpointError,
-            datamod.IdxParseError, datamod.ModelFileError, datamod.DatasetFileError) as exc:
+    except (ConfigError, FileNotFoundError, CheckpointError, datamod.IdxParseError,
+            datamod.ModelFileError, datamod.DatasetFileError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ShapeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SHAPE
+        return EXIT_SHAPE if isinstance(exc, ShapeError) else EXIT_CONFIG
     except TrainingAbort as exc:
         print(f"training aborted: {exc}", file=sys.stderr)
         return EXIT_TRAINING

@@ -104,26 +104,10 @@ class TrainConfig:
             raise ConfigError("learning_rate must be positive")
         if self.n_projections < 1:
             raise ConfigError("n_projections must be >= 1")
-
-    @classmethod
-    def from_strings(cls, mapping: dict) -> "TrainConfig":
-        """Build from text values (a config file section or a checkpoint),
-        converted by each field's annotated type; unset fields keep their
-        defaults."""
-        types = typing.get_type_hints(cls)
-        unknown = sorted(set(mapping) - set(types))
-        if unknown:
-            raise ConfigError(f"unknown train key(s): {', '.join(unknown)}")
-        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in mapping]
-        if missing:
-            raise ConfigError(f"missing required config key: {missing[0]}")
-        kwargs = {}
-        for name, text in mapping.items():
-            try:
-                kwargs[name] = _FROM_TEXT[types[name]](text)
-            except ValueError as exc:
-                raise ConfigError(f"bad value for config key {name}: {exc}") from exc
-        return cls(**kwargs)
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        if self.decay < 0:
+            raise ConfigError("decay must be nonnegative")
 
 
 def parse_bool(val: str) -> bool:
@@ -139,7 +123,27 @@ def parse_int_tuple(val: str) -> tuple:
     return tuple(int(v) for v in val.split(",")) if val else ()
 
 
-_FROM_TEXT = {int: int, float: float, str: str, bool: parse_bool}
+_FROM_TEXT = {int: int, float: float, str: str, bool: parse_bool, tuple: parse_int_tuple}
+
+
+def from_strings(cls, mapping: dict, section: str):
+    """The dataclass `cls` from text values (a config section, checkpoint header
+    or report), each converted by its field's annotated type; unset fields keep
+    their defaults. Unknown or missing keys and bad values raise ConfigError."""
+    types = typing.get_type_hints(cls)
+    unknown = sorted(set(mapping) - set(types))
+    if unknown:
+        raise ConfigError(f"unknown [{section}] key(s): {', '.join(unknown)}")
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in mapping]
+    if missing:
+        raise ConfigError(f"missing required [{section}] key: {missing[0]}")
+    kwargs = {}
+    for name, text in mapping.items():
+        try:
+            kwargs[name] = _FROM_TEXT[types[name]](text)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for config key {name}: {exc}") from exc
+    return cls(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +168,7 @@ def write_record(path: str, magic: bytes, version: int, header: dict,
 
 def read_record(path: str, magic: bytes, version: int, error: type) -> tuple:
     """(header, {name: float64 vector}) of a file written by `write_record`;
-    any malformed, truncated or other-version file raises `error`."""
+    any malformed, truncated, other-version or non-finite file raises `error`."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:len(magic)] != magic:
@@ -193,6 +197,8 @@ def read_record(path: str, magic: bytes, version: int, error: type) -> tuple:
         if len(body) < 8 or len(body) != 8 + 8 * struct.unpack_from("<Q", body)[0]:
             raise error(f"{path}: vector section {name} does not hold its count")
         vectors[name] = np.frombuffer(body, dtype="<f8", offset=8).astype(np.float64)
+        if not np.all(np.isfinite(vectors[name])):
+            raise error(f"{path}: vector {name} holds non-finite values")
     return header, vectors
 
 
@@ -254,6 +260,8 @@ class Mlp:
             kind = layer[0]
             if kind == "dense":
                 out = int(layer[1])
+                if out < 1:
+                    raise ConfigError(f"dense layer at position {i} needs width >= 1, got {out}")
                 w_size = width * out
                 self._slices.append((slice(offset, offset + w_size), (width, out),
                                      slice(offset + w_size, offset + w_size + out)))

@@ -57,12 +57,14 @@ class Dataset:
 
 @dataclass(frozen=True)
 class SyntheticSpec:
+    """A synthetic dataset, and the `[data]` section of a synthetic kind."""
+
     d: int
     true_subset: tuple
     n: int
-    noise_std: float
     kind: str
-    seed: int
+    noise_std: float = 0.0
+    seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "true_subset", tuple(int(i) for i in self.true_subset))
@@ -73,6 +75,8 @@ class SyntheticSpec:
             raise ConfigError(f"true_subset {sub} needs distinct indices in [0, d={self.d})")
         if self.n < 1:
             raise ConfigError("n must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
 
 def generate_synthetic(spec: SyntheticSpec) -> Tuple[Dataset, SelectionSet]:

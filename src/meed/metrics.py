@@ -12,12 +12,12 @@ import copy
 import itertools
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ConfigError, SelectionSet, checked_outputs, named_rng
+from .core import ConfigError, SelectionSet, checked_outputs, from_strings, named_rng
 from .data import Dataset
 from .sampler import hard_topk, hard_topk_batch
 from .trainer import fit_classifier, train
@@ -29,6 +29,9 @@ SEN_N_PERTURB = 32
 
 @dataclass
 class MetricsReport:
+    """One evaluation; as text, one `KEY=value` line per field, the key its
+    name upper-cased with `-` for `_` (FS-M for fs_m)."""
+
     fs_m: float
     fu_m: float
     fs_a: float
@@ -40,28 +43,17 @@ class MetricsReport:
     k: int
     n_eval: int
 
-    _KEYS = ("FS-M", "FU-M", "FS-A", "FU-A", "SEN", "SANITY-MODEL",
-             "SANITY-DATA", "TPS", "K", "N-EVAL")
-
     def serialize(self) -> str:
-        vals = {
-            "FS-M": f"{self.fs_m:.2f}", "FU-M": f"{self.fu_m:.2f}",
-            "FS-A": f"{self.fs_a:.2f}", "FU-A": f"{self.fu_a:.2f}",
-            "SEN": f"{self.sen:.2f}",
-            "SANITY-MODEL": f"{self.sanity_model:.2f}",
-            "SANITY-DATA": f"{self.sanity_data:.2f}",
-            "TPS": repr(self.tps), "K": str(self.k), "N-EVAL": str(self.n_eval),
-        }
-        return "".join(f"{k}={vals[k]}\n" for k in self._KEYS)
+        """Scores to two decimals; TPS, in seconds, and the counts in full."""
+        return "".join(f"{name.upper().replace('_', '-')}="
+                       + (f"{val:.2f}" if isinstance(val, float) and name != "tps" else str(val))
+                       + "\n" for name, val in asdict(self).items())
 
     @classmethod
     def parse(cls, text: str) -> "MetricsReport":
         kv = dict(line.split("=", 1) for line in text.strip().splitlines())
-        return cls(fs_m=float(kv["FS-M"]), fu_m=float(kv["FU-M"]),
-                   fs_a=float(kv["FS-A"]), fu_a=float(kv["FU-A"]),
-                   sen=float(kv["SEN"]), sanity_model=float(kv["SANITY-MODEL"]),
-                   sanity_data=float(kv["SANITY-DATA"]), tps=float(kv["TPS"]),
-                   k=int(kv["K"]), n_eval=int(kv["N-EVAL"]))
+        return from_strings(cls, {key.lower().replace("-", "_"): val for key, val in kv.items()},
+                            "report")
 
 
 def _outputs(dataset: Dataset, model) -> np.ndarray:

@@ -22,7 +22,7 @@ from .approximators import (ApproximatorPair, cross_entropy_grad, cross_entropy_
                             sw_directions)
 from .baselines import prior_scores
 from .core import (ConfigError, Mlp, ShapeError, TrainConfig, checked_outputs,
-                   classifier_layers, named_rng, read_record, write_record)
+                   classifier_layers, from_strings, named_rng, read_record, write_record)
 from .explainer import ExplainerNet, fuse_prior_var, prior_constraint_loss_var
 from .sampler import relaxed_topk_var, sample_gumbel_batch
 
@@ -265,7 +265,7 @@ def load_checkpoint(path: str) -> Checkpoint:
     """Read a checkpoint; any malformed or incompatible file raises CheckpointError."""
     header, vectors = read_record(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, CheckpointError)
     try:
-        config = TrainConfig.from_strings({k: str(v) for k, v in header["config"].items()})
+        config = from_strings(TrainConfig, {k: str(v) for k, v in header["config"].items()}, "train")
         arch = header["meta"]
         meta = {"d": int(arch["d"]), "c": int(arch["c"]),
                 "explainer_hidden": tuple(int(h) for h in arch["explainer_hidden"]),

@@ -8,14 +8,17 @@ import struct
 import numpy as np
 import pytest
 
-from meed.cli import (EXIT_CONFIG, EXIT_OK, EXIT_SHAPE, ConfigFileError, build_dataset,
-                      build_model, build_train_config, main, parse_config_file)
+from meed.cli import (EXIT_CONFIG, EXIT_OK, EXIT_SHAPE, FileSection, IdxSection, ModelSection,
+                      RunSection, build_dataset, build_model, build_train_config, main,
+                      parse_config_file)
 from meed.baselines import FD_STEP
-from meed.core import Mlp, TrainConfig, classifier_layers
-from meed.data import SyntheticSpec, export_dataset, generate_synthetic, load_model
+from meed.core import ConfigError, Mlp, TrainConfig, classifier_layers
+from meed.data import (SyntheticSpec, export_dataset, generate_synthetic, load_model,
+                       write_idx_images, write_idx_labels)
 from meed.metrics import MetricsReport
 from meed.trainer import (CHECKPOINT_MAGIC, Adam, Checkpoint, load_checkpoint,
                           save_checkpoint)
+from tests.conftest import record_sections
 
 README = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")
 
@@ -60,10 +63,48 @@ def run_dir(tmp_path):
 def test_parse_config_file(run_dir):
     config_path, _ = run_dir
     cfg = parse_config_file(config_path)
-    assert cfg["data"]["kind"] == "sparse-logit"
-    assert cfg["train"]["k"] == "2"
+    assert cfg["data"].kind == "sparse-logit"
+    assert cfg["train"].k == 2
     tc = build_train_config(cfg)
     assert tc.k == 2 and tc.epochs == 3 and tc.batch_size == 32
+
+
+def _section_text(section) -> str:
+    """`key = value` lines for every field of a section dataclass."""
+    return "".join(f"{name} = {','.join(map(str, val)) if isinstance(val, tuple) else val}\n"
+                   for name, val in dataclasses.asdict(section).items())
+
+
+@pytest.mark.parametrize("name, section", [
+    ("model", ModelSection(hidden=(5, 3), seed=2, epochs=4, learning_rate=0.5)),
+    ("run", RunSection(out_dir="elsewhere", explainer_hidden=(4,), approx_hidden=(),
+                       retrain_budget=7)),
+    ("train", TrainConfig(k=3, epochs=2, seed=5, use_output_feedback=False)),
+    ("data", SyntheticSpec(d=5, true_subset=(1, 3), n=9, kind="xor", noise_std=0.25, seed=4)),
+    ("data", IdxSection(kind="idx", images_path="i.idx", labels_path="l.idx",
+                        class_pair=(3, 8))),
+    ("data", FileSection(kind="file", path="data.txt"))])
+def test_each_section_reads_exactly_its_dataclass_fields(tmp_path, name, section):
+    """Every field is a key and nothing else is, so a new field needs no key list."""
+    path = tmp_path / "run.cfg"
+    path.write_text(f"[{name}]\n" + _section_text(section))
+    assert parse_config_file(str(path))[name] == section
+    path.write_text(f"[{name}]\n" + _section_text(section) + "bogus = 1\n")
+    with pytest.raises(ConfigError, match=rf"unknown \[{name}\] key\(s\): bogus"):
+        parse_config_file(str(path))
+
+
+def test_absent_keys_and_sections_take_the_documented_defaults(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("[data]\nkind = xor\nd = 4\ntrue_subset = 0,1\nn = 10\n"
+                    "[train]\nk = 2\nepochs = 1\n")
+    cfg = parse_config_file(str(path))
+    assert cfg["data"] == SyntheticSpec(d=4, true_subset=(0, 1), n=10, kind="xor",
+                                        noise_std=0.0, seed=0)
+    assert cfg["model"] == ModelSection(hidden=(32, 32), seed=0, epochs=30, learning_rate=1e-3)
+    assert cfg["run"] == RunSection(out_dir="out", explainer_hidden=(32, 32),
+                                    approx_hidden=(32, 32), retrain_budget=20)
+    assert cfg["train"] == TrainConfig(k=2, epochs=1)
 
 
 def test_readme_config_example_parses(tmp_path):
@@ -71,7 +112,7 @@ def test_readme_config_example_parses(tmp_path):
     path = tmp_path / "readme.cfg"
     path.write_text(block)
     cfg = parse_config_file(str(path))
-    assert cfg["model"]["hidden"] == "16"
+    assert cfg["model"].hidden == (16,)
     train_set, _, _, subset = build_dataset(cfg)
     assert train_set.d == 6 and subset.indices == (0, 1)
     tc = build_train_config(cfg)
@@ -109,7 +150,7 @@ def test_every_train_config_field_round_trips(tmp_path):
 def test_unknown_train_key_exits_2(tmp_path):
     cfg = tmp_path / "typo.cfg"
     cfg.write_text(CONFIG.format(out=tmp_path / "out").replace("batch_size", "batch_sise"))
-    with pytest.raises(ConfigFileError, match="batch_sise"):
+    with pytest.raises(ConfigError, match="batch_sise"):
         build_train_config(parse_config_file(str(cfg)))
     assert main(["train", "--config", str(cfg)]) == EXIT_CONFIG
 
@@ -128,6 +169,40 @@ def test_unknown_config_key_or_section_exits_2(tmp_path, capsys, old, new, name)
     for command in ("synth", "train"):
         assert main([command, "--config", str(cfg)]) == EXIT_CONFIG
         assert name in capsys.readouterr().err
+
+
+IDX_DATA = """[data]
+kind = idx
+images_path = {tmp}/images
+labels_path = {tmp}/labels
+class_pair = {pair}
+
+"""
+
+
+@pytest.mark.parametrize("command, old, new, argv, key", [
+    ("train", "batch_size = 32", "batch_size = 32\ndecay = -1", [], "decay"),
+    ("train", "seed = 1\n", "seed = -1\n", [], "seed"),  # [train]
+    ("train", "seed = 11\n", "seed = -1\n", [], "seed"),  # [data]
+    ("train", "seed = 0\n", "seed = -1\n", [], "seed"),  # [model]
+    ("train", "", "", ["--seed", "-1"], "seed"),
+    ("synth", "", "", ["--seed", "-1"], "seed"),
+    ("train", "\nhidden = 8\n", "\nhidden = -1\n", [], "hidden"),
+    ("train", "explainer_hidden = 8", "explainer_hidden = 8,-2", [], "explainer_hidden"),
+    ("train", "approx_hidden = 8", "approx_hidden = -1", [], "approx_hidden"),
+    ("train", CONFIG.split("[model]")[0], IDX_DATA.format(tmp="{tmp}", pair="3"), [],
+     "class_pair"),
+    ("train", CONFIG.split("[model]")[0], IDX_DATA.format(tmp="{tmp}", pair="3,8,5"), [],
+     "class_pair")])
+def test_out_of_range_config_value_exits_2_naming_its_key(tmp_path, capsys, command, old, new,
+                                                          argv, key):
+    """Each of these ended in a traceback before it was checked where it enters."""
+    write_idx_images(np.zeros((4, 2, 2)), str(tmp_path / "images"))
+    write_idx_labels(np.array([3, 8, 3, 8]), str(tmp_path / "labels"))
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(CONFIG.format(out=tmp_path / "out").replace(old, new.format(tmp=tmp_path)))
+    assert main([command, "--config", str(cfg)] + argv) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
 
 
 def test_corrupt_checkpoint_exits_2(tmp_path):
@@ -214,7 +289,7 @@ def test_non_finite_output_on_perturbed_row_exits_4(tmp_path, capsys, monkeypatc
 def test_parse_rejects_stray_lines(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("key = value\n")  # no section header
-    with pytest.raises(ConfigFileError):
+    with pytest.raises(ConfigError):
         parse_config_file(str(bad))
 
 
@@ -315,6 +390,41 @@ def test_old_or_corrupt_files_exit_2(trained_dir, tmp_path, capsys):
         assert main(["evaluate", "--config", config_path, "--checkpoint", ckpt]) == EXIT_CONFIG
         # Each damaged checkpoint fails before the corrupt model.bin is read.
         assert ("model.bin" in capsys.readouterr().err) == (ckpt == checkpoint)
+
+
+def test_explain_rejects_non_finite_model_or_checkpoint_vectors_with_exit_2(trained_dir,
+                                                                           tmp_path, capsys):
+    """A NaN parameter in model.bin or checkpoint.bin used to give scores=nan rows."""
+    _, out = trained_dir
+    data_path = str(tmp_path / "data.txt")
+    export_dataset(generate_synthetic(SyntheticSpec(d=6, true_subset=(0, 1), n=8,
+                                                    kind="sparse-logit", seed=12))[0],
+                   None, data_path)
+    for name in ("model.bin", "checkpoint.bin"):
+        path = os.path.join(out, name)
+        good = open(path, "rb").read()
+        bad = bytearray(good)
+        struct.pack_into("<d", bad, record_sections(good)[1] + 16, float("nan"))
+        open(path, "wb").write(bytes(bad))
+        capsys.readouterr()
+        assert main(["explain", "--checkpoint", os.path.join(out, "checkpoint.bin"),
+                     "--data", data_path, "--out", str(tmp_path / "expl.txt")]) == EXIT_CONFIG
+        assert f"{name}: vector" in capsys.readouterr().err
+        open(path, "wb").write(good)
+
+
+def test_explain_rejects_non_finite_model_outputs_with_exit_4(trained_dir, tmp_path, capsys,
+                                                              monkeypatch):
+    _, out = trained_dir
+    monkeypatch.setattr("meed.cli.datamod.load_model",
+                        lambda path: NanEveryThirdRow(load_model(path)))
+    data_path = str(tmp_path / "data.txt")
+    export_dataset(generate_synthetic(SyntheticSpec(d=6, true_subset=(0, 1), n=8,
+                                                    kind="sparse-logit", seed=12))[0],
+                   None, data_path)
+    assert main(["explain", "--checkpoint", os.path.join(out, "checkpoint.bin"),
+                 "--data", data_path, "--out", str(tmp_path / "expl.txt")]) == EXIT_SHAPE
+    assert "probability simplex" in capsys.readouterr().err
 
 
 def test_explain_shape_mismatch_exits_4(trained_dir, tmp_path):

@@ -47,6 +47,17 @@ def test_train_config_validation():
         TrainConfig(k=2, epochs=1, seed=0, lambda_u=-1.0)
     with pytest.raises(ConfigError):
         TrainConfig(k=2, epochs=1, seed=0, prior_method="lime")
+    with pytest.raises(ConfigError, match="seed"):
+        TrainConfig(k=2, epochs=1, seed=-1)
+    with pytest.raises(ConfigError, match="decay"):
+        TrainConfig(k=2, epochs=1, seed=0, decay=-1.0)
+
+
+@pytest.mark.parametrize("hidden, out", [((0,), 2), ((4, -1), 2), ((4,), 0)])
+def test_mlp_rejects_a_dense_width_below_1(hidden, out):
+    """Library callers get ConfigError, not numpy's "negative dimensions"."""
+    with pytest.raises(ConfigError, match="width >= 1"):
+        Mlp(3, classifier_layers(hidden, out))
 
 
 def test_named_rng_streams_are_stable_and_distinct():

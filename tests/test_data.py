@@ -269,8 +269,11 @@ def test_model_file_rejects_corrupt_blob(saved_model):
     params_at = record_sections(blob)[1]
     wrong_count = bytearray(blob)
     struct.pack_into("<Q", wrong_count, params_at + 8, 2**40)
+    nan_param = bytearray(blob)
+    struct.pack_into("<d", nan_param, params_at + 16, float("nan"))
     for bad in (b"", b"NOTMEED!" + blob[8:], blob[:14], blob + b"\x00", blob + bytes(8),
-                bytes(wrong_count), MODEL_MAGIC + struct.pack("<I", 1) + blob[12:]):
+                bytes(wrong_count), MODEL_MAGIC + struct.pack("<I", 1) + blob[12:],
+                bytes(nan_param)):
         with pytest.raises(ModelFileError):
             load_model_bytes(bad, path)
 

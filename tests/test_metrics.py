@@ -28,6 +28,16 @@ def test_report_serialize_parse_round_trip():
         assert key in text
 
 
+def test_report_serializes_to_the_documented_lines():
+    """The text `meed evaluate` writes, one `KEY=value` line per field."""
+    report = MetricsReport(fs_m=98.125, fu_m=52.255, fs_a=91.0, fu_a=50.0, sen=0.125,
+                           sanity_model=12.5, sanity_data=-1.0, tps=0.000123456789, k=4,
+                           n_eval=100)
+    assert report.serialize() == ("FS-M=98.12\nFU-M=52.26\nFS-A=91.00\nFU-A=50.00\nSEN=0.12\n"
+                                  "SANITY-MODEL=12.50\nSANITY-DATA=-1.00\nTPS=0.000123456789\n"
+                                  "K=4\nN-EVAL=100\n")
+
+
 def test_mask_cosine_bounds(rng):
     masks = (rng.random((10, 6)) < 0.5).astype(float)
     masks[masks.sum(axis=1) == 0, 0] = 1.0

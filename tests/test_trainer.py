@@ -410,8 +410,12 @@ def test_checkpoint_rejects_corrupt_blob(saved_checkpoint):
     no_optimizer_t = (blob[:config_at] + struct.pack("<Q", len(partial)) + partial
                       + blob[vector_at:])
     version_1 = CHECKPOINT_MAGIC + struct.pack("<I", 1) + blob[12:]
+    nan_param, inf_slot = bytearray(blob), bytearray(blob)
+    struct.pack_into("<d", nan_param, vector_at + 16, float("nan"))
+    struct.pack_into("<d", inf_slot, record_sections(blob)[-1] + 16, float("inf"))
     for bad in (b"NOTMEED!" + b"\x00" * 32, blob[:10], bytes(oversized), bytes(non_utf8),
-                incomplete, blob + b"\x00", blob + bytes(16), no_optimizer_t, version_1):
+                incomplete, blob + b"\x00", blob + bytes(16), no_optimizer_t, version_1,
+                bytes(nan_param), bytes(inf_slot)):
         with pytest.raises(CheckpointError):
             load_bytes(bad, path)
 
