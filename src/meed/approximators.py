@@ -7,7 +7,7 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .core import Mlp, classifier_layers
+from .core import Mlp
 
 CE_EPS = 1e-12  # predictions clamped before the log
 
@@ -24,7 +24,7 @@ class ApproximatorPair:
 def make_pair(d: int, c: int, hidden: Sequence[int],
               rng: np.random.Generator) -> ApproximatorPair:
     """Two fresh nets of the same shape, drawn A_s first (never shared parameters)."""
-    return ApproximatorPair(Mlp(d, classifier_layers(hidden, c), rng=rng, nets=2))
+    return ApproximatorPair(Mlp(d, (*hidden, c), rng=rng, nets=2))
 
 
 def cross_entropy_grad(target: np.ndarray, pred: np.ndarray, g=1.0) -> np.ndarray:

@@ -46,6 +46,10 @@ class ModelSection:
             raise ConfigError(f"hidden widths must be >= 1, got {self.hidden}")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
+        if self.epochs < 0:
+            raise ConfigError("epochs must be nonnegative")
+        if self.learning_rate <= 0:
+            raise ConfigError("learning_rate must be positive")
 
 
 @dataclass(frozen=True)
@@ -61,6 +65,8 @@ class RunSection:
         for name in ("explainer_hidden", "approx_hidden"):
             if min(getattr(self, name), default=1) < 1:
                 raise ConfigError(f"{name} widths must be >= 1, got {getattr(self, name)}")
+        if self.retrain_budget < 1:
+            raise ConfigError("retrain_budget must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -29,11 +29,11 @@ class ConfigError(ValueError):
     """Invalid configuration value."""
 
 
-def is_simplex(vec: np.ndarray, tol: float = SIMPLEX_TOL) -> bool:
+def is_simplex(vec: np.ndarray) -> bool:
     """True when every vector along the last axis is a distribution (NaN and
     inf entries fail)."""
     vec = np.asarray(vec)
-    return bool(np.all(vec >= 0.0) and np.all(np.abs(vec.sum(axis=-1) - 1.0) <= tol))
+    return bool(np.all(vec >= 0.0) and np.all(np.abs(vec.sum(axis=-1) - 1.0) <= SIMPLEX_TOL))
 
 
 def checked_outputs(y, n: int, what: str = "model outputs") -> np.ndarray:
@@ -224,53 +224,36 @@ def named_rng(seed: int, stream: str) -> np.random.Generator:
 # Differentiable network
 # ---------------------------------------------------------------------------
 
-Layer = tuple  # ("dense", width) | ("relu",) | ("softmax",)
-
-
-def classifier_layers(hidden: Sequence[int], out: int) -> list:
-    """dense(h)/relu for each hidden width, then dense(out) and softmax."""
-    layers = []
-    for h in hidden:
-        layers += [("dense", int(h)), ("relu",)]
-    return layers + [("dense", int(out)), ("softmax",)]
-
-
 def _glorot_limit(fan_in: int, fan_out: int) -> float:
     return float(np.sqrt(6.0 / (fan_in + fan_out)))
 
 
 class Mlp:
-    """Feed-forward net over a flat float64 parameter vector.
+    """Softmax classifier over a flat float64 parameter vector.
 
-    Layers are drawn from dense(width), relu and softmax. Weights use
-    uniform Glorot initialization from the provided RNG; biases start at 0.
-    With `nets=m` it holds m such nets of P parameters, net i's vector at
-    `parameters[i*P:(i+1)*P]` (drawn in that order), and runs (m, n, in_dim) stacks.
+    One dense layer per width in `widths`, a relu after each but the last and
+    a softmax at the end. Weights use uniform Glorot initialization from the
+    provided RNG; biases start at 0. With `nets=m` it holds m such nets of P
+    parameters, net i's vector at `parameters[i*P:(i+1)*P]` (drawn in that
+    order), and runs (m, n, in_dim) stacks.
     """
 
-    def __init__(self, in_dim: int, layers: Sequence[Layer], rng: Optional[np.random.Generator] = None,
+    def __init__(self, in_dim: int, widths: Sequence[int], rng: Optional[np.random.Generator] = None,
                  parameters: Optional[np.ndarray] = None, nets: int = 1):
         self.in_dim = int(in_dim)
-        self.layers = [tuple(l) for l in layers]
+        self.widths = tuple(int(w) for w in widths)
         self.nets = int(nets)
         self._slices = []  # (w_slice, w_shape, b_slice) per dense layer, within one net's vector
         width = self.in_dim
         offset = 0
-        for i, layer in enumerate(self.layers):
-            kind = layer[0]
-            if kind == "dense":
-                out = int(layer[1])
-                if out < 1:
-                    raise ConfigError(f"dense layer at position {i} needs width >= 1, got {out}")
-                w_size = width * out
-                self._slices.append((slice(offset, offset + w_size), (width, out),
-                                     slice(offset + w_size, offset + w_size + out)))
-                offset += w_size + out
-                width = out
-            elif kind in ("relu", "softmax"):
-                pass
-            else:
-                raise ConfigError(f"unknown layer kind at position {i}: {kind}")
+        for i, out in enumerate(self.widths):
+            if out < 1:
+                raise ConfigError(f"dense layer {i} needs width >= 1, got {out}")
+            w_size = width * out
+            self._slices.append((slice(offset, offset + w_size), (width, out),
+                                 slice(offset + w_size, offset + w_size + out)))
+            offset += w_size + out
+            width = out
         self.out_dim = width
         self.n_params = offset * self.nets
         if parameters is not None:
@@ -306,10 +289,10 @@ class Mlp:
     def forward(self, x: np.ndarray, params: Optional[np.ndarray] = None,
                 keep: bool = True) -> tuple:
         """(out, saved) for a batch x (n, in_dim), or a stack (nets, n, in_dim),
-        over the flat `params` (default: this net's). `saved` holds, per layer,
-        what `backward` needs: the dense input, or the relu or softmax output.
-        With `keep=False` it stays empty, so each activation is freed once the
-        next layer has read it."""
+        over the flat `params` (default: this net's). `saved` holds what
+        `backward` needs: each dense layer's input (after the relu), then the
+        softmax output. With `keep=False` it stays empty, so each activation
+        is freed once the next layer has read it."""
         params = self._params if params is None else params
         h = np.asarray(x, dtype=np.float64)
         lead = h.shape[:-2]
@@ -319,21 +302,16 @@ class Mlp:
                              f"for {self.nets} net(s), got {h.shape}")
         flat = params.reshape(lead + (-1,))
         saved = []
-        dense_i = 0
-        for layer in self.layers:
-            kind = layer[0]
-            if kind == "dense":
-                w_sl, w_shape, b_sl = self._slices[dense_i]
-                out = h @ flat[..., w_sl].reshape(lead + w_shape) + flat[..., None, b_sl]
-                dense_i += 1
-            elif kind == "relu":
-                out = np.maximum(h, 0.0)
-            else:  # softmax
-                e = np.exp(h - h.max(axis=-1, keepdims=True))
-                out = e / e.sum(axis=-1, keepdims=True)
+        for i, (w_sl, w_shape, b_sl) in enumerate(self._slices):
+            if i:
+                h = np.maximum(h, 0.0)
             if keep:
-                saved.append(h if kind == "dense" else out)
-            h = out
+                saved.append(h)
+            h = h @ flat[..., w_sl].reshape(lead + w_shape) + flat[..., None, b_sl]
+        e = np.exp(h - h.max(axis=-1, keepdims=True))
+        h = e / e.sum(axis=-1, keepdims=True)
+        if keep:
+            saved.append(h)
         return h, saved
 
     def backward(self, saved, g: np.ndarray, params: Optional[np.ndarray] = None,
@@ -349,22 +327,18 @@ class Mlp:
         flat = params.reshape(rows)
         g_flat = np.empty(self.n_params) if weights else None
         g_nets = g_flat.reshape(rows) if weights else None
-        dense_i = len(self._slices)
-        for i in reversed(range(len(self.layers))):
-            kind, val = self.layers[i][0], saved[i]
-            if kind == "softmax":
-                g = val * (g - (g * val).sum(axis=-1, keepdims=True))
-            elif kind == "relu":
-                g = g * (val > 0.0)
-            else:
-                dense_i -= 1
-                w_sl, w_shape, b_sl = self._slices[dense_i]
-                if weights:
-                    g_nets[..., w_sl] = (val.swapaxes(-1, -2) @ g).reshape(rows)
-                    g_nets[..., b_sl] = g.sum(axis=-2)
-                if i == 0 and not inputs:
-                    break
-                g = g @ flat[..., w_sl].reshape(lead + w_shape).swapaxes(-1, -2)
+        out = saved[-1]
+        g = out * (g - (g * out).sum(axis=-1, keepdims=True))
+        for i in reversed(range(len(self._slices))):
+            w_sl, w_shape, b_sl = self._slices[i]
+            if weights:
+                g_nets[..., w_sl] = (saved[i].swapaxes(-1, -2) @ g).reshape(rows)
+                g_nets[..., b_sl] = g.sum(axis=-2)
+            if i == 0 and not inputs:
+                break
+            g = g @ flat[..., w_sl].reshape(lead + w_shape).swapaxes(-1, -2)
+            if i:
+                g = g * (saved[i] > 0.0)
         return (g if inputs else None), g_flat
 
     def predict(self, x: np.ndarray) -> np.ndarray:

@@ -75,6 +75,8 @@ class SyntheticSpec:
             raise ConfigError(f"true_subset {sub} needs distinct indices in [0, d={self.d})")
         if self.n < 1:
             raise ConfigError("n must be >= 1")
+        if self.noise_std < 0:
+            raise ConfigError("noise_std must be >= 0")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
 
@@ -235,8 +237,8 @@ def load_idx_images(images_path: str, labels_path: str,
     a, b = class_pair
     keep = (labels == a) | (labels == b)
     if not np.any(keep):
-        import warnings
-        warnings.warn(f"class pair {class_pair} selects no samples")
+        raise IdxParseError(f"{labels_path}: class pair ({a}, {b}) selects no rows; "
+                            f"the labels present are {np.unique(labels).tolist()}")
     n_pixels = images.shape[1] * images.shape[2]
     images = images[keep]
     y = (labels[keep] == b).astype(int)
@@ -275,39 +277,49 @@ class MlpModel(BlackBoxModel):
         return self.net.backward(saved, np.eye(self.c)[class_index], weights=False)[0]
 
     def randomize(self, rng: np.random.Generator) -> None:
-        fresh = Mlp(self.net.in_dim, self.net.layers, rng=rng)
+        fresh = Mlp(self.net.in_dim, self.net.widths, rng=rng)
         self.net.set_parameters(fresh.parameters)
 
 
 def train_given_model(dataset: Dataset, hidden: Sequence[int] = (32, 32),
-                      seed: int = 0, epochs: int = 30, batch_size: int = 64,
-                      learning_rate: float = 1e-3,
-                      n_classes: Optional[int] = None) -> MlpModel:
+                      seed: int = 0, epochs: int = 30,
+                      learning_rate: float = 1e-3) -> MlpModel:
     """Fit the model-to-be-explained on true labels (the only label consumer)."""
     if dataset.y_true is None:
         raise ValueError("train_given_model needs true labels")
     labels = np.asarray(dataset.y_true, dtype=int)
-    targets = np.eye(n_classes or int(labels.max()) + 1)[labels]
+    targets = np.eye(int(labels.max()) + 1)[labels]
     return MlpModel(fit_classifier(dataset.X, targets, hidden, epochs, named_rng(seed, "model"),
-                                   learning_rate=learning_rate, batch_size=batch_size))
+                                   learning_rate=learning_rate))
 
 
 MODEL_MAGIC = b"MEEDMODL"
 MODEL_VERSION = 2
 
 
+def _layer_list(widths) -> list:
+    """A model file's `layers`: dense/relu per width, the last relu a softmax."""
+    return [layer for w in widths for layer in (["dense", w], ["relu"])][:-1] + [["softmax"]]
+
+
 def save_model(model: MlpModel, path: str) -> None:
     net = model.net
-    write_record(path, MODEL_MAGIC, MODEL_VERSION, {"in_dim": net.in_dim, "layers": net.layers},
+    write_record(path, MODEL_MAGIC, MODEL_VERSION,
+                 {"in_dim": net.in_dim, "layers": _layer_list(net.widths)},
                  {"params": net.parameters})
 
 
 def load_model(path: str) -> MlpModel:
-    """Read a model file; any malformed or incompatible file raises ModelFileError."""
+    """Read a model file; any malformed or incompatible file, or a layer list
+    other than the dense/relu ... dense/softmax one `save_model` writes, raises
+    ModelFileError."""
     header, vectors = read_record(path, MODEL_MAGIC, MODEL_VERSION, ModelFileError)
     try:
-        layers = [tuple(layer) for layer in header["layers"]]
-        return MlpModel(Mlp(int(header["in_dim"]), layers, parameters=vectors["params"]))
+        layers = header["layers"]
+        widths = [layer[1] for layer in layers[::2]]
+        if layers != _layer_list(widths):
+            raise ValueError(f"layers {layers} are not dense/relu ... dense/softmax")
+        return MlpModel(Mlp(int(header["in_dim"]), widths, parameters=vectors["params"]))
     except (IndexError, KeyError, TypeError, ValueError) as exc:
         raise ModelFileError(f"{path}: bad model header: {exc!r}") from exc
 

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .core import ConfigError, Mlp, ShapeError, classifier_layers
+from .core import ConfigError, Mlp, ShapeError
 from .sampler import Z_EPS
 
 
@@ -31,7 +31,7 @@ class ExplainerNet(Mlp):
         self.c = int(c)
         self.use_output = bool(use_output)
         super().__init__(self.d + self.c if self.use_output else self.d,
-                         classifier_layers(hidden, self.d), rng=rng)
+                         (*hidden, self.d), rng=rng)
 
     def _input(self, x, y) -> np.ndarray:
         """[x, y] (or x) after checking the row counts and the feature and

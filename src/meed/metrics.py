@@ -127,19 +127,18 @@ def default_sen_radius(eval_set: Dataset) -> float:
     return SEN_RADIUS_FRACTION * float(ranges.mean())
 
 
-def sensitivity(explainer, model, eval_set: Dataset, radius: Optional[float] = None,
-                n_perturb: int = SEN_N_PERTURB,
+def sensitivity(explainer, model, eval_set: Dataset,
                 rng: Optional[np.random.Generator] = None) -> float:
-    """Worst-case relative score change under bounded input perturbations, x100."""
-    if radius is None:
-        radius = default_sen_radius(eval_set)
+    """Worst-case relative score change over SEN_N_PERTURB uniform input
+    perturbations within `default_sen_radius`, x100."""
+    radius = default_sen_radius(eval_set)
     if rng is None:
         rng = np.random.default_rng(0)
     y = _outputs(eval_set, model)
     z0 = explainer.score(eval_set.X, y)
     norms = np.linalg.norm(z0, axis=1)
     worst = np.zeros(len(eval_set))
-    for _ in range(max(n_perturb, 1)):
+    for _ in range(SEN_N_PERTURB):
         delta = rng.uniform(-radius, radius, size=eval_set.X.shape)
         xp = eval_set.X + delta
         zp = explainer.score(xp, model.evaluate(xp))
@@ -210,8 +209,7 @@ def time_per_sample(explainer, model, eval_set: Dataset, n_samples: int = 100,
 
 def evaluate_explainer(explainer, model, train_set: Dataset, eval_set: Dataset, k: int,
                        retrain_budget: int = RETRAIN_BUDGET_DEFAULT,
-                       hidden: Sequence[int] = (32, 32), seed: int = 0,
-                       sanity_model: bool = True) -> MetricsReport:
+                       hidden: Sequence[int] = (32, 32), seed: int = 0) -> MetricsReport:
     """Full report over one trained explainer (data-randomization left at -1
     unless run separately; it needs a retraining budget the caller controls)."""
     _require_rows(training=train_set, evaluation=eval_set)
@@ -226,9 +224,8 @@ def evaluate_explainer(explainer, model, train_set: Dataset, eval_set: Dataset, 
         fu_m=fidelity_unselected_model(explainer, model, eval_set, k),
         fs_a=fs_a, fu_a=fu_a,
         sen=sensitivity(explainer, model, eval_set, rng=rng),
-        sanity_model=(sanity_tests(explainer, model, eval_set, k,
-                                   mode="model-randomization", rng=rng)
-                      if sanity_model else -1.0),
+        sanity_model=sanity_tests(explainer, model, eval_set, k,
+                                  mode="model-randomization", rng=rng),
         sanity_data=-1.0,
         tps=time_per_sample(explainer, model, eval_set, k=k),
         k=k, n_eval=len(eval_set))

@@ -21,8 +21,8 @@ from .approximators import (ApproximatorPair, cross_entropy_grad, cross_entropy_
                             make_pair, relativistic_flip, sliced_wasserstein_var,
                             sw_directions)
 from .baselines import prior_scores
-from .core import (ConfigError, Mlp, ShapeError, TrainConfig, checked_outputs,
-                   classifier_layers, from_strings, named_rng, read_record, write_record)
+from .core import (ConfigError, Mlp, ShapeError, TrainConfig, checked_outputs, from_strings,
+                   named_rng, read_record, write_record)
 from .explainer import ExplainerNet, fuse_prior_var, prior_constraint_loss_var
 from .sampler import relaxed_topk_var, sample_gumbel_batch
 
@@ -130,10 +130,10 @@ def fit_classifier(x: np.ndarray, targets: np.ndarray, hidden: Sequence[int], ep
     An (m, n, d) stack of inputs fits m nets of one `Mlp` at once, each
     exactly as a fit of its own (n, d) slice from the same `rng` state.
     """
-    layers = classifier_layers(hidden, targets.shape[1])
+    widths = (*hidden, targets.shape[1])
     nets = len(x) if x.ndim == 3 else 1
-    net = Mlp(x.shape[-1], layers, nets=nets,
-              parameters=np.tile(Mlp(x.shape[-1], layers, rng=rng).parameters, nets))
+    net = Mlp(x.shape[-1], widths, nets=nets,
+              parameters=np.tile(Mlp(x.shape[-1], widths, rng=rng).parameters, nets))
     opt = Adam(learning_rate, net.n_params)
     n = x.shape[-2]
     for _ in range(epochs):

@@ -37,6 +37,13 @@ def relative_error(approx: np.ndarray, exact: np.ndarray) -> float:
     return np.linalg.norm(approx - exact) / denom
 
 
+# Model file layer lists that `save_model` never writes, each with the
+# parameter count it implies at in_dim 3: ending in relu, two softmaxes, none.
+BAD_LAYER_LISTS = [([["dense", 2], ["relu"]], 8),
+                   ([["dense", 2], ["softmax"], ["dense", 2], ["softmax"]], 14),
+                   ([], 0)]
+
+
 def record_sections(blob: bytes) -> list:
     """Offset of each section's length field in a record file (8-byte magic,
     u32 version): the JSON header, then one per vector."""

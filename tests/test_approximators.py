@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meed import autodiff as ad
-from meed.core import Mlp, classifier_layers
+from meed.core import Mlp
 from meed.approximators import (ApproximatorPair, cross_entropy_var, make_pair,
                                 relativistic_flip, sliced_wasserstein_var,
                                 sw_directions)
@@ -88,7 +88,7 @@ def test_sliced_wasserstein_var_matches_scalar(rng):
 def test_make_pair(rng):
     pair = make_pair(d=5, c=2, hidden=(8,), rng=rng)
     assert isinstance(pair, ApproximatorPair)
-    assert pair.a_selected.layers == pair.a_unselected.layers
+    assert pair.a_selected.widths == pair.a_unselected.widths
     assert not np.shares_memory(pair.a_selected.parameters, pair.a_unselected.parameters)
     assert not np.allclose(pair.a_selected.parameters, pair.a_unselected.parameters)
 
@@ -96,8 +96,7 @@ def test_make_pair(rng):
 def test_make_pair_equals_two_mlps_drawn_from_one_rng():
     pair = make_pair(d=5, c=3, hidden=(8, 4), rng=np.random.default_rng(7))
     rng = np.random.default_rng(7)
-    layers = classifier_layers((8, 4), 3)
-    first, second = Mlp(5, layers, rng=rng), Mlp(5, layers, rng=rng)
+    first, second = Mlp(5, (8, 4, 3), rng=rng), Mlp(5, (8, 4, 3), rng=rng)
     assert pair.net.nets == 2
     assert np.array_equal(pair.a_selected.parameters, first.parameters)
     assert np.array_equal(pair.a_unselected.parameters, second.parameters)

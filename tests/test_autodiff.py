@@ -6,7 +6,7 @@ import pytest
 
 from meed import autodiff as ad
 from meed.approximators import CE_EPS, cross_entropy_var, sliced_wasserstein_var, sw_directions
-from meed.core import Mlp, classifier_layers
+from meed.core import Mlp
 from meed.explainer import fuse_prior_var, prior_constraint_loss_var
 from meed.sampler import Z_EPS, relaxed_topk_var
 from tests.conftest import finite_difference, relative_error, weighted_sum
@@ -47,7 +47,7 @@ def test_node_gives_each_parent_its_part():
 
 
 def test_mlp_node_gradients_match_finite_differences(rng):
-    net = Mlp(4, classifier_layers((5, 3), 3), rng=rng)
+    net = Mlp(4, (5, 3, 3), rng=rng)
     x = rng.standard_normal((6, 4))
     weights = rng.standard_normal((6, 3))
     params = net.parameters.copy()
@@ -56,9 +56,12 @@ def test_mlp_node_gradients_match_finite_differences(rng):
 
 
 def test_matmul_relu_chain(rng):
-    """A dense layer then relu: the flat weight gradient of mean(h * h) matches FD."""
+    """dense, relu, dense, softmax with some relu units off: the flat weight
+    gradient of mean(out * out) matches FD."""
     x = rng.standard_normal((5, 4))
-    net = Mlp(4, [("dense", 3), ("relu",)], rng=rng)
+    net = Mlp(4, (3, 2), rng=rng)
+    hidden = net.forward(x)[1][1]  # the second dense layer's input, after the relu
+    assert (hidden == 0.0).any() and (hidden > 0.0).any()
 
     def build(leaf):
         h = net.forward_var(x, leaf)
@@ -68,16 +71,19 @@ def test_matmul_relu_chain(rng):
 
 
 def test_softmax_rows_and_gradient(rng):
-    """A softmax layer: its rows sum to one and its input gradient matches FD."""
+    """An identity dense layer, so the net is the softmax alone: its rows sum
+    to one and its input gradient matches FD."""
     p = rng.standard_normal((3, 4))
-    net = Mlp(4, [("softmax",)])
+    net = Mlp(4, (4,), parameters=np.concatenate([np.eye(4).ravel(), np.zeros(4)]))
+    e = np.exp(p - p.max(axis=1, keepdims=True))
+    assert np.allclose(net.forward_var(p).value, e / e.sum(axis=1, keepdims=True))
     assert np.allclose(net.forward_var(p).value.sum(axis=1), 1.0)
     assert np.allclose(net.predict(p), net.forward_var(p).value)
     check_gradient(lambda leaf: weighted_sum(net.forward_var(leaf), np.arange(12.0).reshape(3, 4)), p)
 
 
 def test_frozen_mlp_node_differentiates_its_input_only(rng):
-    net = Mlp(4, classifier_layers((5,), 3), rng=rng)
+    net = Mlp(4, (5, 3), rng=rng)
     x = rng.standard_normal((6, 4))
     weights = rng.standard_normal((6, 3))
     xv = ad.Var(x)

@@ -151,8 +151,7 @@ def positive_relu_model(d=5, c=3, seed=0):
     """MlpModel whose first layer has positive weights and zero biases, so a
     row of nonpositive features leaves every relu off: the output is constant
     around it and its input gradient is exactly zero."""
-    net = Mlp(d, [("dense", 4), ("relu",), ("dense", c), ("softmax",)],
-              rng=np.random.default_rng(seed))
+    net = Mlp(d, (4, c), rng=np.random.default_rng(seed))
     params = net.parameters.copy()
     params[:d * 4] = np.abs(params[:d * 4]) + 0.1
     net.set_parameters(params)
@@ -247,8 +246,7 @@ def test_exact_prior_makes_one_gradient_call():
 
 
 def test_batched_mlp_gradient_rows_match_single_row_calls():
-    net = Mlp(7, [("dense", 16), ("relu",), ("dense", 16), ("relu",), ("dense", 3),
-                  ("softmax",)], rng=np.random.default_rng(7))
+    net = Mlp(7, (16, 16, 3), rng=np.random.default_rng(7))
     model = MlpModel(net)
     rng = np.random.default_rng(8)
     x = rng.standard_normal((11, 7))

@@ -12,13 +12,13 @@ from meed.cli import (EXIT_CONFIG, EXIT_OK, EXIT_SHAPE, FileSection, IdxSection,
                       RunSection, build_dataset, build_model, build_train_config, main,
                       parse_config_file)
 from meed.baselines import FD_STEP
-from meed.core import ConfigError, Mlp, TrainConfig, classifier_layers
-from meed.data import (SyntheticSpec, export_dataset, generate_synthetic, load_model,
-                       write_idx_images, write_idx_labels)
+from meed.core import ConfigError, Mlp, TrainConfig, write_record
+from meed.data import (MODEL_MAGIC, MODEL_VERSION, SyntheticSpec, export_dataset,
+                       generate_synthetic, load_model, write_idx_images, write_idx_labels)
 from meed.metrics import MetricsReport
 from meed.trainer import (CHECKPOINT_MAGIC, Adam, Checkpoint, load_checkpoint,
                           save_checkpoint)
-from tests.conftest import record_sections
+from tests.conftest import BAD_LAYER_LISTS, record_sections
 
 README = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")
 
@@ -193,10 +193,21 @@ class_pair = {pair}
     ("train", CONFIG.split("[model]")[0], IDX_DATA.format(tmp="{tmp}", pair="3"), [],
      "class_pair"),
     ("train", CONFIG.split("[model]")[0], IDX_DATA.format(tmp="{tmp}", pair="3,8,5"), [],
-     "class_pair")])
+     "class_pair"),
+    ("train", CONFIG.split("[model]")[0], IDX_DATA.format(tmp="{tmp}", pair="1,2"), [],
+     "class pair (1, 2)"),
+    ("train", "epochs = 10", "epochs = -5", [], "epochs"),  # [model]
+    ("train", "epochs = 10", "epochs = 10\nlearning_rate = -1", [], "learning_rate"),
+    ("train", "epochs = 10", "epochs = 10\nlearning_rate = 0", [], "learning_rate"),
+    ("train", "retrain_budget = 3", "retrain_budget = -2", [], "retrain_budget"),
+    ("evaluate", "retrain_budget = 3", "retrain_budget = 0", ["--checkpoint", "none.bin"],
+     "retrain_budget"),
+    ("train", "noise_std = 0.1", "noise_std = -0.1", [], "noise_std")])
 def test_out_of_range_config_value_exits_2_naming_its_key(tmp_path, capsys, command, old, new,
                                                           argv, key):
-    """Each of these ended in a traceback before it was checked where it enters."""
+    """Each of these ended in a traceback, or in exit 0 on an untrained model,
+    an ascending step or unfitted FS-A/FU-A nets, before it was checked where
+    it enters."""
     write_idx_images(np.zeros((4, 2, 2)), str(tmp_path / "images"))
     write_idx_labels(np.array([3, 8, 3, 8]), str(tmp_path / "labels"))
     cfg = tmp_path / "bad.cfg"
@@ -375,7 +386,7 @@ def test_old_or_corrupt_files_exit_2(trained_dir, tmp_path, capsys):
     # A checkpoint from a release that still had a fusion option, whose
     # explainer read x alone while use_output_feedback was on.
     ckpt = load_checkpoint(checkpoint)
-    x_only = Mlp(6, classifier_layers((8,), 6)).n_params
+    x_only = Mlp(6, (8, 6)).n_params
     no_feedback = tmp_path / "no-feedback" / "checkpoint.bin"
     no_feedback.parent.mkdir()
     save_checkpoint(dataclasses.replace(
@@ -390,6 +401,22 @@ def test_old_or_corrupt_files_exit_2(trained_dir, tmp_path, capsys):
         assert main(["evaluate", "--config", config_path, "--checkpoint", ckpt]) == EXIT_CONFIG
         # Each damaged checkpoint fails before the corrupt model.bin is read.
         assert ("model.bin" in capsys.readouterr().err) == (ckpt == checkpoint)
+
+
+def test_explain_rejects_a_model_file_layer_list_save_model_does_not_write(trained_dir,
+                                                                          tmp_path, capsys):
+    _, out = trained_dir
+    data_path = str(tmp_path / "data.txt")
+    export_dataset(generate_synthetic(SyntheticSpec(d=6, true_subset=(0, 1), n=8,
+                                                    kind="sparse-logit", seed=12))[0],
+                   None, data_path)
+    model_path = str(tmp_path / "model.bin")
+    for layers, n_params in BAD_LAYER_LISTS:
+        write_record(model_path, MODEL_MAGIC, MODEL_VERSION, {"in_dim": 3, "layers": layers},
+                     {"params": np.zeros(n_params)})
+        assert main(["explain", "--checkpoint", os.path.join(out, "checkpoint.bin"),
+                     "--data", data_path, "--model", model_path]) == EXIT_CONFIG
+        assert "model.bin: bad model header" in capsys.readouterr().err
 
 
 def test_explain_rejects_non_finite_model_or_checkpoint_vectors_with_exit_2(trained_dir,

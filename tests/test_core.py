@@ -8,7 +8,7 @@ import pytest
 from meed import autodiff as ad
 from meed.approximators import cross_entropy_var
 from meed.core import (ConfigError, Mlp, SelectionSet, ShapeError,
-                       TrainConfig, classifier_layers, is_simplex, named_rng)
+                       TrainConfig, is_simplex, named_rng)
 from tests.conftest import finite_difference, relative_error
 
 
@@ -57,7 +57,7 @@ def test_train_config_validation():
 def test_mlp_rejects_a_dense_width_below_1(hidden, out):
     """Library callers get ConfigError, not numpy's "negative dimensions"."""
     with pytest.raises(ConfigError, match="width >= 1"):
-        Mlp(3, classifier_layers(hidden, out))
+        Mlp(3, (*hidden, out))
 
 
 def test_named_rng_streams_are_stable_and_distinct():
@@ -73,7 +73,7 @@ def test_named_rng_streams_are_stable_and_distinct():
 
 
 def make_net(rng, in_dim=5, hidden=4, out=3):
-    return Mlp(in_dim, classifier_layers((hidden,), out), rng=rng)
+    return Mlp(in_dim, (hidden, out), rng=rng)
 
 
 def test_mlp_predict_is_simplex(rng):
@@ -94,7 +94,7 @@ def test_mlp_forward_var_matches_predict(rng):
 def forward_backward_case(rng):
     """A two-hidden-layer net, a batch, and the output gradient g of the
     scalar sum(out * g)."""
-    net = Mlp(4, classifier_layers((5, 3), 3), rng=rng)
+    net = Mlp(4, (5, 3, 3), rng=rng)
     return net, rng.standard_normal((6, 4)), rng.standard_normal((6, 3))
 
 
@@ -139,8 +139,7 @@ def test_mlp_backward_without_the_input_gradient(rng):
 def stacked_case(m=3, n=5):
     """An m-net stack drawn from one seed, an (m, n, 4) input stack and an
     output gradient stack."""
-    layers = classifier_layers((5, 3), 3)
-    stack = Mlp(4, layers, rng=np.random.default_rng(7), nets=m)
+    stack = Mlp(4, (5, 3, 3), rng=np.random.default_rng(7), nets=m)
     rng = np.random.default_rng(8)
     return stack, rng.standard_normal((m, n, 4)), rng.standard_normal((m, n, 3))
 
@@ -148,7 +147,7 @@ def stacked_case(m=3, n=5):
 def test_stacked_mlp_equals_separate_nets_bit_for_bit():
     stack, x, g = stacked_case()
     draw = np.random.default_rng(7)
-    nets = [Mlp(4, stack.layers, rng=draw) for _ in range(stack.nets)]
+    nets = [Mlp(4, stack.widths, rng=draw) for _ in range(stack.nets)]
     assert np.array_equal(stack.parameters, np.concatenate([net.parameters for net in nets]))
     out, saved = stack.forward(x)
     assert np.array_equal(out, stack.predict(x))
@@ -182,7 +181,7 @@ def test_stacked_mlp_rejects_a_batch_without_its_net_axis():
     for bad in (x[0], x[:1], np.concatenate([x, x])):
         with pytest.raises(ShapeError):
             stack.forward(bad)
-    single = Mlp(4, stack.layers, parameters=stack.parameters[:stack.n_params // 2])
+    single = Mlp(4, stack.widths, parameters=stack.parameters[:stack.n_params // 2])
     assert np.array_equal(single.predict(x[:1])[0], single.predict(x[0]))
     with pytest.raises(ShapeError):
         single.predict(x)
@@ -190,7 +189,7 @@ def test_stacked_mlp_rejects_a_batch_without_its_net_axis():
 
 def test_mlp_clone_and_set_parameters(rng):
     net = make_net(rng)
-    other = Mlp(net.in_dim, net.layers, parameters=net.parameters)
+    other = Mlp(net.in_dim, net.widths, parameters=net.parameters)
     x = rng.standard_normal((3, 5))
     assert np.allclose(net.predict(x), other.predict(x))
     other.set_parameters(other.parameters * 0.0)
@@ -217,7 +216,7 @@ def test_net_gradient_matches_finite_differences(rng):
     grad = leaf.grad
 
     def scalar(params):
-        probe = Mlp(net.in_dim, net.layers, parameters=params)
+        probe = Mlp(net.in_dim, net.widths, parameters=params)
         pred = probe.predict(x)
         return float(-np.mean(np.sum(target * np.log(np.maximum(pred, 1e-12)), axis=1)))
 

@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meed.core import Mlp, named_rng
-from meed.data import (MODEL_MAGIC, Dataset, DatasetFileError, IdxParseError, MlpModel,
+from meed.core import Mlp, named_rng, write_record
+from meed.data import (MODEL_MAGIC, MODEL_VERSION, Dataset, DatasetFileError, IdxParseError, MlpModel,
                        ModelFileError, SyntheticSpec, export_dataset, generate_synthetic,
                        import_dataset, load_idx_images, load_model, model_accuracy,
                        save_model, split_dataset, train_given_model, write_idx_images,
                        write_idx_labels, IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, _read_idx)
-from tests.conftest import damage_record, record_sections
+from tests.conftest import BAD_LAYER_LISTS, damage_record, record_sections
 
 
 def test_generators_are_deterministic():
@@ -198,15 +198,17 @@ def test_idx_truncation_detected(tmp_path):
         _read_idx(path, IDX_IMAGES_MAGIC)
 
 
-def test_idx_empty_pair_warns(tmp_path):
-    images = np.zeros((2, 2, 2), dtype=np.uint8)
-    labels = np.array([1, 2], dtype=np.uint8)
+def test_idx_empty_pair_raises_naming_the_pair_and_the_labels(tmp_path):
+    """A pair that selects no rows used to warn, and training then failed on
+    the empty dataset with a traceback."""
+    images = np.zeros((8, 2, 2), dtype=np.uint8)
+    labels = np.array([3, 8] * 4, dtype=np.uint8)
     ipath = os.path.join(tmp_path, "imgs")
     lpath = os.path.join(tmp_path, "labs")
     write_idx_images(images, ipath)
     write_idx_labels(labels, lpath)
-    with pytest.warns(UserWarning):
-        load_idx_images(ipath, lpath, (7, 9))
+    with pytest.raises(IdxParseError, match=r"class pair \(1, 2\) .* labels present are \[3, 8\]"):
+        load_idx_images(ipath, lpath, (1, 2))
 
 
 def test_given_model_accuracy_and_determinism(tiny_model):
@@ -264,6 +266,38 @@ def test_model_file_round_trip_is_byte_identical(saved_model, tmp_path):
     assert open(again, "rb").read() == blob
 
 
+# The file save_model writes for Mlp(3, (2, 2)) with parameters arange(14) / 10.
+# Model files, their layer list included, keep this exact format.
+FIXED_MODEL_BYTES = (
+    b'MEEDMODL\x02\x00\x00\x00c\x00\x00\x00\x00\x00\x00\x00'
+    b'{"in_dim": 3, "layers": [["dense", 2], ["relu"], ["dense", 2], ["softmax"]], '
+    b'"vectors": ["params"]}'
+    b'x\x00\x00\x00\x00\x00\x00\x00\x0e\x00\x00\x00\x00\x00\x00\x00'
+    b'\x00\x00\x00\x00\x00\x00\x00\x00\x9a\x99\x99\x99\x99\x99\xb9?\x9a\x99\x99\x99\x99\x99\xc9?'
+    b'333333\xd3?\x9a\x99\x99\x99\x99\x99\xd9?\x00\x00\x00\x00\x00\x00\xe0?'
+    b'333333\xe3?ffffff\xe6?\x9a\x99\x99\x99\x99\x99\xe9?'
+    b'\xcd\xcc\xcc\xcc\xcc\xcc\xec?\x00\x00\x00\x00\x00\x00\xf0?\x9a\x99\x99\x99\x99\x99\xf1?'
+    b'333333\xf3?\xcd\xcc\xcc\xcc\xcc\xcc\xf4?')
+
+
+def test_model_file_bytes_are_unchanged(tmp_path):
+    path = str(tmp_path / "model.bin")
+    save_model(MlpModel(Mlp(3, (2, 2), parameters=np.arange(14) / 10)), path)
+    assert open(path, "rb").read() == FIXED_MODEL_BYTES
+    loaded = load_model(path)
+    assert loaded.net.widths == (2, 2)
+    assert np.array_equal(loaded.net.parameters, np.arange(14) / 10)
+
+
+@pytest.mark.parametrize("layers, n_params", BAD_LAYER_LISTS)
+def test_model_file_rejects_a_layer_list_save_model_does_not_write(tmp_path, layers, n_params):
+    path = str(tmp_path / "model.bin")
+    write_record(path, MODEL_MAGIC, MODEL_VERSION, {"in_dim": 3, "layers": layers},
+                 {"params": np.zeros(n_params)})
+    with pytest.raises(ModelFileError, match="dense/relu ... dense/softmax"):
+        load_model(path)
+
+
 def test_model_file_rejects_corrupt_blob(saved_model):
     blob, _, path = saved_model
     params_at = record_sections(blob)[1]
@@ -288,12 +322,12 @@ def test_damaged_model_file_fails_with_model_file_error_or_loads_identically(
     except ModelFileError:
         return
     assert loaded.net.in_dim == original.net.in_dim
-    assert loaded.net.layers == original.net.layers
+    assert loaded.net.widths == original.net.widths
     assert np.array_equal(loaded.net.parameters, original.net.parameters)
 
 
 def test_model_randomize_changes_outputs(tiny_model):
     model, _, te, _ = tiny_model
-    twin = MlpModel(Mlp(model.net.in_dim, model.net.layers, parameters=model.net.parameters))
+    twin = MlpModel(Mlp(model.net.in_dim, model.net.widths, parameters=model.net.parameters))
     twin.randomize(named_rng(0, "model"))
     assert not np.allclose(model.evaluate(te.X), twin.evaluate(te.X))

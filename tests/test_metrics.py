@@ -186,7 +186,7 @@ def test_evaluate_and_sanity_reject_an_empty_set(trained_run, empty):
 def test_evaluate_explainer_leaves_caller_datasets_untouched(trained_run):
     """One dataset scored against two models gives each model's own report."""
     explainer, model, feats, te, _, _ = trained_run
-    other = MlpModel(Mlp(model.net.in_dim, model.net.layers, parameters=model.net.parameters))
+    other = MlpModel(Mlp(model.net.in_dim, model.net.widths, parameters=model.net.parameters))
     other.randomize(named_rng(5, "model"))
 
     def fresh():

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meed import autodiff as ad
-from meed.core import ConfigError, Mlp, ShapeError, TrainConfig, classifier_layers, named_rng
+from meed.core import ConfigError, Mlp, ShapeError, TrainConfig, named_rng
 from meed.approximators import (cross_entropy_var, make_pair, relativistic_flip,
                                 sliced_wasserstein_var, sw_directions)
 from meed.baselines import FD_STEP
@@ -100,7 +100,7 @@ def step_inputs(config, seed=0):
 def tape_fit_classifier(x, targets, hidden, epochs, rng, learning_rate=1e-3, batch_size=64):
     """The classifier fit as a loop over the autodiff tape: one Mlp node and
     one cross-entropy node per minibatch, then one Adam step."""
-    net = Mlp(x.shape[1], classifier_layers(hidden, targets.shape[1]), rng=rng)
+    net = Mlp(x.shape[1], (*hidden, targets.shape[1]), rng=rng)
     opt = Adam(learning_rate, net.n_params)
     n = x.shape[0]
     for _ in range(epochs):
@@ -224,7 +224,7 @@ def test_stacked_pair_steps_equal_the_two_net_steps(optimizer, variant):
     x, y, _, explainer, pair, opts = step_inputs(config)
     twin_e = ExplainerNet(6, 2, hidden=(8,), rng=np.random.default_rng(0))
     twin_e.set_parameters(explainer.parameters)
-    nets = [Mlp(6, view.layers, parameters=view.parameters)
+    nets = [Mlp(6, view.widths, parameters=view.parameters)
             for view in (pair.a_selected, pair.a_unselected)]
     twin_opts = [make_optimizer(config, n) for n in
                  (explainer.n_params, nets[0].n_params, nets[1].n_params)]
@@ -258,7 +258,7 @@ def test_checkpoint_holds_each_approximators_own_state():
     _, _, ckpt = train(ds, model, config, explainer_hidden=(8,), approx_hidden=(8,))
     init = named_rng(4, "init")
     explainer = ExplainerNet(6, 2, hidden=(8,), rng=init)
-    nets = [Mlp(6, classifier_layers((8,), 2), rng=init) for _ in range(2)]
+    nets = [Mlp(6, (8, 2), rng=init) for _ in range(2)]
     opts = [make_optimizer(config, net.n_params) for net in (explainer, *nets)]
     gumbel, y = named_rng(4, "gumbel"), model.evaluate(ds.X)
     perm = named_rng(4, "data").permutation(len(ds.X))
@@ -321,7 +321,7 @@ def test_train_rejects_non_finite_features(outputs_supplied):
     """A NaN feature is reported as the data's fault before any model call,
     whether train() computes the model outputs or they come with a prior."""
     ds = make_dataset(n=16, d=4)
-    model = MlpModel(Mlp(4, classifier_layers((8,), 2), rng=np.random.default_rng(0)))
+    model = MlpModel(Mlp(4, (8, 2), rng=np.random.default_rng(0)))
     y = model.evaluate(ds.X) if outputs_supplied else None
     ds.X[3, 1] = np.nan
     config = TrainConfig(k=2, epochs=1, prior_method="grad" if outputs_supplied else "none")
@@ -634,7 +634,7 @@ class EvaluateOnly:
 
 
 def prior_model():
-    return MlpModel(Mlp(6, classifier_layers((8,), 2), rng=np.random.default_rng(4)))
+    return MlpModel(Mlp(6, (8, 2), rng=np.random.default_rng(4)))
 
 
 @pytest.mark.parametrize("wrap", [lambda m: m, EvaluateOnly], ids=["exact", "evaluate-only"])
@@ -668,11 +668,11 @@ def test_train_logs_prior_timing_once(caplog):
 
 def test_train_prints_nothing_at_default_log_levels():
     code = ("import numpy as np\n"
-            "from meed.core import Mlp, TrainConfig, classifier_layers\n"
+            "from meed.core import Mlp, TrainConfig\n"
             "from meed.data import Dataset, MlpModel\n"
             "from meed.trainer import train\n"
             "x = np.random.default_rng(0).standard_normal((16, 4))\n"
-            "model = MlpModel(Mlp(4, classifier_layers((4,), 2)))\n"
+            "model = MlpModel(Mlp(4, (4, 2)))\n"
             "train(Dataset(ids=list(range(16)), X=x), model,\n"
             "      TrainConfig(k=2, epochs=1, prior_method='grad'),\n"
             "      explainer_hidden=(4,), approx_hidden=(4,))\n")
