@@ -46,7 +46,8 @@ class CheckpointError(ValueError):
 
 class Optimizer:
     """In-place update of a flat parameter vector. `slots` names the
-    per-parameter state vectors, saved with the step count `t`."""
+    per-parameter state vectors, saved with the step count `t`; a step
+    updates them in place, through at most two scratch vectors of its own."""
 
     slots: tuple = ()
 
@@ -62,15 +63,23 @@ class Optimizer:
         return {"t": self.t, **{slot: getattr(self, slot).copy() for slot in self.slots}}
 
     def set_state(self, state: dict) -> None:
-        """Raises KeyError or ValueError when `state` lacks an entry or a slot
-        does not fit this optimizer's parameter count."""
+        """Copies `state` into the slots; raises KeyError or ValueError when it
+        lacks an entry or a slot does not fit this optimizer's parameter count."""
         for slot in self.slots:
             vec = np.asarray(state[slot], dtype=np.float64)
             if vec.shape != getattr(self, slot).shape:
                 raise ValueError(f"optimizer slot {slot} has shape {vec.shape}, "
                                  f"expected {getattr(self, slot).shape}")
-            setattr(self, slot, vec)
+            getattr(self, slot)[...] = vec
         self.t = int(state["t"])
+
+
+def _average_square(acc: np.ndarray, rho: float, g: np.ndarray, scratch: np.ndarray) -> None:
+    """acc = rho * acc + (1 - rho) * g * g, in place and rounded the same."""
+    acc *= rho
+    np.multiply(g, 1 - rho, out=scratch)
+    scratch *= g
+    acc += scratch
 
 
 class Sgd(Optimizer):
@@ -85,8 +94,13 @@ class RmsProp(Optimizer):
 
     def step(self, params, grad):
         self.t += 1
-        self.avg = self.rho * self.avg + (1 - self.rho) * grad * grad
-        params -= self.rate / (1.0 + self.decay * self.t) * grad / (np.sqrt(self.avg) + self.eps)
+        scratch = np.empty_like(grad)
+        _average_square(self.avg, self.rho, grad, scratch)
+        denom = np.sqrt(self.avg, out=scratch)
+        denom += self.eps
+        delta = self.rate / (1.0 + self.decay * self.t) * grad
+        delta /= denom
+        params -= delta
 
 
 class Adadelta(Optimizer):
@@ -97,10 +111,15 @@ class Adadelta(Optimizer):
 
     def step(self, params, grad):
         self.t += 1
-        self.acc_g = self.rho * self.acc_g + (1 - self.rho) * grad * grad
-        delta = np.sqrt(self.acc_d + self.eps) / np.sqrt(self.acc_g + self.eps) * grad
-        self.acc_d = self.rho * self.acc_d + (1 - self.rho) * delta * delta
-        params -= self.rate * delta
+        delta, scratch = np.empty_like(grad), np.empty_like(grad)
+        _average_square(self.acc_g, self.rho, grad, scratch)
+        denom = np.sqrt(np.add(self.acc_g, self.eps, out=scratch), out=scratch)
+        np.sqrt(np.add(self.acc_d, self.eps, out=delta), out=delta)
+        delta /= denom
+        delta *= grad
+        _average_square(self.acc_d, self.rho, delta, scratch)
+        delta *= self.rate
+        params -= delta
 
 
 class Adam(Optimizer):
@@ -109,11 +128,16 @@ class Adam(Optimizer):
 
     def step(self, params, grad):
         self.t += 1
-        self.m = self.beta1 * self.m + (1 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1 - self.beta2) * grad * grad
-        mhat = self.m / (1 - self.beta1**self.t)
-        vhat = self.v / (1 - self.beta2**self.t)
-        params -= self.rate / (1.0 + self.decay * self.t) * mhat / (np.sqrt(vhat) + self.eps)
+        delta, scratch = (1 - self.beta1) * grad, np.empty_like(grad)
+        self.m *= self.beta1
+        self.m += delta
+        _average_square(self.v, self.beta2, grad, scratch)
+        denom = np.sqrt(np.divide(self.v, 1 - self.beta2**self.t, out=scratch), out=scratch)
+        denom += self.eps
+        np.divide(self.m, 1 - self.beta1**self.t, out=delta)
+        delta *= self.rate / (1.0 + self.decay * self.t)
+        delta /= denom
+        params -= delta
 
 
 def make_optimizer(config: TrainConfig, n: int) -> Optimizer:

@@ -4,9 +4,12 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meed.core import BlackBoxModel, Mlp, ShapeError, TrainConfig
-from meed.baselines import ABLATION_VARIANTS, FD_STEP, ablation_config, prior_scores
+from meed.baselines import (ABLATION_VARIANTS, FD_MAX_COPIES, FD_STEP, _model_gradients,
+                            ablation_config, prior_scores)
 from meed.data import MlpModel
 from meed.trainer import compute_prior_scores
 from tests.conftest import finite_difference
@@ -229,12 +232,19 @@ class CountingMlpModel(MlpModel):
         return super().gradient(x, class_index)
 
 
-def test_black_box_prior_makes_one_evaluate_call_per_row():
-    model = CountingBlackBox(np.random.default_rng(4).standard_normal((2, 5)))
-    x = np.random.default_rng(5).standard_normal((7, 5))
+@pytest.mark.parametrize("d, n, calls", [(5, 207, [1020, 1020, 30]), (7, 73, [1022]),
+                                         (512, 3, [1024] * 3), (513, 2, [1026] * 2)],
+                         ids=["d5-three-blocks", "d7-one-block", "d512-row-a-call",
+                              "d513-row-a-call"])
+def test_black_box_prior_makes_one_evaluate_call_per_block(d, n, calls):
+    """Rows of copies per `evaluate` call at FD_MAX_COPIES = 1024: full blocks of
+    1024 // 2d rows, then the rest; one row per call once 2d reaches 1024."""
+    assert FD_MAX_COPIES == 1024
+    model = CountingBlackBox(np.random.default_rng(4).standard_normal((2, d)))
+    x = np.random.default_rng(5).standard_normal((n, d))
     y = SoftmaxLinear(model.w).evaluate(x)
     compute_prior_scores(x, y, model, "gradient-times-input")
-    assert model.evaluate_rows == [2 * 5] * 7
+    assert model.evaluate_rows == calls
 
 
 def test_exact_prior_makes_one_gradient_call():
@@ -262,16 +272,17 @@ def test_batched_mlp_gradient_rows_match_single_row_calls():
 # ---------------------------------------------------------------------------
 
 class NanOnPerturbedRow(SoftmaxLinear):
-    """Returns NaN for the copy of `bad_row` shifted by +FD_STEP along feature 0."""
+    """Returns NaN for the copy of each of `bad_rows` shifted by +FD_STEP along feature 0."""
 
-    def __init__(self, w, bad_row):
+    def __init__(self, w, *bad_rows):
         super().__init__(w)
-        self.bad = np.asarray(bad_row, dtype=np.float64).copy()
-        self.bad[0] += FD_STEP
+        self.bad = np.array(bad_rows, dtype=np.float64)
+        self.bad[:, 0] += FD_STEP
 
     def evaluate(self, x):
         out = super().evaluate(x)
-        out[np.all(np.atleast_2d(x) == self.bad, axis=1)] = np.nan
+        x = np.atleast_2d(x)
+        out[np.any(np.all(x[:, None] == self.bad, axis=2), axis=1)] = np.nan
         return out
 
 
@@ -282,6 +293,102 @@ def test_non_finite_output_on_perturbed_row_raises_shape_error(method):
     classes = np.argmax(model.evaluate(x), axis=1)
     with pytest.raises(ShapeError, match="row 2"):
         prior_scores(model, x, classes, method)
+
+
+def rows_per_call(d):
+    return max(1, FD_MAX_COPIES // (2 * d))
+
+
+BLOCK_3 = rows_per_call(3)  # rows per `evaluate` call at d=3
+
+
+@pytest.mark.parametrize("bad", [(BLOCK_3 - 1,), (BLOCK_3,), (BLOCK_3 + 30,), (2 * BLOCK_3 + 4,),
+                                 (2 * BLOCK_3 + 1, BLOCK_3 + 7), (BLOCK_3 + 7, BLOCK_3 + 2)])
+def test_non_finite_output_in_a_later_block_names_the_first_bad_row(bad):
+    x = np.random.default_rng(11).standard_normal((2 * BLOCK_3 + 5, 3))
+    model = NanOnPerturbedRow([[1.0, -2.0, 0.5], [-1.0, 2.0, -0.5]], *x[list(bad)])
+    classes = np.argmax(SoftmaxLinear(model.w).evaluate(x), axis=1)
+    with pytest.raises(ShapeError, match=f"perturbed copies of row {min(bad)} must"):
+        prior_scores(model, x, classes, "grad")
+
+
+@pytest.mark.parametrize("wrong", ["one-short", "one-extra", "flat", "short-last-block"])
+def test_wrong_output_row_count_raises_shape_error(wrong):
+    """An `evaluate` answering the wrong number of rows fails with ShapeError
+    naming the block's rows, not with an error from reshaping or indexing."""
+
+    class WrongRows(SoftmaxLinear):
+        def evaluate(self, x):
+            out = super().evaluate(x)
+            if wrong == "one-extra":
+                return np.vstack([out, out[:1]])
+            if wrong == "flat":
+                return out.ravel()
+            if wrong == "one-short" or len(out) < 6 * BLOCK_3:  # the last block is short
+                return out[:-1]
+            return out
+
+    model = WrongRows([[1.0, -2.0, 0.5], [-1.0, 2.0, -0.5]])
+    x = np.random.default_rng(12).standard_normal((BLOCK_3 + 5, 3))
+    first = BLOCK_3 if wrong == "short-last-block" else 0
+    with pytest.raises(ShapeError, match=f"perturbed copies of rows {first} to "):
+        prior_scores(model, x, np.zeros(len(x), dtype=int), "grad")
+
+
+# ---------------------------------------------------------------------------
+# Blocks of rows against the one-row-per-call loop
+# ---------------------------------------------------------------------------
+
+class RowwiseModel(BlackBoxModel):
+    """Softmax over c logits built from elementwise ops and row sums only, so
+    each output row is computed the same in a batch of any size."""
+
+    def __init__(self, d, c, seed=0):
+        rng = np.random.default_rng(seed)
+        self.a, self.w = rng.uniform(0.5, 2.0, d), rng.standard_normal((c, d))
+
+    def evaluate(self, x):
+        h = np.tanh(np.atleast_2d(x) * self.a)
+        logits = np.stack([(h * w).sum(axis=1) for w in self.w], axis=1)
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
+
+    def randomize(self, rng):
+        pass
+
+
+def per_row_gradients(model, x, class_index):
+    """Central differences with one `evaluate` call per row."""
+    d = x.shape[1]
+    steps = np.concatenate([np.eye(d), -np.eye(d)]) * FD_STEP
+    grads = np.empty_like(x)
+    for i, row in enumerate(x):
+        picked = model.evaluate(row + steps)[:, class_index[i]]
+        grads[i] = (picked[:d] - picked[d:]) / (2 * FD_STEP)
+    return grads
+
+
+@pytest.mark.parametrize("n", [1, BLOCK_3 - 1, BLOCK_3, BLOCK_3 + 1, 2 * BLOCK_3 + 3])
+def test_blocked_gradients_equal_the_per_row_loop_bit_for_bit(n):
+    model = RowwiseModel(3, 4)
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal((n, 3))
+    classes = rng.integers(0, 4, n)
+    assert np.array_equal(_model_gradients(model, x, classes), per_row_gradients(model, x, classes))
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_blocked_gradients_equal_the_per_row_loop_property(data):
+    d = data.draw(st.integers(1, 40), label="d")
+    c = data.draw(st.integers(1, 5), label="c")
+    n = data.draw(st.integers(1, 2 * rows_per_call(d) + 3), label="n")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    model = RowwiseModel(d, c, seed)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d))
+    classes = rng.integers(0, c, n)
+    assert np.array_equal(_model_gradients(model, x, classes), per_row_gradients(model, x, classes))
 
 
 @pytest.mark.parametrize("bad", ["single-row", "nan"])

@@ -512,6 +512,22 @@ def test_split_resume_writes_the_straight_run_checkpoint_byte_for_byte(tmp_path)
                           np.concatenate([final.a_selected_params, final.a_unselected_params]))
 
 
+@pytest.mark.parametrize("name", ["rmsprop", "adadelta", "adam"])
+def test_two_resumes_from_one_checkpoint_object_write_identical_bytes(tmp_path, name):
+    """The optimizers step their slots in place, so a resume must copy the
+    checkpoint's slots rather than step the caller's arrays."""
+    ds = make_dataset()
+    kwargs = dict(explainer_hidden=(8,), approx_hidden=(8,))
+    full_cfg = TrainConfig(k=2, epochs=3, seed=5, batch_size=16, optimizer=name)
+    _, _, half = train(ds, FixedModel(), dataclasses.replace(full_cfg, epochs=1), **kwargs)
+    half = dataclasses.replace(half, config=full_cfg)
+    blobs = []
+    for run in ("first", "second"):
+        train(ds, FixedModel(), full_cfg, out_dir=str(tmp_path / run), resume=half, **kwargs)
+        blobs.append((tmp_path / run / "checkpoint.bin").read_bytes())
+    assert blobs[0] == blobs[1]
+
+
 def test_checkpoint_restore_writes_through_the_pair_views(saved_checkpoint):
     _, ckpt, _ = saved_checkpoint
     _, pair = nets_from_checkpoint(ckpt)
