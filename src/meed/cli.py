@@ -4,8 +4,8 @@ Subcommands: train, explain, evaluate, sanity, ablate, synth. Configs are
 flat `key = value` text files with `[section]` headers; all randomness flows
 from the seeds declared there, so every command is rerun-idempotent.
 
-Exit codes: 0 ok, 2 configuration or file-format problem, 3 training abort,
-4 shape mismatch.
+Exit codes: 0 ok, 2 configuration, file or file-format problem, 3 training
+abort, 4 shape mismatch.
 """
 
 from __future__ import annotations
@@ -100,8 +100,6 @@ def parse_config_file(path: str) -> dict:
     """`[section]` headers over `key = value` lines (`#` or `;` comments) read
     into {section: dataclass}, the keys its fields ([data]'s class set by `kind`);
     an absent [model] or [run] defaults. Unknown keys or bad values: ConfigError."""
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
     sections: dict = {"model": {}, "run": {}}
     current = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -229,9 +227,7 @@ def _load_run(args):
     if train_set.d != ckpt.meta["d"]:
         raise ShapeError(f"checkpoint expects d={ckpt.meta['d']} but data has d={train_set.d}")
     explainer, _ = nets_from_checkpoint(ckpt)
-    model_path = os.path.join(os.path.dirname(args.checkpoint), "model.bin")
-    model = (datamod.load_model(model_path) if os.path.exists(model_path)
-             else build_model(cfg, train_set))
+    model = datamod.load_model(os.path.join(os.path.dirname(args.checkpoint), "model.bin"))
     return cfg, run, train_set, test_set, ckpt, explainer, model
 
 
@@ -313,7 +309,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, FileNotFoundError, CheckpointError, datamod.IdxParseError,
+    except (ConfigError, OSError, CheckpointError, datamod.IdxParseError,
             datamod.ModelFileError, datamod.DatasetFileError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SHAPE if isinstance(exc, ShapeError) else EXIT_CONFIG

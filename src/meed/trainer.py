@@ -184,18 +184,12 @@ def _pair_outputs(pair: ApproximatorPair, v, x: np.ndarray, leaf=None) -> tuple:
     return ad.take(preds, 0), ad.take(preds, 1)
 
 
-def approximator_step(pair: ApproximatorPair, explainer: ExplainerNet,
-                      x: np.ndarray, y: np.ndarray, config: TrainConfig,
-                      xi: np.ndarray, opt: Optimizer,
-                      prior_r: Optional[np.ndarray] = None, m: int = 0,
-                      sw_thetas: Optional[np.ndarray] = None,
-                      batch_id: str = "?") -> tuple:
-    """One update of both approximators, stepping `opt` over the pair's
-    stacked parameters; explainer parameters stay frozen."""
-    z = explainer.score(x, y)
-    if prior_r is not None:
-        z = fuse_prior_var(z, prior_r, m).value
-    v = relaxed_topk_var(z, xi, config.tau).value
+def approximator_step(pair: ApproximatorPair, x: np.ndarray, y: np.ndarray,
+                      z_tilde: np.ndarray, config: TrainConfig, xi: np.ndarray, opt: Optimizer,
+                      sw_thetas: Optional[np.ndarray] = None, batch_id: str = "?") -> tuple:
+    """One update of both approximators on masks drawn from the fused scores
+    z_tilde (n, d), stepping `opt` over the pair's stacked parameters."""
+    v = relaxed_topk_var(z_tilde, xi, config.tau).value
     leaf = ad.Var(pair.net.parameters)
     pred_s, pred_u = _pair_outputs(pair, v, x, leaf)
     l_s = cross_entropy_var(y, pred_s)
@@ -210,16 +204,15 @@ def approximator_step(pair: ApproximatorPair, explainer: ExplainerNet,
     return float(l_s.value), float(l_u.value)
 
 
-def explainer_objective(explainer: ExplainerNet, leaf: ad.Var, pair: ApproximatorPair,
-                        x: np.ndarray, y: np.ndarray, config: TrainConfig,
-                        xi: np.ndarray, prior_r: Optional[np.ndarray] = None, m: int = 0,
-                        sw_thetas: Optional[np.ndarray] = None) -> tuple:
+def explainer_objective(pair: ApproximatorPair, z: ad.Var, z_tilde: ad.Var,
+                        x: np.ndarray, y: np.ndarray, config: TrainConfig, xi: np.ndarray,
+                        m: int = 0, sw_thetas: Optional[np.ndarray] = None) -> tuple:
     """Graph of the explainer update's objective L_s + lambda_u*L~_u + lambda_e*L_e
-    (minus lambda_u*L~_u for sliced-Wasserstein) over `leaf`, a Var over the
-    explainer's flat parameters; returns (objective, L_s, L~_u, L_e)."""
-    z = explainer.score_var(x, y, leaf)
-    z_tilde = z if prior_r is None else fuse_prior_var(z, prior_r, m)
-    l_e = ad.Var(0.0) if prior_r is None else prior_constraint_loss_var(z_tilde, z, m)
+    (minus lambda_u*L~_u for sliced-Wasserstein), continued from the explainer's
+    scores z and the fused scores z_tilde (z itself when no prior is set);
+    returns (objective, L_s, L~_u, L_e)."""
+    fused = z_tilde is not z
+    l_e = prior_constraint_loss_var(z_tilde, z, m) if fused else ad.Var(0.0)
     v = relaxed_topk_var(z_tilde, xi, config.tau)
     # Frozen approximators: gradients reach their inputs, not their weights.
     pred_s, pred_u = _pair_outputs(pair, v, x)
@@ -231,26 +224,24 @@ def explainer_objective(explainer: ExplainerNet, leaf: ad.Var, pair: Approximato
     else:
         l_u_tilde = sliced_wasserstein_var(y, pred_u, sw_thetas)
         objective = ad.sub(l_s, ad.mul(l_u_tilde, config.lambda_u))
-    if config.lambda_e != 0.0 and prior_r is not None:
+    if config.lambda_e != 0.0 and fused:
         objective = ad.add(objective, ad.mul(l_e, config.lambda_e))
     return objective, l_s, l_u_tilde, l_e
 
 
-def explainer_step(explainer: ExplainerNet, pair: ApproximatorPair,
-                   x: np.ndarray, y: np.ndarray, config: TrainConfig,
-                   xi: np.ndarray, opt_e: Optimizer,
-                   prior_r: Optional[np.ndarray] = None, m: int = 0,
-                   sw_thetas: Optional[np.ndarray] = None,
+def explainer_step(leaf: ad.Var, z: ad.Var, z_tilde: ad.Var, pair: ApproximatorPair,
+                   x: np.ndarray, y: np.ndarray, config: TrainConfig, xi: np.ndarray,
+                   opt_e: Optimizer, m: int = 0, sw_thetas: Optional[np.ndarray] = None,
                    batch_id: str = "?") -> tuple:
-    """One explainer update; approximator parameters stay frozen."""
-    leaf = ad.Var(explainer.parameters)
+    """One explainer update through `leaf`, the Var over the explainer's own
+    parameter vector that z was scored from; approximator parameters stay frozen."""
     objective, l_s, l_u_tilde, l_e = explainer_objective(
-        explainer, leaf, pair, x, y, config, xi, prior_r, m, sw_thetas)
+        pair, z, z_tilde, x, y, config, xi, m, sw_thetas)
     for name, val in (("L_s", l_s.value), ("L_u", l_u_tilde.value), ("L_e", l_e.value)):
         if not np.isfinite(val):
             raise TrainingAbort(f"non-finite {name} in explainer step, batch {batch_id}")
     ad.backward(objective)
-    opt_e.step(explainer.parameters, leaf.grad)
+    opt_e.step(leaf.value, leaf.grad)
     return float(l_s.value), float(l_u_tilde.value), float(l_e.value)
 
 
@@ -294,13 +285,18 @@ def load_checkpoint(path: str) -> Checkpoint:
         meta = {"d": int(arch["d"]), "c": int(arch["c"]),
                 "explainer_hidden": tuple(int(h) for h in arch["explainer_hidden"]),
                 "approx_hidden": tuple(int(h) for h in arch["approx_hidden"])}
+        if min(meta["d"], meta["c"], *meta["explainer_hidden"], *meta["approx_hidden"]) < 1:
+            raise ValueError(f"architecture widths must be >= 1, got {meta}")
         params = {f"{net}_params": vectors.pop(net) for net in NETS}
         optimizer_states = {net: {"t": int(t)} for net, t in header["optimizer_t"].items()}
         for name, vec in vectors.items():
             net, slot = name.split(".")
             optimizer_states[net][slot] = vec
-        return Checkpoint(config=config, meta=meta, **params,
-                          epoch_counter=int(header["epoch_counter"]),
+        counters = [int(header["epoch_counter"]), *(s["t"] for s in optimizer_states.values())]
+        if min(counters) < 0:
+            raise ValueError(f"epoch counter and optimizer step counts must be >= 0, "
+                             f"got {counters}")
+        return Checkpoint(config=config, meta=meta, **params, epoch_counter=counters[0],
                           rng_states=dict(header["rng_states"]),
                           optimizer_states=optimizer_states)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -446,16 +442,20 @@ def train(dataset, model, config: TrainConfig,
         for lo in range(0, n, batch):
             idx = perm[lo:lo + batch]
             xb, yb = x_all[idx], y_all[idx]
-            rb = prior_all[idx] if prior_all is not None else None
             thetas = (sw_directions(c, config.n_projections, rngs["perturb"])
                       if config.loss_u == "sliced-wasserstein" else None)
             bid = f"epoch {m} offset {lo}"
+            # One scoring pass feeds both steps: the approximator step leaves
+            # the explainer's parameters as they were scored.
+            leaf = ad.Var(explainer.parameters)
+            z = explainer.score_var(xb, yb, leaf)
+            z_tilde = z if prior_all is None else fuse_prior_var(z, prior_all[idx], m)
             xi_a = sample_gumbel_batch(len(idx), d, config.k, rngs["gumbel"])
-            l_s, l_u = approximator_step(pair, explainer, xb, yb, config, xi_a, opt_pair,
-                                         prior_r=rb, m=m, sw_thetas=thetas, batch_id=bid)
+            l_s, l_u = approximator_step(pair, xb, yb, z_tilde.value, config, xi_a, opt_pair,
+                                         sw_thetas=thetas, batch_id=bid)
             xi_e = sample_gumbel_batch(len(idx), d, config.k, rngs["gumbel"])
-            _, _, l_e = explainer_step(explainer, pair, xb, yb, config, xi_e, opt_e,
-                                       prior_r=rb, m=m, sw_thetas=thetas, batch_id=bid)
+            _, _, l_e = explainer_step(leaf, z, z_tilde, pair, xb, yb, config, xi_e, opt_e,
+                                       m=m, sw_thetas=thetas, batch_id=bid)
             sums += (l_s, l_u, l_e)
             n_batches += 1
         mean = sums / max(n_batches, 1)

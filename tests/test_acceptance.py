@@ -164,19 +164,21 @@ def test_criterion_03_gradients_match_finite_differences():
             prior_r /= prior_r.sum()
         thetas = sw_directions(c, config.n_projections, init)
 
+        def objective(leaf):
+            z = explainer.score_var(x, y, leaf)
+            z_tilde = z if prior_r is None else fuse_prior_var(z, prior_r, m=1)
+            return explainer_objective(pair, z, z_tilde, x, y, config, xi, m=1,
+                                       sw_thetas=thetas)[0]
+
         leaf = ad.Var(explainer.parameters)
-        objective, *_ = explainer_objective(explainer, leaf, pair, x, y, config, xi,
-                                            prior_r, m=1, sw_thetas=thetas)
-        ad.backward(objective)
+        ad.backward(objective(leaf))
         grad = leaf.grad
 
         base = explainer.parameters.copy()
 
         def scalar(params):
             explainer.set_parameters(params)
-            val, *_ = explainer_objective(explainer, ad.Var(explainer.parameters), pair, x, y,
-                                          config, xi, prior_r, m=1, sw_thetas=thetas)
-            return float(val.value)
+            return float(objective(ad.Var(explainer.parameters)).value)
 
         fd = finite_difference(scalar, base, step=1e-5)
         explainer.set_parameters(base)

@@ -466,6 +466,41 @@ def test_explain_shape_mismatch_exits_4(trained_dir, tmp_path):
     assert code == EXIT_SHAPE
 
 
+def test_directory_paths_exit_2(trained_dir, tmp_path, capsys):
+    """A directory given as --config, --checkpoint or --data exits 2 naming it."""
+    config_path, out = trained_dir
+    ckpt = os.path.join(out, "checkpoint.bin")
+    data_path = str(tmp_path / "data.txt")
+    export_dataset(generate_synthetic(SyntheticSpec(d=6, true_subset=(0, 1), n=8,
+                                                    noise_std=0.1, kind="sparse-logit",
+                                                    seed=12))[0], None, data_path)
+    folder = str(tmp_path)
+    for argv in (["train", "--config", folder],
+                 ["evaluate", "--config", folder, "--checkpoint", ckpt],
+                 ["evaluate", "--config", config_path, "--checkpoint", folder],
+                 ["explain", "--checkpoint", folder, "--data", data_path],
+                 ["explain", "--checkpoint", ckpt, "--data", folder]):
+        capsys.readouterr()
+        assert main(argv) == EXIT_CONFIG, argv
+        assert folder in capsys.readouterr().err, argv
+
+
+def test_evaluate_and_sanity_need_the_runs_model_file(trained_dir, tmp_path, capsys):
+    """Without model.bin beside the checkpoint both exit 2 naming it; no model
+    is retrained from the current config."""
+    config_path, out = trained_dir
+    alone = tmp_path / "alone"
+    alone.mkdir()
+    ckpt = alone / "checkpoint.bin"
+    ckpt.write_bytes(open(os.path.join(out, "checkpoint.bin"), "rb").read())
+    for command in ("evaluate", "sanity"):
+        capsys.readouterr()
+        assert main([command, "--config", config_path, "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / command)]) == EXIT_CONFIG
+        assert str(alone / "model.bin") in capsys.readouterr().err
+        assert not (tmp_path / command).exists()
+
+
 def test_evaluate_and_sanity_shape_mismatch_exit_4(trained_dir, tmp_path):
     config_path, out = trained_dir
     wide = tmp_path / "wide.cfg"

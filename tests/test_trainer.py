@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meed import autodiff as ad
+from meed import trainer
 from meed.core import ConfigError, Mlp, ShapeError, TrainConfig, named_rng
 from meed.approximators import (cross_entropy_var, make_pair, relativistic_flip,
                                 sliced_wasserstein_var, sw_directions)
@@ -134,15 +135,58 @@ def test_stacked_fit_classifier_equals_one_fit_per_slice():
     assert not np.array_equal(fit.parameters[:p], fit.parameters[p:])
 
 
-def test_approximator_step_freezes_explainer():
+def scores(explainer, x, y, prior_r=None, m=0):
+    """(leaf, z, z~) of one minibatch, formed as train() forms them."""
+    leaf = ad.Var(explainer.parameters)
+    z = explainer.score_var(x, y, leaf)
+    return leaf, z, (z if prior_r is None else fuse_prior_var(z, prior_r, m))
+
+
+def test_train_scores_each_minibatch_once_and_steps_the_explainer_after(monkeypatch):
+    """One explainer forward and one prior fusion per minibatch feed both
+    steps, and the approximator step leaves the explainer as it was scored."""
+    calls = {"forward": 0, "fuse": 0}
+    scored = []
+    forward, fuse, step = Mlp.forward, trainer.fuse_prior_var, trainer.approximator_step
+
+    def counted_forward(net, *args, **kwargs):
+        if isinstance(net, ExplainerNet):
+            calls["forward"] += 1
+            scored.append((net, net.parameters.copy()))
+        return forward(net, *args, **kwargs)
+
+    def counted_fuse(*args):
+        calls["fuse"] += 1
+        return fuse(*args)
+
+    def checked_step(*args, **kwargs):
+        out = step(*args, **kwargs)
+        net, params = scored[-1]
+        assert np.array_equal(net.parameters, params)
+        return out
+
+    monkeypatch.setattr(Mlp, "forward", counted_forward)
+    monkeypatch.setattr(trainer, "fuse_prior_var", counted_fuse)
+    monkeypatch.setattr(trainer, "approximator_step", checked_step)
+    config = TrainConfig(k=2, epochs=2, seed=0, batch_size=16, prior_method="grad",
+                         lambda_e=0.1)
+    explainer, _, _ = train(make_dataset(), FixedModel(), config, explainer_hidden=(8,),
+                            approx_hidden=(8,))
+    assert calls == {"forward": 6, "fuse": 6}   # 48 rows in 3 minibatches, 2 epochs
+    assert not np.array_equal(explainer.parameters, scored[0][1])
+
+
+def test_approximator_step_leaves_its_scores_and_steps_the_pair():
+    """The explainer step reads the same z~ array after it, so the step must
+    not write it."""
     config = TrainConfig(k=2, epochs=1, seed=0)
     x, y, xi, explainer, pair, opts = step_inputs(config)
-    before_e = explainer.parameters.copy()
+    z = explainer.score(x, y)
+    before_z = z.copy()
     before_s = pair.a_selected.parameters.copy()
     before_u = pair.a_unselected.parameters.copy()
-    approximator_step(pair, explainer, x, y, config, xi, opts["pair"],
-                      prior_r=None, m=0, sw_thetas=None, batch_id="t")
-    assert np.array_equal(explainer.parameters, before_e)
+    approximator_step(pair, x, y, z, config, xi, opts["pair"], sw_thetas=None, batch_id="t")
+    assert np.array_equal(z, before_z)
     assert not np.array_equal(pair.a_selected.parameters, before_s)
     assert not np.array_equal(pair.a_unselected.parameters, before_u)
 
@@ -153,8 +197,8 @@ def test_explainer_step_freezes_approximators():
     before_e = explainer.parameters.copy()
     before_s = pair.a_selected.parameters.copy()
     before_u = pair.a_unselected.parameters.copy()
-    explainer_step(explainer, pair, x, y, config, xi, opts["e"],
-                   prior_r=None, m=0, sw_thetas=None, batch_id="t")
+    explainer_step(*scores(explainer, x, y), pair, x, y, config, xi, opts["e"],
+                   m=0, sw_thetas=None, batch_id="t")
     assert not np.array_equal(explainer.parameters, before_e)
     assert np.array_equal(pair.a_selected.parameters, before_s)
     assert np.array_equal(pair.a_unselected.parameters, before_u)
@@ -166,8 +210,8 @@ def test_non_finite_input_aborts_training():
     x = x.copy()
     x[0, 0] = np.nan
     with pytest.raises(TrainingAbort):
-        approximator_step(pair, explainer, x, y, config, xi, opts["pair"],
-                          prior_r=None, m=0, sw_thetas=None, batch_id="t")
+        approximator_step(pair, x, y, explainer.score(x, y), config, xi, opts["pair"],
+                          sw_thetas=None, batch_id="t")
 
 
 def two_net_approximator_step(nets, explainer, x, y, config, xi, opt_s, opt_u, prior_r, m,
@@ -233,8 +277,9 @@ def test_stacked_pair_steps_equal_the_two_net_steps(optimizer, variant):
     for m in range(3):
         xi_a, xi_e = (sample_gumbel_batch(len(x), 6, config.k, rng) for _ in range(2))
         thetas = sw_directions(2, 8, rng) if extra else None
-        approximator_step(pair, explainer, x, y, config, xi_a, opts["pair"], prior_r, m, thetas)
-        explainer_step(explainer, pair, x, y, config, xi_e, opts["e"], prior_r, m, thetas)
+        leaf, z, z_tilde = scores(explainer, x, y, prior_r, m)
+        approximator_step(pair, x, y, z_tilde.value, config, xi_a, opts["pair"], thetas)
+        explainer_step(leaf, z, z_tilde, pair, x, y, config, xi_e, opts["e"], m, thetas)
         two_net_approximator_step(nets, twin_e, x, y, config, xi_a, *twin_opts[1:], prior_r, m,
                                   thetas)
         two_net_explainer_step(twin_e, nets, x, y, config, xi_e, twin_opts[0], prior_r, m,
@@ -528,6 +573,35 @@ def test_two_resumes_from_one_checkpoint_object_write_identical_bytes(tmp_path, 
     assert blobs[0] == blobs[1]
 
 
+def _step_count(ckpt, t):
+    explainer = {**ckpt.optimizer_states["explainer"], "t": t}
+    return dataclasses.replace(ckpt, optimizer_states={**ckpt.optimizer_states,
+                                                       "explainer": explainer})
+
+
+IMPOSSIBLE_STATES = {
+    "negative-epoch-counter": lambda ckpt: dataclasses.replace(ckpt, epoch_counter=-3),
+    "negative-optimizer-step-count": lambda ckpt: _step_count(ckpt, -1),
+    "d-below-1": lambda ckpt: dataclasses.replace(ckpt, meta={**ckpt.meta, "d": 0}),
+    "c-below-1": lambda ckpt: dataclasses.replace(ckpt, meta={**ckpt.meta, "c": 0}),
+    "explainer-width-below-1": lambda ckpt: dataclasses.replace(
+        ckpt, meta={**ckpt.meta, "explainer_hidden": (8, 0)}),
+    "approximator-width-below-1": lambda ckpt: dataclasses.replace(
+        ckpt, meta={**ckpt.meta, "approx_hidden": (-2,)}),
+}
+
+
+@pytest.mark.parametrize("name", list(IMPOSSIBLE_STATES))
+def test_checkpoint_reader_rejects_impossible_state(saved_checkpoint, name):
+    """A counter below 0 or a width below 1 fails the read, naming the file,
+    before a resume could run epochs from -3 or build a net of width 0."""
+    _, ckpt, path = saved_checkpoint
+    save_checkpoint(IMPOSSIBLE_STATES[name](ckpt), path)
+    with pytest.raises(CheckpointError) as exc:
+        load_checkpoint(path)
+    assert str(exc.value).startswith(path)
+
+
 def test_checkpoint_restore_writes_through_the_pair_views(saved_checkpoint):
     _, ckpt, _ = saved_checkpoint
     _, pair = nets_from_checkpoint(ckpt)
@@ -611,14 +685,14 @@ def test_train_writes_log_and_checkpoint(tmp_path):
 def test_explainer_step_with_lambda_zero_ignores_unselected():
     config_zero = TrainConfig(k=2, epochs=1, seed=0, lambda_u=0.0)
     x, y, xi, explainer, pair, opts = step_inputs(config_zero)
-    explainer_step(explainer, pair, x, y, config_zero, xi, opts["e"],
-                   prior_r=None, m=0, sw_thetas=None, batch_id="t")
+    explainer_step(*scores(explainer, x, y), pair, x, y, config_zero, xi, opts["e"],
+                   m=0, sw_thetas=None, batch_id="t")
     after_zero = explainer.parameters.copy()
 
     config_one = TrainConfig(k=2, epochs=1, seed=0, lambda_u=1.0)
     x, y, xi, explainer, pair, opts = step_inputs(config_one)
-    explainer_step(explainer, pair, x, y, config_one, xi, opts["e"],
-                   prior_r=None, m=0, sw_thetas=None, batch_id="t")
+    explainer_step(*scores(explainer, x, y), pair, x, y, config_one, xi, opts["e"],
+                   m=0, sw_thetas=None, batch_id="t")
     assert not np.array_equal(after_zero, explainer.parameters)
 
 
