@@ -1,9 +1,10 @@
 """Alternating adversarial training loop, optimizers, and checkpointing.
 
 Every minibatch performs one approximator update (minimize L_s + lambda_u*L_u)
-followed by one explainer update (minimize L_s + lambda_u*L~_u + lambda_e*L_e),
-with fresh Gumbel noise per step and per sample. The epoch counter m drives
-the prior warm-start decay.
+followed by one explainer update (minimize L_s + lambda_u*L~_u + lambda_e*L_e).
+Both read one Gumbel sample per minibatch: one draw per sample, and one relaxed
+top-k mask that the approximator step reads and the explainer step continues.
+The epoch counter m drives the prior warm-start decay.
 """
 
 from __future__ import annotations
@@ -185,11 +186,10 @@ def _pair_outputs(pair: ApproximatorPair, v, x: np.ndarray, leaf=None) -> tuple:
 
 
 def approximator_step(pair: ApproximatorPair, x: np.ndarray, y: np.ndarray,
-                      z_tilde: np.ndarray, config: TrainConfig, xi: np.ndarray, opt: Optimizer,
+                      v: np.ndarray, config: TrainConfig, opt: Optimizer,
                       sw_thetas: Optional[np.ndarray] = None, batch_id: str = "?") -> tuple:
-    """One update of both approximators on masks drawn from the fused scores
-    z_tilde (n, d), stepping `opt` over the pair's stacked parameters."""
-    v = relaxed_topk_var(z_tilde, xi, config.tau).value
+    """One update of both approximators on the relaxed mask values v (n, d),
+    stepping `opt` over the pair's stacked parameters."""
     leaf = ad.Var(pair.net.parameters)
     pred_s, pred_u = _pair_outputs(pair, v, x, leaf)
     l_s = cross_entropy_var(y, pred_s)
@@ -205,15 +205,14 @@ def approximator_step(pair: ApproximatorPair, x: np.ndarray, y: np.ndarray,
 
 
 def explainer_objective(pair: ApproximatorPair, z: ad.Var, z_tilde: ad.Var,
-                        x: np.ndarray, y: np.ndarray, config: TrainConfig, xi: np.ndarray,
+                        x: np.ndarray, y: np.ndarray, config: TrainConfig, v: ad.Var,
                         m: int = 0, sw_thetas: Optional[np.ndarray] = None) -> tuple:
     """Graph of the explainer update's objective L_s + lambda_u*L~_u + lambda_e*L_e
     (minus lambda_u*L~_u for sliced-Wasserstein), continued from the explainer's
-    scores z and the fused scores z_tilde (z itself when no prior is set);
-    returns (objective, L_s, L~_u, L_e)."""
+    scores z, the fused scores z_tilde (z itself when no prior is set) and the
+    relaxed top-k mask v drawn from z_tilde; returns (objective, L_s, L~_u, L_e)."""
     fused = z_tilde is not z
     l_e = prior_constraint_loss_var(z_tilde, z, m) if fused else ad.Var(0.0)
-    v = relaxed_topk_var(z_tilde, xi, config.tau)
     # Frozen approximators: gradients reach their inputs, not their weights.
     pred_s, pred_u = _pair_outputs(pair, v, x)
     l_s = cross_entropy_var(y, pred_s)
@@ -230,13 +229,13 @@ def explainer_objective(pair: ApproximatorPair, z: ad.Var, z_tilde: ad.Var,
 
 
 def explainer_step(leaf: ad.Var, z: ad.Var, z_tilde: ad.Var, pair: ApproximatorPair,
-                   x: np.ndarray, y: np.ndarray, config: TrainConfig, xi: np.ndarray,
+                   x: np.ndarray, y: np.ndarray, config: TrainConfig, v: ad.Var,
                    opt_e: Optimizer, m: int = 0, sw_thetas: Optional[np.ndarray] = None,
                    batch_id: str = "?") -> tuple:
     """One explainer update through `leaf`, the Var over the explainer's own
     parameter vector that z was scored from; approximator parameters stay frozen."""
     objective, l_s, l_u_tilde, l_e = explainer_objective(
-        pair, z, z_tilde, x, y, config, xi, m, sw_thetas)
+        pair, z, z_tilde, x, y, config, v, m, sw_thetas)
     for name, val in (("L_s", l_s.value), ("L_u", l_u_tilde.value), ("L_e", l_e.value)):
         if not np.isfinite(val):
             raise TrainingAbort(f"non-finite {name} in explainer step, batch {batch_id}")
@@ -276,6 +275,18 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
     write_record(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, header, vectors)
 
 
+def check_counters_and_widths(ckpt: Checkpoint) -> Checkpoint:
+    """`ckpt` itself; raises CheckpointError unless its epoch counter and every
+    optimizer step count are >= 0 and every stored width is >= 1."""
+    meta = ckpt.meta
+    widths = (meta["d"], meta["c"], *meta["explainer_hidden"], *meta["approx_hidden"])
+    counters = (ckpt.epoch_counter, *(s["t"] for s in ckpt.optimizer_states.values()))
+    if min(widths) < 1 or min(counters) < 0:
+        raise CheckpointError(f"architecture widths must be >= 1 and the epoch counter and "
+                              f"optimizer step counts >= 0, got {widths} and {counters}")
+    return ckpt
+
+
 def load_checkpoint(path: str) -> Checkpoint:
     """Read a checkpoint; any malformed or incompatible file raises CheckpointError."""
     header, vectors = read_record(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, CheckpointError)
@@ -285,20 +296,14 @@ def load_checkpoint(path: str) -> Checkpoint:
         meta = {"d": int(arch["d"]), "c": int(arch["c"]),
                 "explainer_hidden": tuple(int(h) for h in arch["explainer_hidden"]),
                 "approx_hidden": tuple(int(h) for h in arch["approx_hidden"])}
-        if min(meta["d"], meta["c"], *meta["explainer_hidden"], *meta["approx_hidden"]) < 1:
-            raise ValueError(f"architecture widths must be >= 1, got {meta}")
         params = {f"{net}_params": vectors.pop(net) for net in NETS}
         optimizer_states = {net: {"t": int(t)} for net, t in header["optimizer_t"].items()}
         for name, vec in vectors.items():
             net, slot = name.split(".")
             optimizer_states[net][slot] = vec
-        counters = [int(header["epoch_counter"]), *(s["t"] for s in optimizer_states.values())]
-        if min(counters) < 0:
-            raise ValueError(f"epoch counter and optimizer step counts must be >= 0, "
-                             f"got {counters}")
-        return Checkpoint(config=config, meta=meta, **params, epoch_counter=counters[0],
-                          rng_states=dict(header["rng_states"]),
-                          optimizer_states=optimizer_states)
+        return check_counters_and_widths(Checkpoint(
+            config=config, meta=meta, **params, epoch_counter=int(header["epoch_counter"]),
+            rng_states=dict(header["rng_states"]), optimizer_states=optimizer_states))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad checkpoint header: {exc!r}") from exc
 
@@ -379,6 +384,7 @@ def train(dataset, model, config: TrainConfig,
     init_rng = named_rng(config.seed, "init")
 
     if resume is not None:
+        check_counters_and_widths(resume)
         if (resume.meta != meta or replace(resume.config, epochs=config.epochs) != config
                 or config.epochs < resume.epoch_counter):
             raise CheckpointError(f"resume checkpoint does not match this run's configuration "
@@ -445,17 +451,20 @@ def train(dataset, model, config: TrainConfig,
             thetas = (sw_directions(c, config.n_projections, rngs["perturb"])
                       if config.loss_u == "sliced-wasserstein" else None)
             bid = f"epoch {m} offset {lo}"
-            # One scoring pass feeds both steps: the approximator step leaves
-            # the explainer's parameters as they were scored.
+            # One scoring pass and one mask sample feed both steps: the
+            # approximator step reads the mask's values and leaves the
+            # explainer's parameters as they were scored; the explainer step
+            # continues the mask's graph. The draw dies once its races exist.
             leaf = ad.Var(explainer.parameters)
             z = explainer.score_var(xb, yb, leaf)
             z_tilde = z if prior_all is None else fuse_prior_var(z, prior_all[idx], m)
-            xi_a = sample_gumbel_batch(len(idx), d, config.k, rngs["gumbel"])
-            l_s, l_u = approximator_step(pair, xb, yb, z_tilde.value, config, xi_a, opt_pair,
+            v = relaxed_topk_var(
+                z_tilde, sample_gumbel_batch(len(idx), d, config.k, rngs["gumbel"]), config.tau)
+            l_s, l_u = approximator_step(pair, xb, yb, v.value, config, opt_pair,
                                          sw_thetas=thetas, batch_id=bid)
-            xi_e = sample_gumbel_batch(len(idx), d, config.k, rngs["gumbel"])
-            _, _, l_e = explainer_step(leaf, z, z_tilde, pair, xb, yb, config, xi_e, opt_e,
+            _, _, l_e = explainer_step(leaf, z, z_tilde, pair, xb, yb, config, v, opt_e,
                                        m=m, sw_thetas=thetas, batch_id=bid)
+            del leaf, z, z_tilde, v  # the graph and its races end with the minibatch
             sums += (l_s, l_u, l_e)
             n_batches += 1
         mean = sums / max(n_batches, 1)

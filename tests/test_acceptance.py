@@ -167,7 +167,8 @@ def test_criterion_03_gradients_match_finite_differences():
         def objective(leaf):
             z = explainer.score_var(x, y, leaf)
             z_tilde = z if prior_r is None else fuse_prior_var(z, prior_r, m=1)
-            return explainer_objective(pair, z, z_tilde, x, y, config, xi, m=1,
+            v = relaxed_topk_var(z_tilde, xi, config.tau)
+            return explainer_objective(pair, z, z_tilde, x, y, config, v, m=1,
                                        sw_thetas=thetas)[0]
 
         leaf = ad.Var(explainer.parameters)

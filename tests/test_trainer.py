@@ -8,6 +8,7 @@ import os
 import struct
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -142,6 +143,19 @@ def scores(explainer, x, y, prior_r=None, m=0):
     return leaf, z, (z if prior_r is None else fuse_prior_var(z, prior_r, m))
 
 
+def mask_values(explainer, x, y, xi, config):
+    """The relaxed top-k mask values (n, d) of one minibatch without a prior."""
+    return relaxed_topk_var(explainer.score(x, y), xi, config.tau).value
+
+
+def explainer_step_on(explainer, pair, x, y, config, xi, opt_e):
+    """One explainer step on the mask drawn with noise xi from a fresh scoring pass."""
+    leaf, z, z_tilde = scores(explainer, x, y)
+    v = relaxed_topk_var(z_tilde, xi, config.tau)
+    explainer_step(leaf, z, z_tilde, pair, x, y, config, v, opt_e, m=0, sw_thetas=None,
+                   batch_id="t")
+
+
 def test_train_scores_each_minibatch_once_and_steps_the_explainer_after(monkeypatch):
     """One explainer forward and one prior fusion per minibatch feed both
     steps, and the approximator step leaves the explainer as it was scored."""
@@ -176,17 +190,79 @@ def test_train_scores_each_minibatch_once_and_steps_the_explainer_after(monkeypa
     assert not np.array_equal(explainer.parameters, scored[0][1])
 
 
+def test_train_draws_one_mask_per_minibatch_for_both_steps(monkeypatch):
+    """One Gumbel draw and one relaxed top-k per minibatch, and the two steps
+    read the same mask array: the approximator step its values, the explainer
+    step the node over them."""
+    calls = {"draw": 0, "relaxed": 0}
+    read = {"approximator": [], "explainer": []}
+    draw, relaxed = trainer.sample_gumbel_batch, trainer.relaxed_topk_var
+    approx_step, expl_step = trainer.approximator_step, trainer.explainer_step
+
+    def counted_draw(*args):
+        calls["draw"] += 1
+        return draw(*args)
+
+    def counted_relaxed(*args):
+        calls["relaxed"] += 1
+        return relaxed(*args)
+
+    def approx_reads(*args, **kwargs):
+        read["approximator"].append(args[3])   # the mask values v
+        return approx_step(*args, **kwargs)
+
+    def expl_reads(*args, **kwargs):
+        read["explainer"].append(args[7])      # the mask node v
+        return expl_step(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "sample_gumbel_batch", counted_draw)
+    monkeypatch.setattr(trainer, "relaxed_topk_var", counted_relaxed)
+    monkeypatch.setattr(trainer, "approximator_step", approx_reads)
+    monkeypatch.setattr(trainer, "explainer_step", expl_reads)
+    config = TrainConfig(k=2, epochs=2, seed=0, batch_size=16, prior_method="grad",
+                         lambda_e=0.1)
+    train(make_dataset(), FixedModel(), config, explainer_hidden=(8,), approx_hidden=(8,))
+    assert calls == {"draw": 6, "relaxed": 6}   # 48 rows in 3 minibatches, 2 epochs
+    assert len(read["approximator"]) == len(read["explainer"]) == 6
+    assert all(a is e.value for a, e in zip(read["approximator"], read["explainer"]))
+
+
+def test_train_frees_each_minibatch_sample_before_the_next_draw(monkeypatch):
+    """No earlier Gumbel draw, and no earlier mask with the races its node
+    keeps, is alive when the next minibatch draws, nor after train() returns."""
+    refs = []
+    draw, relaxed = trainer.sample_gumbel_batch, trainer.relaxed_topk_var
+
+    def checked_draw(*args):
+        assert all(ref() is None for ref in refs), "an earlier draw or mask is alive"
+        xi = draw(*args)
+        refs.append(weakref.ref(xi))
+        return xi
+
+    def kept_mask(*args):
+        v = relaxed(*args)
+        refs.append(weakref.ref(v.value))
+        return v
+
+    monkeypatch.setattr(trainer, "sample_gumbel_batch", checked_draw)
+    monkeypatch.setattr(trainer, "relaxed_topk_var", kept_mask)
+    config = TrainConfig(k=2, epochs=2, seed=0, batch_size=16, prior_method="grad",
+                         lambda_e=0.1)
+    train(make_dataset(), FixedModel(), config, explainer_hidden=(8,), approx_hidden=(8,))
+    assert len(refs) == 12 and all(ref() is None for ref in refs)
+
+
 def test_approximator_step_leaves_its_scores_and_steps_the_pair():
-    """The explainer step reads the same z~ array after it, so the step must
-    not write it."""
+    """The explainer step continues the same mask node after it, so the step
+    must not write the mask's values."""
     config = TrainConfig(k=2, epochs=1, seed=0)
     x, y, xi, explainer, pair, opts = step_inputs(config)
-    z = explainer.score(x, y)
-    before_z = z.copy()
+    v = mask_values(explainer, x, y, xi, config)
+    before_v = v.copy()
     before_s = pair.a_selected.parameters.copy()
     before_u = pair.a_unselected.parameters.copy()
-    approximator_step(pair, x, y, z, config, xi, opts["pair"], sw_thetas=None, batch_id="t")
-    assert np.array_equal(z, before_z)
+    approximator_step(pair, x, y, v, config, opts["pair"], sw_thetas=None, batch_id="t")
+    assert np.array_equal(v, before_v)
     assert not np.array_equal(pair.a_selected.parameters, before_s)
     assert not np.array_equal(pair.a_unselected.parameters, before_u)
 
@@ -197,8 +273,7 @@ def test_explainer_step_freezes_approximators():
     before_e = explainer.parameters.copy()
     before_s = pair.a_selected.parameters.copy()
     before_u = pair.a_unselected.parameters.copy()
-    explainer_step(*scores(explainer, x, y), pair, x, y, config, xi, opts["e"],
-                   m=0, sw_thetas=None, batch_id="t")
+    explainer_step_on(explainer, pair, x, y, config, xi, opts["e"])
     assert not np.array_equal(explainer.parameters, before_e)
     assert np.array_equal(pair.a_selected.parameters, before_s)
     assert np.array_equal(pair.a_unselected.parameters, before_u)
@@ -210,8 +285,8 @@ def test_non_finite_input_aborts_training():
     x = x.copy()
     x[0, 0] = np.nan
     with pytest.raises(TrainingAbort):
-        approximator_step(pair, x, y, explainer.score(x, y), config, xi, opts["pair"],
-                          sw_thetas=None, batch_id="t")
+        approximator_step(pair, x, y, mask_values(explainer, x, y, xi, config), config,
+                          opts["pair"], sw_thetas=None, batch_id="t")
 
 
 def two_net_approximator_step(nets, explainer, x, y, config, xi, opt_s, opt_u, prior_r, m,
@@ -275,14 +350,15 @@ def test_stacked_pair_steps_equal_the_two_net_steps(optimizer, variant):
     prior_r = np.full((len(x), 6), 1.0 / 6) if extra else None
     rng = np.random.default_rng(1)
     for m in range(3):
-        xi_a, xi_e = (sample_gumbel_batch(len(x), 6, config.k, rng) for _ in range(2))
+        xi = sample_gumbel_batch(len(x), 6, config.k, rng)   # one draw feeds both steps
         thetas = sw_directions(2, 8, rng) if extra else None
         leaf, z, z_tilde = scores(explainer, x, y, prior_r, m)
-        approximator_step(pair, x, y, z_tilde.value, config, xi_a, opts["pair"], thetas)
-        explainer_step(leaf, z, z_tilde, pair, x, y, config, xi_e, opts["e"], m, thetas)
-        two_net_approximator_step(nets, twin_e, x, y, config, xi_a, *twin_opts[1:], prior_r, m,
+        v = relaxed_topk_var(z_tilde, xi, config.tau)
+        approximator_step(pair, x, y, v.value, config, opts["pair"], thetas)
+        explainer_step(leaf, z, z_tilde, pair, x, y, config, v, opts["e"], m, thetas)
+        two_net_approximator_step(nets, twin_e, x, y, config, xi, *twin_opts[1:], prior_r, m,
                                   thetas)
-        two_net_explainer_step(twin_e, nets, x, y, config, xi_e, twin_opts[0], prior_r, m,
+        two_net_explainer_step(twin_e, nets, x, y, config, xi, twin_opts[0], prior_r, m,
                                thetas)
     assert np.array_equal(explainer.parameters, twin_e.parameters)
     assert np.array_equal(pair.a_selected.parameters, nets[0].parameters)
@@ -309,9 +385,8 @@ def test_checkpoint_holds_each_approximators_own_state():
     perm = named_rng(4, "data").permutation(len(ds.X))
     for lo in range(0, len(perm), 16):
         x, yb = ds.X[perm[lo:lo + 16]], y[perm[lo:lo + 16]]
-        xi = sample_gumbel_batch(len(x), 6, 2, gumbel)
+        xi = sample_gumbel_batch(len(x), 6, 2, gumbel)   # one draw feeds both steps
         two_net_approximator_step(nets, explainer, x, yb, config, xi, *opts[1:], None, 0, None)
-        xi = sample_gumbel_batch(len(x), 6, 2, gumbel)
         two_net_explainer_step(explainer, nets, x, yb, config, xi, opts[0], None, 0, None)
     assert np.array_equal(ckpt.explainer_params, explainer.parameters)
     for i, net in enumerate(("a_selected", "a_unselected")):
@@ -602,6 +677,16 @@ def test_checkpoint_reader_rejects_impossible_state(saved_checkpoint, name):
     assert str(exc.value).startswith(path)
 
 
+@pytest.mark.parametrize("name", list(IMPOSSIBLE_STATES))
+def test_resume_rejects_impossible_state_built_in_memory(saved_checkpoint, name):
+    """train(resume=) runs the reader's counter and width checks on a
+    checkpoint that never went through a file."""
+    _, ckpt, _ = saved_checkpoint
+    with pytest.raises(CheckpointError, match="widths must be >= 1 and the epoch counter"):
+        train(make_dataset(), FixedModel(), ckpt.config, explainer_hidden=(8,),
+              approx_hidden=(8,), resume=IMPOSSIBLE_STATES[name](ckpt))
+
+
 def test_checkpoint_restore_writes_through_the_pair_views(saved_checkpoint):
     _, ckpt, _ = saved_checkpoint
     _, pair = nets_from_checkpoint(ckpt)
@@ -685,14 +770,12 @@ def test_train_writes_log_and_checkpoint(tmp_path):
 def test_explainer_step_with_lambda_zero_ignores_unselected():
     config_zero = TrainConfig(k=2, epochs=1, seed=0, lambda_u=0.0)
     x, y, xi, explainer, pair, opts = step_inputs(config_zero)
-    explainer_step(*scores(explainer, x, y), pair, x, y, config_zero, xi, opts["e"],
-                   m=0, sw_thetas=None, batch_id="t")
+    explainer_step_on(explainer, pair, x, y, config_zero, xi, opts["e"])
     after_zero = explainer.parameters.copy()
 
     config_one = TrainConfig(k=2, epochs=1, seed=0, lambda_u=1.0)
     x, y, xi, explainer, pair, opts = step_inputs(config_one)
-    explainer_step(*scores(explainer, x, y), pair, x, y, config_one, xi, opts["e"],
-                   m=0, sw_thetas=None, batch_id="t")
+    explainer_step_on(explainer, pair, x, y, config_one, xi, opts["e"])
     assert not np.array_equal(after_zero, explainer.parameters)
 
 
