@@ -14,14 +14,14 @@ import argparse
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import data as datamod
 from . import metrics as metricsmod
 from .baselines import ABLATION_VARIANTS, ablation_config
-from .core import ConfigError, ShapeError, TrainConfig, checked_outputs, from_strings
+from .core import ConfigError, ShapeError, TrainConfig, check_fields, checked_outputs, from_strings
 from .sampler import hard_topk
 from .trainer import (CheckpointError, TrainingAbort, load_checkpoint,
                       nets_from_checkpoint, train)
@@ -36,20 +36,13 @@ EXIT_SHAPE = 4
 class ModelSection:
     """`[model]`: `train_given_model`'s arguments for the model to explain."""
 
-    hidden: tuple = (32, 32)
-    seed: int = 0
-    epochs: int = 30
-    learning_rate: float = 1e-3
+    hidden: tuple = field(default=(32, 32), metadata={"ge": 1})
+    seed: int = field(default=0, metadata={"ge": 0})
+    epochs: int = field(default=30, metadata={"ge": 0})
+    learning_rate: float = field(default=1e-3, metadata={"gt": 0})
 
     def __post_init__(self):
-        if min(self.hidden, default=1) < 1:
-            raise ConfigError(f"hidden widths must be >= 1, got {self.hidden}")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be nonnegative")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -57,16 +50,12 @@ class RunSection:
     """`[run]`: the output directory, the nets' widths and FS-A/FU-A's epochs."""
 
     out_dir: str = "out"
-    explainer_hidden: tuple = (32, 32)
-    approx_hidden: tuple = (32, 32)
-    retrain_budget: int = metricsmod.RETRAIN_BUDGET_DEFAULT
+    explainer_hidden: tuple = field(default=(32, 32), metadata={"ge": 1})
+    approx_hidden: tuple = field(default=(32, 32), metadata={"ge": 1})
+    retrain_budget: int = field(default=metricsmod.RETRAIN_BUDGET_DEFAULT, metadata={"ge": 1})
 
     def __post_init__(self):
-        for name in ("explainer_hidden", "approx_hidden"):
-            if min(getattr(self, name), default=1) < 1:
-                raise ConfigError(f"{name} widths must be >= 1, got {getattr(self, name)}")
-        if self.retrain_budget < 1:
-            raise ConfigError("retrain_budget must be >= 1")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -114,8 +103,10 @@ def parse_config_file(path: str) -> dict:
             if "=" not in line or current is None:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value' "
                                   f"inside a section, got: {line}")
-            key, _, val = line.partition("=")
-            sections[current][key.strip()] = val.strip()
+            key, _, val = (part.strip() for part in line.partition("="))
+            if key in sections[current]:
+                raise ConfigError(f"{path}:{lineno}: config key {key} repeats in [{current}]")
+            sections[current][key] = val
     for name, section in sections.items():
         cls = DATA_SECTIONS.get(section.get("kind")) if name == "data" else SECTIONS.get(name)
         if cls is None:

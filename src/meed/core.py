@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import os
 import struct
 import typing
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -68,46 +69,42 @@ class SelectionSet:
 class TrainConfig:
     """Hyperparameters for the alternating training loop."""
 
-    k: int
-    epochs: int
-    seed: int = 0
-    tau: float = 0.5
-    lambda_u: float = 1.0
-    lambda_e: float = 0.0
-    batch_size: int = 64
-    optimizer: str = "adam"
-    learning_rate: float = 1e-3
-    decay: float = 0.0
-    loss_u: str = "cross-entropy"
+    k: int = field(metadata={"ge": 1})
+    epochs: int = field(metadata={"ge": 0})
+    seed: int = field(default=0, metadata={"ge": 0})
+    tau: float = field(default=0.5, metadata={"gt": 0})
+    lambda_u: float = field(default=1.0, metadata={"ge": 0})
+    lambda_e: float = field(default=0.0, metadata={"ge": 0})
+    batch_size: int = field(default=64, metadata={"ge": 1})
+    optimizer: str = field(default="adam",
+                           metadata={"choices": ("sgd", "rmsprop", "adadelta", "adam")})
+    learning_rate: float = field(default=1e-3, metadata={"gt": 0})
+    decay: float = field(default=0.0, metadata={"ge": 0})
+    loss_u: str = field(default="cross-entropy",
+                        metadata={"choices": ("cross-entropy", "sliced-wasserstein")})
     use_output_feedback: bool = True
-    prior_method: str = "none"
-    n_projections: int = 128
+    prior_method: str = field(default="none",
+                              metadata={"choices": ("none", "grad", "gradient-times-input")})
+    n_projections: int = field(default=128, metadata={"ge": 1})
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ConfigError("tau must be positive")
-        if self.k < 1:
-            raise ConfigError("k must be >= 1")
-        if self.loss_u not in ("cross-entropy", "sliced-wasserstein"):
-            raise ConfigError(f"unknown loss_u: {self.loss_u}")
-        if self.optimizer not in ("sgd", "rmsprop", "adadelta", "adam"):
-            raise ConfigError(f"unknown optimizer: {self.optimizer}")
-        if self.prior_method not in ("none", "grad", "gradient-times-input"):
-            raise ConfigError(f"unknown prior_method: {self.prior_method}")
-        if self.lambda_u < 0 or self.lambda_e < 0:
-            raise ConfigError("lambda_u and lambda_e must be nonnegative")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be nonnegative")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
-        if self.n_projections < 1:
-            raise ConfigError("n_projections must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
-        if self.decay < 0:
-            raise ConfigError("decay must be nonnegative")
+        check_fields(self)
+
+
+def check_fields(obj) -> None:
+    """ConfigError naming the first field of the dataclass `obj` that holds a non-finite
+    float or breaks its metadata: `choices`, or a lower bound `ge` or `gt` (per tuple entry)."""
+    for f in fields(obj):
+        value, meta = getattr(obj, f.name), f.metadata
+        entries = value if isinstance(value, tuple) else (value,)
+        if (any(isinstance(v, float) and not math.isfinite(v)
+                or "ge" in meta and v < meta["ge"] or "gt" in meta and v <= meta["gt"]
+                for v in entries) or "choices" in meta and value not in meta["choices"]):
+            rule = "".join(f" {op} {meta[key]}" for key, op in (("ge", ">="), ("gt", ">"))
+                           if key in meta)
+            need = ("one of " + ", ".join(meta["choices"]) if "choices" in meta
+                    else f"finite values{rule}")
+            raise ConfigError(f"bad value for config key {f.name}: {value!r}, need {need}")
 
 
 def parse_bool(val: str) -> bool:

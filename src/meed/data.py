@@ -5,13 +5,13 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import (BlackBoxModel, ConfigError, Mlp, SelectionSet, named_rng, read_record,
-                   write_record)
+from .core import (BlackBoxModel, ConfigError, Mlp, SelectionSet, check_fields, named_rng,
+                   read_record, write_record)
 from .trainer import fit_classifier
 
 SYNTH_KINDS = ("sparse-logit", "xor", "shortcut-bait")
@@ -59,26 +59,19 @@ class Dataset:
 class SyntheticSpec:
     """A synthetic dataset, and the `[data]` section of a synthetic kind."""
 
-    d: int
-    true_subset: tuple
-    n: int
-    kind: str
-    noise_std: float = 0.0
-    seed: int = 0
+    d: int = field(metadata={"ge": 1})
+    true_subset: tuple = field(metadata={"ge": 0})
+    n: int = field(metadata={"ge": 1})
+    kind: str = field(metadata={"choices": SYNTH_KINDS})
+    noise_std: float = field(default=0.0, metadata={"ge": 0})
+    seed: int = field(default=0, metadata={"ge": 0})
 
     def __post_init__(self):
         object.__setattr__(self, "true_subset", tuple(int(i) for i in self.true_subset))
-        if self.kind not in SYNTH_KINDS:
-            raise ConfigError(f"unknown synthetic kind: {self.kind}")
+        check_fields(self)
         sub = self.true_subset
-        if len(set(sub)) != len(sub) or any(not 0 <= i < self.d for i in sub):
-            raise ConfigError(f"true_subset {sub} needs distinct indices in [0, d={self.d})")
-        if self.n < 1:
-            raise ConfigError("n must be >= 1")
-        if self.noise_std < 0:
-            raise ConfigError("noise_std must be >= 0")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
+        if not sub or len(set(sub)) != len(sub) or max(sub) >= self.d:
+            raise ConfigError(f"true_subset {sub} needs 1 to d distinct indices in [0, d={self.d})")
 
 
 def generate_synthetic(spec: SyntheticSpec) -> Tuple[Dataset, SelectionSet]:
@@ -158,6 +151,7 @@ def import_dataset(path: str) -> Tuple[Dataset, Optional[tuple]]:
         try:
             if line.startswith("#trueSubset=") and line != "#trueSubset=":
                 true_subset = tuple(int(s) for s in line[len("#trueSubset="):].split(";"))
+                subset_line = lineno
             if not line or line.startswith("#"):
                 continue
             *fields, label = line.split(",")
@@ -181,6 +175,9 @@ def import_dataset(path: str) -> Tuple[Dataset, Optional[tuple]]:
         rows.append(row)
     if not rows:
         raise DatasetFileError(f"{path}: no data rows")
+    if true_subset and len(set(true_subset).intersection(range(len(rows[0])))) < len(true_subset):
+        raise DatasetFileError(f"{path}:{subset_line}: #trueSubset {true_subset} needs distinct "
+                               f"indices in [0, d={len(rows[0])})")
     y_true = None if labels[0] is None else np.asarray(labels)
     return Dataset(ids=ids, X=np.asarray(rows), y_true=y_true), true_subset
 

@@ -2,8 +2,10 @@
 
 import dataclasses
 import json
+import math
 import os
 import struct
+import typing
 
 import numpy as np
 import pytest
@@ -214,6 +216,99 @@ def test_out_of_range_config_value_exits_2_naming_its_key(tmp_path, capsys, comm
     cfg.write_text(CONFIG.format(out=tmp_path / "out").replace(old, new.format(tmp=tmp_path)))
     assert main([command, "--config", str(cfg)] + argv) == EXIT_CONFIG
     assert key in capsys.readouterr().err
+
+
+# A valid instance of each class whose fields carry their ranges and choices.
+CHECKED = [TrainConfig(k=2, epochs=1), ModelSection(), RunSection(),
+           SyntheticSpec(d=4, true_subset=(0,), n=10, kind="xor")]
+
+
+def _metadata_cases(section):
+    """(field, value, valid) triples read off each field's metadata. Invalid:
+    every non-finite float, the first value past a lower bound and an unknown
+    choice. Valid: a `ge` bound itself, the first value past a `gt` bound and
+    each choice."""
+    types = typing.get_type_hints(type(section))
+    for field in dataclasses.fields(section):
+        meta, kind = field.metadata, types[field.name]
+        wrap = (lambda v: (v,)) if kind is tuple else kind
+        if kind is float:
+            yield from ((field.name, v, False) for v in (math.nan, math.inf, -math.inf))
+            above, below = ((lambda v: math.nextafter(v, math.inf)),
+                            (lambda v: math.nextafter(v, -math.inf)))
+        else:
+            above, below = (lambda v: v + 1), (lambda v: v - 1)
+        if "gt" in meta:
+            yield field.name, wrap(meta["gt"]), False
+            yield field.name, wrap(above(meta["gt"])), True
+        if "ge" in meta:
+            yield field.name, wrap(below(meta["ge"])), False
+            yield field.name, wrap(meta["ge"]), True
+        if "choices" in meta:
+            yield field.name, "bogus", False
+            yield from ((field.name, choice, True) for choice in meta["choices"])
+
+
+@pytest.mark.parametrize("section, name, value, valid", [
+    pytest.param(section, *case, id=f"{type(section).__name__}.{case[0]}={case[1]!r}")
+    for section in CHECKED for case in _metadata_cases(section)])
+def test_every_field_checks_its_range_and_choices(section, name, value, valid):
+    if valid:
+        assert getattr(dataclasses.replace(section, **{name: value}), name) == value
+    else:
+        with pytest.raises(ConfigError, match=rf"config key {name}: "):
+            dataclasses.replace(section, **{name: value})
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ("batch_size = 32", "batch_size = 32\ntau = nan", "tau"),
+    ("batch_size = 32", "batch_size = 32\nlambda_u = nan", "lambda_u"),
+    ("batch_size = 32", "batch_size = 32\ndecay = nan", "decay"),
+    ("batch_size = 32", "batch_size = 32\nlearning_rate = inf", "learning_rate"),
+    ("epochs = 10", "epochs = 10\nlearning_rate = nan", "learning_rate"),  # [model]
+    ("noise_std = 0.1", "noise_std = -inf", "noise_std")])
+def test_non_finite_config_value_exits_2_naming_its_key(tmp_path, capsys, old, new, key):
+    """NaN passed every range check (`nan <= 0` is False): training aborted
+    with exit 3, or the model's outputs failed with exit 4."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(CONFIG.format(out=tmp_path / "out").replace(old, new))
+    assert main(["train", "--config", str(cfg)]) == EXIT_CONFIG
+    assert f"config key {key}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old, new, key", [("true_subset = 0,1", "true_subset =", "true_subset"),
+                                           ("d = 6", "d = 0", "config key d: ")])
+def test_empty_true_subset_or_d_below_1_exits_2_naming_its_key(tmp_path, capsys, old, new, key):
+    """An empty true_subset ended in a ValueError traceback from SelectionSet."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(CONFIG.format(out=tmp_path / "out").replace(old, new))
+    for command in ("synth", "train"):
+        assert main([command, "--config", str(cfg)]) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ("batch_size = 32", "batch_size = 32\nbatch_size = 16", "batch_size"),
+    ("[run]", "[train]\nk = 3\n\n[run]", "k")])  # under a second [train] header
+def test_repeated_config_key_exits_2_naming_it(tmp_path, capsys, old, new, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(CONFIG.format(out=tmp_path / "out").replace(old, new))
+    with pytest.raises(ConfigError, match=rf"config key {key} repeats in \[train\]"):
+        parse_config_file(str(cfg))
+    assert main(["train", "--config", str(cfg)]) == EXIT_CONFIG
+    assert f"config key {key} repeats" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("header", ["#trueSubset=0;0", "#trueSubset=0;99"])
+def test_dataset_file_with_a_bad_true_subset_exits_2(tmp_path, capsys, header):
+    """A repeated or out-of-range index ended in a ValueError traceback."""
+    data_path = tmp_path / "data.txt"
+    data_path.write_text(f"{header}\na,0.5,1.0,1\nb,-0.5,2.0,0\n")
+    cfg = tmp_path / "file.cfg"
+    cfg.write_text(f"[data]\nkind = file\npath = {data_path}\n"
+                   f"[train]\nk = 2\nepochs = 1\n[run]\nout_dir = {tmp_path / 'out'}\n")
+    assert main(["train", "--config", str(cfg)]) == EXIT_CONFIG
+    assert f"{data_path}:1: #trueSubset" in capsys.readouterr().err
 
 
 def test_corrupt_checkpoint_exits_2(tmp_path):

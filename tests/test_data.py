@@ -149,6 +149,17 @@ def test_import_dataset_rejects_bad_header_and_empty_file(tmp_path):
         import_dataset(str(path))
 
 
+@pytest.mark.parametrize("header", ["#trueSubset=0;0", "#trueSubset=1;0;1", "#trueSubset=0;2",
+                                    "#trueSubset=-1"])
+def test_import_dataset_rejects_a_true_subset_that_does_not_fit_the_rows(tmp_path, header):
+    """A repeated index, or one outside [0, d), is the file's fault: it names
+    the header's line, not a SelectionSet built from it later."""
+    path = tmp_path / "ds.txt"
+    path.write_text(f"a,0.5,1.0,1\n{header}\nb,-0.5,2.0,0\n")
+    with pytest.raises(DatasetFileError, match=rf"{path}:2: #trueSubset .* in \[0, d=2\)"):
+        import_dataset(str(path))
+
+
 def test_idx_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     images = rng.integers(0, 256, size=(30, 4, 4)).astype(np.uint8)

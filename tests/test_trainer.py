@@ -69,6 +69,15 @@ def test_optimizers_descend_a_quadratic(name):
     assert np.linalg.norm(params) < 0.2
 
 
+def test_make_optimizer_builds_every_optimizer_train_config_accepts():
+    field = next(f for f in dataclasses.fields(TrainConfig) if f.name == "optimizer")
+    for name in field.metadata["choices"]:
+        opt = make_optimizer(TrainConfig(k=1, epochs=1, optimizer=name, learning_rate=0.5,
+                                         decay=0.25), 3)
+        assert type(opt).__name__.lower() == name
+        assert (opt.rate, opt.decay, opt.t) == (0.5, 0.25, 0)
+
+
 def test_optimizer_state_round_trip():
     keys = {"sgd": {"t"}, "rmsprop": {"t", "avg"}, "adadelta": {"t", "acc_g", "acc_d"},
             "adam": {"t", "m", "v"}}
