@@ -70,6 +70,8 @@ class IdxSection:
     def __post_init__(self):
         if len(self.class_pair) != 2:
             raise ConfigError(f"class_pair must be two class labels, got {self.class_pair}")
+        if self.class_pair[0] == self.class_pair[1]:
+            raise ConfigError(f"class_pair must be two different labels, got {self.class_pair}")
 
 
 @dataclass(frozen=True)

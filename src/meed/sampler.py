@@ -2,8 +2,10 @@
 
 The relaxed mask is the coordinate-wise max of k Gumbel-perturbed softmax races
 over log-scores: an approximately k-hot vector, differentiable in the scores.
-The races are laid out (k, n, d), so each softmax runs over a contiguous axis;
-only they are kept, and the closed-form VJP makes no other float (k, n, d) array.
+The races are laid out (k, n, d), so each softmax runs over a contiguous axis.
+The noise is drawn into a caller's array and the races are built in that same
+memory, which the node keeps for its closed-form VJP; neither makes another
+float (k, n, d) array, so one buffer serves every minibatch of a training.
 """
 
 from __future__ import annotations
@@ -17,22 +19,24 @@ U_EPS = 1e-12  # uniform draws clamped to (U_EPS, 1 - U_EPS) before the double l
 Z_EPS = 1e-20  # scores clamped below this before log
 
 
-def sample_gumbel_batch(n: int, d: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Fresh noise for k races per sample, shape (k, n, d): -log(-log(u)) of
-    clipped uniform draws, transformed in the draw's own array."""
-    u = rng.random((k, n, d))
-    np.clip(u, U_EPS, 1.0 - U_EPS, out=u)
+def sample_gumbel_batch(noise: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Fills noise, a C-contiguous float64 (k, n, d) array for k races per
+    sample, with -log(-log(u)) of clipped uniform draws, in place; returns it."""
+    rng.random(out=noise)
+    np.clip(noise, U_EPS, 1.0 - U_EPS, out=noise)
     for op in (np.log, np.negative, np.log, np.negative):
-        op(u, out=u)
-    return u
+        op(noise, out=noise)
+    return noise
 
 
 def relaxed_topk_var(z, xi: np.ndarray, tau: float) -> ad.Var:
     """Differentiable mask for a batch: z (n, d), xi (k, n, d) -> v (n, d).
 
     One tape node; v is the max over k of the softmax races s_j (n, d), and
-    only the races are kept. With c_j the sum of g*v over the entries race j
-    wins, the VJP is (g*v - sum_j c_j s_j) / (tau*z) where z > Z_EPS, else 0.
+    only the races are kept. xi is consumed: its array becomes the races that
+    the node keeps for its VJP, so it no longer holds the noise. With c_j the
+    sum of g*v over the entries race j wins, the VJP is
+    (g*v - sum_j c_j s_j) / (tau*z) where z > Z_EPS, else 0.
     An entry that several races win exactly (all of them, under zero noise)
     counts for the first of them only.
     """
@@ -41,7 +45,8 @@ def relaxed_topk_var(z, xi: np.ndarray, tau: float) -> ad.Var:
     z = ad.as_var(z)
     inv_tau = 1.0 / tau
     z_floor = np.maximum(z.value, Z_EPS)
-    races = np.log(z_floor) + xi
+    races = xi
+    races += np.log(z_floor)
     races *= inv_tau
     races -= races.max(axis=-1, keepdims=True)
     np.exp(races, out=races)

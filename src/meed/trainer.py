@@ -440,6 +440,9 @@ def train(dataset, model, config: TrainConfig,
         save_checkpoint(ckpt, ckpt_path)
 
     batch = config.batch_size
+    # Each minibatch draws its (k, rows, d) noise into a prefix of this one
+    # buffer, and its relaxed top-k builds the races there in place.
+    noise = np.empty(config.k * min(batch, n) * d)
     for m in range(start_epoch, config.epochs):
         tic = time.perf_counter()
         perm = rngs["data"].permutation(n)
@@ -454,17 +457,18 @@ def train(dataset, model, config: TrainConfig,
             # One scoring pass and one mask sample feed both steps: the
             # approximator step reads the mask's values and leaves the
             # explainer's parameters as they were scored; the explainer step
-            # continues the mask's graph. The draw dies once its races exist.
+            # continues the mask's graph.
             leaf = ad.Var(explainer.parameters)
             z = explainer.score_var(xb, yb, leaf)
             z_tilde = z if prior_all is None else fuse_prior_var(z, prior_all[idx], m)
-            v = relaxed_topk_var(
-                z_tilde, sample_gumbel_batch(len(idx), d, config.k, rngs["gumbel"]), config.tau)
+            shape = (config.k, len(idx), d)
+            xi = sample_gumbel_batch(noise[:np.prod(shape)].reshape(shape), rngs["gumbel"])
+            v = relaxed_topk_var(z_tilde, xi, config.tau)
             l_s, l_u = approximator_step(pair, xb, yb, v.value, config, opt_pair,
                                          sw_thetas=thetas, batch_id=bid)
             _, _, l_e = explainer_step(leaf, z, z_tilde, pair, xb, yb, config, v, opt_e,
                                        m=m, sw_thetas=thetas, batch_id=bid)
-            del leaf, z, z_tilde, v  # the graph and its races end with the minibatch
+            del leaf, z, z_tilde, v  # the graph ends with the minibatch
             sums += (l_s, l_u, l_e)
             n_batches += 1
         mean = sums / max(n_batches, 1)

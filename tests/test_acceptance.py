@@ -115,16 +115,16 @@ def test_criterion_02_gumbel_sampler():
     z3 = np.array([0.7, 0.2, 0.1])
     rng = named_rng(123, "gumbel")
     draws = 100_000
-    xi = sample_gumbel_batch(draws, 3, 1, rng)
+    xi = sample_gumbel_batch(np.empty((1, draws, 3)), rng)
     winners = np.argmax(np.log(z3)[None, :] + xi[0], axis=1)
     freqs = np.bincount(winners, minlength=3) / draws
     assert np.all(np.abs(freqs - z3) <= 0.01)
 
-    noise = sample_gumbel_batch(2000, 3, 2, named_rng(77, "gumbel"))
+    noise = sample_gumbel_batch(np.empty((2, 2000, 3)), named_rng(77, "gumbel"))
     z_rows = ad.Var(np.tile(z3, (2000, 1)))
-    mask = relaxed_topk_var(z_rows, noise, tau=0.5).value
+    mask = relaxed_topk_var(z_rows, noise.copy(), tau=0.5).value
     assert np.all(mask.sum(axis=1) <= 2 + 1e-9)
-    cold = relaxed_topk_var(z_rows, noise, tau=0.01).value
+    cold = relaxed_topk_var(z_rows, noise.copy(), tau=0.01).value
     frac = (np.minimum(cold, 1 - cold) < 0.05).mean()
     # near-ties between the k Gumbel races leave a small fraction of entries
     # fractional at any fixed positive temperature
@@ -157,7 +157,7 @@ def test_criterion_03_gradients_match_finite_differences():
         x = init.standard_normal((n, d))
         y = init.random((n, c)) + 0.1
         y /= y.sum(axis=1, keepdims=True)
-        xi = sample_gumbel_batch(n, d, k, init)
+        xi = sample_gumbel_batch(np.empty((k, n, d)), init)
         prior_r = None
         if with_prior:
             prior_r = init.random(d) + 0.1
@@ -167,7 +167,7 @@ def test_criterion_03_gradients_match_finite_differences():
         def objective(leaf):
             z = explainer.score_var(x, y, leaf)
             z_tilde = z if prior_r is None else fuse_prior_var(z, prior_r, m=1)
-            v = relaxed_topk_var(z_tilde, xi, config.tau)
+            v = relaxed_topk_var(z_tilde, xi.copy(), config.tau)
             return explainer_objective(pair, z, z_tilde, x, y, config, v, m=1,
                                        sw_thetas=thetas)[0]
 

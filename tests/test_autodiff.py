@@ -99,7 +99,7 @@ def test_relaxed_topk_node_matches_finite_differences(rng):
     assert z[0, 2] < Z_EPS
     xi = rng.gumbel(size=(2, 3, 5))
     weights = rng.standard_normal((3, 5))
-    grad = check_gradient(lambda zv: weighted_sum(relaxed_topk_var(zv, xi, 0.7), weights), z)
+    grad = check_gradient(lambda zv: weighted_sum(relaxed_topk_var(zv, xi.copy(), 0.7), weights), z)
     assert grad[0, 2] == 0.0 and np.all(grad[z > Z_EPS] != 0.0)
 
 
@@ -117,7 +117,8 @@ def test_relaxed_topk_vjp_with_uneven_race_wins(rng):
                        minlength=3)
     assert wins[0] >= 2 and wins[2] == 0
     weights = rng.standard_normal((2, 6))
-    grad = check_gradient(lambda zv: weighted_sum(relaxed_topk_var(zv, xi, 0.37), weights), z)
+    grad = check_gradient(lambda zv: weighted_sum(relaxed_topk_var(zv, xi.copy(), 0.37), weights),
+                          z)
     assert grad[0, 5] == 0.0 and np.all(grad[z > Z_EPS] != 0.0)
 
 
@@ -129,7 +130,7 @@ def test_relaxed_topk_vjp_under_zero_noise_matches_finite_differences(rng, k):
     z /= z.sum(axis=1, keepdims=True)
     weights = rng.standard_normal((3, 6))
     xi = np.zeros((k, 3, 6))
-    check_gradient(lambda zv: weighted_sum(relaxed_topk_var(zv, xi, 0.6), weights), z)
+    check_gradient(lambda zv: weighted_sum(relaxed_topk_var(zv, xi.copy(), 0.6), weights), z)
 
 
 def test_cross_entropy_node_matches_finite_differences(rng):

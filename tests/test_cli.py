@@ -198,6 +198,8 @@ class_pair = {pair}
      "class_pair"),
     ("train", CONFIG.split("[model]")[0], IDX_DATA.format(tmp="{tmp}", pair="1,2"), [],
      "class pair (1, 2)"),
+    ("train", CONFIG.split("[model]")[0], IDX_DATA.format(tmp="{tmp}", pair="3,3"), [],
+     "class_pair"),
     ("train", "epochs = 10", "epochs = -5", [], "epochs"),  # [model]
     ("train", "epochs = 10", "epochs = 10\nlearning_rate = -1", [], "learning_rate"),
     ("train", "epochs = 10", "epochs = 10\nlearning_rate = 0", [], "learning_rate"),

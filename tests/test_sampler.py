@@ -28,7 +28,7 @@ def test_mask_sum_bounded_by_k(rng):
         k = int(rng.integers(1, d))
         z = rng.random((1, d))
         z /= z.sum()
-        v = relaxed(z, sample_gumbel_batch(1, d, k, rng), tau=0.5)
+        v = relaxed(z, sample_gumbel_batch(np.empty((k, 1, d)), rng), tau=0.5)
         assert v.sum() <= k + 1e-6
         assert v.min() >= 0.0 and v.max() <= 1.0
 
@@ -37,7 +37,7 @@ def test_low_temperature_is_near_binary(rng):
     # Entries sit at 0 or 1 except when two Gumbel races nearly tie, which
     # happens for a small fraction of draws at any fixed positive tau.
     z = np.tile([0.4, 0.3, 0.2, 0.1], (500, 1))
-    v = relaxed(z, sample_gumbel_batch(500, 4, 2, rng), tau=0.01)
+    v = relaxed(z, sample_gumbel_batch(np.empty((2, 500, 4)), rng), tau=0.01)
     near_binary = np.minimum(v, 1.0 - v) < 0.05
     assert near_binary.mean() >= 0.95
 
@@ -46,7 +46,7 @@ def test_k1_selection_frequencies_match_scores():
     z = np.array([0.7, 0.2, 0.1])
     rng = named_rng(123, "gumbel")
     n = 100_000
-    xi = sample_gumbel_batch(n, 3, 1, rng)
+    xi = sample_gumbel_batch(np.empty((1, n, 3)), rng)
     scores = np.log(z) + xi[0]
     counts = np.bincount(np.argmax(scores, axis=1), minlength=3) / n
     assert np.all(np.abs(counts - z) < 0.01)
@@ -54,7 +54,7 @@ def test_k1_selection_frequencies_match_scores():
 
 def test_gumbel_mean_close_to_euler_mascheroni():
     rng = named_rng(5, "gumbel")
-    xi = sample_gumbel_batch(20_000, 4, 2, rng)
+    xi = sample_gumbel_batch(np.empty((2, 20_000, 4)), rng)
     assert abs(xi.mean() - 0.5772) < 0.02
 
 
@@ -107,19 +107,24 @@ def test_hard_topk_batch_rejects_k_outside_1_to_d(k):
 
 
 def test_noise_is_deterministic_per_rng():
-    a = sample_gumbel_batch(1, 4, 2, named_rng(3, "gumbel"))
-    b = sample_gumbel_batch(1, 4, 2, named_rng(3, "gumbel"))
+    a = sample_gumbel_batch(np.empty((2, 1, 4)), named_rng(3, "gumbel"))
+    b = sample_gumbel_batch(np.empty((2, 1, 4)), named_rng(3, "gumbel"))
     assert np.allclose(a, b)
 
 
 def test_relaxed_topk_var_matches_numpy_path(rng):
     z = rng.random((3, 5))
     z /= z.sum(axis=1, keepdims=True)
-    xi = sample_gumbel_batch(3, 5, 2, rng)
+    xi = sample_gumbel_batch(np.empty((2, 3, 5)), rng)
     # v_j = max over the k races of softmax_j((log z + xi[l]) / tau)
     races = np.exp((np.log(z) + xi) / 0.5)
     want = (races / races.sum(axis=2, keepdims=True)).max(axis=0)
+    # the races as the node forms them, in its operation order
+    want_races = (np.log(z) + xi) * (1.0 / 0.5)
+    want_races = np.exp(want_races - want_races.max(axis=2, keepdims=True))
+    want_races /= want_races.sum(axis=2, keepdims=True)
     assert np.allclose(relaxed(z, xi, tau=0.5), want)
+    assert np.array_equal(xi, want_races)   # xi's array became the races
 
 
 def explicit_relaxed_topk(z, xi, tau):
@@ -154,21 +159,29 @@ class FixedDraws:
     def __init__(self, u):
         self.u = np.asarray(u, dtype=np.float64)
 
-    def random(self, shape):
-        return self.u.reshape(shape).copy()
+    def random(self, out):
+        out[...] = self.u.reshape(out.shape)
+        return out
 
 
 def test_gumbel_draw_matches_the_double_log_bit_for_bit():
     n, d, k = STROKES_SHAPE
-    want = -np.log(-np.log(np.clip(named_rng(9, "gumbel").random((k, n, d)),
-                                   U_EPS, 1.0 - U_EPS)))
-    assert np.array_equal(sample_gumbel_batch(n, d, k, named_rng(9, "gumbel")), want)
+    ref = named_rng(9, "gumbel")
+    want = -np.log(-np.log(np.clip(ref.random((k, n, d)), U_EPS, 1.0 - U_EPS)))
+    whole, prefix = named_rng(9, "gumbel"), named_rng(9, "gumbel")
+    assert np.array_equal(sample_gumbel_batch(np.empty((k, n, d)), whole), want)
+    # A short minibatch draws into a prefix of a larger flat buffer, in place.
+    buf = np.empty(k * (n + 3) * d)
+    got = sample_gumbel_batch(buf[:k * n * d].reshape(k, n, d), prefix)
+    assert np.array_equal(got, want) and np.shares_memory(got, buf)
+    after = ref.random()   # the stream after the draw is the same
+    assert whole.random() == after and prefix.random() == after
 
 
 def test_gumbel_from_uniform_formula():
     # The clip keeps the extreme draws 0 and the largest double below 1 finite.
     u = np.array([0.0, 0.5, 0.9, np.nextafter(1.0, 0.0)])
-    got = sample_gumbel_batch(1, 2, 2, FixedDraws(u))
+    got = sample_gumbel_batch(np.empty((2, 1, 2)), FixedDraws(u))
     assert np.array_equal(got.ravel(), -np.log(-np.log(np.clip(u, U_EPS, 1.0 - U_EPS))))
     assert np.allclose(got.ravel()[1:3], -np.log(-np.log(u[1:3])))
     assert np.all(np.isfinite(got))
@@ -179,7 +192,7 @@ def test_relaxed_topk_matches_the_explicit_form(rng):
     z = rng.random((n, d))
     z /= z.sum(axis=1, keepdims=True)
     z[0, :3] = (0.0, -1.0, Z_EPS)
-    xi = sample_gumbel_batch(n, d, k, rng)
+    xi = sample_gumbel_batch(np.empty((k, n, d)), rng)
     assert xi.shape == (k, n, d)
     g = rng.standard_normal((n, d))
     want_v, want_vjp = explicit_relaxed_topk(z, xi, 0.5)
@@ -213,6 +226,6 @@ def test_mask_bounds_hold_for_any_seed(seed):
     rng = np.random.default_rng(seed)
     z = rng.random((1, 6))
     z /= z.sum()
-    v = relaxed(z, sample_gumbel_batch(1, 6, 3, rng), tau=0.5)
+    v = relaxed(z, sample_gumbel_batch(np.empty((3, 1, 6)), rng), tau=0.5)
     assert v.sum() <= 3 + 1e-6
     assert v.min() >= 0.0

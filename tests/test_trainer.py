@@ -99,7 +99,7 @@ def test_optimizer_state_round_trip():
 def step_inputs(config, seed=0):
     x, y = small_problem(seed)
     rng = named_rng(seed, "gumbel")
-    xi = sample_gumbel_batch(len(x), x.shape[1], config.k, rng)
+    xi = sample_gumbel_batch(np.empty((config.k, *x.shape)), rng)
     init = named_rng(seed, "init")
     explainer = ExplainerNet(6, 2, hidden=(8,), rng=init)
     pair = make_pair(6, 2, (8,), init)
@@ -236,29 +236,42 @@ def test_train_draws_one_mask_per_minibatch_for_both_steps(monkeypatch):
     assert all(a is e.value for a, e in zip(read["approximator"], read["explainer"]))
 
 
-def test_train_frees_each_minibatch_sample_before_the_next_draw(monkeypatch):
-    """No earlier Gumbel draw, and no earlier mask with the races its node
-    keeps, is alive when the next minibatch draws, nor after train() returns."""
-    refs = []
+def test_train_draws_every_minibatch_into_one_buffer_and_frees_each_mask(monkeypatch):
+    """Every Gumbel draw of one train(), the short last minibatch's too, fills
+    the first draw's memory, and its relaxed top-k builds the races there. No
+    earlier mask value array is alive when the next minibatch draws, and
+    neither a mask nor the buffer is alive after train() returns."""
+    buffer, masks, shapes = [], [], []
     draw, relaxed = trainer.sample_gumbel_batch, trainer.relaxed_topk_var
 
+    def in_buffer(xi):
+        return buffer and np.shares_memory(xi, buffer[0]())
+
     def checked_draw(*args):
-        assert all(ref() is None for ref in refs), "an earlier draw or mask is alive"
+        assert all(ref() is None for ref in masks), "an earlier mask is alive"
         xi = draw(*args)
-        refs.append(weakref.ref(xi))
+        if not buffer:
+            buffer.append(weakref.ref(xi if xi.base is None else xi.base))
+        assert in_buffer(xi), "a draw outside the first draw's memory"
+        shapes.append(xi.shape)
         return xi
 
     def kept_mask(*args):
         v = relaxed(*args)
-        refs.append(weakref.ref(v.value))
+        xi = args[1]
+        assert in_buffer(xi) and np.array_equal(xi.max(axis=0), v.value), \
+            "the mask's races are not in the buffer"
+        masks.append(weakref.ref(v.value))
         return v
 
     monkeypatch.setattr(trainer, "sample_gumbel_batch", checked_draw)
     monkeypatch.setattr(trainer, "relaxed_topk_var", kept_mask)
-    config = TrainConfig(k=2, epochs=2, seed=0, batch_size=16, prior_method="grad",
+    config = TrainConfig(k=2, epochs=2, seed=0, batch_size=20, prior_method="grad",
                          lambda_e=0.1)
     train(make_dataset(), FixedModel(), config, explainer_hidden=(8,), approx_hidden=(8,))
-    assert len(refs) == 12 and all(ref() is None for ref in refs)
+    assert shapes == [(2, 20, 6), (2, 20, 6), (2, 8, 6)] * 2   # 48 rows, 2 epochs
+    assert len(masks) == 6 and all(ref() is None for ref in masks)
+    assert buffer[0]() is None
 
 
 def test_approximator_step_leaves_its_scores_and_steps_the_pair():
@@ -359,15 +372,15 @@ def test_stacked_pair_steps_equal_the_two_net_steps(optimizer, variant):
     prior_r = np.full((len(x), 6), 1.0 / 6) if extra else None
     rng = np.random.default_rng(1)
     for m in range(3):
-        xi = sample_gumbel_batch(len(x), 6, config.k, rng)   # one draw feeds both steps
+        xi = sample_gumbel_batch(np.empty((config.k, len(x), 6)), rng)   # feeds both steps
         thetas = sw_directions(2, 8, rng) if extra else None
         leaf, z, z_tilde = scores(explainer, x, y, prior_r, m)
-        v = relaxed_topk_var(z_tilde, xi, config.tau)
+        v = relaxed_topk_var(z_tilde, xi.copy(), config.tau)
         approximator_step(pair, x, y, v.value, config, opts["pair"], thetas)
         explainer_step(leaf, z, z_tilde, pair, x, y, config, v, opts["e"], m, thetas)
-        two_net_approximator_step(nets, twin_e, x, y, config, xi, *twin_opts[1:], prior_r, m,
-                                  thetas)
-        two_net_explainer_step(twin_e, nets, x, y, config, xi, twin_opts[0], prior_r, m,
+        two_net_approximator_step(nets, twin_e, x, y, config, xi.copy(), *twin_opts[1:],
+                                  prior_r, m, thetas)
+        two_net_explainer_step(twin_e, nets, x, y, config, xi.copy(), twin_opts[0], prior_r, m,
                                thetas)
     assert np.array_equal(explainer.parameters, twin_e.parameters)
     assert np.array_equal(pair.a_selected.parameters, nets[0].parameters)
@@ -394,9 +407,10 @@ def test_checkpoint_holds_each_approximators_own_state():
     perm = named_rng(4, "data").permutation(len(ds.X))
     for lo in range(0, len(perm), 16):
         x, yb = ds.X[perm[lo:lo + 16]], y[perm[lo:lo + 16]]
-        xi = sample_gumbel_batch(len(x), 6, 2, gumbel)   # one draw feeds both steps
-        two_net_approximator_step(nets, explainer, x, yb, config, xi, *opts[1:], None, 0, None)
-        two_net_explainer_step(explainer, nets, x, yb, config, xi, opts[0], None, 0, None)
+        xi = sample_gumbel_batch(np.empty((2, len(x), 6)), gumbel)   # feeds both steps
+        two_net_approximator_step(nets, explainer, x, yb, config, xi.copy(), *opts[1:], None, 0,
+                                  None)
+        two_net_explainer_step(explainer, nets, x, yb, config, xi.copy(), opts[0], None, 0, None)
     assert np.array_equal(ckpt.explainer_params, explainer.parameters)
     for i, net in enumerate(("a_selected", "a_unselected")):
         assert np.array_equal(getattr(ckpt, f"{net}_params"), nets[i].parameters)
