@@ -76,10 +76,7 @@ class TrainConfig:
     lambda_u: float = field(default=1.0, metadata={"ge": 0})
     lambda_e: float = field(default=0.0, metadata={"ge": 0})
     batch_size: int = field(default=64, metadata={"ge": 1})
-    optimizer: str = field(default="adam",
-                           metadata={"choices": ("sgd", "rmsprop", "adadelta", "adam")})
     learning_rate: float = field(default=1e-3, metadata={"gt": 0})
-    decay: float = field(default=0.0, metadata={"ge": 0})
     loss_u: str = field(default="cross-entropy",
                         metadata={"choices": ("cross-entropy", "sliced-wasserstein")})
     use_output_feedback: bool = True

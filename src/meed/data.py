@@ -283,7 +283,7 @@ def train_given_model(dataset: Dataset, hidden: Sequence[int] = (32, 32),
                       learning_rate: float = 1e-3) -> MlpModel:
     """Fit the model-to-be-explained on true labels (the only label consumer)."""
     if dataset.y_true is None:
-        raise ValueError("train_given_model needs true labels")
+        raise ConfigError("training the model to explain needs true labels; the dataset has none")
     labels = np.asarray(dataset.y_true, dtype=int)
     targets = np.eye(int(labels.max()) + 1)[labels]
     return MlpModel(fit_classifier(dataset.X, targets, hidden, epochs, named_rng(seed, "model"),

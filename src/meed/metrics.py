@@ -180,6 +180,8 @@ def sanity_tests(explainer, model, eval_set: Dataset, k: int,
     if mode == "data-randomization":
         if train_set is None or config is None or model_builder is None:
             raise ValueError("data-randomization needs train_set, config and model_builder")
+        if train_set.y_true is None:
+            raise ConfigError("data randomization permutes true labels; the training set has none")
         shuffled = Dataset(ids=list(train_set.ids), X=train_set.X,
                            y_true=rng.permutation(np.asarray(train_set.y_true)))
         new_model = model_builder(shuffled)

@@ -1,4 +1,4 @@
-"""Alternating adversarial training loop, optimizers, and checkpointing.
+"""Alternating adversarial training loop, its Adam optimizer, and checkpointing.
 
 Every minibatch performs one approximator update (minimize L_s + lambda_u*L_u)
 followed by one explainer update (minimize L_s + lambda_u*L~_u + lambda_e*L_e).
@@ -30,7 +30,7 @@ from .sampler import relaxed_topk_var, sample_gumbel_batch
 log = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = b"MEEDCKPT"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 class TrainingAbort(RuntimeError):
@@ -42,7 +42,7 @@ class CheckpointError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Optimizers (flat parameter vectors, in-place updates)
+# Optimizer (flat parameter vectors, in-place updates)
 # ---------------------------------------------------------------------------
 
 class Optimizer:
@@ -52,8 +52,8 @@ class Optimizer:
 
     slots: tuple = ()
 
-    def __init__(self, rate: float, n: int, decay: float = 0.0):
-        self.rate, self.decay, self.t = rate, decay, 0
+    def __init__(self, rate: float, n: int):
+        self.rate, self.t = rate, 0
         for slot in self.slots:
             setattr(self, slot, np.zeros(n))
 
@@ -75,54 +75,6 @@ class Optimizer:
         self.t = int(state["t"])
 
 
-def _average_square(acc: np.ndarray, rho: float, g: np.ndarray, scratch: np.ndarray) -> None:
-    """acc = rho * acc + (1 - rho) * g * g, in place and rounded the same."""
-    acc *= rho
-    np.multiply(g, 1 - rho, out=scratch)
-    scratch *= g
-    acc += scratch
-
-
-class Sgd(Optimizer):
-    def step(self, params, grad):
-        self.t += 1
-        params -= self.rate / (1.0 + self.decay * self.t) * grad
-
-
-class RmsProp(Optimizer):
-    slots = ("avg",)
-    rho, eps = 0.9, 1e-8
-
-    def step(self, params, grad):
-        self.t += 1
-        scratch = np.empty_like(grad)
-        _average_square(self.avg, self.rho, grad, scratch)
-        denom = np.sqrt(self.avg, out=scratch)
-        denom += self.eps
-        delta = self.rate / (1.0 + self.decay * self.t) * grad
-        delta /= denom
-        params -= delta
-
-
-class Adadelta(Optimizer):
-    """Ignores `decay`: its step size adapts per parameter."""
-
-    slots = ("acc_g", "acc_d")
-    rho, eps = 0.95, 1e-6
-
-    def step(self, params, grad):
-        self.t += 1
-        delta, scratch = np.empty_like(grad), np.empty_like(grad)
-        _average_square(self.acc_g, self.rho, grad, scratch)
-        denom = np.sqrt(np.add(self.acc_g, self.eps, out=scratch), out=scratch)
-        np.sqrt(np.add(self.acc_d, self.eps, out=delta), out=delta)
-        delta /= denom
-        delta *= grad
-        _average_square(self.acc_d, self.rho, delta, scratch)
-        delta *= self.rate
-        params -= delta
-
-
 class Adam(Optimizer):
     slots = ("m", "v")
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -132,18 +84,16 @@ class Adam(Optimizer):
         delta, scratch = (1 - self.beta1) * grad, np.empty_like(grad)
         self.m *= self.beta1
         self.m += delta
-        _average_square(self.v, self.beta2, grad, scratch)
+        self.v *= self.beta2
+        np.multiply(grad, 1 - self.beta2, out=scratch)
+        scratch *= grad
+        self.v += scratch
         denom = np.sqrt(np.divide(self.v, 1 - self.beta2**self.t, out=scratch), out=scratch)
         denom += self.eps
         np.divide(self.m, 1 - self.beta1**self.t, out=delta)
-        delta *= self.rate / (1.0 + self.decay * self.t)
+        delta *= self.rate
         delta /= denom
         params -= delta
-
-
-def make_optimizer(config: TrainConfig, n: int) -> Optimizer:
-    cls = {"sgd": Sgd, "rmsprop": RmsProp, "adadelta": Adadelta, "adam": Adam}[config.optimizer]
-    return cls(config.learning_rate, n, decay=config.decay)
 
 
 def fit_classifier(x: np.ndarray, targets: np.ndarray, hidden: Sequence[int], epochs: int,
@@ -257,7 +207,7 @@ class Checkpoint:
     a_unselected_params: np.ndarray
     epoch_counter: int
     rng_states: dict  # stream name -> numpy bit-generator state
-    optimizer_states: dict  # net name -> Optimizer.get_state()
+    optimizer_states: dict  # "explainer" or "pair" -> Optimizer.get_state()
 
 
 NETS = ("explainer", "a_selected", "a_unselected")
@@ -265,13 +215,13 @@ NETS = ("explainer", "a_selected", "a_unselected")
 
 def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
     """Atomic, bit-exact binary serialization: the parameter vectors and every
-    optimizer slot (named `<net>.<slot>`) as vectors, the rest in the header."""
+    optimizer slot (named `<optimizer>.<slot>`) as vectors, the rest in the header."""
     vectors = {net: getattr(ckpt, f"{net}_params") for net in NETS}
-    for net, state in sorted(ckpt.optimizer_states.items()):
-        vectors.update({f"{net}.{slot}": vec for slot, vec in state.items() if slot != "t"})
+    for opt, state in sorted(ckpt.optimizer_states.items()):
+        vectors.update({f"{opt}.{slot}": vec for slot, vec in state.items() if slot != "t"})
     header = {"config": asdict(ckpt.config), "meta": ckpt.meta,
               "epoch_counter": ckpt.epoch_counter, "rng_states": ckpt.rng_states,
-              "optimizer_t": {net: state["t"] for net, state in ckpt.optimizer_states.items()}}
+              "optimizer_t": {opt: state["t"] for opt, state in ckpt.optimizer_states.items()}}
     write_record(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, header, vectors)
 
 
@@ -297,10 +247,10 @@ def load_checkpoint(path: str) -> Checkpoint:
                 "explainer_hidden": tuple(int(h) for h in arch["explainer_hidden"]),
                 "approx_hidden": tuple(int(h) for h in arch["approx_hidden"])}
         params = {f"{net}_params": vectors.pop(net) for net in NETS}
-        optimizer_states = {net: {"t": int(t)} for net, t in header["optimizer_t"].items()}
+        optimizer_states = {opt: {"t": int(t)} for opt, t in header["optimizer_t"].items()}
         for name, vec in vectors.items():
-            net, slot = name.split(".")
-            optimizer_states[net][slot] = vec
+            opt, slot = name.split(".")
+            optimizer_states[opt][slot] = vec
         return check_counters_and_widths(Checkpoint(
             config=config, meta=meta, **params, epoch_counter=int(header["epoch_counter"]),
             rng_states=dict(header["rng_states"]), optimizer_states=optimizer_states))
@@ -397,18 +347,14 @@ def train(dataset, model, config: TrainConfig,
         pair = make_pair(d, c, meta["approx_hidden"], init_rng)
         start_epoch = 0
 
-    opt_e = make_optimizer(config, explainer.n_params)
-    opt_pair = make_optimizer(config, pair.net.n_params)
+    opt_e = Adam(config.learning_rate, explainer.n_params)
+    opt_pair = Adam(config.learning_rate, pair.net.n_params)
     if resume is not None:
         try:
             for name, gen in rngs.items():
                 gen.bit_generator.state = resume.rng_states[name]
             opt_e.set_state(resume.optimizer_states["explainer"])
-            s, u = (resume.optimizer_states[net] for net in NETS[1:])
-            if s["t"] != u["t"]:
-                raise ValueError(f"approximator step counts differ: {s['t']}, {u['t']}")
-            opt_pair.set_state({slot: val if slot == "t" else np.concatenate([val, u[slot]])
-                                for slot, val in s.items()})
+            opt_pair.set_state(resume.optimizer_states["pair"])
         except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise CheckpointError(f"resume checkpoint's RNG or optimizer state does not fit "
                                   f"this run: {exc!r}") from exc
@@ -421,17 +367,14 @@ def train(dataset, model, config: TrainConfig,
              0 if prior_all is None else n, time.perf_counter() - tic)
 
     def snapshot(epoch: int) -> Checkpoint:
-        pair_state = opt_pair.get_state()  # stored as one half per net, `t` shared
         return Checkpoint(config=config, meta=meta,
                           explainer_params=explainer.parameters.copy(),
                           a_selected_params=pair.a_selected.parameters.copy(),
                           a_unselected_params=pair.a_unselected.parameters.copy(),
                           epoch_counter=epoch,
                           rng_states={name: gen.bit_generator.state for name, gen in rngs.items()},
-                          optimizer_states={"explainer": opt_e.get_state(), **{
-                              net: {slot: val if slot == "t" else np.split(val, 2)[i]
-                                    for slot, val in pair_state.items()}
-                              for i, net in enumerate(NETS[1:])}})
+                          optimizer_states={"explainer": opt_e.get_state(),
+                                            "pair": opt_pair.get_state()})
 
     ckpt = snapshot(start_epoch)
     ckpt_path = os.path.join(out_dir, "checkpoint.bin") if out_dir else None

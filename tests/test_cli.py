@@ -124,9 +124,9 @@ def test_readme_config_example_parses(tmp_path):
 
 # One value per TrainConfig field, each different from the field's default.
 NON_DEFAULT = {"k": 3, "epochs": 5, "seed": 11, "tau": 0.25, "lambda_u": 0.5,
-               "lambda_e": 0.125, "batch_size": 7, "optimizer": "rmsprop",
-               "learning_rate": 0.003, "decay": 0.01, "loss_u": "sliced-wasserstein",
-               "use_output_feedback": False, "prior_method": "grad", "n_projections": 9}
+               "lambda_e": 0.125, "batch_size": 7, "learning_rate": 0.003,
+               "loss_u": "sliced-wasserstein", "use_output_feedback": False,
+               "prior_method": "grad", "n_projections": 9}
 
 
 def test_every_train_config_field_round_trips(tmp_path):
@@ -162,6 +162,7 @@ def test_unknown_train_key_exits_2(tmp_path):
     ("hidden = 8", "hiden = 8", "hiden"),
     ("retrain_budget = 3", "retrain_budgt = 3", "retrain_budgt"),
     ("retrain_budget = 3", "retrain_budget = 3\nfusion = concat-embedded", "fusion"),
+    ("batch_size = 32", "batch_size = 32\noptimizer = adam", "optimizer"),
     ("[run]", "[rnu]", "[rnu]"),
     # [data] keys depend on the kind: a synthetic key is unknown to kind = file.
     ("kind = sparse-logit", "kind = file\npath = data.txt", "true_subset")])
@@ -183,7 +184,7 @@ class_pair = {pair}
 
 
 @pytest.mark.parametrize("command, old, new, argv, key", [
-    ("train", "batch_size = 32", "batch_size = 32\ndecay = -1", [], "decay"),
+    ("train", "batch_size = 32", "batch_size = 32\nlambda_e = -1", [], "lambda_e"),
     ("train", "seed = 1\n", "seed = -1\n", [], "seed"),  # [train]
     ("train", "seed = 11\n", "seed = -1\n", [], "seed"),  # [data]
     ("train", "seed = 0\n", "seed = -1\n", [], "seed"),  # [model]
@@ -265,7 +266,7 @@ def test_every_field_checks_its_range_and_choices(section, name, value, valid):
 @pytest.mark.parametrize("old, new, key", [
     ("batch_size = 32", "batch_size = 32\ntau = nan", "tau"),
     ("batch_size = 32", "batch_size = 32\nlambda_u = nan", "lambda_u"),
-    ("batch_size = 32", "batch_size = 32\ndecay = nan", "decay"),
+    ("batch_size = 32", "batch_size = 32\nlambda_e = nan", "lambda_e"),
     ("batch_size = 32", "batch_size = 32\nlearning_rate = inf", "learning_rate"),
     ("epochs = 10", "epochs = 10\nlearning_rate = nan", "learning_rate"),  # [model]
     ("noise_std = 0.1", "noise_std = -inf", "noise_std")])
@@ -311,6 +312,28 @@ def test_dataset_file_with_a_bad_true_subset_exits_2(tmp_path, capsys, header):
                    f"[train]\nk = 2\nepochs = 1\n[run]\nout_dir = {tmp_path / 'out'}\n")
     assert main(["train", "--config", str(cfg)]) == EXIT_CONFIG
     assert f"{data_path}:1: #trueSubset" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "ablate", "sanity"])
+def test_unlabelled_dataset_exits_2_where_true_labels_are_needed(tmp_path, capsys, command):
+    """Fitting the model to explain and the data-randomization test read true
+    labels; a dataset file with empty labels ended in a ValueError or a numpy
+    AxisError traceback."""
+    ds, subset = generate_synthetic(SyntheticSpec(d=4, true_subset=(0, 1), n=40, noise_std=0.1,
+                                                  kind="sparse-logit", seed=3))
+    for name, data in (("labelled", ds), ("unlabelled", dataclasses.replace(ds, y_true=None))):
+        export_dataset(data, subset, str(tmp_path / f"{name}.txt"))
+        (tmp_path / f"{name}.cfg").write_text(
+            f"[data]\nkind = file\npath = {tmp_path / name}.txt\n[model]\nhidden = 4\n"
+            f"epochs = 1\n[train]\nk = 2\nepochs = 1\n[run]\nout_dir = {tmp_path / name}\n"
+            "explainer_hidden = 4\napprox_hidden = 4\nretrain_budget = 1\n")
+    argv = [command, "--config", str(tmp_path / "unlabelled.cfg")]
+    if command == "sanity":
+        assert main(["train", "--config", str(tmp_path / "labelled.cfg")]) == EXIT_OK
+        argv += ["--checkpoint", str(tmp_path / "labelled" / "checkpoint.bin")]
+    capsys.readouterr()
+    assert main(argv) == EXIT_CONFIG
+    assert "true labels" in capsys.readouterr().err
 
 
 def test_corrupt_checkpoint_exits_2(tmp_path):

@@ -40,8 +40,6 @@ def test_train_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(k=2, epochs=1, seed=0, tau=0.0)
     with pytest.raises(ConfigError):
-        TrainConfig(k=2, epochs=1, seed=0, optimizer="newton")
-    with pytest.raises(ConfigError):
         TrainConfig(k=2, epochs=1, seed=0, loss_u="hinge")
     with pytest.raises(ConfigError):
         TrainConfig(k=2, epochs=1, seed=0, lambda_u=-1.0)
@@ -49,8 +47,8 @@ def test_train_config_validation():
         TrainConfig(k=2, epochs=1, seed=0, prior_method="lime")
     with pytest.raises(ConfigError, match="seed"):
         TrainConfig(k=2, epochs=1, seed=-1)
-    with pytest.raises(ConfigError, match="decay"):
-        TrainConfig(k=2, epochs=1, seed=0, decay=-1.0)
+    with pytest.raises(ConfigError, match="lambda_e"):
+        TrainConfig(k=2, epochs=1, seed=0, lambda_e=-1.0)
 
 
 @pytest.mark.parametrize("hidden, out", [((0,), 2), ((4, -1), 2), ((4,), 0)])

@@ -1,4 +1,4 @@
-"""Alternating trainer, optimizers, checkpoint format and resume."""
+"""Alternating trainer, its Adam optimizer, checkpoint format and resume."""
 
 import copy
 import dataclasses
@@ -26,7 +26,7 @@ from meed.explainer import ExplainerNet, fuse_prior_var, prior_constraint_loss_v
 from meed.sampler import relaxed_topk_var, sample_gumbel_batch
 from meed.trainer import (CHECKPOINT_MAGIC, Adam, Checkpoint, CheckpointError,
                           TrainingAbort, fit_classifier, approximator_step, explainer_step,
-                          load_checkpoint, make_optimizer, nets_from_checkpoint,
+                          load_checkpoint, nets_from_checkpoint,
                           save_checkpoint, train)
 from tests.conftest import damage_record, record_sections
 
@@ -57,43 +57,26 @@ def make_dataset(n=48, d=6, seed=0):
     return Dataset(ids=[str(i) for i in range(n)], X=x)
 
 
-@pytest.mark.parametrize("name", ["sgd", "rmsprop", "adadelta", "adam"])
-def test_optimizers_descend_a_quadratic(name):
-    config = TrainConfig(k=1, epochs=1, seed=0, optimizer=name,
-                         learning_rate=0.05 if name != "adadelta" else 1.0)
-    opt = make_optimizer(config, 3)
+def test_optimizers_descend_a_quadratic():
+    opt = Adam(0.05, 3)
     params = np.array([2.0, -3.0, 1.0])
-    # Adadelta's unitless updates start near sqrt(eps), so it needs more steps.
-    for _ in range(5000 if name == "adadelta" else 300):
+    for _ in range(300):
         opt.step(params, 2.0 * params)
     assert np.linalg.norm(params) < 0.2
 
 
-def test_make_optimizer_builds_every_optimizer_train_config_accepts():
-    field = next(f for f in dataclasses.fields(TrainConfig) if f.name == "optimizer")
-    for name in field.metadata["choices"]:
-        opt = make_optimizer(TrainConfig(k=1, epochs=1, optimizer=name, learning_rate=0.5,
-                                         decay=0.25), 3)
-        assert type(opt).__name__.lower() == name
-        assert (opt.rate, opt.decay, opt.t) == (0.5, 0.25, 0)
-
-
 def test_optimizer_state_round_trip():
-    keys = {"sgd": {"t"}, "rmsprop": {"t", "avg"}, "adadelta": {"t", "acc_g", "acc_d"},
-            "adam": {"t", "m", "v"}}
-    for name, state_keys in keys.items():
-        config = TrainConfig(k=1, epochs=1, seed=0, optimizer=name, decay=0.1)
-        opt = make_optimizer(config, 4)
-        params = np.ones(4)
-        for _ in range(5):
-            opt.step(params, params * 0.3)
-        assert set(opt.get_state()) == state_keys
-        twin = make_optimizer(config, 4)
-        twin.set_state(copy.deepcopy(opt.get_state()))
-        p1, p2 = params.copy(), params.copy()
-        opt.step(p1, p1 * 0.3)
-        twin.step(p2, p2 * 0.3)
-        assert np.array_equal(p1, p2)
+    opt = Adam(1e-3, 4)
+    params = np.ones(4)
+    for _ in range(5):
+        opt.step(params, params * 0.3)
+    assert set(opt.get_state()) == {"t", "m", "v"}
+    twin = Adam(1e-3, 4)
+    twin.set_state(copy.deepcopy(opt.get_state()))
+    p1, p2 = params.copy(), params.copy()
+    opt.step(p1, p1 * 0.3)
+    twin.step(p2, p2 * 0.3)
+    assert np.array_equal(p1, p2)
 
 
 def step_inputs(config, seed=0):
@@ -103,8 +86,8 @@ def step_inputs(config, seed=0):
     init = named_rng(seed, "init")
     explainer = ExplainerNet(6, 2, hidden=(8,), rng=init)
     pair = make_pair(6, 2, (8,), init)
-    opts = {"e": make_optimizer(config, explainer.n_params),
-            "pair": make_optimizer(config, pair.net.n_params)}
+    opts = {"e": Adam(config.learning_rate, explainer.n_params),
+            "pair": Adam(config.learning_rate, pair.net.n_params)}
     return x, y, xi, explainer, pair, opts
 
 
@@ -353,21 +336,19 @@ def two_net_explainer_step(explainer, nets, x, y, config, xi, opt_e, prior_r, m,
     opt_e.step(explainer.parameters, leaf.grad)
 
 
-@pytest.mark.parametrize("optimizer", ["sgd", "rmsprop", "adadelta", "adam"])
 @pytest.mark.parametrize("variant", ["cross-entropy", "sliced-wasserstein-prior"])
-def test_stacked_pair_steps_equal_the_two_net_steps(optimizer, variant):
+def test_stacked_pair_steps_equal_the_two_net_steps(variant):
     """Three minibatches of both updates move every parameter and optimizer
     slot exactly as A_s and A_u run as two nets with two optimizers."""
     extra = (dict(loss_u="sliced-wasserstein", n_projections=8, lambda_e=1.0)
              if variant != "cross-entropy" else {})
-    config = TrainConfig(k=2, epochs=1, seed=0, optimizer=optimizer, decay=0.01,
-                         lambda_u=0.7, tau=0.37, **extra)
+    config = TrainConfig(k=2, epochs=1, seed=0, lambda_u=0.7, tau=0.37, **extra)
     x, y, _, explainer, pair, opts = step_inputs(config)
     twin_e = ExplainerNet(6, 2, hidden=(8,), rng=np.random.default_rng(0))
     twin_e.set_parameters(explainer.parameters)
     nets = [Mlp(6, view.widths, parameters=view.parameters)
             for view in (pair.a_selected, pair.a_unselected)]
-    twin_opts = [make_optimizer(config, n) for n in
+    twin_opts = [Adam(config.learning_rate, n) for n in
                  (explainer.n_params, nets[0].n_params, nets[1].n_params)]
     prior_r = np.full((len(x), 6), 1.0 / 6) if extra else None
     rng = np.random.default_rng(1)
@@ -395,14 +376,15 @@ def test_stacked_pair_steps_equal_the_two_net_steps(optimizer, variant):
 
 def test_checkpoint_holds_each_approximators_own_state():
     """One epoch of train() against the two-net steps fed the same streams:
-    the checkpoint's per-net parameters and optimizer states are each net's own."""
+    the checkpoint's per-net parameters are each net's own, and the pair's
+    optimizer state is the two nets' states, A_s's half first."""
     ds, model = make_dataset(), FixedModel()
     config = TrainConfig(k=2, epochs=1, seed=4, batch_size=16)
     _, _, ckpt = train(ds, model, config, explainer_hidden=(8,), approx_hidden=(8,))
     init = named_rng(4, "init")
     explainer = ExplainerNet(6, 2, hidden=(8,), rng=init)
     nets = [Mlp(6, (8, 2), rng=init) for _ in range(2)]
-    opts = [make_optimizer(config, net.n_params) for net in (explainer, *nets)]
+    opts = [Adam(config.learning_rate, net.n_params) for net in (explainer, *nets)]
     gumbel, y = named_rng(4, "gumbel"), model.evaluate(ds.X)
     perm = named_rng(4, "data").permutation(len(ds.X))
     for lo in range(0, len(perm), 16):
@@ -412,9 +394,11 @@ def test_checkpoint_holds_each_approximators_own_state():
                                   None)
         two_net_explainer_step(explainer, nets, x, yb, config, xi.copy(), opts[0], None, 0, None)
     assert np.array_equal(ckpt.explainer_params, explainer.parameters)
+    pair_state = ckpt.optimizer_states["pair"]
     for i, net in enumerate(("a_selected", "a_unselected")):
         assert np.array_equal(getattr(ckpt, f"{net}_params"), nets[i].parameters)
-        assert same_state(ckpt.optimizer_states[net], opts[i + 1].get_state())
+        assert same_state({slot: val if slot == "t" else np.split(val, 2)[i]
+                           for slot, val in pair_state.items()}, opts[i + 1].get_state())
     assert same_state(ckpt.optimizer_states["explainer"], opts[0].get_state())
 
 
@@ -553,6 +537,7 @@ def test_checkpoint_rejects_corrupt_blob(saved_checkpoint):
     no_optimizer_t = (blob[:config_at] + struct.pack("<Q", len(partial)) + partial
                       + blob[vector_at:])
     version_1 = CHECKPOINT_MAGIC + struct.pack("<I", 1) + blob[12:]
+    version_2 = CHECKPOINT_MAGIC + struct.pack("<I", 2) + blob[12:]
     nan_param, inf_slot = bytearray(blob), bytearray(blob)
     struct.pack_into("<d", nan_param, vector_at + 16, float("nan"))
     struct.pack_into("<d", inf_slot, record_sections(blob)[-1] + 16, float("inf"))
@@ -561,6 +546,9 @@ def test_checkpoint_rejects_corrupt_blob(saved_checkpoint):
                 bytes(nan_param), bytes(inf_slot)):
         with pytest.raises(CheckpointError):
             load_bytes(bad, path)
+    # Version 2 stored the pair's optimizer state as two per-net halves.
+    with pytest.raises(CheckpointError, match="format version 2, library supports 3"):
+        load_bytes(version_2, path)
 
 
 @given(data=st.data())
@@ -621,28 +609,10 @@ def test_resume_may_extend_epochs_only(tmp_path):
             train(ds, FixedModel(), bad, resume=load_checkpoint(path), **kwargs)
 
 
-def test_resume_restores_every_optimizer(tmp_path):
-    """Save, load and resume continue the uninterrupted run for each optimizer,
-    sgd included, which has a step count but no slot vectors."""
-    ds = make_dataset()
-    kwargs = dict(explainer_hidden=(8,), approx_hidden=(8,))
-    for name in ("sgd", "rmsprop", "adadelta"):
-        full_cfg = TrainConfig(k=2, epochs=3, seed=5, batch_size=16, optimizer=name)
-        e_full, p_full, _ = train(ds, FixedModel(), full_cfg, **kwargs)
-        _, _, half = train(ds, FixedModel(), dataclasses.replace(full_cfg, epochs=1), **kwargs)
-        path = os.path.join(tmp_path, f"{name}.bin")
-        save_checkpoint(half, path)
-        resumed = dataclasses.replace(load_checkpoint(path), config=full_cfg)
-        e_res, p_res, _ = train(ds, FixedModel(), full_cfg, resume=resumed, **kwargs)
-        assert np.array_equal(e_full.parameters, e_res.parameters), name
-        assert np.array_equal(p_full.a_selected.parameters, p_res.a_selected.parameters), name
-        assert np.array_equal(p_full.a_unselected.parameters, p_res.a_unselected.parameters), name
-
-
 def test_split_resume_writes_the_straight_run_checkpoint_byte_for_byte(tmp_path):
     ds = make_dataset()
     kwargs = dict(explainer_hidden=(8,), approx_hidden=(8,))
-    full_cfg = TrainConfig(k=2, epochs=3, seed=5, batch_size=16, decay=0.01)
+    full_cfg = TrainConfig(k=2, epochs=3, seed=5, batch_size=16)
     straight, split = (str(tmp_path / name) for name in ("straight", "split"))
     train(ds, FixedModel(), full_cfg, out_dir=straight, **kwargs)
     train(ds, FixedModel(), dataclasses.replace(full_cfg, epochs=1), out_dir=split, **kwargs)
@@ -655,13 +625,12 @@ def test_split_resume_writes_the_straight_run_checkpoint_byte_for_byte(tmp_path)
                           np.concatenate([final.a_selected_params, final.a_unselected_params]))
 
 
-@pytest.mark.parametrize("name", ["rmsprop", "adadelta", "adam"])
-def test_two_resumes_from_one_checkpoint_object_write_identical_bytes(tmp_path, name):
-    """The optimizers step their slots in place, so a resume must copy the
-    checkpoint's slots rather than step the caller's arrays."""
+def test_two_resumes_from_one_checkpoint_object_write_identical_bytes(tmp_path):
+    """Adam steps its slots in place, so a resume must copy the checkpoint's
+    slots rather than step the caller's arrays."""
     ds = make_dataset()
     kwargs = dict(explainer_hidden=(8,), approx_hidden=(8,))
-    full_cfg = TrainConfig(k=2, epochs=3, seed=5, batch_size=16, optimizer=name)
+    full_cfg = TrainConfig(k=2, epochs=3, seed=5, batch_size=16)
     _, _, half = train(ds, FixedModel(), dataclasses.replace(full_cfg, epochs=1), **kwargs)
     half = dataclasses.replace(half, config=full_cfg)
     blobs = []
@@ -718,16 +687,6 @@ def test_checkpoint_restore_writes_through_the_pair_views(saved_checkpoint):
     assert np.shares_memory(pair.a_selected.parameters, pair.net.parameters)
 
 
-def test_resume_rejects_unequal_approximator_step_counts(saved_checkpoint):
-    _, ckpt, _ = saved_checkpoint
-    opts = ckpt.optimizer_states
-    assert opts["a_selected"]["t"] == opts["a_unselected"]["t"] > 0
-    skewed = {**opts, "a_unselected": {**opts["a_unselected"], "t": opts["a_selected"]["t"] + 1}}
-    with pytest.raises(CheckpointError, match="step counts differ"):
-        train(make_dataset(), FixedModel(), ckpt.config, explainer_hidden=(8,),
-              approx_hidden=(8,), resume=dataclasses.replace(ckpt, optimizer_states=skewed))
-
-
 def test_resume_rejects_damaged_runtime_state(saved_checkpoint):
     _, ckpt, _ = saved_checkpoint
     opts = ckpt.optimizer_states
@@ -736,7 +695,7 @@ def test_resume_rejects_damaged_runtime_state(saved_checkpoint):
                 dataclasses.replace(ckpt, rng_states={**ckpt.rng_states,
                                                       "data": {"bit_generator": "PCG64"}}),
                 dataclasses.replace(ckpt, optimizer_states={k: v for k, v in opts.items()
-                                                            if k != "a_selected"}),
+                                                            if k != "pair"}),
                 dataclasses.replace(ckpt, optimizer_states={**opts, "explainer": short_slot})):
         with pytest.raises(CheckpointError):
             train(make_dataset(), FixedModel(), ckpt.config, explainer_hidden=(8,),
