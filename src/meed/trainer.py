@@ -227,10 +227,11 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
 
 def check_counters_and_widths(ckpt: Checkpoint) -> Checkpoint:
     """`ckpt` itself; raises CheckpointError unless its epoch counter and every
-    optimizer step count are >= 0 and every stored width is >= 1."""
+    optimizer step count are >= 0 and every stored width is >= 1 (a missing
+    step count is left to Optimizer.set_state)."""
     meta = ckpt.meta
     widths = (meta["d"], meta["c"], *meta["explainer_hidden"], *meta["approx_hidden"])
-    counters = (ckpt.epoch_counter, *(s["t"] for s in ckpt.optimizer_states.values()))
+    counters = (ckpt.epoch_counter, *(s.get("t", 0) for s in ckpt.optimizer_states.values()))
     if min(widths) < 1 or min(counters) < 0:
         raise CheckpointError(f"architecture widths must be >= 1 and the epoch counter and "
                               f"optimizer step counts >= 0, got {widths} and {counters}")

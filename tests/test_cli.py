@@ -163,6 +163,7 @@ def test_unknown_train_key_exits_2(tmp_path):
     ("retrain_budget = 3", "retrain_budgt = 3", "retrain_budgt"),
     ("retrain_budget = 3", "retrain_budget = 3\nfusion = concat-embedded", "fusion"),
     ("batch_size = 32", "batch_size = 32\noptimizer = adam", "optimizer"),
+    ("batch_size = 32", "batch_size = 32\ndecay = 0", "decay"),
     ("[run]", "[rnu]", "[rnu]"),
     # [data] keys depend on the kind: a synthetic key is unknown to kind = file.
     ("kind = sparse-logit", "kind = file\npath = data.txt", "true_subset")])
@@ -314,11 +315,9 @@ def test_dataset_file_with_a_bad_true_subset_exits_2(tmp_path, capsys, header):
     assert f"{data_path}:1: #trueSubset" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["train", "ablate", "sanity"])
-def test_unlabelled_dataset_exits_2_where_true_labels_are_needed(tmp_path, capsys, command):
-    """Fitting the model to explain and the data-randomization test read true
-    labels; a dataset file with empty labels ended in a ValueError or a numpy
-    AxisError traceback."""
+def write_labelled_and_unlabelled_runs(tmp_path):
+    """labelled.cfg and unlabelled.cfg over one small dataset file, with and
+    without its labels; each config writes into its own out_dir."""
     ds, subset = generate_synthetic(SyntheticSpec(d=4, true_subset=(0, 1), n=40, noise_std=0.1,
                                                   kind="sparse-logit", seed=3))
     for name, data in (("labelled", ds), ("unlabelled", dataclasses.replace(ds, y_true=None))):
@@ -327,6 +326,14 @@ def test_unlabelled_dataset_exits_2_where_true_labels_are_needed(tmp_path, capsy
             f"[data]\nkind = file\npath = {tmp_path / name}.txt\n[model]\nhidden = 4\n"
             f"epochs = 1\n[train]\nk = 2\nepochs = 1\n[run]\nout_dir = {tmp_path / name}\n"
             "explainer_hidden = 4\napprox_hidden = 4\nretrain_budget = 1\n")
+
+
+@pytest.mark.parametrize("command", ["train", "ablate", "sanity"])
+def test_unlabelled_dataset_exits_2_where_true_labels_are_needed(tmp_path, capsys, command):
+    """Fitting the model to explain and the data-randomization test read true
+    labels; a dataset file with empty labels ended in a ValueError or a numpy
+    AxisError traceback."""
+    write_labelled_and_unlabelled_runs(tmp_path)
     argv = [command, "--config", str(tmp_path / "unlabelled.cfg")]
     if command == "sanity":
         assert main(["train", "--config", str(tmp_path / "labelled.cfg")]) == EXIT_OK
@@ -334,6 +341,20 @@ def test_unlabelled_dataset_exits_2_where_true_labels_are_needed(tmp_path, capsy
     capsys.readouterr()
     assert main(argv) == EXIT_CONFIG
     assert "true labels" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["explain", "evaluate"])
+def test_unlabelled_dataset_is_enough_where_true_labels_are_not_read(tmp_path, command):
+    """Explanations and the fidelity report use the model's outputs only, so
+    they run on the unlabelled file against a run trained on the labelled one."""
+    write_labelled_and_unlabelled_runs(tmp_path)
+    assert main(["train", "--config", str(tmp_path / "labelled.cfg")]) == EXIT_OK
+    ckpt = str(tmp_path / "labelled" / "checkpoint.bin")
+    out = tmp_path / ("explanations.txt" if command == "explain" else "unlabelled/report.txt")
+    argv = (["explain", "--data", str(tmp_path / "unlabelled.txt"), "--out", str(out)]
+            if command == "explain" else ["evaluate", "--config", str(tmp_path / "unlabelled.cfg")])
+    assert main([*argv, "--checkpoint", ckpt]) == EXIT_OK
+    assert out.read_text()
 
 
 def test_corrupt_checkpoint_exits_2(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meed.core import Mlp, named_rng, write_record
+from meed.core import ConfigError, Mlp, named_rng, write_record
 from meed.data import (MODEL_MAGIC, MODEL_VERSION, Dataset, DatasetFileError, IdxParseError, MlpModel,
                        ModelFileError, SyntheticSpec, export_dataset, generate_synthetic,
                        import_dataset, load_idx_images, load_model, model_accuracy,
@@ -342,3 +342,10 @@ def test_model_randomize_changes_outputs(tiny_model):
     twin = MlpModel(Mlp(model.net.in_dim, model.net.widths, parameters=model.net.parameters))
     twin.randomize(named_rng(0, "model"))
     assert not np.allclose(model.evaluate(te.X), twin.evaluate(te.X))
+
+
+def test_train_given_model_needs_true_labels():
+    ds, _ = generate_synthetic(SyntheticSpec(d=4, true_subset=(0, 1), n=20, noise_std=0.1,
+                                             kind="sparse-logit", seed=3))
+    with pytest.raises(ConfigError, match="needs true labels"):
+        train_given_model(Dataset(ids=ds.ids, X=ds.X), hidden=(4,), epochs=1)

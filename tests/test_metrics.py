@@ -121,6 +121,18 @@ def test_sanity_data_randomization_retrains(trained_run):
     assert 0.0 <= score <= 100.0
 
 
+def test_sanity_data_randomization_needs_true_labels(trained_run):
+    """Refused before the label permutation is drawn, so rng is untouched."""
+    explainer, model, feats, te, _, config = trained_run
+    rng = named_rng(0, "model")
+    before = rng.bit_generator.state
+    with pytest.raises(ConfigError, match="permutes true labels"):
+        sanity_tests(explainer, model, te, 2, mode="data-randomization", rng=rng,
+                     train_set=feats, config=config,
+                     model_builder=lambda shuffled: model)
+    assert rng.bit_generator.state == before
+
+
 def test_sanity_unknown_mode_rejected(trained_run):
     explainer, model, _, te, _, _ = trained_run
     with pytest.raises(ValueError):

@@ -24,10 +24,10 @@ from meed.baselines import FD_STEP
 from meed.data import Dataset, MlpModel
 from meed.explainer import ExplainerNet, fuse_prior_var, prior_constraint_loss_var
 from meed.sampler import relaxed_topk_var, sample_gumbel_batch
-from meed.trainer import (CHECKPOINT_MAGIC, Adam, Checkpoint, CheckpointError,
-                          TrainingAbort, fit_classifier, approximator_step, explainer_step,
-                          load_checkpoint, nets_from_checkpoint,
-                          save_checkpoint, train)
+from meed.trainer import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, Adam, Checkpoint,
+                          CheckpointError, Optimizer, TrainingAbort, fit_classifier,
+                          approximator_step, explainer_step, load_checkpoint,
+                          nets_from_checkpoint, read_record, save_checkpoint, train)
 from tests.conftest import damage_record, record_sections
 
 
@@ -57,8 +57,14 @@ def make_dataset(n=48, d=6, seed=0):
     return Dataset(ids=[str(i) for i in range(n)], X=x)
 
 
-def test_optimizers_descend_a_quadratic():
-    opt = Adam(0.05, 3)
+# Every optimizer the trainer can build; each is named by its class.
+optimizers = pytest.mark.parametrize("optimizer", Optimizer.__subclasses__(),
+                                     ids=lambda cls: cls.__name__.lower())
+
+
+@optimizers
+def test_optimizers_descend_a_quadratic(optimizer):
+    opt = optimizer(0.05, 3)
     params = np.array([2.0, -3.0, 1.0])
     for _ in range(300):
         opt.step(params, 2.0 * params)
@@ -79,15 +85,44 @@ def test_optimizer_state_round_trip():
     assert np.array_equal(p1, p2)
 
 
-def step_inputs(config, seed=0):
+GRADIENTS = {
+    "gaussian": lambda rng, t: rng.standard_normal(5),
+    "alternating-sign": lambda rng, t: (-1.0) ** t * np.array([0.5, 1.0, 2.0, 4.0, 8.0]),
+    "zero": lambda rng, t: np.zeros(5),
+    "sparse": lambda rng, t: np.where(rng.random(5) < 0.2, rng.standard_normal(5), 0.0),
+    "tiny": lambda rng, t: 1e-200 * rng.standard_normal(5),
+    "huge": lambda rng, t: 1e100 * rng.standard_normal(5),
+}
+
+
+@pytest.mark.parametrize("kind", list(GRADIENTS))
+def test_adam_step_is_the_textbook_update_bit_for_bit(kind):
+    """The in-place step computes each float of Kingma & Ba's update as the
+    formula does, from zero and tiny gradients (eps alone in the denominator)
+    to huge ones."""
+    opt, rng = Adam(0.01, 5), np.random.default_rng(3)
+    params = np.linspace(-1.0, 1.0, 5)
+    ref_params, m, v = params.copy(), np.zeros(5), np.zeros(5)
+    b1, b2, eps = Adam.beta1, Adam.beta2, Adam.eps
+    for t in range(1, 21):
+        grad = GRADIENTS[kind](rng, t)
+        opt.step(params, grad)
+        m = b1 * m + (1 - b1) * grad
+        v = b2 * v + (1 - b2) * grad * grad
+        ref_params = ref_params - 0.01 * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
+        assert np.array_equal(params, ref_params), t
+    assert opt.t == 20 and np.array_equal(opt.m, m) and np.array_equal(opt.v, v)
+
+
+def step_inputs(config, seed=0, optimizer=Adam):
     x, y = small_problem(seed)
     rng = named_rng(seed, "gumbel")
     xi = sample_gumbel_batch(np.empty((config.k, *x.shape)), rng)
     init = named_rng(seed, "init")
     explainer = ExplainerNet(6, 2, hidden=(8,), rng=init)
     pair = make_pair(6, 2, (8,), init)
-    opts = {"e": Adam(config.learning_rate, explainer.n_params),
-            "pair": Adam(config.learning_rate, pair.net.n_params)}
+    opts = {"e": optimizer(config.learning_rate, explainer.n_params),
+            "pair": optimizer(config.learning_rate, pair.net.n_params)}
     return x, y, xi, explainer, pair, opts
 
 
@@ -336,25 +371,34 @@ def two_net_explainer_step(explainer, nets, x, y, config, xi, opt_e, prior_r, m,
     opt_e.step(explainer.parameters, leaf.grad)
 
 
-@pytest.mark.parametrize("variant", ["cross-entropy", "sliced-wasserstein-prior"])
-def test_stacked_pair_steps_equal_the_two_net_steps(variant):
+# Loss and prior-weight settings of the stacked-pair test; a "-prior" variant
+# fuses a uniform prior into the scores.
+PAIR_VARIANTS = {
+    "cross-entropy": {},
+    "cross-entropy-prior": dict(lambda_e=0.1),
+    "sliced-wasserstein-prior": dict(loss_u="sliced-wasserstein", n_projections=8, lambda_e=1.0),
+}
+
+
+@optimizers
+@pytest.mark.parametrize("variant", list(PAIR_VARIANTS))
+def test_stacked_pair_steps_equal_the_two_net_steps(optimizer, variant):
     """Three minibatches of both updates move every parameter and optimizer
     slot exactly as A_s and A_u run as two nets with two optimizers."""
-    extra = (dict(loss_u="sliced-wasserstein", n_projections=8, lambda_e=1.0)
-             if variant != "cross-entropy" else {})
-    config = TrainConfig(k=2, epochs=1, seed=0, lambda_u=0.7, tau=0.37, **extra)
-    x, y, _, explainer, pair, opts = step_inputs(config)
+    config = TrainConfig(k=2, epochs=1, seed=0, lambda_u=0.7, tau=0.37, **PAIR_VARIANTS[variant])
+    sliced = config.loss_u == "sliced-wasserstein"
+    x, y, _, explainer, pair, opts = step_inputs(config, optimizer=optimizer)
     twin_e = ExplainerNet(6, 2, hidden=(8,), rng=np.random.default_rng(0))
     twin_e.set_parameters(explainer.parameters)
     nets = [Mlp(6, view.widths, parameters=view.parameters)
             for view in (pair.a_selected, pair.a_unselected)]
-    twin_opts = [Adam(config.learning_rate, n) for n in
+    twin_opts = [optimizer(config.learning_rate, n) for n in
                  (explainer.n_params, nets[0].n_params, nets[1].n_params)]
-    prior_r = np.full((len(x), 6), 1.0 / 6) if extra else None
+    prior_r = np.full((len(x), 6), 1.0 / 6) if variant.endswith("-prior") else None
     rng = np.random.default_rng(1)
     for m in range(3):
         xi = sample_gumbel_batch(np.empty((config.k, len(x), 6)), rng)   # feeds both steps
-        thetas = sw_directions(2, 8, rng) if extra else None
+        thetas = sw_directions(2, 8, rng) if sliced else None
         leaf, z, z_tilde = scores(explainer, x, y, prior_r, m)
         v = relaxed_topk_var(z_tilde, xi.copy(), config.tau)
         approximator_step(pair, x, y, v.value, config, opts["pair"], thetas)
@@ -551,6 +595,31 @@ def test_checkpoint_rejects_corrupt_blob(saved_checkpoint):
         load_bytes(version_2, path)
 
 
+@pytest.mark.parametrize("version", [1, 2, CHECKPOINT_VERSION + 1])
+def test_checkpoint_of_another_format_version_is_refused_naming_it(saved_checkpoint, version):
+    blob, _, path = saved_checkpoint
+    with pytest.raises(CheckpointError, match=f"format version {version}, library supports "
+                                              f"{CHECKPOINT_VERSION}"):
+        load_bytes(CHECKPOINT_MAGIC + struct.pack("<I", version) + blob[12:], path)
+
+
+def test_checkpoint_stores_one_state_per_optimizer(saved_checkpoint):
+    """The file holds the explainer's Adam state and the approximator pair's,
+    each as get_state() returns it: slots over all of its parameters and one
+    step count per optimizer (3 minibatches of 16 rows ran)."""
+    _, ckpt, path = saved_checkpoint
+    save_checkpoint(ckpt, path)
+    header, vectors = read_record(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, CheckpointError)
+    assert header["optimizer_t"] == {"explainer": 3, "pair": 3}
+    assert sorted(vectors) == ["a_selected", "a_unselected", "explainer", "explainer.m",
+                               "explainer.v", "pair.m", "pair.v"]
+    n_pair = len(ckpt.a_selected_params) + len(ckpt.a_unselected_params)
+    for opt, n in (("explainer", len(ckpt.explainer_params)), ("pair", n_pair)):
+        state = ckpt.optimizer_states[opt]
+        assert state["t"] == 3 and state["m"].shape == state["v"].shape == (n,)
+        assert np.array_equal(vectors[f"{opt}.m"], state["m"])
+
+
 @given(data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_damaged_checkpoint_fails_with_checkpoint_error_or_loads_identically(
@@ -607,6 +676,26 @@ def test_resume_may_extend_epochs_only(tmp_path):
     for bad in (dataclasses.replace(full_cfg, tau=0.25), dataclasses.replace(full_cfg, epochs=0)):
         with pytest.raises(CheckpointError):
             train(ds, FixedModel(), bad, resume=load_checkpoint(path), **kwargs)
+
+
+def test_resume_restores_every_optimizer(tmp_path):
+    """Save, load and resume continue the uninterrupted run: the explainer's
+    and the approximator pair's optimizers both come back with their slots and
+    step counts, under either approximator loss."""
+    ds = make_dataset()
+    kwargs = dict(explainer_hidden=(8,), approx_hidden=(8,))
+    for extra in ({}, dict(loss_u="sliced-wasserstein", prior_method="grad", lambda_e=1.0)):
+        full_cfg = TrainConfig(k=2, epochs=3, seed=5, batch_size=16, **extra)
+        e_full, p_full, straight = train(ds, FixedModel(), full_cfg, **kwargs)
+        _, _, half = train(ds, FixedModel(), dataclasses.replace(full_cfg, epochs=1), **kwargs)
+        path = os.path.join(tmp_path, "half.bin")
+        save_checkpoint(half, path)
+        resumed = dataclasses.replace(load_checkpoint(path), config=full_cfg)
+        e_res, p_res, final = train(ds, FixedModel(), full_cfg, resume=resumed, **kwargs)
+        assert np.array_equal(e_full.parameters, e_res.parameters), extra
+        assert np.array_equal(p_full.net.parameters, p_res.net.parameters), extra
+        assert set(final.optimizer_states) == {"explainer", "pair"}
+        assert same_state(final.optimizer_states, straight.optimizer_states), extra
 
 
 def test_split_resume_writes_the_straight_run_checkpoint_byte_for_byte(tmp_path):
@@ -700,6 +789,28 @@ def test_resume_rejects_damaged_runtime_state(saved_checkpoint):
         with pytest.raises(CheckpointError):
             train(make_dataset(), FixedModel(), ckpt.config, explainer_hidden=(8,),
                   approx_hidden=(8,), resume=bad)
+
+
+PAIR_STATE_DAMAGE = {
+    "without-t": lambda state: {k: v for k, v in state.items() if k != "t"},
+    "without-m": lambda state: {k: v for k, v in state.items() if k != "m"},
+    "without-v": lambda state: {k: v for k, v in state.items() if k != "v"},
+    # The per-net layout of format version 2: A_s's half of each slot alone.
+    "a_selected-half": lambda state: {k: v if k == "t" else np.split(v, 2)[0]
+                                      for k, v in state.items()},
+    "slot-one-too-long": lambda state: {**state, "v": np.append(state["v"], 0.0)},
+}
+
+
+@pytest.mark.parametrize("damage", list(PAIR_STATE_DAMAGE))
+def test_resume_rejects_a_pair_state_that_does_not_fit(saved_checkpoint, damage):
+    """The pair's one optimizer state must cover both approximators' parameters."""
+    _, ckpt, _ = saved_checkpoint
+    states = {**ckpt.optimizer_states,
+              "pair": PAIR_STATE_DAMAGE[damage](ckpt.optimizer_states["pair"])}
+    with pytest.raises(CheckpointError, match="optimizer state does not fit"):
+        train(make_dataset(), FixedModel(), ckpt.config, explainer_hidden=(8,),
+              approx_hidden=(8,), resume=dataclasses.replace(ckpt, optimizer_states=states))
 
 
 def test_resume_appends_to_train_log(tmp_path):
