@@ -61,21 +61,41 @@ def sw_directions(c: int, n_proj: int, rng: np.random.Generator) -> np.ndarray:
     return theta / np.linalg.norm(theta, axis=0, keepdims=True)
 
 
+def _rising_rows(rows: np.ndarray) -> bool:
+    """True when every row of the 2-D `rows` is strictly increasing (NaN is not)."""
+    flat = rows.ravel()
+    rising = flat[1:] > flat[:-1]
+    rising[rows.shape[1] - 1::rows.shape[1]] = True  # last of one row, first of the next
+    return bool(rising.all())
+
+
 def sliced_wasserstein_var(batch_a: np.ndarray, batch_b,
                            thetas: np.ndarray) -> ad.Var:
     """Mean over projections of the squared 1-D 2-Wasserstein distance.
     One tape node; its VJP sends each sorted difference back through the
-    inverse of its projection's sort, then through the projection."""
+    inverse of its projection's sort, then through the projection.
+
+    Each projection is one contiguous row of a (P, n) array, so every sort
+    runs along the last axis. Tied (or NaN) entries of batch_b's projection
+    take their stable order; without ties any correct order is that one, and
+    the faster default sort gives it."""
     batch_b = ad.as_var(batch_b)
-    proj_a = np.sort(np.asarray(batch_a, dtype=np.float64) @ thetas, axis=0)
-    proj_b = batch_b.value @ thetas
-    order = np.argsort(proj_b, axis=0, kind="stable")
-    diff = np.take_along_axis(proj_b, order, axis=0) - proj_a
+    rows_a = np.sort(thetas.T @ np.asarray(batch_a, dtype=np.float64).T, axis=1)
+    rows_b = thetas.T @ batch_b.value.T
+    starts = np.arange(len(rows_b))[:, None] * rows_b.shape[1]
+    flat_order = (np.argsort(rows_b, axis=1) + starts).ravel()
+    sorted_b = rows_b.ravel()[flat_order].reshape(rows_b.shape)
+    if not _rising_rows(sorted_b):
+        flat_order = (np.argsort(rows_b, axis=1, kind="stable") + starts).ravel()
+        sorted_b = rows_b.ravel()[flat_order].reshape(rows_b.shape)
+    diff_rows = sorted_b - rows_a
+    # (n, P) in C order, so that the mean sums in the order of one column per projection
+    diff = np.ascontiguousarray(diff_rows.T)
 
     def vjp(g):
-        half = g / diff.size * diff
-        g_proj = np.zeros_like(proj_b)
-        np.put_along_axis(g_proj, order, half + half, axis=0)
-        return (g_proj @ thetas.T,)
+        half = g / diff.size * diff_rows
+        g_rows = np.empty(diff.size)  # flat_order is a permutation: each entry is written once
+        g_rows[flat_order] = (half + half).ravel()
+        return (np.ascontiguousarray(g_rows.reshape(rows_b.shape).T) @ thetas.T,)
 
     return ad.Var((diff * diff).mean(), (batch_b,), vjp)

@@ -39,11 +39,13 @@ def is_simplex(vec: np.ndarray) -> bool:
 
 def checked_outputs(y, n: int, what: str = "model outputs") -> np.ndarray:
     """y as float64 once it holds (n, c) rows of finite values on the
-    probability simplex; anything else raises ShapeError naming `what`."""
+    probability simplex, c >= 2; anything else raises ShapeError naming `what`."""
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 2 or len(y) != n or not is_simplex(y):
         raise ShapeError(f"{what} must be ({n}, c) rows of finite values on the "
                          f"probability simplex, got shape {y.shape}")
+    if y.shape[1] < 2:
+        raise ShapeError(f"{what} must have c >= 2 classes, got shape {y.shape}")
     return y
 
 

@@ -285,6 +285,10 @@ def train_given_model(dataset: Dataset, hidden: Sequence[int] = (32, 32),
     if dataset.y_true is None:
         raise ConfigError("training the model to explain needs true labels; the dataset has none")
     labels = np.asarray(dataset.y_true, dtype=int)
+    classes = np.unique(labels)
+    if len(classes) < 2:
+        raise ConfigError("training the model to explain needs two classes or more; "
+                          f"the dataset's labels are {classes.tolist()}")
     targets = np.eye(int(labels.max()) + 1)[labels]
     return MlpModel(fit_classifier(dataset.X, targets, hidden, epochs, named_rng(seed, "model"),
                                    learning_rate=learning_rate))

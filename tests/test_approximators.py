@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from meed import approximators
 from meed import autodiff as ad
 from meed.core import Mlp
 from meed.approximators import (ApproximatorPair, cross_entropy_var, make_pair,
@@ -83,6 +84,65 @@ def test_sliced_wasserstein_var_matches_scalar(rng):
     proj_a = np.sort(a @ thetas, axis=0)
     proj_b = np.sort(b @ thetas, axis=0)
     assert np.isclose(got, np.mean((proj_a - proj_b) ** 2))
+
+
+def explicit_sliced_wasserstein(batch_a, batch_b, thetas):
+    """The axis-0 form kept as a reference: one projection per column of an
+    (n, P) array, a stable argsort down each column, and a VJP that scatters
+    each sorted difference back along that column's order."""
+    proj_a = np.sort(np.asarray(batch_a, dtype=np.float64) @ thetas, axis=0)
+    proj_b = batch_b @ thetas
+    order = np.argsort(proj_b, axis=0, kind="stable")
+    diff = np.take_along_axis(proj_b, order, axis=0) - proj_a
+
+    def vjp(g):
+        half = g / diff.size * diff
+        g_proj = np.zeros_like(proj_b)
+        np.put_along_axis(g_proj, order, half + half, axis=0)
+        return g_proj @ thetas.T
+
+    return (diff * diff).mean(), vjp
+
+
+def simplex_rows(rng, n, c, kind):
+    """n rows on the simplex of R^c: random, with exact duplicates of row 0,
+    rounded to one decimal (many ties), or one-hot."""
+    rows = rng.random((n, c)) + 0.01
+    rows /= rows.sum(axis=1, keepdims=True)
+    if kind == "duplicates":
+        rows[rng.integers(0, n, n // 2 + 1)] = rows[0]
+    elif kind == "rounded":
+        rows = np.round(rows, 1)
+    elif kind == "one-hot":
+        rows = np.eye(c)[rng.integers(0, c, n)]
+    return rows
+
+
+def test_sliced_wasserstein_equals_the_explicit_form_bit_for_bit(monkeypatch):
+    """Value and VJP equal the axis-0 form over seeded random (n, c, P), n = 1
+    and c > 2 included; ties (duplicates, rounded and one-hot rows) take the
+    stable branch, tie-free batches the default sort, and both branches run."""
+    rising_rows, branches = approximators._rising_rows, []
+
+    def recording(rows):
+        branches.append(rising_rows(rows))
+        return branches[-1]
+
+    monkeypatch.setattr(approximators, "_rising_rows", recording)
+    rng = np.random.default_rng(21)
+    shapes = [(1, 2, 1), (1, 3, 7), (2, 2, 5), (64, 2, 128), (33, 10, 199)]
+    shapes += [tuple(int(v) for v in rng.integers((1, 2, 1), (130, 11, 200)))
+               for _ in range(40)]
+    for n, c, n_proj in shapes:
+        for kind in ("random", "duplicates", "rounded", "one-hot"):
+            batch_a, batch_b = simplex_rows(rng, n, c, kind), simplex_rows(rng, n, c, kind)
+            thetas = sw_directions(c, n_proj, rng)
+            g = rng.standard_normal()
+            want_value, want_vjp = explicit_sliced_wasserstein(batch_a, batch_b, thetas)
+            node = sliced_wasserstein_var(batch_a, ad.Var(batch_b), thetas)
+            assert np.array_equal(node.value, want_value), (n, c, n_proj, kind)
+            assert np.array_equal(node._backward(g)[0], want_vjp(g)), (n, c, n_proj, kind)
+    assert True in branches and False in branches
 
 
 def test_make_pair(rng):

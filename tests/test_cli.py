@@ -15,7 +15,7 @@ from meed.cli import (EXIT_CONFIG, EXIT_OK, EXIT_SHAPE, FileSection, IdxSection,
                       parse_config_file)
 from meed.baselines import FD_STEP
 from meed.core import ConfigError, Mlp, TrainConfig, write_record
-from meed.data import (MODEL_MAGIC, MODEL_VERSION, SyntheticSpec, export_dataset,
+from meed.data import (MODEL_MAGIC, MODEL_VERSION, MlpModel, SyntheticSpec, export_dataset,
                        generate_synthetic, load_model, write_idx_images, write_idx_labels)
 from meed.metrics import MetricsReport
 from meed.trainer import (CHECKPOINT_MAGIC, Adam, Checkpoint, load_checkpoint,
@@ -355,6 +355,37 @@ def test_unlabelled_dataset_is_enough_where_true_labels_are_not_read(tmp_path, c
             if command == "explain" else ["evaluate", "--config", str(tmp_path / "unlabelled.cfg")])
     assert main([*argv, "--checkpoint", ckpt]) == EXIT_OK
     assert out.read_text()
+
+
+def write_one_class_run(tmp_path):
+    """one.cfg over a dataset file whose every label is 0."""
+    ds, subset = generate_synthetic(SyntheticSpec(d=4, true_subset=(0, 1), n=40, noise_std=0.1,
+                                                  kind="sparse-logit", seed=3))
+    export_dataset(dataclasses.replace(ds, y_true=np.zeros(len(ds), dtype=int)), subset,
+                   str(tmp_path / "one.txt"))
+    (tmp_path / "one.cfg").write_text(
+        f"[data]\nkind = file\npath = {tmp_path / 'one.txt'}\n[model]\nhidden = 4\n"
+        f"epochs = 1\n[train]\nk = 2\nepochs = 1\nloss_u = sliced-wasserstein\n"
+        f"[run]\nout_dir = {tmp_path / 'one'}\nexplainer_hidden = 4\napprox_hidden = 4\n")
+    return str(tmp_path / "one.cfg")
+
+
+def test_one_class_dataset_exits_2_naming_the_class(tmp_path, capsys):
+    """A model fit on labels that are all 0 has one output: the relativistic
+    flip divided by c - 1 = 0 (exit 3) and the sliced-Wasserstein loss
+    trained a meaningless explainer (exit 0)."""
+    assert main(["train", "--config", write_one_class_run(tmp_path)]) == EXIT_CONFIG
+    assert "labels are [0]" in capsys.readouterr().err
+    assert not (tmp_path / "one" / "checkpoint.bin").exists()
+
+
+def test_one_output_model_exits_4(tmp_path, capsys, monkeypatch):
+    """Model outputs with c = 1 are rejected where outputs are checked."""
+    monkeypatch.setattr("meed.cli.build_model", lambda cfg, train_set: MlpModel(
+        Mlp(train_set.d, (4, 1), rng=np.random.default_rng(0))))
+    assert main(["train", "--config", write_one_class_run(tmp_path)]) == EXIT_SHAPE
+    assert "c >= 2" in capsys.readouterr().err
+    assert not (tmp_path / "one" / "checkpoint.bin").exists()
 
 
 def test_corrupt_checkpoint_exits_2(tmp_path):
