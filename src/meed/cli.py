@@ -21,7 +21,8 @@ import numpy as np
 from . import data as datamod
 from . import metrics as metricsmod
 from .baselines import ABLATION_VARIANTS, ablation_config
-from .core import ConfigError, ShapeError, TrainConfig, check_fields, checked_outputs, from_strings
+from .core import (ConfigError, ShapeError, TrainConfig, check_fields, checked_outputs,
+                   from_strings, read_text)
 from .sampler import hard_topk
 from .trainer import (CheckpointError, TrainingAbort, load_checkpoint,
                       nets_from_checkpoint, train)
@@ -93,22 +94,21 @@ def parse_config_file(path: str) -> dict:
     an absent [model] or [run] defaults. Unknown keys or bad values: ConfigError."""
     sections: dict = {"model": {}, "run": {}}
     current = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = re.split("[#;]", raw, maxsplit=1)[0].strip()
-            if not line:
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                current = line[1:-1].strip()
-                sections.setdefault(current, {})
-                continue
-            if "=" not in line or current is None:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value' "
-                                  f"inside a section, got: {line}")
-            key, _, val = (part.strip() for part in line.partition("="))
-            if key in sections[current]:
-                raise ConfigError(f"{path}:{lineno}: config key {key} repeats in [{current}]")
-            sections[current][key] = val
+    for lineno, raw in enumerate(read_text(path, ConfigError).split("\n"), 1):
+        line = re.split("[#;]", raw, maxsplit=1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            current = line[1:-1].strip()
+            sections.setdefault(current, {})
+            continue
+        if "=" not in line or current is None:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value' "
+                              f"inside a section, got: {line}")
+        key, _, val = (part.strip() for part in line.partition("="))
+        if key in sections[current]:
+            raise ConfigError(f"{path}:{lineno}: config key {key} repeats in [{current}]")
+        sections[current][key] = val
     for name, section in sections.items():
         cls = DATA_SECTIONS.get(section.get("kind")) if name == "data" else SECTIONS.get(name)
         if cls is None:
@@ -237,15 +237,21 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sanity(args) -> int:
     cfg, run, train_set, test_set, ckpt, explainer, model = _load_run(args)
-    rng = np.random.default_rng(ckpt.config.seed)
-    score_model = metricsmod.sanity_tests(explainer, model, test_set, ckpt.config.k,
-                                          mode="model-randomization", rng=rng)
-    score_data = metricsmod.sanity_tests(
-        explainer, model, test_set, ckpt.config.k, mode="data-randomization",
-        rng=rng, train_set=train_set, config=ckpt.config,
-        train_kwargs={"explainer_hidden": run.explainer_hidden,
-                      "approx_hidden": run.approx_hidden},
-        model_builder=lambda ds: build_model(cfg, ds))
+    metricsmod.require_rows(evaluation=test_set, training=train_set)
+    k, x, rng = ckpt.config.k, test_set.X, np.random.default_rng(ckpt.config.seed)
+    _, _, masks = metricsmod.score_set(explainer, model, test_set, k)
+    score_model = metricsmod.sanity_tests(explainer, model, x, masks, k, rng)
+    # Data randomization, drawn from the rng after the model's: the test set's
+    # masks against those of a model and an explainer retrained on permuted labels.
+    if train_set.y_true is None:
+        raise ConfigError("data randomization permutes true labels; the training set has none")
+    shuffled = replace(train_set, y_true=rng.permutation(train_set.y_true))
+    new_model = build_model(cfg, shuffled)
+    new_explainer, _, _ = train(replace(shuffled, y_true=None), new_model, ckpt.config,
+                                explainer_hidden=run.explainer_hidden,
+                                approx_hidden=run.approx_hidden)
+    score_data = metricsmod.mask_cosine(
+        masks, metricsmod.explainer_masks(new_explainer, x, new_model.evaluate(x), k))
     text = f"SANITY-MODEL={score_model:.2f}\nSANITY-DATA={score_data:.2f}\n"
     path = _write(args, cfg, "sanity.txt", text)
     print(text, end="")

@@ -142,6 +142,15 @@ def from_strings(cls, mapping: dict, section: str):
     return cls(**kwargs)
 
 
+def read_text(path: str, error: type) -> str:
+    """A text file's contents; bytes that are not UTF-8 raise `error` naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # Binary record files (checkpoints and model files)
 # ---------------------------------------------------------------------------

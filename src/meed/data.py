@@ -11,7 +11,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .core import (BlackBoxModel, ConfigError, Mlp, SelectionSet, check_fields, named_rng,
-                   read_record, write_record)
+                   read_record, read_text, write_record)
 from .trainer import fit_classifier
 
 SYNTH_KINDS = ("sparse-logit", "xor", "shortcut-bait")
@@ -139,11 +139,7 @@ def import_dataset(path: str) -> Tuple[Dataset, Optional[tuple]]:
     for none) and `#` comment lines, of which `#trueSubset=i;j;...` is kept.
     Labels are nonnegative, and either every row has one or none does. A
     malformed file raises DatasetFileError naming the path and line."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except UnicodeDecodeError as exc:
-        raise DatasetFileError(f"{path}: not UTF-8 text: {exc}") from exc
+    lines = read_text(path, DatasetFileError).splitlines()
     ids, rows, labels = [], [], []
     true_subset = None
     for lineno, line in enumerate(lines, 1):

@@ -12,15 +12,15 @@ import copy
 import itertools
 import math
 import time
-from dataclasses import asdict, dataclass, replace
-from typing import Optional, Sequence
+from dataclasses import asdict, dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .core import ConfigError, SelectionSet, checked_outputs, from_strings, named_rng
 from .data import Dataset
 from .sampler import hard_topk, hard_topk_batch
-from .trainer import fit_classifier, train
+from .trainer import fit_classifier
 
 RETRAIN_BUDGET_DEFAULT = 20
 SEN_RADIUS_FRACTION = 0.05  # of the per-feature data range
@@ -56,11 +56,14 @@ class MetricsReport:
                             "report")
 
 
-def _outputs(dataset: Dataset, model) -> np.ndarray:
-    """The dataset's model outputs: its `Y` when set, else computed (not
-    stored); outputs off the simplex raise ShapeError, as in `train()`."""
-    return checked_outputs(model.evaluate(dataset.X) if dataset.Y is None else dataset.Y,
-                           len(dataset))
+def score_set(explainer, model, dataset: Dataset, k: int) -> tuple:
+    """One scoring pass over a set: its model outputs `y` (its `Y` when set,
+    else computed; off the simplex: ShapeError, as in `train()`), the
+    explainer's scores `z` and their binary top-k masks (n, d)."""
+    y = checked_outputs(model.evaluate(dataset.X) if dataset.Y is None else dataset.Y,
+                        len(dataset))
+    z = explainer.score(dataset.X, y)
+    return y, z, hard_topk_batch(z, k)
 
 
 def explainer_masks(explainer, x: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
@@ -72,77 +75,66 @@ def _agreement(pred: np.ndarray, y: np.ndarray) -> float:
     return 100.0 * float(np.mean(np.argmax(pred, axis=1) == np.argmax(y, axis=1)))
 
 
-def fidelity_selected_model(explainer, model, eval_set: Dataset, k: int) -> float:
-    y = _outputs(eval_set, model)
-    masks = explainer_masks(explainer, eval_set.X, y, k)
-    return _agreement(model.evaluate(eval_set.X * masks), y)
+def fidelity_selected_model(model, x: np.ndarray, y: np.ndarray, masks: np.ndarray) -> float:
+    """FS-M: the model's top-1 agreement with `y` on the selected features."""
+    return _agreement(model.evaluate(x * masks), y)
 
 
-def fidelity_unselected_model(explainer, model, eval_set: Dataset, k: int) -> float:
-    y = _outputs(eval_set, model)
-    masks = explainer_masks(explainer, eval_set.X, y, k)
-    return _agreement(model.evaluate(eval_set.X * (1.0 - masks)), y)
+def fidelity_unselected_model(model, x: np.ndarray, y: np.ndarray, masks: np.ndarray) -> float:
+    """FU-M: the same on the complement features."""
+    return _agreement(model.evaluate(x * (1.0 - masks)), y)
 
 
-def _require_rows(**sets: Optional[Dataset]) -> None:
+def require_rows(**sets: Dataset) -> None:
     """ConfigError naming the first given set that has no rows."""
     for name, dataset in sets.items():
-        if dataset is not None and len(dataset) == 0:
+        if len(dataset) == 0:
             raise ConfigError(f"the {name} set is empty; its split of the dataset got no rows")
 
 
-def _fidelity_approx(explainer, model, train_set: Dataset, eval_set: Dataset, k: int,
-                     sides: Sequence[str], retrain_budget: int, hidden: Sequence[int],
-                     seed: int) -> list:
-    """FS-A and FU-A: for each side, "selected" (the top-k masks) or
-    "unselected" (their complements), the agreement of an approximator
-    retrained on the masked training inputs; all sides are one stacked fit."""
-    y_tr, y_ev = _outputs(train_set, model), _outputs(eval_set, model)
-    m_tr = explainer_masks(explainer, train_set.X, y_tr, k)
-    m_ev = explainer_masks(explainer, eval_set.X, y_ev, k)
-    x_tr = np.stack([train_set.X * (m_tr if side == "selected" else 1.0 - m_tr) for side in sides])
-    x_ev = np.stack([eval_set.X * (m_ev if side == "selected" else 1.0 - m_ev) for side in sides])
+def _fidelity_approx(train: tuple, evaluation: tuple, sides: Sequence[str],
+                     retrain_budget: int, hidden: Sequence[int], seed: int) -> list:
+    """FS-A and FU-A from each set's (x, y, masks): for each side, "selected" (the
+    top-k masks) or "unselected" (their complements), the agreement of an
+    approximator retrained on the masked training inputs; all sides are one stacked fit."""
+    (x_tr, y_tr, m_tr), (x_ev, y_ev, m_ev) = train, evaluation
+    x_tr = np.stack([x_tr * (m_tr if side == "selected" else 1.0 - m_tr) for side in sides])
+    x_ev = np.stack([x_ev * (m_ev if side == "selected" else 1.0 - m_ev) for side in sides])
     net = fit_classifier(x_tr, y_tr, hidden, retrain_budget, named_rng(seed, "init"))
     return [_agreement(pred, y_ev) for pred in net.predict(x_ev)]
 
 
-def fidelity_selected_approx(explainer, model, train_set: Dataset, eval_set: Dataset,
-                             k: int, retrain_budget: int = RETRAIN_BUDGET_DEFAULT,
+def fidelity_selected_approx(train: tuple, evaluation: tuple,
+                             retrain_budget: int = RETRAIN_BUDGET_DEFAULT,
                              hidden: Sequence[int] = (32, 32), seed: int = 0) -> float:
     """FS-A: agreement of a freshly trained approximator on masked inputs."""
-    return _fidelity_approx(explainer, model, train_set, eval_set, k, ("selected",),
-                            retrain_budget, hidden, seed)[0]
+    return _fidelity_approx(train, evaluation, ("selected",), retrain_budget, hidden, seed)[0]
 
 
-def fidelity_unselected_approx(explainer, model, train_set: Dataset, eval_set: Dataset,
-                               k: int, retrain_budget: int = RETRAIN_BUDGET_DEFAULT,
+def fidelity_unselected_approx(train: tuple, evaluation: tuple,
+                               retrain_budget: int = RETRAIN_BUDGET_DEFAULT,
                                hidden: Sequence[int] = (32, 32), seed: int = 0) -> float:
     """FU-A: same protocol on the complement masks."""
-    return _fidelity_approx(explainer, model, train_set, eval_set, k, ("unselected",),
-                            retrain_budget, hidden, seed)[0]
+    return _fidelity_approx(train, evaluation, ("unselected",), retrain_budget, hidden, seed)[0]
 
 
-def default_sen_radius(eval_set: Dataset) -> float:
-    ranges = eval_set.X.max(axis=0) - eval_set.X.min(axis=0)
+def default_sen_radius(x: np.ndarray) -> float:
+    ranges = x.max(axis=0) - x.min(axis=0)
     return SEN_RADIUS_FRACTION * float(ranges.mean())
 
 
-def sensitivity(explainer, model, eval_set: Dataset,
-                rng: Optional[np.random.Generator] = None) -> float:
-    """Worst-case relative score change over SEN_N_PERTURB uniform input
-    perturbations within `default_sen_radius`, x100."""
-    radius = default_sen_radius(eval_set)
-    if rng is None:
-        rng = np.random.default_rng(0)
-    y = _outputs(eval_set, model)
-    z0 = explainer.score(eval_set.X, y)
-    norms = np.linalg.norm(z0, axis=1)
-    worst = np.zeros(len(eval_set))
+def sensitivity(explainer, model, x: np.ndarray, z: np.ndarray,
+                rng: np.random.Generator) -> float:
+    """Worst-case relative change of the scores `z` of `x` over SEN_N_PERTURB
+    uniform input perturbations within `default_sen_radius`, x100."""
+    radius = default_sen_radius(x)
+    norms = np.linalg.norm(z, axis=1)
+    worst = np.zeros(len(x))
     for _ in range(SEN_N_PERTURB):
-        delta = rng.uniform(-radius, radius, size=eval_set.X.shape)
-        xp = eval_set.X + delta
+        delta = rng.uniform(-radius, radius, size=x.shape)
+        xp = x + delta
         zp = explainer.score(xp, model.evaluate(xp))
-        rel = np.linalg.norm(zp - z0, axis=1) / norms
+        rel = np.linalg.norm(zp - z, axis=1) / norms
         worst = np.maximum(worst, rel)
     return 100.0 * float(worst.mean())
 
@@ -154,82 +146,52 @@ def mask_cosine(masks_a: np.ndarray, masks_b: np.ndarray) -> float:
     return 100.0 * float(np.mean(num / den))
 
 
-def sanity_tests(explainer, model, eval_set: Dataset, k: int,
-                 mode: str = "model-randomization",
-                 rng: Optional[np.random.Generator] = None,
-                 train_set: Optional[Dataset] = None,
-                 config=None, train_kwargs: Optional[dict] = None,
-                 model_builder=None) -> float:
-    """Randomization tests: low cosine between original and randomized masks.
-
-    model mode reuses the trained explainer against a re-initialized model's
-    outputs; data mode retrains the model on permuted labels and retrains the
-    explainer from scratch against it.
-    """
-    _require_rows(evaluation=eval_set, training=train_set)
-    if rng is None:
-        rng = np.random.default_rng(0)
-    y = _outputs(eval_set, model)
-    base_masks = explainer_masks(explainer, eval_set.X, y, k)
-    if mode == "model-randomization":
-        randomized = copy.deepcopy(model)
-        randomized.randomize(rng)
-        y_new = randomized.evaluate(eval_set.X)
-        new_masks = explainer_masks(explainer, eval_set.X, y_new, k)
-        return mask_cosine(base_masks, new_masks)
-    if mode == "data-randomization":
-        if train_set is None or config is None or model_builder is None:
-            raise ValueError("data-randomization needs train_set, config and model_builder")
-        if train_set.y_true is None:
-            raise ConfigError("data randomization permutes true labels; the training set has none")
-        shuffled = Dataset(ids=list(train_set.ids), X=train_set.X,
-                           y_true=rng.permutation(np.asarray(train_set.y_true)))
-        new_model = model_builder(shuffled)
-        new_explainer, _, _ = train(Dataset(ids=list(shuffled.ids), X=shuffled.X),
-                                    new_model, config, **(train_kwargs or {}))
-        y_new = new_model.evaluate(eval_set.X)
-        new_masks = explainer_masks(new_explainer, eval_set.X, y_new, k)
-        return mask_cosine(base_masks, new_masks)
-    raise ValueError(f"unknown sanity mode: {mode}")
+def sanity_tests(explainer, model, x: np.ndarray, masks: np.ndarray, k: int,
+                 rng: np.random.Generator) -> float:
+    """Model randomization: the cosine between the base `masks` of `x` and the
+    masks the same explainer gives against a re-initialized copy of the
+    model's outputs; low means the explanation follows the model."""
+    randomized = copy.deepcopy(model)
+    randomized.randomize(rng)
+    new_masks = explainer_masks(explainer, x, randomized.evaluate(x), k)
+    return mask_cosine(masks, new_masks)
 
 
-def time_per_sample(explainer, model, eval_set: Dataset, n_samples: int = 100,
-                    k: Optional[int] = None) -> float:
+def time_per_sample(explainer, model, x: np.ndarray, k: int, n_samples: int = 100) -> float:
     """Mean wall-clock seconds for one explanation (model call included), each
     a one-row batch, so a model that always answers (n, c) rows also fits."""
-    n = min(n_samples, len(eval_set))
-    k = k if k is not None else min(5, eval_set.d)
+    n = min(n_samples, len(x))
     for i in range(min(5, n)):  # warm-up, excluded
-        x = eval_set.X[i:i + 1]
-        hard_topk(explainer.score(x, model.evaluate(x))[0], k)
+        row = x[i:i + 1]
+        hard_topk(explainer.score(row, model.evaluate(row))[0], k)
     tic = time.perf_counter()
     for i in range(n):
-        x = eval_set.X[i:i + 1]
-        hard_topk(explainer.score(x, model.evaluate(x))[0], k)
+        row = x[i:i + 1]
+        hard_topk(explainer.score(row, model.evaluate(row))[0], k)
     return (time.perf_counter() - tic) / n
 
 
 def evaluate_explainer(explainer, model, train_set: Dataset, eval_set: Dataset, k: int,
                        retrain_budget: int = RETRAIN_BUDGET_DEFAULT,
                        hidden: Sequence[int] = (32, 32), seed: int = 0) -> MetricsReport:
-    """Full report over one trained explainer (data-randomization left at -1
-    unless run separately; it needs a retraining budget the caller controls)."""
-    _require_rows(training=train_set, evaluation=eval_set)
+    """Full report over one trained explainer from one scoring pass per set,
+    whose arrays every metric reads. SANITY-DATA stays -1: it retrains a model
+    and an explainer, which `meed sanity` does."""
+    require_rows(training=train_set, evaluation=eval_set)
     rng = named_rng(seed, "perturb")
-    # Each set's outputs once, on local copies; the caller's datasets stay as given.
-    train_set = replace(train_set, Y=_outputs(train_set, model))
-    eval_set = replace(eval_set, Y=_outputs(eval_set, model))
-    fs_a, fu_a = _fidelity_approx(explainer, model, train_set, eval_set, k,
+    y_tr, _, m_tr = score_set(explainer, model, train_set, k)
+    y, z, masks = score_set(explainer, model, eval_set, k)
+    x = eval_set.X
+    fs_a, fu_a = _fidelity_approx((train_set.X, y_tr, m_tr), (x, y, masks),
                                   ("selected", "unselected"), retrain_budget, hidden, seed)
     return MetricsReport(
-        fs_m=fidelity_selected_model(explainer, model, eval_set, k),
-        fu_m=fidelity_unselected_model(explainer, model, eval_set, k),
+        fs_m=fidelity_selected_model(model, x, y, masks),
+        fu_m=fidelity_unselected_model(model, x, y, masks),
         fs_a=fs_a, fu_a=fu_a,
-        sen=sensitivity(explainer, model, eval_set, rng=rng),
-        sanity_model=sanity_tests(explainer, model, eval_set, k,
-                                  mode="model-randomization", rng=rng),
+        sen=sensitivity(explainer, model, x, z, rng),
+        sanity_model=sanity_tests(explainer, model, x, masks, k, rng),
         sanity_data=-1.0,
-        tps=time_per_sample(explainer, model, eval_set, k=k),
+        tps=time_per_sample(explainer, model, x, k),
         k=k, n_eval=len(eval_set))
 
 

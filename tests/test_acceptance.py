@@ -60,7 +60,7 @@ def sparse_run():
 def ablation_runs(sparse_run):
     """Per-seed metrics for full / w/o-AIL / w/o-Output on the sparse task."""
     model, feats_tr, feats_te, subset = sparse_run
-    y_te = model.evaluate(feats_te.X)
+    y_tr, y_te = model.evaluate(feats_tr.X), model.evaluate(feats_te.X)
     true = set(subset.indices)
     out = {v: {"fu_a": [], "fs_m": [], "precision": []}
            for v in ("full", "w/o-AIL", "w/o-Output")}
@@ -74,10 +74,10 @@ def ablation_runs(sparse_run):
             precision = np.median([len(true & set(np.flatnonzero(m))) / config.k
                                    for m in masks])
             slot["precision"].append(float(precision))
-            slot["fs_m"].append(fidelity_selected_model(explainer, model,
-                                                        feats_te, config.k))
+            slot["fs_m"].append(fidelity_selected_model(model, feats_te.X, y_te, masks))
+            train_masks = explainer_masks(explainer, feats_tr.X, y_tr, config.k)
             slot["fu_a"].append(fidelity_unselected_approx(
-                explainer, model, feats_tr, feats_te, config.k,
+                (feats_tr.X, y_tr, train_masks), (feats_te.X, y_te, masks),
                 retrain_budget=20, seed=seed))
     return out
 
@@ -302,7 +302,9 @@ def test_criterion_08_digits_3v8():
     feats_te = Dataset(ids=list(test_ds.ids), X=test_ds.X)
     config = TrainConfig(k=25, epochs=10, seed=1, batch_size=128)
     explainer, _, _ = train(feats_tr, model, config, explainer_hidden=(128,))
-    fs_m = fidelity_selected_model(explainer, model, feats_te, 25)
+    y_te = model.evaluate(feats_te.X)
+    fs_m = fidelity_selected_model(model, feats_te.X, y_te,
+                                   explainer_masks(explainer, feats_te.X, y_te, 25))
     assert fs_m >= 90.0
     report(8, f"3-vs-8 accuracy {100 * acc:.2f}% (>= 98%); FS-M at k=25 "
               f"{fs_m:.2f}% (>= 90%)")

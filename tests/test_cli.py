@@ -9,6 +9,8 @@ import typing
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meed.cli import (EXIT_CONFIG, EXIT_OK, EXIT_SHAPE, FileSection, IdxSection, ModelSection,
                       RunSection, build_dataset, build_model, build_train_config, main,
@@ -486,6 +488,39 @@ def test_bad_config_value_exits_2(tmp_path):
     assert main(["train", "--config", str(cfg)]) == EXIT_CONFIG
 
 
+def test_config_that_is_not_utf8_exits_2_naming_the_path(tmp_path, capsys):
+    """A byte that is not UTF-8 ended in a UnicodeDecodeError traceback."""
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"[train]\nk = \xff\n")
+    assert main(["train", "--config", str(cfg)]) == EXIT_CONFIG
+    assert f"{cfg}: not UTF-8 text" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def readme_config(tmp_path_factory):
+    block = open(README, encoding="utf-8").read().split("```ini\n", 1)[1].split("```", 1)[0]
+    return block.encode("utf-8"), str(tmp_path_factory.mktemp("fuzz") / "damaged.cfg")
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_damaged_readme_config_raises_config_error_or_parses(readme_config, data):
+    """One to three bytes of README's config replaced by any byte: the reader
+    either raises ConfigError or returns its sections."""
+    blob, path = readme_config
+    damaged = bytearray(blob)
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        damaged[data.draw(st.integers(0, len(blob) - 1), label="at")] = data.draw(
+            st.integers(0, 255), label="byte")
+    with open(path, "wb") as fh:
+        fh.write(damaged)
+    try:
+        cfg = parse_config_file(path)
+    except ConfigError:
+        return
+    assert {"model", "run"} <= set(cfg)
+
+
 def test_synth_writes_dataset(run_dir):
     config_path, out = run_dir
     assert main(["synth", "--config", config_path]) == EXIT_OK
@@ -744,6 +779,41 @@ def test_empty_test_split_exits_2(tmp_path, capsys):
         capsys.readouterr()
         assert main(argv + ["--config", str(cfg)]) == EXIT_CONFIG
         assert "the evaluation set is empty" in capsys.readouterr().err
+
+
+def test_empty_training_split_exits_2(tmp_path, capsys):
+    """A dataset file whose every id hashes into the test split, against a
+    run trained on another file: evaluate and sanity name the empty set."""
+    write_labelled_and_unlabelled_runs(tmp_path)
+    assert main(["train", "--config", str(tmp_path / "labelled.cfg")]) == EXIT_OK
+    cfg = parse_config_file(str(tmp_path / "labelled.cfg"))
+    _, _, test_set, _ = build_dataset(cfg)
+    export_dataset(test_set, None, str(tmp_path / "test-only.txt"))
+    (tmp_path / "test-only.cfg").write_text(
+        (tmp_path / "labelled.cfg").read_text().replace("labelled.txt", "test-only.txt"))
+    assert [len(split) for split in build_dataset(
+        parse_config_file(str(tmp_path / "test-only.cfg")))[:3]] == [0, 0, len(test_set)]
+    for command in ("evaluate", "sanity"):
+        capsys.readouterr()
+        assert main([command, "--config", str(tmp_path / "test-only.cfg"), "--checkpoint",
+                     str(tmp_path / "labelled" / "checkpoint.bin")]) == EXIT_CONFIG
+        assert "the training set is empty" in capsys.readouterr().err
+
+
+def test_sanity_writes_the_same_bounded_scores_twice(trained_dir, tmp_path):
+    """Data randomization permutes the true labels and retrains the model and
+    the explainer, all from the checkpoint's seed: two runs write the same bytes."""
+    config_path, out = trained_dir
+    ckpt = os.path.join(out, "checkpoint.bin")
+    texts = []
+    for name in ("first", "second"):
+        assert main(["sanity", "--config", config_path, "--checkpoint", ckpt,
+                     "--out", str(tmp_path / name)]) == EXIT_OK
+        texts.append((tmp_path / name / "sanity.txt").read_bytes())
+    assert texts[0] == texts[1]
+    scores = dict(line.split("=") for line in texts[0].decode().split())
+    assert set(scores) == {"SANITY-MODEL", "SANITY-DATA"}
+    assert 0.0 <= float(scores["SANITY-DATA"]) <= 100.0
 
 
 def test_evaluate_writes_parseable_report(trained_dir):

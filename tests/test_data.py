@@ -222,6 +222,88 @@ def test_idx_empty_pair_raises_naming_the_pair_and_the_labels(tmp_path):
         load_idx_images(ipath, lpath, (1, 2))
 
 
+@pytest.fixture(scope="module")
+def idx_pair(tmp_path_factory):
+    """An IDX image/label pair's bytes, the dataset it loads as, and two paths
+    for damaged copies."""
+    rng = np.random.default_rng(2)
+    root = tmp_path_factory.mktemp("idx")
+    paths = [str(root / "imgs"), str(root / "labs")]
+    write_idx_images(rng.integers(0, 256, size=(12, 3, 4)), paths[0])
+    write_idx_labels(rng.choice([1, 3, 8], size=12), paths[1])
+    blobs = [open(path, "rb").read() for path in paths]
+    return blobs, load_idx_images(*paths, (3, 8)), paths
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_damaged_idx_file_fails_with_idx_parse_error_or_loads_identically(idx_pair, data):
+    """A truncation of the image or the label file, or a flip of one of its
+    magic or dimension bytes."""
+    blobs, original, paths = idx_pair
+    which = data.draw(st.integers(0, 1), label="file")
+    damaged = bytearray(blobs[which])
+    if data.draw(st.booleans(), label="truncate"):
+        damaged = damaged[:data.draw(st.integers(0, len(damaged) - 1), label="length")]
+    else:
+        head = 4 + 4 * (3 if which == 0 else 1)
+        damaged[data.draw(st.integers(0, head - 1), label="byte")] ^= data.draw(
+            st.integers(1, 255), label="xor")
+    for path, blob in zip(paths, blobs[:which] + [bytes(damaged)] + blobs[which + 1:]):
+        with open(path, "wb") as fh:
+            fh.write(blob)
+    try:
+        loaded = load_idx_images(*paths, (3, 8))
+    except IdxParseError:
+        return
+    assert loaded.ids == original.ids
+    assert np.array_equal(loaded.X, original.X)
+    assert np.array_equal(loaded.y_true, original.y_true)
+
+
+@pytest.fixture(scope="module")
+def dataset_text(tmp_path_factory):
+    ds, subset = generate_synthetic(SyntheticSpec(d=3, true_subset=(0, 2), n=6, noise_std=0.1,
+                                                  kind="sparse-logit", seed=5))
+    path = str(tmp_path_factory.mktemp("text") / "ds.txt")
+    export_dataset(ds, subset, path)
+    return open(path, "rb").read(), path
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_damaged_dataset_text_fails_with_dataset_file_error_or_keeps_the_invariants(
+        dataset_text, data):
+    """A truncation, or one to three bytes replaced, inserted or deleted: the
+    reader raises DatasetFileError or gives rows of one width, finite
+    features, labels on every row or none, all >= 0, and a #trueSubset of
+    distinct indices in [0, d)."""
+    blob, path = dataset_text
+    damaged = bytearray(blob)
+    if data.draw(st.booleans(), label="truncate"):
+        damaged = damaged[:data.draw(st.integers(0, len(blob) - 1), label="length")]
+    else:
+        for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+            at = data.draw(st.integers(0, len(damaged) - 1), label="at")
+            op = data.draw(st.sampled_from(["replace", "insert", "delete"]), label="op")
+            byte = data.draw(st.integers(0, 255), label="byte")
+            damaged[at:at + (op != "insert")] = b"" if op == "delete" else bytes([byte])
+    with open(path, "wb") as fh:
+        fh.write(damaged)
+    try:
+        loaded, true_subset = import_dataset(path)
+    except DatasetFileError:
+        return
+    n, d = loaded.X.shape
+    assert n == len(loaded.ids) >= 1 and d >= 1
+    assert np.all(np.isfinite(loaded.X))
+    if loaded.y_true is not None:
+        assert loaded.y_true.shape == (n,) and np.all(loaded.y_true >= 0)
+    if true_subset is not None:
+        assert len(set(true_subset)) == len(true_subset)
+        assert all(0 <= i < d for i in true_subset)
+
+
 def test_given_model_accuracy_and_determinism(tiny_model):
     model, tr, te, subset = tiny_model
     acc1 = model_accuracy(model, te)

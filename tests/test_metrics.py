@@ -6,12 +6,13 @@ import pytest
 from meed.core import ConfigError, Mlp, SelectionSet, TrainConfig, named_rng
 from meed.data import (Dataset, MlpModel, SyntheticSpec, generate_synthetic, split_dataset,
                        train_given_model)
-from meed.metrics import (MetricsReport, brute_force_best_subset,
+from meed.metrics import (SEN_N_PERTURB, MetricsReport, brute_force_best_subset,
                           default_sen_radius, evaluate_explainer,
                           explainer_masks, fidelity_selected_approx,
                           fidelity_selected_model, fidelity_unselected_approx,
                           fidelity_unselected_model, mask_cosine, mi_estimate,
-                          sanity_tests, sensitivity, time_per_sample)
+                          require_rows, sanity_tests, score_set, sensitivity,
+                          time_per_sample)
 from meed.trainer import train
 
 
@@ -70,78 +71,51 @@ def trained_run():
     explainer, _, _ = train(feats, model, config, explainer_hidden=(16,),
                             approx_hidden=(16,))
     feats_te = Dataset(ids=list(te.ids), X=te.X)
-    return explainer, model, feats, feats_te, tr, config
+    return explainer, model, feats, feats_te
 
 
 def test_fidelity_selected_beats_unselected(trained_run):
-    explainer, model, _, te, _, _ = trained_run
-    fs = fidelity_selected_model(explainer, model, te, k=2)
-    fu = fidelity_unselected_model(explainer, model, te, k=2)
+    explainer, model, _, te = trained_run
+    y = model.evaluate(te.X)
+    masks = explainer_masks(explainer, te.X, y, 2)
+    fs = fidelity_selected_model(model, te.X, y, masks)
+    fu = fidelity_unselected_model(model, te.X, y, masks)
     assert 0.0 <= fu <= 100.0 and 0.0 <= fs <= 100.0
     assert fs > fu
 
 
 def test_full_mask_has_perfect_selected_fidelity(trained_run):
-    explainer, model, _, te, _, _ = trained_run
-    assert fidelity_selected_model(explainer, model, te, k=te.d) == pytest.approx(100.0)
+    explainer, model, _, te = trained_run
+    y = model.evaluate(te.X)
+    masks = explainer_masks(explainer, te.X, y, te.d)
+    assert fidelity_selected_model(model, te.X, y, masks) == pytest.approx(100.0)
 
 
 def test_sensitivity_nonnegative_and_radius_default(trained_run):
-    explainer, model, _, te, _, _ = trained_run
-    assert default_sen_radius(te) > 0
-    sen = sensitivity(explainer, model, te, rng=named_rng(0, "perturb"))
+    explainer, model, _, te = trained_run
+    assert default_sen_radius(te.X) > 0
+    z = explainer.score(te.X, model.evaluate(te.X))
+    sen = sensitivity(explainer, model, te.X, z, named_rng(0, "perturb"))
     assert sen >= 0.0
 
 
 def test_sanity_self_comparison_is_100(trained_run):
-    explainer, model, _, te, _, _ = trained_run
+    explainer, model, _, te = trained_run
     y = model.evaluate(te.X)
     masks = explainer_masks(explainer, te.X, y, 2)
     assert mask_cosine(masks, masks) == pytest.approx(100.0)
 
 
 def test_sanity_model_randomization_runs(trained_run):
-    explainer, model, _, te, _, _ = trained_run
-    score = sanity_tests(explainer, model, te, 2, mode="model-randomization",
-                         rng=named_rng(0, "model"))
+    explainer, model, _, te = trained_run
+    masks = explainer_masks(explainer, te.X, model.evaluate(te.X), 2)
+    score = sanity_tests(explainer, model, te.X, masks, 2, named_rng(0, "model"))
     assert 0.0 <= score <= 100.0
-
-
-def test_sanity_data_randomization_retrains(trained_run):
-    explainer, model, feats, te, tr, config = trained_run
-    quick = TrainConfig(k=2, epochs=2, seed=1, batch_size=32)
-
-    def builder(shuffled):
-        return train_given_model(shuffled, hidden=(16,), seed=0, epochs=3)
-
-    score = sanity_tests(explainer, model, te, 2, mode="data-randomization",
-                         rng=named_rng(0, "model"), train_set=tr, config=quick,
-                         train_kwargs={"explainer_hidden": (16,), "approx_hidden": (16,)},
-                         model_builder=builder)
-    assert 0.0 <= score <= 100.0
-
-
-def test_sanity_data_randomization_needs_true_labels(trained_run):
-    """Refused before the label permutation is drawn, so rng is untouched."""
-    explainer, model, feats, te, _, config = trained_run
-    rng = named_rng(0, "model")
-    before = rng.bit_generator.state
-    with pytest.raises(ConfigError, match="permutes true labels"):
-        sanity_tests(explainer, model, te, 2, mode="data-randomization", rng=rng,
-                     train_set=feats, config=config,
-                     model_builder=lambda shuffled: model)
-    assert rng.bit_generator.state == before
-
-
-def test_sanity_unknown_mode_rejected(trained_run):
-    explainer, model, _, te, _, _ = trained_run
-    with pytest.raises(ValueError):
-        sanity_tests(explainer, model, te, 2, mode="weights-randomization")
 
 
 def test_time_per_sample_positive(trained_run):
-    explainer, model, _, te, _, _ = trained_run
-    assert time_per_sample(explainer, model, te, n_samples=20, k=2) > 0.0
+    explainer, model, _, te = trained_run
+    assert time_per_sample(explainer, model, te.X, 2, n_samples=20) > 0.0
 
 
 class RowsModel:
@@ -159,13 +133,13 @@ class RowsModel:
 
 
 def test_evaluate_explainer_accepts_a_model_that_answers_rows(trained_run):
-    explainer, model, feats, te, _, _ = trained_run
+    explainer, model, feats, te = trained_run
     report = evaluate_explainer(explainer, RowsModel(model), feats, te, 2, retrain_budget=2)
     assert report.tps > 0.0
 
 
 def test_evaluate_explainer_produces_full_report(trained_run):
-    explainer, model, feats, te, _, _ = trained_run
+    explainer, model, feats, te = trained_run
     report = evaluate_explainer(explainer, model, feats, te, k=2,
                                 retrain_budget=5, hidden=(16,), seed=0)
     for val in (report.fs_m, report.fu_m, report.fs_a, report.fu_a,
@@ -177,27 +151,65 @@ def test_evaluate_explainer_produces_full_report(trained_run):
 
 
 def test_evaluate_explainer_fidelity_approx_equals_the_single_side_functions(trained_run):
-    explainer, model, feats, te, _, _ = trained_run
+    """Every field of the report but TPS equals its public metric computed on
+    its own from the same arrays: each set's outputs, scores and masks."""
+    explainer, model, feats, te = trained_run
     kwargs = dict(retrain_budget=3, hidden=(8,), seed=4)
     report = evaluate_explainer(explainer, model, feats, te, 2, **kwargs)
-    assert report.fs_a == fidelity_selected_approx(explainer, model, feats, te, 2, **kwargs)
-    assert report.fu_a == fidelity_unselected_approx(explainer, model, feats, te, 2, **kwargs)
+    y_tr, _, m_tr = score_set(explainer, model, feats, 2)
+    y, z, masks = score_set(explainer, model, te, 2)
+    assert np.array_equal(masks, explainer_masks(explainer, te.X, model.evaluate(te.X), 2))
+    train_arrays, eval_arrays = (feats.X, y_tr, m_tr), (te.X, y, masks)
+    assert report.fs_a == fidelity_selected_approx(train_arrays, eval_arrays, **kwargs)
+    assert report.fu_a == fidelity_unselected_approx(train_arrays, eval_arrays, **kwargs)
+    assert report.fs_m == fidelity_selected_model(model, te.X, y, masks)
+    assert report.fu_m == fidelity_unselected_model(model, te.X, y, masks)
+    rng = named_rng(4, "perturb")  # SEN draws first, then the model randomization
+    assert report.sen == sensitivity(explainer, model, te.X, z, rng)
+    assert report.sanity_model == sanity_tests(explainer, model, te.X, masks, 2, rng)
+    assert (report.sanity_data, report.k, report.n_eval) == (-1.0, 2, len(te))
+
+
+def test_evaluate_explainer_scores_each_set_once(trained_run, monkeypatch):
+    """Each set goes through `explainer.score` once; the other full-set calls
+    are SEN's perturbed inputs and the randomized model's outputs. TPS's
+    one-row calls are not counted."""
+    explainer, model, feats, te = trained_run
+    calls = []
+    score = explainer.score
+
+    def counting(x, y):
+        if len(x) > 1:
+            calls.append((x, y))
+        return score(x, y)
+
+    monkeypatch.setattr(explainer, "score", counting)
+    evaluate_explainer(explainer, model, feats, te, 2, retrain_budget=1, hidden=(8,))
+
+    def count(x, y=None):
+        return sum(np.array_equal(cx, x) and (y is None or np.array_equal(cy, y))
+                   for cx, cy in calls)
+
+    assert count(feats.X) == 1
+    assert count(te.X, model.evaluate(te.X)) == 1
+    assert count(te.X) == 2  # the other one: against the randomized model
+    assert len(calls) == 3 + SEN_N_PERTURB
 
 
 @pytest.mark.parametrize("empty", ["training", "evaluation"])
 def test_evaluate_and_sanity_reject_an_empty_set(trained_run, empty):
-    explainer, model, feats, te, _, _ = trained_run
+    explainer, model, feats, te = trained_run
     none = Dataset(ids=[], X=np.zeros((0, te.d)))
     tr, ev = (none, te) if empty == "training" else (feats, none)
     with pytest.raises(ConfigError, match=f"the {empty} set is empty"):
         evaluate_explainer(explainer, model, tr, ev, 2, retrain_budget=1)
     with pytest.raises(ConfigError, match=f"the {empty} set is empty"):
-        sanity_tests(explainer, model, ev, 2, train_set=tr)
+        require_rows(evaluation=ev, training=tr)  # as `meed sanity` checks its sets
 
 
 def test_evaluate_explainer_leaves_caller_datasets_untouched(trained_run):
     """One dataset scored against two models gives each model's own report."""
-    explainer, model, feats, te, _, _ = trained_run
+    explainer, model, feats, te = trained_run
     other = MlpModel(Mlp(model.net.in_dim, model.net.widths, parameters=model.net.parameters))
     other.randomize(named_rng(5, "model"))
 
