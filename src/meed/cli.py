@@ -243,9 +243,7 @@ def cmd_sanity(args) -> int:
     score_model = metricsmod.sanity_tests(explainer, model, x, masks, k, rng)
     # Data randomization, drawn from the rng after the model's: the test set's
     # masks against those of a model and an explainer retrained on permuted labels.
-    if train_set.y_true is None:
-        raise ConfigError("data randomization permutes true labels; the training set has none")
-    shuffled = replace(train_set, y_true=rng.permutation(train_set.y_true))
+    shuffled = metricsmod.permuted_labels(train_set, rng)
     new_model = build_model(cfg, shuffled)
     new_explainer, _, _ = train(replace(shuffled, y_true=None), new_model, ckpt.config,
                                 explainer_hidden=run.explainer_hidden,

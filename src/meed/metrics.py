@@ -12,7 +12,7 @@ import copy
 import itertools
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -155,6 +155,15 @@ def sanity_tests(explainer, model, x: np.ndarray, masks: np.ndarray, k: int,
     randomized.randomize(rng)
     new_masks = explainer_masks(explainer, x, randomized.evaluate(x), k)
     return mask_cosine(masks, new_masks)
+
+
+def permuted_labels(train_set: Dataset, rng: np.random.Generator) -> Dataset:
+    """The training set with its true labels permuted by `rng`, for the data
+    randomization sanity test. ConfigError, before anything is drawn, when the
+    set has no true labels."""
+    if train_set.y_true is None:
+        raise ConfigError("data randomization permutes true labels; the training set has none")
+    return replace(train_set, y_true=rng.permutation(train_set.y_true))
 
 
 def time_per_sample(explainer, model, x: np.ndarray, k: int, n_samples: int = 100) -> float:

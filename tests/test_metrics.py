@@ -11,7 +11,7 @@ from meed.metrics import (SEN_N_PERTURB, MetricsReport, brute_force_best_subset,
                           explainer_masks, fidelity_selected_approx,
                           fidelity_selected_model, fidelity_unselected_approx,
                           fidelity_unselected_model, mask_cosine, mi_estimate,
-                          require_rows, sanity_tests, score_set, sensitivity,
+                          permuted_labels, require_rows, sanity_tests, score_set, sensitivity,
                           time_per_sample)
 from meed.trainer import train
 
@@ -111,6 +111,24 @@ def test_sanity_model_randomization_runs(trained_run):
     masks = explainer_masks(explainer, te.X, model.evaluate(te.X), 2)
     score = sanity_tests(explainer, model, te.X, masks, 2, named_rng(0, "model"))
     assert 0.0 <= score <= 100.0
+
+
+def test_sanity_data_randomization_needs_true_labels(trained_run):
+    """Refused before the label permutation is drawn, so rng is untouched."""
+    _, _, feats, _ = trained_run
+    rng = named_rng(0, "model")
+    before = rng.bit_generator.state
+    with pytest.raises(ConfigError, match="permutes true labels"):
+        permuted_labels(feats, rng)
+    assert rng.bit_generator.state == before
+
+
+def test_permuted_labels_permutes_only_the_labels():
+    ds, _ = generate_synthetic(SyntheticSpec(d=4, true_subset=(0,), n=50, kind="sparse-logit", seed=2))
+    shuffled = permuted_labels(ds, named_rng(0, "model"))
+    assert np.array_equal(shuffled.X, ds.X) and list(shuffled.ids) == list(ds.ids)
+    assert np.array_equal(np.sort(shuffled.y_true), np.sort(ds.y_true))
+    assert not np.array_equal(shuffled.y_true, ds.y_true)
 
 
 def test_time_per_sample_positive(trained_run):
