@@ -23,7 +23,7 @@ from . import metrics as metricsmod
 from .baselines import ABLATION_VARIANTS, ablation_config
 from .core import (ConfigError, ShapeError, TrainConfig, check_fields, checked_outputs,
                    from_strings, read_text)
-from .sampler import hard_topk
+from .sampler import hard_topk_batch
 from .trainer import (CheckpointError, TrainingAbort, load_checkpoint,
                       nets_from_checkpoint, train)
 
@@ -201,12 +201,13 @@ def cmd_explain(args) -> int:
     k = args.k if args.k is not None else ckpt.config.k
     y = checked_outputs(model.evaluate(ds.X), len(ds))
     z = explainer.score(ds.X, y)
+    masks = hard_topk_batch(z, k)
     out_path = args.out or "explanations.txt"
     with open(out_path, "w", encoding="utf-8") as fh:
         for i in range(len(ds)):
-            sel = hard_topk(z[i], k)
-            idx_txt = ";".join(str(j) for j in sel.indices)
-            score_txt = ";".join(f"{z[i][j]:.4f}" for j in sel.indices)
+            selected = np.flatnonzero(masks[i]).tolist()
+            idx_txt = ";".join(str(j) for j in selected)
+            score_txt = ";".join(f"{z[i][j]:.4f}" for j in selected)
             fh.write(f"id={ds.ids[i]} selected={idx_txt} scores={score_txt}\n")
     print(f"wrote {out_path} ({len(ds)} records)")
     return EXIT_OK

@@ -299,7 +299,8 @@ class Mlp:
         softmax output. With `keep=False` it stays empty, so each activation
         is freed once the next layer has read it."""
         params = self._params if params is None else params
-        h = np.asarray(x, dtype=np.float64)
+        # All but the matmuls run in place; x is copied only for a softmax alone.
+        h = np.array(x, dtype=np.float64, copy=None if self._slices else True)
         lead = h.shape[:-2]
         if (h.ndim not in (2, 3) or h.shape[-1] != self.in_dim
                 or lead != ((self.nets,) if h.ndim == 3 or self.nets > 1 else ())):
@@ -309,12 +310,14 @@ class Mlp:
         saved = []
         for i, (w_sl, w_shape, b_sl) in enumerate(self._slices):
             if i:
-                h = np.maximum(h, 0.0)
+                np.maximum(h, 0.0, out=h)
             if keep:
                 saved.append(h)
-            h = h @ flat[..., w_sl].reshape(lead + w_shape) + flat[..., None, b_sl]
-        e = np.exp(h - h.max(axis=-1, keepdims=True))
-        h = e / e.sum(axis=-1, keepdims=True)
+            h = h @ flat[..., w_sl].reshape(lead + w_shape)
+            h += flat[..., None, b_sl]
+        h -= h.max(axis=-1, keepdims=True)
+        np.exp(h, out=h)
+        h /= h.sum(axis=-1, keepdims=True)
         if keep:
             saved.append(h)
         return h, saved

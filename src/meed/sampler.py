@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .core import ConfigError, SelectionSet
+from .core import ConfigError, SelectionSet, ShapeError
 
 U_EPS = 1e-12  # uniform draws clamped to (U_EPS, 1 - U_EPS) before the double log
 Z_EPS = 1e-20  # scores clamped below this before log
@@ -65,26 +65,32 @@ def relaxed_topk_var(z, xi: np.ndarray, tau: float) -> ad.Var:
     return ad.Var(v, (z,), vjp)
 
 
-def _check_k(k: int, d: int) -> None:
-    if not 1 <= k <= d:
-        raise ConfigError(f"need 1 <= k <= d, got k={k}, d={d}")
+def _checked(z, k: int, rank: int) -> np.ndarray:
+    z = np.asarray(z, dtype=np.float64)
+    if z.ndim != rank:
+        raise ShapeError(f"hard top-k expects a {rank}-D score array, got shape {z.shape}")
+    if not 1 <= k <= z.shape[-1]:
+        raise ConfigError(f"need 1 <= k <= d, got k={k}, d={z.shape[-1]}")
+    return z
 
 
 def hard_topk(z: np.ndarray, k: int) -> SelectionSet:
-    """Indices of the k largest scores; ties go to the lower index."""
-    z = np.asarray(z, dtype=np.float64)
-    d = z.shape[0]
-    _check_k(k, d)
-    order = np.argsort(-z, kind="stable")[:k]
-    return SelectionSet(indices=tuple(sorted(int(i) for i in order)), d=d)
+    """Indices of the k largest scores of one row z (d,): those at or above the k-th
+    largest when they are k, else the stable argsort's (ties to the lower index, NaN last)."""
+    z = _checked(z, k, 1)
+    idx = np.flatnonzero(z >= np.partition(z, -k)[-k])
+    if len(idx) != k:  # a tie at the k-th score, or a NaN
+        idx = np.sort(np.argsort(-z, kind="stable")[:k])
+    return SelectionSet(indices=tuple(idx.tolist()), d=len(z))
 
 
 def hard_topk_batch(z: np.ndarray, k: int) -> np.ndarray:
-    """Binary k-hot masks (n, d) for a batch of score vectors; ties go to the lower index."""
-    z = np.asarray(z, dtype=np.float64)
-    _check_k(k, z.shape[1])
-    z = np.where(np.isnan(z), -np.inf, z)  # a NaN score ranks last, as in `hard_topk`
-    kth = np.partition(z, -k, axis=1)[:, -k, None]
-    above, tied = z > kth, z == kth
-    tied &= np.cumsum(tied, axis=1) <= k - above.sum(axis=1, keepdims=True)
-    return (above | tied).astype(np.float64)
+    """Binary k-hot masks (n, d) for a batch of score rows, each row selected as
+    `hard_topk` selects it; ties go to the lower index and NaN ranks last."""
+    z = _checked(z, k, 2)
+    mask = z >= np.partition(z, -k, axis=1)[:, -k, None]
+    rows = np.flatnonzero(np.count_nonzero(mask, axis=1) != k)
+    if rows.size:  # a tie at the k-th score, or a NaN
+        mask[rows] = False
+        mask[rows[:, None], np.argsort(-z[rows], axis=1, kind="stable")[:, :k]] = True
+    return mask.astype(np.float64)

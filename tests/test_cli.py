@@ -18,10 +18,12 @@ from meed.cli import (EXIT_CONFIG, EXIT_OK, EXIT_SHAPE, FileSection, IdxSection,
 from meed.baselines import FD_STEP
 from meed.core import ConfigError, Mlp, TrainConfig, write_record
 from meed.data import (MODEL_MAGIC, MODEL_VERSION, MlpModel, SyntheticSpec, export_dataset,
-                       generate_synthetic, load_model, write_idx_images, write_idx_labels)
+                       generate_synthetic, import_dataset, load_model, write_idx_images,
+                       write_idx_labels)
 from meed.metrics import MetricsReport
+from meed.sampler import hard_topk
 from meed.trainer import (CHECKPOINT_MAGIC, Adam, Checkpoint, load_checkpoint,
-                          save_checkpoint)
+                          nets_from_checkpoint, save_checkpoint)
 from tests.conftest import BAD_LAYER_LISTS, record_sections
 
 README = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")
@@ -557,6 +559,38 @@ def test_explain_writes_records(trained_dir, tmp_path):
         assert line.startswith("id=") and "selected=" in line and "scores=" in line
         selected = line.split("selected=")[1].split(" ")[0].split(";")
         assert len(selected) == 2
+
+
+def test_explain_on_readme_example_matches_a_per_row_hard_topk_reference(tmp_path):
+    """The batched selection writes the same bytes as one `hard_topk` per row,
+    and a k outside 1..d exits 2 before the output file is opened."""
+    block = open(README, encoding="utf-8").read().split("```ini\n", 1)[1].split("```", 1)[0]
+    out = tmp_path / "demo"
+    config = tmp_path / "run.cfg"
+    config.write_text(block.replace("out_dir = out/demo", f"out_dir = {out}"))
+    assert main(["synth", "--config", str(config)]) == EXIT_OK
+    assert main(["train", "--config", str(config)]) == EXIT_OK
+    ckpt, data_path = str(out / "checkpoint.bin"), str(out / "dataset.txt")
+    written = tmp_path / "explanations.txt"
+    assert main(["explain", "--checkpoint", ckpt, "--data", data_path,
+                 "--out", str(written)]) == EXIT_OK
+
+    checkpoint = load_checkpoint(ckpt)
+    explainer, _ = nets_from_checkpoint(checkpoint)
+    ds, _ = import_dataset(data_path)
+    z = explainer.score(ds.X, load_model(str(out / "model.bin")).evaluate(ds.X))
+    reference = ""
+    for i in range(len(ds)):
+        sel = hard_topk(z[i], checkpoint.config.k).indices
+        reference += (f"id={ds.ids[i]} selected={';'.join(str(j) for j in sel)} "
+                      f"scores={';'.join(f'{z[i][j]:.4f}' for j in sel)}\n")
+    assert written.read_bytes() == reference.encode("utf-8")
+
+    for k in ("0", str(ds.d + 1)):
+        bad = tmp_path / f"k{k}.txt"
+        assert main(["explain", "--checkpoint", ckpt, "--data", data_path, "--k", k,
+                     "--out", str(bad)]) == EXIT_CONFIG
+        assert not bad.exists()
 
 
 def test_explain_malformed_data_exits_2(trained_dir, tmp_path, capsys):

@@ -185,6 +185,50 @@ def test_stacked_mlp_rejects_a_batch_without_its_net_axis():
         single.predict(x)
 
 
+def out_of_place_forward(net, x, keep=True):
+    """`Mlp.forward` with every step making a fresh array: the reference the
+    in-place forward must equal bit for bit."""
+    h = np.asarray(x, dtype=np.float64)
+    lead = h.shape[:-2]
+    flat = net.parameters.reshape(lead + (-1,))
+    saved = []
+    for i, (w_sl, w_shape, b_sl) in enumerate(net._slices):
+        if i:
+            h = np.maximum(h, 0.0)
+        if keep:
+            saved.append(h)
+        h = h @ flat[..., w_sl].reshape(lead + w_shape) + flat[..., None, b_sl]
+    e = np.exp(h - h.max(axis=-1, keepdims=True))
+    h = e / e.sum(axis=-1, keepdims=True)
+    if keep:
+        saved.append(h)
+    return h, saved
+
+
+def bits(a) -> bytes:
+    a = np.asarray(a)
+    return a.dtype.str.encode() + str(a.shape).encode() + a.tobytes()
+
+
+@pytest.mark.parametrize("widths", [(), (3,), (5, 3), (6, 5, 3)])
+@pytest.mark.parametrize("nets, shape", [(1, (7, 4)), (1, (1, 4)), (1, (1, 7, 4)),
+                                         (3, (3, 7, 4))])
+@pytest.mark.parametrize("keep", [True, False])
+def test_in_place_forward_equals_the_out_of_place_form_bit_for_bit(widths, nets, shape, keep):
+    """Batches (n, d), stacks (m, n, d) and single rows, with and without the
+    saved activations; x keeps its bytes, also under a softmax alone."""
+    net = Mlp(4, widths, rng=np.random.default_rng(3), nets=nets)
+    x = 4.0 * np.random.default_rng(4).standard_normal(shape)
+    before = bits(x)
+    out, saved = net.forward(x, keep=keep)
+    ref_out, ref_saved = out_of_place_forward(net, x.copy(), keep=keep)
+    assert bits(out) == bits(ref_out) and bits(net.predict(x)) == bits(ref_out)
+    assert [bits(a) for a in saved] == [bits(a) for a in ref_saved]
+    if shape == (1, 4):
+        assert bits(net.predict(x[0])) == bits(ref_out[0])
+    assert bits(x) == before
+
+
 def test_mlp_clone_and_set_parameters(rng):
     net = make_net(rng)
     other = Mlp(net.in_dim, net.widths, parameters=net.parameters)

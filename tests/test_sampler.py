@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meed import autodiff as ad
-from meed.core import ConfigError, SelectionSet, named_rng
+from meed.core import ConfigError, SelectionSet, ShapeError, named_rng
 from meed.sampler import (U_EPS, Z_EPS, hard_topk, hard_topk_batch, relaxed_topk_var,
                           sample_gumbel_batch)
 from tests.conftest import relative_error
@@ -84,20 +84,66 @@ def argsort_topk_batch(z, k):
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 12), st.integers(1, 30), st.integers(0, 2**32 - 1),
-       st.sampled_from([None, 0, 1]), st.booleans(), st.data())
-def test_hard_topk_batch_matches_the_argsort_form(n, d, seed, decimals, nans, data):
-    """Scores rounded to 0 or 1 decimals force ties at the k-th largest score;
-    NaN scores, which the argsort ranks last, may fill any place."""
+       st.sampled_from([None, 0, 1]), st.booleans(), st.booleans(), st.data())
+def test_hard_topk_batch_matches_the_argsort_form(n, d, seed, decimals, nans, infs, data):
+    """Scores rounded to 0 or 1 decimals on about half the rows force ties at
+    the k-th largest score there, so tied and untied rows share a batch; NaN
+    scores, which the argsort ranks last, and +-inf may fill any place."""
     k = data.draw(st.sampled_from(sorted({1, d, data.draw(st.integers(1, d))})))
     rng = np.random.default_rng(seed)
     z = rng.random((n, d))
     if decimals is not None:
-        z = np.round(z, decimals)
+        tied = rng.random(n) < 0.5
+        z[tied] = np.round(z[tied], decimals)
     if nans:
         z[rng.random((n, d)) < 0.3] = np.nan
+    if infs:
+        spots = rng.random((n, d)) < 0.2
+        z[spots] = rng.choice([-np.inf, np.inf], size=int(spots.sum()))
     masks = hard_topk_batch(z, k)
     assert np.array_equal(masks, argsort_topk_batch(z, k))
     assert masks.dtype == np.float64 and np.all(masks.sum(axis=1) == k)
+
+
+def test_hard_topk_batch_mixes_fallback_rows_with_plain_ones():
+    """Rows whose scores at or above the k-th are exactly k take the one
+    compare; a tie at the k-th score, a NaN or a NaN beside -inf take the
+    stable argsort, which ranks NaN below -inf."""
+    z = np.array([[0.1, 0.5, 0.4, 0.0],
+                  [0.3, 0.3, 0.3, 0.1],
+                  [np.nan, 0.2, 0.7, 0.1],
+                  [np.nan, -np.inf, -np.inf, -np.inf],
+                  [np.inf, -np.inf, 0.2, np.inf]])
+    expected = [[0, 1, 1, 0], [1, 1, 0, 0], [0, 1, 1, 0], [0, 1, 1, 0], [1, 0, 0, 1]]
+    assert np.array_equal(hard_topk_batch(z, 2), expected)
+    assert np.array_equal(hard_topk_batch(z, 2), argsort_topk_batch(z, 2))
+    assert [hard_topk(row, 2).indices for row in z] == [(1, 2), (0, 1), (1, 2), (1, 2), (0, 3)]
+
+
+scores = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                   st.sampled_from([0.0, 0.25, 1.0, np.nan, np.inf, -np.inf]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(scores, min_size=1, max_size=30), st.data())
+def test_hard_topk_matches_the_argsort_form(values, data):
+    """One row with ties, NaN and +-inf: the first k entries of the stable
+    argsort of -z, which ranks NaN last, in index order."""
+    z = np.array(values)
+    k = data.draw(st.integers(1, len(z)))
+    assert hard_topk(z, k).indices == tuple(sorted(np.argsort(-z, kind="stable")[:k].tolist()))
+
+
+@pytest.mark.parametrize("z", [np.float64(0.5), np.full((1, 3), 1 / 3)])
+def test_hard_topk_names_the_rank_it_expects(z):
+    with pytest.raises(ShapeError, match="1-D"):
+        hard_topk(z, 1)
+
+
+@pytest.mark.parametrize("z", [np.float64(0.5), np.full(3, 1 / 3), np.full((1, 2, 3), 1 / 3)])
+def test_hard_topk_batch_names_the_rank_it_expects(z):
+    with pytest.raises(ShapeError, match="2-D"):
+        hard_topk_batch(z, 1)
 
 
 @pytest.mark.parametrize("k", [-1, 0, 4, 5])
