@@ -300,7 +300,7 @@ class Mlp:
         is freed once the next layer has read it."""
         params = self._params if params is None else params
         # All but the matmuls run in place; x is copied only for a softmax alone.
-        h = np.array(x, dtype=np.float64, copy=None if self._slices else True)
+        h = np.asarray(x, dtype=np.float64) if self._slices else np.array(x, dtype=np.float64)
         lead = h.shape[:-2]
         if (h.ndim not in (2, 3) or h.shape[-1] != self.in_dim
                 or lead != ((self.nets,) if h.ndim == 3 or self.nets > 1 else ())):

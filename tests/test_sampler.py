@@ -84,16 +84,19 @@ def argsort_topk_batch(z, k):
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 12), st.integers(1, 30), st.integers(0, 2**32 - 1),
-       st.sampled_from([None, 0, 1]), st.booleans(), st.booleans(), st.data())
-def test_hard_topk_batch_matches_the_argsort_form(n, d, seed, decimals, nans, infs, data):
-    """Scores rounded to 0 or 1 decimals on about half the rows force ties at
-    the k-th largest score there, so tied and untied rows share a batch; NaN
-    scores, which the argsort ranks last, and +-inf may fill any place."""
+       st.sampled_from([None, 0, 1]), st.sampled_from([1.0, 0.5]), st.booleans(),
+       st.booleans(), st.data())
+def test_hard_topk_batch_matches_the_argsort_form(n, d, seed, decimals, share, nans, infs,
+                                                  data):
+    """Scores rounded to 0 or 1 decimals force ties at the k-th largest score,
+    on every row or on about half of them, so that tied and untied rows also
+    share a batch; NaN scores, which the argsort ranks last, and +-inf may
+    fill any place."""
     k = data.draw(st.sampled_from(sorted({1, d, data.draw(st.integers(1, d))})))
     rng = np.random.default_rng(seed)
     z = rng.random((n, d))
     if decimals is not None:
-        tied = rng.random(n) < 0.5
+        tied = rng.random(n) < share
         z[tied] = np.round(z[tied], decimals)
     if nans:
         z[rng.random((n, d)) < 0.3] = np.nan
