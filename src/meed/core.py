@@ -233,6 +233,14 @@ def _glorot_limit(fan_in: int, fan_out: int) -> float:
     return float(np.sqrt(6.0 / (fan_in + fan_out)))
 
 
+def _rows(op: np.ufunc, h: np.ndarray) -> np.ndarray:
+    """`op.reduce` over h's last axis, kept. At width 2 (a two-class softmax) it
+    is one op of the two columns: the same IEEE result, without the 25-60 ns a
+    row that numpy's last-axis reductions cost there."""
+    return (op(h[..., :1], h[..., 1:]) if h.shape[-1] == 2
+            else op.reduce(h, axis=-1, keepdims=True))
+
+
 class Mlp:
     """Softmax classifier over a flat float64 parameter vector.
 
@@ -261,6 +269,7 @@ class Mlp:
             width = out
         self.out_dim = width
         self.n_params = offset * self.nets
+        self._views = {}  # stack shape -> (W, b) views of self._params per dense layer
         if parameters is not None:
             params = np.asarray(parameters, dtype=np.float64)
             if params.shape != (self.n_params,):
@@ -284,6 +293,23 @@ class Mlp:
             raise ShapeError(f"expected {self.n_params} parameters, got {vec.shape}")
         self._params[:] = vec
 
+    def __getstate__(self) -> dict:
+        """Copies (`view` and `copy.deepcopy` too) and pickles drop the layer
+        views, which would still read this net's vector; each builds its own."""
+        return {**self.__dict__, "_views": {}}
+
+    def _layers(self, params: np.ndarray, lead: tuple) -> list:
+        """Each dense layer's (W, b) views of `params` for the stack shape
+        `lead`; those of this net's own vector are built once per shape."""
+        layers = self._views.get(lead) if params is self._params else None
+        if layers is None:
+            flat = params.reshape(lead + (-1,))
+            layers = [(flat[..., w_sl].reshape(lead + w_shape), flat[..., None, b_sl])
+                      for w_sl, w_shape, b_sl in self._slices]
+            if params is self._params:
+                self._views[lead] = layers
+        return layers
+
     def view(self, i: int) -> "Mlp":
         """Net i of a stack as a one-net Mlp over a view of its parameters."""
         one = copy.copy(self)
@@ -306,45 +332,46 @@ class Mlp:
                 or lead != ((self.nets,) if h.ndim == 3 or self.nets > 1 else ())):
             raise ShapeError(f"dense layer 0 expects input width {self.in_dim} "
                              f"for {self.nets} net(s), got {h.shape}")
-        flat = params.reshape(lead + (-1,))
         saved = []
-        for i, (w_sl, w_shape, b_sl) in enumerate(self._slices):
+        for i, (w, b) in enumerate(self._layers(params, lead)):
             if i:
                 np.maximum(h, 0.0, out=h)
             if keep:
                 saved.append(h)
-            h = h @ flat[..., w_sl].reshape(lead + w_shape)
-            h += flat[..., None, b_sl]
-        h -= h.max(axis=-1, keepdims=True)
+            h = h @ w
+            h += b
+        h -= _rows(np.maximum, h)
         np.exp(h, out=h)
-        h /= h.sum(axis=-1, keepdims=True)
+        h /= _rows(np.add, h)
         if keep:
             saved.append(h)
         return h, saved
 
     def backward(self, saved, g: np.ndarray, params: Optional[np.ndarray] = None,
-                 weights: bool = True, inputs: bool = True) -> tuple:
+                 weights: bool = True, inputs: bool = True,
+                 out: Optional[np.ndarray] = None) -> tuple:
         """(g_in, g_flat): the gradient `g` at the output of `forward` pulled
         back to its input and to the flat parameters. Per dense layer this is
         one `g @ W.T`, one `a.T @ g` and one bias sum, over a stack's net axis.
         `weights=False` (a frozen net) skips the weight gradients and
-        `inputs=False` the input gradient; each skipped part comes back as None."""
+        `inputs=False` the input gradient; each skipped part comes back as None.
+        g_flat is written into `out` (n_params,) when given, else a new vector."""
         params = self._params if params is None else params
         lead = g.shape[:-2]
         rows = lead + (-1,)  # one row of parameters per net of a stack
-        flat = params.reshape(rows)
-        g_flat = np.empty(self.n_params) if weights else None
+        g_flat = (np.empty(self.n_params) if out is None else out) if weights else None
         g_nets = g_flat.reshape(rows) if weights else None
-        out = saved[-1]
-        g = out * (g - (g * out).sum(axis=-1, keepdims=True))
+        layers = self._layers(params, lead)
+        y = saved[-1]
+        g = y * (g - _rows(np.add, g * y))
         for i in reversed(range(len(self._slices))):
-            w_sl, w_shape, b_sl = self._slices[i]
+            w_sl, _, b_sl = self._slices[i]
             if weights:
                 g_nets[..., w_sl] = (saved[i].swapaxes(-1, -2) @ g).reshape(rows)
                 g_nets[..., b_sl] = g.sum(axis=-2)
             if i == 0 and not inputs:
                 break
-            g = g @ flat[..., w_sl].reshape(lead + w_shape).swapaxes(-1, -2)
+            g = g @ layers[i][0].swapaxes(-1, -2)
             if i:
                 g = g * (saved[i] > 0.0)
         return (g if inputs else None), g_flat

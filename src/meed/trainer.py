@@ -47,8 +47,8 @@ class CheckpointError(ValueError):
 
 class Optimizer:
     """In-place update of a flat parameter vector. `slots` names the
-    per-parameter state vectors, saved with the step count `t`; a step
-    updates them in place, through at most two scratch vectors of its own."""
+    per-parameter state vectors, saved with the step count `t`; a step updates
+    them in place, through two scratch vectors allocated once and never saved."""
 
     slots: tuple = ()
 
@@ -56,6 +56,7 @@ class Optimizer:
         self.rate, self.t = rate, 0
         for slot in self.slots:
             setattr(self, slot, np.zeros(n))
+        self._scratch = np.empty(n), np.empty(n)
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> None:
         raise NotImplementedError
@@ -81,7 +82,8 @@ class Adam(Optimizer):
 
     def step(self, params, grad):
         self.t += 1
-        delta, scratch = (1 - self.beta1) * grad, np.empty_like(grad)
+        delta, scratch = self._scratch
+        np.multiply(grad, 1 - self.beta1, out=delta)
         self.m *= self.beta1
         self.m += delta
         self.v *= self.beta2
@@ -109,7 +111,7 @@ def fit_classifier(x: np.ndarray, targets: np.ndarray, hidden: Sequence[int], ep
     nets = len(x) if x.ndim == 3 else 1
     net = Mlp(x.shape[-1], widths, nets=nets,
               parameters=np.tile(Mlp(x.shape[-1], widths, rng=rng).parameters, nets))
-    opt = Adam(learning_rate, net.n_params)
+    opt, grad = Adam(learning_rate, net.n_params), np.empty(net.n_params)
     n = x.shape[-2]
     for _ in range(epochs):
         perm = rng.permutation(n)
@@ -117,7 +119,7 @@ def fit_classifier(x: np.ndarray, targets: np.ndarray, hidden: Sequence[int], ep
             idx = perm[lo:lo + batch_size]
             out, saved = net.forward(x[..., idx, :])
             g_out = cross_entropy_grad(targets[idx], out)
-            opt.step(net.parameters, net.backward(saved, g_out, inputs=False)[1])
+            opt.step(net.parameters, net.backward(saved, g_out, inputs=False, out=grad)[1])
     return net
 
 

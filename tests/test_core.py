@@ -1,14 +1,17 @@
 """Domain types, configuration validation, RNG streams and the MLP base."""
 
+import copy
 import itertools
+import pickle
 
 import numpy as np
 import pytest
 
 from meed import autodiff as ad
-from meed.approximators import cross_entropy_var
+from meed.approximators import cross_entropy_var, make_pair
 from meed.core import (ConfigError, Mlp, SelectionSet, ShapeError,
                        TrainConfig, is_simplex, named_rng)
+from meed.data import MlpModel
 from tests.conftest import finite_difference, relative_error
 
 
@@ -227,6 +230,144 @@ def test_in_place_forward_equals_the_out_of_place_form_bit_for_bit(widths, nets,
     if shape == (1, 4):
         assert bits(net.predict(x[0])) == bits(ref_out[0])
     assert bits(x) == before
+
+
+def reduction_backward(net, saved, g):
+    """`Mlp.backward` with numpy's last-axis reductions and fresh arrays
+    throughout: the reference the two-column softmax VJP must equal bit for bit."""
+    lead = g.shape[:-2]
+    rows = lead + (-1,)
+    flat = net.parameters.reshape(rows)
+    g_nets = np.zeros(flat.shape)
+    out = saved[-1]
+    g = out * (g - (g * out).sum(axis=-1, keepdims=True))
+    for i in reversed(range(len(net._slices))):
+        w_sl, w_shape, b_sl = net._slices[i]
+        g_nets[..., w_sl] = (saved[i].swapaxes(-1, -2) @ g).reshape(rows)
+        g_nets[..., b_sl] = g.sum(axis=-2)
+        g = g @ flat[..., w_sl].reshape(lead + w_shape).swapaxes(-1, -2)
+        if i:
+            g = g * (saved[i] > 0.0)
+    return g, g_nets.ravel()
+
+
+# Two-class inputs: plain rows, a tie, logits near +-700 either way, signed
+# zeros and a NaN row.
+TWO_CLASS_ROWS = np.array([[0.3, -1.2], [1.5, 1.5], [700.0, -700.0], [-700.0, 700.0],
+                           [699.5, 700.0], [-709.0, -708.5], [-0.0, 0.0], [np.nan, 1.0]])
+
+
+def two_class_net(head, nets):
+    """A c=2 net whose logits are its input rows ("softmax" alone, or an
+    "identity" dense layer), or a relu net ("hidden")."""
+    if head == "softmax":
+        return Mlp(2, (), nets=nets)
+    if head == "identity":
+        return Mlp(2, (2,), nets=nets, parameters=np.tile([1.0, 0.0, 0.0, 1.0, 0.0, 0.0], nets))
+    return Mlp(2, (4, 3, 2), rng=np.random.default_rng(5), nets=nets)
+
+
+@pytest.mark.parametrize("head", ["softmax", "identity", "hidden"])
+@pytest.mark.parametrize("nets, layout", [(1, "row"), (1, "batch"), (1, "one-net stack"),
+                                          (2, "stack")])
+def test_two_class_softmax_equals_the_reduction_form_bit_for_bit(head, nets, layout):
+    """The width-2 softmax's max and sum from its two columns, forward and
+    backward (weight and input gradients), against numpy's reductions."""
+    net = two_class_net(head, nets)
+    x = {"row": TWO_CLASS_ROWS[3:4], "batch": TWO_CLASS_ROWS,
+         "one-net stack": TWO_CLASS_ROWS[None],
+         "stack": np.stack([TWO_CLASS_ROWS, TWO_CLASS_ROWS[::-1] * 0.5])}[layout]
+    g = np.random.default_rng(6).standard_normal(x.shape)
+    out, saved = net.forward(x)
+    ref_out, ref_saved = out_of_place_forward(net, x)
+    assert bits(out) == bits(ref_out)
+    assert [bits(a) for a in saved] == [bits(a) for a in ref_saved]
+    if layout == "row":
+        assert bits(net.predict(x[0])) == bits(ref_out[0])
+    g_in, g_flat = net.backward(saved, g)
+    ref_in, ref_flat = reduction_backward(net, ref_saved, g)
+    assert bits(g_in) == bits(ref_in) and bits(g_flat) == bits(ref_flat)
+    assert np.isnan(out).any() == (layout != "row")  # the NaN row stays NaN
+
+
+@pytest.mark.parametrize("nets", [1, 2])
+def test_two_class_backward_matches_finite_differences(nets):
+    net = Mlp(4, (5, 3, 2), rng=np.random.default_rng(9), nets=nets)
+    rng = np.random.default_rng(10)
+    lead = (nets,) if nets > 1 else ()
+    x, g = rng.standard_normal(lead + (6, 4)), rng.standard_normal(lead + (6, 2))
+    g_in, g_flat = net.backward(net.forward(x)[1], g)
+    fd_in = finite_difference(lambda v: float((net.forward(v.reshape(x.shape))[0] * g).sum()),
+                              x.ravel())
+    fd_flat = finite_difference(lambda p: float((net.forward(x, p)[0] * g).sum()),
+                                net.parameters.copy())
+    assert relative_error(g_in.ravel(), fd_in) < 1e-6
+    assert relative_error(g_flat, fd_flat) < 1e-6
+
+
+def test_backward_writes_the_weight_gradient_into_out():
+    net, x, g = stacked_case(m=2)
+    _, saved = net.forward(x)
+    buf = np.full(net.n_params, np.nan)
+    g_in, g_flat = net.backward(saved, g, out=buf)
+    fresh_in, fresh_flat = net.backward(saved, g)
+    assert g_flat is buf and bits(buf) == bits(fresh_flat) and bits(g_in) == bits(fresh_in)
+    assert net.backward(saved, g, weights=False, out=buf)[1] is None
+
+
+# Each net keeps (W, b) views of its own vector once a forward has built them:
+# a net that shares those views with a copy would run the wrong weights.
+
+def test_pair_views_score_with_their_own_halves_after_a_forward(rng):
+    pair = make_pair(d=5, c=2, hidden=(8,), rng=rng)
+    x = rng.standard_normal((4, 5))
+    for _ in range(2):
+        stacked = pair.net.predict(np.stack([x, x]))
+        halves = np.split(pair.net.parameters, 2)
+        for i, view in enumerate((pair.a_selected, pair.a_unselected)):
+            fresh = Mlp(5, view.widths, parameters=halves[i])
+            assert bits(view.predict(x)) == bits(fresh.predict(x)) == bits(stacked[i])
+            assert bits(view.predict(x[None])[0]) == bits(stacked[i])
+        assert not np.array_equal(stacked[0], stacked[1])
+        pair.net.parameters[:] += rng.standard_normal(pair.net.n_params)  # as Adam steps
+
+
+def test_deepcopied_model_randomizes_alone():
+    model = MlpModel(Mlp(5, (8, 2), rng=np.random.default_rng(1)))
+    x = np.random.default_rng(2).standard_normal((6, 5))
+    before = model.evaluate(x)
+    twin = copy.deepcopy(model)
+    twin.randomize(np.random.default_rng(3))
+    after = twin.evaluate(x)
+    assert not np.array_equal(after, before)
+    assert bits(after) == bits(Mlp(5, (8, 2), parameters=twin.net.parameters).predict(x))
+    assert bits(model.evaluate(x)) == bits(before)
+
+
+def test_pickled_net_sees_parameters_set_after_a_forward():
+    net = Mlp(5, (8, 2), rng=np.random.default_rng(1))
+    x = np.random.default_rng(2).standard_normal((6, 5))
+    before = net.predict(x)
+    clone = pickle.loads(pickle.dumps(net))
+    assert bits(clone.predict(x)) == bits(before)
+    other = Mlp(5, (8, 2), rng=np.random.default_rng(4))
+    for target in (clone, net):
+        target.set_parameters(other.parameters)
+        assert bits(target.predict(x)) == bits(other.predict(x))
+    assert not np.shares_memory(clone.parameters, net.parameters)
+
+
+def test_forward_with_other_parameters_uses_them():
+    net, x, g = stacked_case(m=2)
+    net.forward(x)
+    other = net.parameters + 0.5
+    twin = Mlp(4, net.widths, nets=2, parameters=other)
+    out, saved = net.forward(x, other)
+    twin_out, twin_saved = twin.forward(x)
+    assert bits(out) == bits(twin_out)
+    assert all(bits(a) == bits(b) for a, b in zip(net.backward(saved, g, other),
+                                                   twin.backward(twin_saved, g)))
+    assert not np.array_equal(out, net.predict(x))
 
 
 def test_mlp_clone_and_set_parameters(rng):

@@ -8,6 +8,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -112,6 +113,19 @@ def test_adam_step_is_the_textbook_update_bit_for_bit(kind):
         ref_params = ref_params - 0.01 * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
         assert np.array_equal(params, ref_params), t
     assert opt.t == 20 and np.array_equal(opt.m, m) and np.array_equal(opt.v, v)
+
+
+def test_adam_step_allocates_no_vector_of_its_size():
+    n = 100_000
+    opt, params, grad = Adam(1e-3, n), np.ones(n), np.full(n, 0.5)
+    opt.step(params, grad)
+    tracemalloc.start()
+    try:
+        opt.step(params, grad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n // 4
 
 
 def step_inputs(config, seed=0, optimizer=Adam):
