@@ -6,11 +6,11 @@ from .sampler import hard_topk
 from .explainer import ExplainerNet
 from .approximators import ApproximatorPair, relativistic_flip
 from .trainer import Checkpoint, load_checkpoint, save_checkpoint, train
-from .metrics import MetricsReport, brute_force_best_subset, mi_estimate
+from .metrics import MetricsReport
 
 __all__ = [
     "ApproximatorPair", "BlackBoxModel", "Checkpoint", "ConfigError",
     "ExplainerNet", "MetricsReport", "Mlp", "SelectionSet", "ShapeError",
-    "TrainConfig", "brute_force_best_subset", "hard_topk", "load_checkpoint",
-    "mi_estimate", "relativistic_flip", "save_checkpoint", "train",
+    "TrainConfig", "hard_topk", "load_checkpoint", "relativistic_flip",
+    "save_checkpoint", "train",
 ]

@@ -43,16 +43,10 @@ def cross_entropy_var(target: np.ndarray, pred) -> ad.Var:
 
 
 def relativistic_flip(y: np.ndarray) -> np.ndarray:
-    """Target flip for the explainer's unselected-feature loss.
-
-    Binary outputs give the literal 1 - y; with more classes the flipped
-    vector is renormalized by (c - 1) so it stays a distribution.
-    """
+    """Target flip for the explainer's unselected-feature loss: (1 - y) / (c - 1),
+    which stays a distribution and is the literal 1 - y for binary outputs."""
     y = np.asarray(y, dtype=np.float64)
-    c = y.shape[-1]
-    if c == 2:
-        return 1.0 - y
-    return (1.0 - y) / (c - 1)
+    return (1.0 - y) / (y.shape[-1] - 1)
 
 
 def sw_directions(c: int, n_proj: int, rng: np.random.Generator) -> np.ndarray:

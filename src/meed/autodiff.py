@@ -12,18 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Reduce `grad` back to `shape` after numpy broadcasting."""
-    if grad.shape == shape:
-        return grad
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, size in enumerate(shape):
-        if size == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad
-
-
 class Var:
     """A node in the computation graph holding a float64 array. `backward(g)`
     maps the node's gradient g to one gradient per parent, in order."""
@@ -47,27 +35,24 @@ def value(x) -> np.ndarray:
 
 def _glue(value, operands) -> Var:
     """Node of an elementwise op over its (operand, VJP) pairs. Only Var
-    operands become parents: a constant gets no gradient."""
+    operands become parents: a constant gets no gradient. A Var operand has
+    the result's shape (only a constant may broadcast), so each VJP's
+    gradient needs no reduction."""
     pairs = [(x, vjp) for x, vjp in operands if isinstance(x, Var)]
     return Var(value, tuple(x for x, _ in pairs), lambda g: [vjp(g) for _, vjp in pairs])
 
 
 def add(a, b) -> Var:
-    av, bv = value(a), value(b)
-    return _glue(av + bv, ((a, lambda g: _unbroadcast(g, av.shape)),
-                           (b, lambda g: _unbroadcast(g, bv.shape))))
+    return _glue(value(a) + value(b), ((a, lambda g: g), (b, lambda g: g)))
 
 
 def sub(a, b) -> Var:
-    av, bv = value(a), value(b)
-    return _glue(av - bv, ((a, lambda g: _unbroadcast(g, av.shape)),
-                           (b, lambda g: _unbroadcast(-g, bv.shape))))
+    return _glue(value(a) - value(b), ((a, lambda g: g), (b, lambda g: -g)))
 
 
 def mul(a, b) -> Var:
     av, bv = value(a), value(b)
-    return _glue(av * bv, ((a, lambda g: _unbroadcast(g * bv, av.shape)),
-                           (b, lambda g: _unbroadcast(g * av, bv.shape))))
+    return _glue(av * bv, ((a, lambda g: g * bv), (b, lambda g: g * av)))
 
 
 def take(a: Var, i: int) -> Var:

@@ -256,6 +256,8 @@ class Mlp:
         self.in_dim = int(in_dim)
         self.widths = tuple(int(w) for w in widths)
         self.nets = int(nets)
+        if self.nets < 1:
+            raise ConfigError(f"an Mlp holds nets >= 1, got {self.nets}")
         self._slices = []  # (w_slice, w_shape, b_slice) per dense layer, within one net's vector
         width = self.in_dim
         offset = 0

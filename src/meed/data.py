@@ -203,20 +203,6 @@ def _read_idx(path: str, magic: int) -> np.ndarray:
     return np.frombuffer(blob, dtype=np.uint8, offset=head).reshape(shape)
 
 
-def write_idx_images(images: np.ndarray, path: str) -> None:
-    images = np.asarray(images, dtype=np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, *images.shape))
-        fh.write(images.tobytes())
-
-
-def write_idx_labels(labels: np.ndarray, path: str) -> None:
-    labels = np.asarray(labels, dtype=np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">II", IDX_LABELS_MAGIC, labels.shape[0]))
-        fh.write(labels.tobytes())
-
-
 def load_idx_images(images_path: str, labels_path: str,
                     class_pair: Tuple[int, int]) -> Dataset:
     """Filter an IDX image/label pair to two classes, relabeled {0, 1}.
@@ -249,10 +235,6 @@ class MlpModel(BlackBoxModel):
 
     def __init__(self, net: Mlp):
         self.net = net
-
-    @property
-    def d(self) -> int:
-        return self.net.in_dim
 
     @property
     def c(self) -> int:

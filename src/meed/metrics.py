@@ -1,4 +1,4 @@
-"""Fidelity, sensitivity, sanity and timing metrics, plus the theory oracles.
+"""Fidelity, sensitivity, sanity and timing metrics.
 
 Fidelity follows the masked-input protocol: binary top-k masks from the
 explainer's scores, zero imputation, top-1 agreement with the model's
@@ -9,15 +9,13 @@ model; the -A variants through a freshly retrained approximator.
 from __future__ import annotations
 
 import copy
-import itertools
-import math
 import time
 from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .core import ConfigError, SelectionSet, checked_outputs, from_strings, named_rng
+from .core import ConfigError, checked_outputs, from_strings, named_rng
 from .data import Dataset
 from .sampler import hard_topk, hard_topk_batch
 from .trainer import fit_classifier
@@ -51,9 +49,14 @@ class MetricsReport:
 
     @classmethod
     def parse(cls, text: str) -> "MetricsReport":
-        kv = dict(line.split("=", 1) for line in text.strip().splitlines())
-        return from_strings(cls, {key.lower().replace("-", "_"): val for key, val in kv.items()},
-                            "report")
+        """The inverse of `serialize`; a line without `=` raises ConfigError naming it."""
+        kv = {}
+        for line in text.strip().splitlines():
+            key, sep, val = line.partition("=")
+            if not sep:
+                raise ConfigError(f"report line {line!r} is not KEY=value")
+            kv[key.lower().replace("-", "_")] = val
+        return from_strings(cls, kv, "report")
 
 
 def score_set(explainer, model, dataset: Dataset, k: int) -> tuple:
@@ -85,8 +88,9 @@ def fidelity_unselected_model(model, x: np.ndarray, y: np.ndarray, masks: np.nda
     return _agreement(model.evaluate(x * (1.0 - masks)), y)
 
 
-def require_rows(**sets: Dataset) -> None:
-    """ConfigError naming the first given set that has no rows."""
+def require_rows(**sets) -> None:
+    """ConfigError naming the first given set (a Dataset or an array of rows)
+    that has no rows."""
     for name, dataset in sets.items():
         if len(dataset) == 0:
             raise ConfigError(f"the {name} set is empty; its split of the dataset got no rows")
@@ -169,6 +173,7 @@ def permuted_labels(train_set: Dataset, rng: np.random.Generator) -> Dataset:
 def time_per_sample(explainer, model, x: np.ndarray, k: int, n_samples: int = 100) -> float:
     """Mean wall-clock seconds for one explanation (model call included), each
     a one-row batch, so a model that always answers (n, c) rows also fits."""
+    require_rows(evaluation=x)
     n = min(n_samples, len(x))
     for i in range(min(5, n)):  # warm-up, excluded
         row = x[i:i + 1]
@@ -203,60 +208,3 @@ def evaluate_explainer(explainer, model, train_set: Dataset, eval_set: Dataset, 
         tps=time_per_sample(explainer, model, x, k),
         k=k, n_eval=len(eval_set))
 
-
-# ---------------------------------------------------------------------------
-# Theory-check oracles
-# ---------------------------------------------------------------------------
-
-def _conditional_log_likelihood(patterns, labels: np.ndarray, n_classes: int) -> float:
-    """Mean log p-hat(y_i | pattern_i) with Laplace smoothing alpha = 1."""
-    joint: dict = {}
-    marg: dict = {}
-    for p, y in zip(patterns, labels):
-        joint[(p, y)] = joint.get((p, y), 0) + 1
-        marg[p] = marg.get(p, 0) + 1
-    total = 0.0
-    for p, y in zip(patterns, labels):
-        total += math.log((joint[(p, y)] + 1.0) / (marg[p] + n_classes))
-    return total / len(labels)
-
-
-def brute_force_best_subset(x: np.ndarray, labels: np.ndarray, k: int) -> SelectionSet:
-    """Exhaustive search for the subset maximizing the empirical selected-vs-
-    unselected conditional log-likelihood gap; ties go to the lexicographically
-    smallest subset. Feasible for small discrete feature spaces (d <= 12)."""
-    x = np.asarray(x)
-    labels = np.asarray(labels).astype(int)
-    n, d = x.shape
-    if d > 12:
-        raise ValueError("brute force limited to d <= 12")
-    n_classes = int(labels.max()) + 1
-    best, best_score = None, -np.inf
-    for subset in itertools.combinations(range(d), k):
-        comp = tuple(j for j in range(d) if j not in subset)
-        sel_patterns = [tuple(row) for row in x[:, list(subset)]]
-        comp_patterns = [tuple(row) for row in x[:, list(comp)]] if comp else [()] * n
-        score = (_conditional_log_likelihood(sel_patterns, labels, n_classes)
-                 - _conditional_log_likelihood(comp_patterns, labels, n_classes))
-        if score > best_score + 1e-12:
-            best, best_score = subset, score
-    return SelectionSet(indices=best, d=d)
-
-
-def mi_estimate(discrete_a, discrete_b) -> float:
-    """Plug-in mutual information (nats) from the joint frequency table."""
-    if len(discrete_a) != len(discrete_b):
-        raise ValueError("lists must have the same length")
-    n = len(discrete_a)
-    joint: dict = {}
-    pa: dict = {}
-    pb: dict = {}
-    for a, b in zip(discrete_a, discrete_b):
-        joint[(a, b)] = joint.get((a, b), 0) + 1
-        pa[a] = pa.get(a, 0) + 1
-        pb[b] = pb.get(b, 0) + 1
-    mi = 0.0
-    for (a, b), cnt in joint.items():
-        p_ab = cnt / n
-        mi += p_ab * math.log(p_ab * n * n / (pa[a] * pb[b]))
-    return max(mi, 0.0)

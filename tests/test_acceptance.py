@@ -21,12 +21,12 @@ from meed.data import (Dataset, SyntheticSpec, generate_synthetic,
                        load_idx_images, model_accuracy, split_dataset,
                        train_given_model)
 from meed.explainer import ExplainerNet, fuse_prior_var, prior_constraint_loss_var
-from meed.metrics import (brute_force_best_subset, evaluate_explainer,
-                          explainer_masks, fidelity_selected_model,
-                          fidelity_unselected_approx, mask_cosine, mi_estimate)
+from meed.metrics import (evaluate_explainer, explainer_masks, fidelity_selected_model,
+                          fidelity_unselected_approx, mask_cosine)
 from meed.sampler import relaxed_topk_var, sample_gumbel_batch
 from meed.trainer import explainer_objective, load_checkpoint, save_checkpoint, train
 from tests.conftest import finite_difference, mnist_dir, relative_error
+from tests.helpers import brute_force_best_subset, mi_estimate
 
 
 def report(n, text):

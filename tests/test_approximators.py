@@ -49,7 +49,7 @@ def test_cross_entropy_var_matches_batch_mean(rng):
 
 def test_relativistic_flip_binary_and_multiclass():
     y = np.array([[0.8, 0.2], [0.3, 0.7]])
-    assert np.allclose(relativistic_flip(y), 1.0 - y)
+    assert np.array_equal(relativistic_flip(y), 1.0 - y)
     y3 = np.array([[0.6, 0.3, 0.1]])
     flipped = relativistic_flip(y3)
     assert np.allclose(flipped.sum(axis=1), 1.0)

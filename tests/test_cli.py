@@ -18,13 +18,13 @@ from meed.cli import (EXIT_CONFIG, EXIT_OK, EXIT_SHAPE, FileSection, IdxSection,
 from meed.baselines import FD_STEP
 from meed.core import ConfigError, Mlp, TrainConfig, write_record
 from meed.data import (MODEL_MAGIC, MODEL_VERSION, MlpModel, SyntheticSpec, export_dataset,
-                       generate_synthetic, import_dataset, load_model, write_idx_images,
-                       write_idx_labels)
+                       generate_synthetic, import_dataset, load_model)
 from meed.metrics import MetricsReport
 from meed.sampler import hard_topk
 from meed.trainer import (CHECKPOINT_MAGIC, Adam, Checkpoint, load_checkpoint,
                           nets_from_checkpoint, save_checkpoint)
 from tests.conftest import BAD_LAYER_LISTS, record_sections
+from tests.helpers import write_idx_images, write_idx_labels
 
 README = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")
 

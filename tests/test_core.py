@@ -61,6 +61,13 @@ def test_mlp_rejects_a_dense_width_below_1(hidden, out):
         Mlp(3, (*hidden, out))
 
 
+@pytest.mark.parametrize("nets", [0, -1])
+def test_mlp_rejects_nets_below_1(nets):
+    """Rejected at construction, not by numpy's reshape at the first forward."""
+    with pytest.raises(ConfigError, match="nets >= 1"):
+        Mlp(3, (4, 2), nets=nets)
+
+
 def test_named_rng_streams_are_stable_and_distinct():
     a1 = named_rng(7, "data").standard_normal(4)
     a2 = named_rng(7, "data").standard_normal(4)

@@ -12,9 +12,10 @@ from meed.core import ConfigError, Mlp, named_rng, write_record
 from meed.data import (MODEL_MAGIC, MODEL_VERSION, Dataset, DatasetFileError, IdxParseError, MlpModel,
                        ModelFileError, SyntheticSpec, export_dataset, generate_synthetic,
                        import_dataset, load_idx_images, load_model, model_accuracy,
-                       save_model, split_dataset, train_given_model, write_idx_images,
-                       write_idx_labels, IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, _read_idx)
+                       save_model, split_dataset, train_given_model, IDX_IMAGES_MAGIC,
+                       IDX_LABELS_MAGIC, _read_idx)
 from tests.conftest import BAD_LAYER_LISTS, damage_record, record_sections
+from tests.helpers import write_idx_images, write_idx_labels
 
 
 def test_generators_are_deterministic():

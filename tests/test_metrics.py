@@ -6,14 +6,14 @@ import pytest
 from meed.core import ConfigError, Mlp, SelectionSet, TrainConfig, named_rng
 from meed.data import (Dataset, MlpModel, SyntheticSpec, generate_synthetic, split_dataset,
                        train_given_model)
-from meed.metrics import (SEN_N_PERTURB, MetricsReport, brute_force_best_subset,
-                          default_sen_radius, evaluate_explainer,
-                          explainer_masks, fidelity_selected_approx,
+from meed.metrics import (SEN_N_PERTURB, MetricsReport, default_sen_radius,
+                          evaluate_explainer, explainer_masks, fidelity_selected_approx,
                           fidelity_selected_model, fidelity_unselected_approx,
-                          fidelity_unselected_model, mask_cosine, mi_estimate,
-                          permuted_labels, require_rows, sanity_tests, score_set, sensitivity,
+                          fidelity_unselected_model, mask_cosine, permuted_labels,
+                          require_rows, sanity_tests, score_set, sensitivity,
                           time_per_sample)
 from meed.trainer import train
+from tests.helpers import brute_force_best_subset, mi_estimate
 
 
 def test_report_serialize_parse_round_trip():
@@ -27,6 +27,15 @@ def test_report_serialize_parse_round_trip():
     assert again.k == 4 and again.n_eval == 100
     for key in ("FS-M", "FU-M", "FS-A", "FU-A", "SEN", "TPS"):
         assert key in text
+
+
+def test_report_parse_rejects_a_line_without_equals():
+    text = MetricsReport(fs_m=1.0, fu_m=1.0, fs_a=1.0, fu_a=1.0, sen=1.0, sanity_model=1.0,
+                         sanity_data=1.0, tps=1.0, k=1, n_eval=1).serialize()
+    with pytest.raises(ConfigError, match="'garbage'"):
+        MetricsReport.parse("garbage")
+    with pytest.raises(ConfigError, match="'FS-M 1.00'"):
+        MetricsReport.parse(text.replace("FS-M=", "FS-M "))
 
 
 def test_report_serializes_to_the_documented_lines():
@@ -134,6 +143,12 @@ def test_permuted_labels_permutes_only_the_labels():
 def test_time_per_sample_positive(trained_run):
     explainer, model, _, te = trained_run
     assert time_per_sample(explainer, model, te.X, 2, n_samples=20) > 0.0
+
+
+def test_time_per_sample_rejects_an_empty_set(trained_run):
+    explainer, model, _, te = trained_run
+    with pytest.raises(ConfigError, match="the evaluation set is empty"):
+        time_per_sample(explainer, model, te.X[:0], 2)
 
 
 class RowsModel:
