@@ -27,19 +27,25 @@ def make_pair(d: int, c: int, hidden: Sequence[int],
     return ApproximatorPair(Mlp(d, (*hidden, c), rng=rng, nets=2))
 
 
-def cross_entropy_grad(target: np.ndarray, pred: np.ndarray, g=1.0) -> np.ndarray:
-    """g times the batch-mean cross-entropy's gradient at pred (..., n, c)."""
-    neg_target = -np.asarray(target, dtype=np.float64)
-    return g / pred.shape[-2] * neg_target / np.maximum(pred, CE_EPS) * (pred > CE_EPS)
+def cross_entropy_grad(target: np.ndarray, pred: np.ndarray, g=1.0, clip=None) -> np.ndarray:
+    """g times the batch-mean cross-entropy's gradient at pred (..., n, c); g may
+    hold one factor per net of a stack, and `clip` is max(pred, CE_EPS) if known."""
+    clip = np.maximum(pred, CE_EPS) if clip is None else clip
+    return g / pred.shape[-2] * -np.asarray(target, dtype=np.float64) / clip * (pred > CE_EPS)
 
 
-def cross_entropy_var(target: np.ndarray, pred) -> ad.Var:
-    """Batch-mean cross-entropy: target (n, c) constant, pred (n, c) Var.
-    One tape node; its VJP is `cross_entropy_grad`."""
+def cross_entropy_var(target: np.ndarray, pred, weights=1.0) -> tuple:
+    """(node, ce): ce holds the batch-mean cross-entropy CE_i of each net of a
+    stack pred (..., n, c) (a Var) against target (constant, broadcast to
+    pred), and the node, one tape node, is sum_i weights_i * CE_i. For
+    pred (n, c) ce is one value."""
     pred = ad.as_var(pred)
-    loss = np.log(np.maximum(pred.value, CE_EPS)) * -np.asarray(target, dtype=np.float64)
-    return ad.Var(loss.sum(axis=1).mean(), (pred,),
-                  lambda g: (cross_entropy_grad(target, pred.value, g),))
+    w, clip = np.asarray(weights, dtype=np.float64), np.maximum(pred.value, CE_EPS)
+    # Two sums and a divide by n: the bits of `.sum(axis=-1).mean()` per net.
+    ce = (np.log(clip) * -np.asarray(target, dtype=np.float64)).sum(axis=-1).sum(axis=-1)
+    ce /= pred.value.shape[-2]
+    return ad.Var((w * ce).sum(), (pred,), lambda g: (
+        cross_entropy_grad(target, pred.value, w[..., None, None] * g, clip),)), ce
 
 
 def relativistic_flip(y: np.ndarray) -> np.ndarray:

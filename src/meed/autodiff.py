@@ -2,9 +2,9 @@
 
 The tape is coarse: each network and each loss is one node whose VJP is
 written out in closed form where it is defined (`Mlp.forward_var`, the
-relaxed top-k, the losses and the prior fusion). This module keeps only the
-graph, the backward pass, and the elementwise arithmetic that glues those
-nodes together.
+relaxed top-k, the losses and the prior fusion), and the pair's two
+cross-entropies are one node. This module keeps only the graph, the backward
+pass, and the elementwise arithmetic that glues those nodes together.
 """
 
 from __future__ import annotations

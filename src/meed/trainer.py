@@ -10,6 +10,7 @@ The epoch counter m drives the prior warm-start decay.
 from __future__ import annotations
 
 import logging
+import math
 import os
 import time
 from dataclasses import asdict, dataclass, replace
@@ -127,14 +128,20 @@ def fit_classifier(x: np.ndarray, targets: np.ndarray, hidden: Sequence[int], ep
 # Update steps
 # ---------------------------------------------------------------------------
 
-def _pair_outputs(pair: ApproximatorPair, v, x: np.ndarray, leaf=None) -> tuple:
-    """A_s's and A_u's outputs on v*x and (1-v)*x, sliced from one pair node over
-    their (2, n, d) stack; a Var mask v makes the stack a node (VJP g[0]*x - g[1]*x)."""
+def _pair_outputs(pair: ApproximatorPair, v, x: np.ndarray, leaf=None) -> ad.Var:
+    """One node of A_s's and A_u's outputs (2, n, c) on the (2, n, d) stack of
+    v*x and (1-v)*x; a Var mask v makes the stack a node (VJP g[0]*x - g[1]*x)."""
     stack = np.stack([ad.value(v) * x, (1.0 - ad.value(v)) * x])
     if isinstance(v, ad.Var):
         stack = ad.Var(stack, (v,), lambda g: (g[0] * x - g[1] * x,))
-    preds = pair.net.forward_var(stack, leaf)
-    return ad.take(preds, 0), ad.take(preds, 1)
+    return pair.net.forward_var(stack, leaf)
+
+
+def _check_finite(losses: dict, step: str, batch_id: str) -> None:
+    """Raises TrainingAbort naming the first non-finite loss of `losses`."""
+    for name, val in losses.items():
+        if not math.isfinite(val):
+            raise TrainingAbort(f"non-finite {name} in {step} step, batch {batch_id}")
 
 
 def approximator_step(pair: ApproximatorPair, x: np.ndarray, y: np.ndarray,
@@ -143,17 +150,18 @@ def approximator_step(pair: ApproximatorPair, x: np.ndarray, y: np.ndarray,
     """One update of both approximators on the relaxed mask values v (n, d),
     stepping `opt` over the pair's stacked parameters."""
     leaf = ad.Var(pair.net.parameters)
-    pred_s, pred_u = _pair_outputs(pair, v, x, leaf)
-    l_s = cross_entropy_var(y, pred_s)
-    l_u = (cross_entropy_var(y, pred_u) if config.loss_u == "cross-entropy"
-           else sliced_wasserstein_var(y, pred_u, sw_thetas))
-    total = ad.add(l_s, ad.mul(l_u, config.lambda_u))
-    for name, val in (("L_s", l_s.value), ("L_u", l_u.value)):
-        if not np.isfinite(val):
-            raise TrainingAbort(f"non-finite {name} in approximator step, batch {batch_id}")
+    preds = _pair_outputs(pair, v, x, leaf)
+    if config.loss_u == "cross-entropy":
+        total, (l_s, l_u) = cross_entropy_var(y, preds, (1.0, config.lambda_u))
+    else:
+        l_s_var, l_s = cross_entropy_var(y, ad.take(preds, 0))
+        l_u_var = sliced_wasserstein_var(y, ad.take(preds, 1), sw_thetas)
+        total, l_u = ad.add(l_s_var, ad.mul(l_u_var, config.lambda_u)), l_u_var.value
+    l_s, l_u = float(l_s), float(l_u)
+    _check_finite({"L_s": l_s, "L_u": l_u}, "approximator", batch_id)
     ad.backward(total)
     opt.step(pair.net.parameters, leaf.grad)
-    return float(l_s.value), float(l_u.value)
+    return l_s, l_u
 
 
 def explainer_objective(pair: ApproximatorPair, z: ad.Var, z_tilde: ad.Var,
@@ -162,22 +170,25 @@ def explainer_objective(pair: ApproximatorPair, z: ad.Var, z_tilde: ad.Var,
     """Graph of the explainer update's objective L_s + lambda_u*L~_u + lambda_e*L_e
     (minus lambda_u*L~_u for sliced-Wasserstein), continued from the explainer's
     scores z, the fused scores z_tilde (z itself when no prior is set) and the
-    relaxed top-k mask v drawn from z_tilde; returns (objective, L_s, L~_u, L_e)."""
-    fused = z_tilde is not z
-    l_e = prior_constraint_loss_var(z_tilde, z, m) if fused else ad.Var(0.0)
+    relaxed top-k mask v drawn from z_tilde; returns the objective node and
+    the floats L_s, L~_u and L_e."""
     # Frozen approximators: gradients reach their inputs, not their weights.
-    pred_s, pred_u = _pair_outputs(pair, v, x)
-    l_s = cross_entropy_var(y, pred_s)
+    preds = _pair_outputs(pair, v, x)
     if config.loss_u == "cross-entropy":
         # Relativistic variant: still minimize, against the flipped target.
-        l_u_tilde = cross_entropy_var(relativistic_flip(y), pred_u)
-        objective = ad.add(l_s, ad.mul(l_u_tilde, config.lambda_u))
+        objective, (l_s, l_u_tilde) = cross_entropy_var(
+            np.stack([y, relativistic_flip(y)]), preds, (1.0, config.lambda_u))
     else:
-        l_u_tilde = sliced_wasserstein_var(y, pred_u, sw_thetas)
-        objective = ad.sub(l_s, ad.mul(l_u_tilde, config.lambda_u))
-    if config.lambda_e != 0.0 and fused:
-        objective = ad.add(objective, ad.mul(l_e, config.lambda_e))
-    return objective, l_s, l_u_tilde, l_e
+        l_s_var, l_s = cross_entropy_var(y, ad.take(preds, 0))
+        l_sw = sliced_wasserstein_var(y, ad.take(preds, 1), sw_thetas)
+        objective, l_u_tilde = ad.sub(l_s_var, ad.mul(l_sw, config.lambda_u)), l_sw.value
+    l_e = 0.0
+    if z_tilde is not z:
+        l_e_var = prior_constraint_loss_var(z_tilde, z, m)
+        l_e = float(l_e_var.value)
+        if config.lambda_e != 0.0:
+            objective = ad.add(objective, ad.mul(l_e_var, config.lambda_e))
+    return objective, float(l_s), float(l_u_tilde), l_e
 
 
 def explainer_step(leaf: ad.Var, z: ad.Var, z_tilde: ad.Var, pair: ApproximatorPair,
@@ -188,12 +199,10 @@ def explainer_step(leaf: ad.Var, z: ad.Var, z_tilde: ad.Var, pair: ApproximatorP
     parameter vector that z was scored from; approximator parameters stay frozen."""
     objective, l_s, l_u_tilde, l_e = explainer_objective(
         pair, z, z_tilde, x, y, config, v, m, sw_thetas)
-    for name, val in (("L_s", l_s.value), ("L_u", l_u_tilde.value), ("L_e", l_e.value)):
-        if not np.isfinite(val):
-            raise TrainingAbort(f"non-finite {name} in explainer step, batch {batch_id}")
+    _check_finite({"L_s": l_s, "L_u": l_u_tilde, "L_e": l_e}, "explainer", batch_id)
     ad.backward(objective)
     opt_e.step(leaf.value, leaf.grad)
-    return float(l_s.value), float(l_u_tilde.value), float(l_e.value)
+    return l_s, l_u_tilde, l_e
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,21 @@
 """Twin approximators, cross-entropy and sliced Wasserstein."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meed import approximators
 from meed import autodiff as ad
 from meed.core import Mlp
-from meed.approximators import (ApproximatorPair, cross_entropy_var, make_pair,
+from meed.approximators import (CE_EPS, ApproximatorPair, cross_entropy_var, make_pair,
                                 relativistic_flip, sliced_wasserstein_var,
                                 sw_directions)
 
 
 def cross_entropy(target, pred):
     """Batch-mean cross-entropy of rows (or one row) as a float."""
-    return float(cross_entropy_var(np.atleast_2d(target), ad.Var(np.atleast_2d(pred))).value)
+    return float(cross_entropy_var(np.atleast_2d(target), ad.Var(np.atleast_2d(pred)))[0].value)
 
 
 def sliced_wasserstein(batch_a, batch_b, n_proj, rng):
@@ -42,9 +43,52 @@ def test_cross_entropy_var_matches_batch_mean(rng):
     target /= target.sum(axis=1, keepdims=True)
     pred = rng.random((4, 3)) + 0.05
     pred /= pred.sum(axis=1, keepdims=True)
-    got = cross_entropy_var(target, ad.Var(pred)).value
+    got = cross_entropy_var(target, ad.Var(pred))[0].value
     want = np.mean(-(target * np.log(pred)).sum(axis=1))
     assert np.isclose(got, want)
+
+
+def two_node_pair_loss(targets, preds, lambda_u):
+    """The pair's loss as the tape formed it with one node per net: a take
+    and a cross-entropy node per net, then mul/add glue. Returns the total,
+    each net's loss and the gradient at preds; each net's loss is also
+    checked against the closed form `.sum(axis=1).mean()`."""
+    pred = ad.Var(preds)
+    nodes = [cross_entropy_var(targets[i], ad.take(pred, i))[0] for i in range(2)]
+    for i, node in enumerate(nodes):
+        closed = (np.log(np.maximum(preds[i], CE_EPS)) * -targets[i]).sum(axis=1).mean()
+        assert node.value.tobytes() == closed.tobytes()
+    total = ad.add(nodes[0], ad.mul(nodes[1], lambda_u))
+    ad.backward(total)
+    return total.value, [node.value for node in nodes], pred.grad
+
+
+@pytest.mark.parametrize("n", [1, 5, 300])
+@pytest.mark.parametrize("c", [2, 3, 10])
+@pytest.mark.parametrize("explainer_side", [False, True])
+def test_stacked_cross_entropy_equals_the_two_node_form_bit_for_bit(n, c, explainer_side):
+    """One node over the pair's (2, n, c) stack with weights (1, lambda_u):
+    value, per-net losses and VJP equal the two-node tape form, on predictions
+    at, below and far below CE_EPS, and on one-hot targets, whose flip holds
+    exact 0.0 and 1.0 entries; n = 300 runs the pairwise sum's blocks.
+    Gradients compare by value: the tape summed
+    two take VJPs, which turns a -0.0 into +0.0."""
+    rng = np.random.default_rng(10 * n + c)
+    preds = rng.random((2, n, c)) + 0.05
+    preds /= preds.sum(axis=-1, keepdims=True)
+    edges = np.array([CE_EPS, 0.5 * CE_EPS, 0.0, -0.2, 1.0])
+    preds.reshape(-1)[:len(edges)] = edges[:preds.size]
+    y = np.eye(c)[rng.integers(c, size=n)]
+    targets = np.stack([y, relativistic_flip(y) if explainer_side else y])
+    assert (targets == 0.0).any() and (targets == 1.0).any()
+    want_total, want_ce, want_grad = two_node_pair_loss(targets, preds, 0.7)
+    pred = ad.Var(preds.copy())
+    node, ce = cross_entropy_var(targets if explainer_side else y, pred, (1.0, 0.7))
+    ad.backward(node)
+    assert node.value.tobytes() == want_total.tobytes()
+    assert ce[0].tobytes() == want_ce[0].tobytes() and ce[1].tobytes() == want_ce[1].tobytes()
+    assert np.array_equal(pred.grad, want_grad)
+    assert np.all(pred.grad[preds <= CE_EPS] == 0.0)
 
 
 def test_relativistic_flip_binary_and_multiclass():

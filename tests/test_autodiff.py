@@ -139,8 +139,19 @@ def test_cross_entropy_node_matches_finite_differences(rng):
     pred = rng.random((4, 3)) + 0.05
     pred[1, 0] = -0.2  # below CE_EPS: clamped, so it gets no gradient
     assert pred[1, 0] < CE_EPS
-    grad = check_gradient(lambda p: cross_entropy_var(target, p), pred)
+    grad = check_gradient(lambda p: cross_entropy_var(target, p)[0], pred)
     assert grad[1, 0] == 0.0
+
+
+def test_stacked_cross_entropy_node_matches_finite_differences(rng):
+    """The pair's two cross-entropies as one node, weighted (1, 0.7), against
+    their own targets."""
+    targets = rng.random((2, 4, 3))
+    targets /= targets.sum(axis=-1, keepdims=True)
+    pred = rng.random((2, 4, 3)) + 0.05
+    pred[1, 2, 0] = -0.2  # below CE_EPS: clamped, so it gets no gradient
+    grad = check_gradient(lambda p: cross_entropy_var(targets, p, (1.0, 0.7))[0], pred)
+    assert grad[1, 2, 0] == 0.0
 
 
 def test_fuse_prior_node_matches_finite_differences(rng):

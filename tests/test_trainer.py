@@ -151,7 +151,7 @@ def tape_fit_classifier(x, targets, hidden, epochs, rng, learning_rate=1e-3, bat
         for lo in range(0, n, batch_size):
             idx = perm[lo:lo + batch_size]
             leaf = ad.Var(net.parameters)
-            ad.backward(cross_entropy_var(targets[idx], net.forward_var(x[idx], leaf)))
+            ad.backward(cross_entropy_var(targets[idx], net.forward_var(x[idx], leaf))[0])
             opt.step(net.parameters, leaf.grad)
     return net
 
@@ -343,6 +343,35 @@ def test_non_finite_input_aborts_training():
                           opts["pair"], sw_thetas=None, batch_id="t")
 
 
+@pytest.mark.parametrize("loss_u", ["cross-entropy", "sliced-wasserstein"])
+@pytest.mark.parametrize("step", ["approximator", "explainer"])
+@pytest.mark.parametrize("loss", ["L_s", "L_u"])
+def test_a_non_finite_loss_aborts_each_step_naming_it(loss_u, step, loss):
+    """A NaN feature makes L_s non-finite (it reaches both approximators; L_s
+    is checked first), and NaN weights in A_u only L_u. Either step then
+    aborts before it updates anything, with a TrainingAbort naming the loss,
+    the step and the batch."""
+    config = TrainConfig(k=2, epochs=1, seed=0, loss_u=loss_u, n_projections=8)
+    x, y, xi, explainer, pair, opts = step_inputs(config)
+    thetas = sw_directions(2, 8, np.random.default_rng(1))
+    if loss == "L_s":
+        x = x.copy()
+        x[0, 0] = np.nan
+    else:
+        pair.a_unselected.set_parameters(np.full(pair.a_unselected.n_params, np.nan))
+    before = explainer.parameters.copy(), pair.net.parameters.copy()
+    leaf, z, z_tilde = scores(explainer, x, y)
+    v = relaxed_topk_var(z_tilde, xi, config.tau)
+    with pytest.raises(TrainingAbort, match=f"^non-finite {loss} in {step} step, batch t$"):
+        if step == "approximator":
+            approximator_step(pair, x, y, v.value, config, opts["pair"], thetas, batch_id="t")
+        else:
+            explainer_step(leaf, z, z_tilde, pair, x, y, config, v, opts["e"], 0, thetas,
+                           batch_id="t")
+    assert np.array_equal(explainer.parameters, before[0])
+    assert np.array_equal(pair.net.parameters, before[1], equal_nan=True)
+
+
 def two_net_approximator_step(nets, explainer, x, y, config, xi, opt_s, opt_u, prior_r, m,
                               thetas):
     """The approximator update with A_s and A_u as two nets and two optimizers."""
@@ -353,9 +382,9 @@ def two_net_approximator_step(nets, explainer, x, y, config, xi, opt_s, opt_u, p
     leaf_s, leaf_u = ad.Var(nets[0].parameters), ad.Var(nets[1].parameters)
     pred_s = nets[0].forward_var(x * v, leaf_s)
     pred_u = nets[1].forward_var(x * (1.0 - v), leaf_u)
-    l_u = (cross_entropy_var(y, pred_u) if config.loss_u == "cross-entropy"
+    l_u = (cross_entropy_var(y, pred_u)[0] if config.loss_u == "cross-entropy"
            else sliced_wasserstein_var(y, pred_u, thetas))
-    ad.backward(ad.add(cross_entropy_var(y, pred_s), ad.mul(l_u, config.lambda_u)))
+    ad.backward(ad.add(cross_entropy_var(y, pred_s)[0], ad.mul(l_u, config.lambda_u)))
     opt_s.step(nets[0].parameters, leaf_s.grad)
     opt_u.step(nets[1].parameters, leaf_u.grad)
 
@@ -372,9 +401,9 @@ def two_net_explainer_step(explainer, nets, x, y, config, xi, opt_e, prior_r, m,
     v = relaxed_topk_var(z, xi, config.tau)
     pred_s = nets[0].forward_var(ad.mul(v, x))
     pred_u = nets[1].forward_var(ad.mul(ad.sub(1.0, v), x))
-    objective = cross_entropy_var(y, pred_s)
+    objective = cross_entropy_var(y, pred_s)[0]
     if config.loss_u == "cross-entropy":
-        objective = ad.add(objective, ad.mul(cross_entropy_var(relativistic_flip(y), pred_u),
+        objective = ad.add(objective, ad.mul(cross_entropy_var(relativistic_flip(y), pred_u)[0],
                                              config.lambda_u))
     else:
         objective = ad.sub(objective, ad.mul(sliced_wasserstein_var(y, pred_u, thetas),
@@ -386,9 +415,11 @@ def two_net_explainer_step(explainer, nets, x, y, config, xi, opt_e, prior_r, m,
 
 
 # Loss and prior-weight settings of the stacked-pair test; a "-prior" variant
-# fuses a uniform prior into the scores.
+# fuses a uniform prior into the scores, and a "-saturated" one makes the model
+# outputs exactly one-hot, so targets and flipped targets hold exact zeros.
 PAIR_VARIANTS = {
     "cross-entropy": {},
+    "cross-entropy-saturated": {},
     "cross-entropy-prior": dict(lambda_e=0.1),
     "sliced-wasserstein-prior": dict(loss_u="sliced-wasserstein", n_projections=8, lambda_e=1.0),
 }
@@ -402,6 +433,8 @@ def test_stacked_pair_steps_equal_the_two_net_steps(optimizer, variant):
     config = TrainConfig(k=2, epochs=1, seed=0, lambda_u=0.7, tau=0.37, **PAIR_VARIANTS[variant])
     sliced = config.loss_u == "sliced-wasserstein"
     x, y, _, explainer, pair, opts = step_inputs(config, optimizer=optimizer)
+    if variant.endswith("-saturated"):
+        y = np.eye(2)[y.argmax(axis=1)]
     twin_e = ExplainerNet(6, 2, hidden=(8,), rng=np.random.default_rng(0))
     twin_e.set_parameters(explainer.parameters)
     nets = [Mlp(6, view.widths, parameters=view.parameters)
@@ -421,9 +454,9 @@ def test_stacked_pair_steps_equal_the_two_net_steps(optimizer, variant):
                                   prior_r, m, thetas)
         two_net_explainer_step(twin_e, nets, x, y, config, xi.copy(), twin_opts[0], prior_r, m,
                                thetas)
-    assert np.array_equal(explainer.parameters, twin_e.parameters)
-    assert np.array_equal(pair.a_selected.parameters, nets[0].parameters)
-    assert np.array_equal(pair.a_unselected.parameters, nets[1].parameters)
+    assert explainer.parameters.tobytes() == twin_e.parameters.tobytes()
+    assert pair.a_selected.parameters.tobytes() == nets[0].parameters.tobytes()
+    assert pair.a_unselected.parameters.tobytes() == nets[1].parameters.tobytes()
     assert same_state(opts["e"].get_state(), twin_opts[0].get_state())
     for i, opt in enumerate(twin_opts[1:]):
         state = opt.get_state()
