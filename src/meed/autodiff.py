@@ -1,10 +1,11 @@
 """Minimal reverse-mode automatic differentiation over float64 numpy arrays.
 
-The tape is coarse: each network and each loss is one node whose VJP is
-written out in closed form where it is defined (`Mlp.forward_var`, the
-relaxed top-k, the losses and the prior fusion), and the pair's two
-cross-entropies are one node. This module keeps only the graph, the backward
-pass, and the elementwise arithmetic that glues those nodes together.
+The tape is coarse: each network, the relaxed top-k, the prior fusion and
+its constraint loss is one node whose VJP is written out in closed form where
+it is defined (`Mlp.forward_var`, the sampler and the explainer), and the
+pair's loss L_s + lambda_u*L_u is one node for either adversary. This module
+keeps only the graph, the backward pass, and the `add` that joins the prior's
+constraint loss to the pair's.
 """
 
 from __future__ import annotations
@@ -25,40 +26,12 @@ class Var:
         self._backward = backward
 
 
-def as_var(x) -> Var:
-    return x if isinstance(x, Var) else Var(x)
-
-
 def value(x) -> np.ndarray:
     return x.value if isinstance(x, Var) else np.asarray(x, dtype=np.float64)
 
 
-def _glue(value, operands) -> Var:
-    """Node of an elementwise op over its (operand, VJP) pairs. Only Var
-    operands become parents: a constant gets no gradient. A Var operand has
-    the result's shape (only a constant may broadcast), so each VJP's
-    gradient needs no reduction."""
-    pairs = [(x, vjp) for x, vjp in operands if isinstance(x, Var)]
-    return Var(value, tuple(x for x, _ in pairs), lambda g: [vjp(g) for _, vjp in pairs])
-
-
-def add(a, b) -> Var:
-    return _glue(value(a) + value(b), ((a, lambda g: g), (b, lambda g: g)))
-
-
-def sub(a, b) -> Var:
-    return _glue(value(a) - value(b), ((a, lambda g: g), (b, lambda g: -g)))
-
-
-def mul(a, b) -> Var:
-    av, bv = value(a), value(b)
-    return _glue(av * bv, ((a, lambda g: g * bv), (b, lambda g: g * av)))
-
-
-def take(a: Var, i: int) -> Var:
-    """a[i] along the leading axis; its VJP is g at i and zeros elsewhere."""
-    return Var(a.value[i], (a,), lambda g: (np.stack(
-        [g if j == i else np.zeros_like(g) for j in range(len(a.value))]),))
+def add(a: Var, b: Var) -> Var:
+    return Var(a.value + b.value, (a, b), lambda g: (g, g))
 
 
 def backward(root: Var) -> None:

@@ -256,8 +256,9 @@ class Mlp:
         self.in_dim = int(in_dim)
         self.widths = tuple(int(w) for w in widths)
         self.nets = int(nets)
-        if self.nets < 1:
-            raise ConfigError(f"an Mlp holds nets >= 1, got {self.nets}")
+        if min(self.nets, self.in_dim) < 1:
+            raise ConfigError(f"an Mlp holds nets >= 1 over in_dim >= 1 inputs, got nets="
+                              f"{self.nets} and in_dim={self.in_dim}")
         self._slices = []  # (w_slice, w_shape, b_slice) per dense layer, within one net's vector
         width = self.in_dim
         offset = 0

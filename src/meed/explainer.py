@@ -60,12 +60,11 @@ class ExplainerNet(Mlp):
 # Prior fusion and constraint
 # ---------------------------------------------------------------------------
 
-def fuse_prior_var(z, r: np.ndarray, m: int) -> ad.Var:
+def fuse_prior_var(z: ad.Var, r: np.ndarray, m: int) -> ad.Var:
     """z~ propto (z^m r)^(1/(m+1)) for a batch: z (n, d), r (n, d) or (d,);
     m=0 returns the prior, m->inf returns z. One tape node."""
     if m < 0:
         raise ConfigError("epoch counter m must be >= 0")
-    z = ad.as_var(z)
     r = np.clip(np.asarray(r, dtype=np.float64), Z_EPS, None)
     inv = 1.0 / (m + 1.0)
     above = z.value > Z_EPS
@@ -83,17 +82,18 @@ def fuse_prior_var(z, r: np.ndarray, m: int) -> ad.Var:
     return ad.Var(out, (z,), vjp)
 
 
-def prior_constraint_loss_var(z_tilde, z, m: int) -> ad.Var:
-    """Mean absolute error between z~ and z, faded by 1/(m+1). One tape node."""
+def prior_constraint_loss_var(z_tilde: ad.Var, z: ad.Var, m: int, weight: float = 1.0) -> tuple:
+    """(node, L_e): L_e is the mean absolute error between z~ and z, faded by
+    1/(m+1), and the node, one tape node, is weight * L_e."""
     if m < 0:
         raise ConfigError("epoch counter m must be >= 0")
-    z_tilde, z = ad.as_var(z_tilde), ad.as_var(z)
     diff = z_tilde.value - z.value
     sign = np.sign(diff)
     inv = 1.0 / (m + 1.0)
+    l_e = np.abs(diff).mean() * inv
 
     def vjp(g):
-        g_tilde = g * inv / diff.size * sign
+        g_tilde = g * weight * inv / diff.size * sign
         return g_tilde, -g_tilde
 
-    return ad.Var(np.abs(diff).mean() * inv, (z_tilde, z), vjp)
+    return ad.Var(weight * l_e, (z_tilde, z), vjp), l_e

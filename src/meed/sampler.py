@@ -29,7 +29,7 @@ def sample_gumbel_batch(noise: np.ndarray, rng: np.random.Generator) -> np.ndarr
     return noise
 
 
-def relaxed_topk_var(z, xi: np.ndarray, tau: float) -> ad.Var:
+def relaxed_topk_var(z: ad.Var, xi: np.ndarray, tau: float) -> ad.Var:
     """Differentiable mask for a batch: z (n, d), xi (k, n, d) -> v (n, d).
 
     One tape node; v is the max over k of the softmax races s_j (n, d), and
@@ -42,7 +42,6 @@ def relaxed_topk_var(z, xi: np.ndarray, tau: float) -> ad.Var:
     """
     if tau <= 0:
         raise ConfigError("tau must be positive")
-    z = ad.as_var(z)
     inv_tau = 1.0 / tau
     z_floor = np.maximum(z.value, Z_EPS)
     races = xi

@@ -19,8 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .approximators import (ApproximatorPair, cross_entropy_grad, cross_entropy_var,
-                            make_pair, relativistic_flip, sliced_wasserstein_var,
+from .approximators import (ApproximatorPair, cross_entropy_grad, make_pair, pair_loss_var,
                             sw_directions)
 from .baselines import prior_scores
 from .core import (ConfigError, Mlp, ShapeError, TrainConfig, checked_outputs, from_strings,
@@ -150,14 +149,8 @@ def approximator_step(pair: ApproximatorPair, x: np.ndarray, y: np.ndarray,
     """One update of both approximators on the relaxed mask values v (n, d),
     stepping `opt` over the pair's stacked parameters."""
     leaf = ad.Var(pair.net.parameters)
-    preds = _pair_outputs(pair, v, x, leaf)
-    if config.loss_u == "cross-entropy":
-        total, (l_s, l_u) = cross_entropy_var(y, preds, (1.0, config.lambda_u))
-    else:
-        l_s_var, l_s = cross_entropy_var(y, ad.take(preds, 0))
-        l_u_var = sliced_wasserstein_var(y, ad.take(preds, 1), sw_thetas)
-        total, l_u = ad.add(l_s_var, ad.mul(l_u_var, config.lambda_u)), l_u_var.value
-    l_s, l_u = float(l_s), float(l_u)
+    total, l_s, l_u = pair_loss_var(y, _pair_outputs(pair, v, x, leaf), config.loss_u,
+                                    config.lambda_u, sw_thetas)
     _check_finite({"L_s": l_s, "L_u": l_u}, "approximator", batch_id)
     ad.backward(total)
     opt.step(pair.net.parameters, leaf.grad)
@@ -173,22 +166,14 @@ def explainer_objective(pair: ApproximatorPair, z: ad.Var, z_tilde: ad.Var,
     relaxed top-k mask v drawn from z_tilde; returns the objective node and
     the floats L_s, L~_u and L_e."""
     # Frozen approximators: gradients reach their inputs, not their weights.
-    preds = _pair_outputs(pair, v, x)
-    if config.loss_u == "cross-entropy":
-        # Relativistic variant: still minimize, against the flipped target.
-        objective, (l_s, l_u_tilde) = cross_entropy_var(
-            np.stack([y, relativistic_flip(y)]), preds, (1.0, config.lambda_u))
-    else:
-        l_s_var, l_s = cross_entropy_var(y, ad.take(preds, 0))
-        l_sw = sliced_wasserstein_var(y, ad.take(preds, 1), sw_thetas)
-        objective, l_u_tilde = ad.sub(l_s_var, ad.mul(l_sw, config.lambda_u)), l_sw.value
+    objective, l_s, l_u_tilde = pair_loss_var(y, _pair_outputs(pair, v, x), config.loss_u,
+                                              config.lambda_u, sw_thetas, explainer=True)
     l_e = 0.0
     if z_tilde is not z:
-        l_e_var = prior_constraint_loss_var(z_tilde, z, m)
-        l_e = float(l_e_var.value)
+        l_e_var, l_e = prior_constraint_loss_var(z_tilde, z, m, config.lambda_e)
         if config.lambda_e != 0.0:
-            objective = ad.add(objective, ad.mul(l_e_var, config.lambda_e))
-    return objective, float(l_s), float(l_u_tilde), l_e
+            objective = ad.add(objective, l_e_var)
+    return objective, l_s, l_u_tilde, float(l_e)
 
 
 def explainer_step(leaf: ad.Var, z: ad.Var, z_tilde: ad.Var, pair: ApproximatorPair,

@@ -1,10 +1,12 @@
-"""Reference oracles and file writers that only the tests use.
+"""Reference oracles, reference tape ops and file writers that only the tests use.
 
 The oracles check the paper's theory on small discrete tasks: the brute-force
 best subset (criterion 4: AIL learns the selected-feature conditional) and the
 plug-in mutual information between mask pattern and class (criterion 7:
-combinatorial shortcuts). The IDX writers make the image files that the
-package's IDX reader loads.
+combinatorial shortcuts). The reference tape ops build the losses the slow
+way, one node per net and per loss joined by elementwise glue, for the tests
+that compare the fused nodes with that form. The IDX writers make the image
+files that the package's IDX reader loads.
 """
 
 import itertools
@@ -13,6 +15,7 @@ import struct
 
 import numpy as np
 
+from meed import autodiff as ad
 from meed.core import SelectionSet
 from meed.data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC
 
@@ -69,6 +72,58 @@ def mi_estimate(discrete_a, discrete_b) -> float:
         p_ab = cnt / n
         mi += p_ab * math.log(p_ab * n * n / (pa[a] * pb[b]))
     return max(mi, 0.0)
+
+
+def _glue(value, operands) -> ad.Var:
+    """Node of an elementwise op over its (operand, VJP) pairs. Only Var
+    operands become parents: a constant gets no gradient. A Var operand has
+    the result's shape (only a constant may broadcast), so each VJP's
+    gradient needs no reduction."""
+    pairs = [(x, vjp) for x, vjp in operands if isinstance(x, ad.Var)]
+    return ad.Var(value, tuple(x for x, _ in pairs), lambda g: [vjp(g) for _, vjp in pairs])
+
+
+def sub(a, b) -> ad.Var:
+    """a - b for Vars or constants."""
+    return _glue(ad.value(a) - ad.value(b), ((a, lambda g: g), (b, lambda g: -g)))
+
+
+def mul(a, b) -> ad.Var:
+    """a * b for Vars or constants."""
+    av, bv = ad.value(a), ad.value(b)
+    return _glue(av * bv, ((a, lambda g: g * bv), (b, lambda g: g * av)))
+
+
+def take(a: ad.Var, i: int) -> ad.Var:
+    """a[i] along the leading axis; its VJP is g at i and zeros elsewhere."""
+    return ad.Var(a.value[i], (a,), lambda g: (np.stack(
+        [g if j == i else np.zeros_like(g) for j in range(len(a.value))]),))
+
+
+def explicit_sliced_wasserstein(batch_a, batch_b, thetas) -> tuple:
+    """(value, vjp) of the sliced Wasserstein distance in its axis-0 form: one
+    projection per column of an (n, P) array, a stable argsort down each
+    column, and a VJP that scatters each sorted difference back along that
+    column's order."""
+    proj_a = np.sort(np.asarray(batch_a, dtype=np.float64) @ thetas, axis=0)
+    proj_b = batch_b @ thetas
+    order = np.argsort(proj_b, axis=0, kind="stable")
+    diff = np.take_along_axis(proj_b, order, axis=0) - proj_a
+
+    def vjp(g):
+        half = g / diff.size * diff
+        g_proj = np.zeros_like(proj_b)
+        np.put_along_axis(g_proj, order, half + half, axis=0)
+        return g_proj @ thetas.T
+
+    return (diff * diff).mean(), vjp
+
+
+def sliced_wasserstein_node(batch_a, batch_b: ad.Var, thetas) -> ad.Var:
+    """The sliced Wasserstein distance between a constant batch and a Var
+    batch (n, c) as a tape node of its own, in the axis-0 form."""
+    value, vjp = explicit_sliced_wasserstein(batch_a, batch_b.value, thetas)
+    return ad.Var(value, (batch_b,), lambda g: (vjp(g),))
 
 
 def write_idx_images(images: np.ndarray, path: str) -> None:

@@ -96,8 +96,8 @@ def test_criterion_01_prior_fusion_exactness():
 
     z_tilde = ad.Var(np.array([[0.75, 0.25]]))
     z_now = ad.Var(np.array([[0.25, 0.75]]))
-    l0 = float(prior_constraint_loss_var(z_tilde, z_now, m=0).value)
-    l1 = float(prior_constraint_loss_var(z_tilde, z_now, m=1).value)
+    l0 = float(prior_constraint_loss_var(z_tilde, z_now, m=0)[1])
+    l1 = float(prior_constraint_loss_var(z_tilde, z_now, m=1)[1])
     assert np.isclose(l1, l0 / 2.0)
     report(1, f"m=0 returns the prior; fused=({fused[0]:.9f}, {fused[1]:.9f}); "
               f"constraint loss fades {l0:.4f} -> {l1:.4f}")

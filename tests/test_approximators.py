@@ -11,6 +11,7 @@ from meed.core import Mlp
 from meed.approximators import (CE_EPS, ApproximatorPair, cross_entropy_var, make_pair,
                                 relativistic_flip, sliced_wasserstein_var,
                                 sw_directions)
+from tests.helpers import explicit_sliced_wasserstein, mul, sliced_wasserstein_node, sub, take
 
 
 def cross_entropy(target, pred):
@@ -19,8 +20,10 @@ def cross_entropy(target, pred):
 
 
 def sliced_wasserstein(batch_a, batch_b, n_proj, rng):
+    """The SW term of the pair's node with batch_b as A_u's output (and A_s's)."""
     thetas = sw_directions(batch_a.shape[1], n_proj, rng)
-    return float(sliced_wasserstein_var(batch_a, ad.Var(batch_b), thetas).value)
+    return float(sliced_wasserstein_var(batch_a, ad.Var(np.stack([batch_b, batch_b])), thetas,
+                                        (1.0, 1.0))[1][1])
 
 
 def test_cross_entropy_matches_closed_form():
@@ -54,11 +57,11 @@ def two_node_pair_loss(targets, preds, lambda_u):
     each net's loss and the gradient at preds; each net's loss is also
     checked against the closed form `.sum(axis=1).mean()`."""
     pred = ad.Var(preds)
-    nodes = [cross_entropy_var(targets[i], ad.take(pred, i))[0] for i in range(2)]
+    nodes = [cross_entropy_var(targets[i], take(pred, i))[0] for i in range(2)]
     for i, node in enumerate(nodes):
         closed = (np.log(np.maximum(preds[i], CE_EPS)) * -targets[i]).sum(axis=1).mean()
         assert node.value.tobytes() == closed.tobytes()
-    total = ad.add(nodes[0], ad.mul(nodes[1], lambda_u))
+    total = ad.add(nodes[0], mul(nodes[1], lambda_u))
     ad.backward(total)
     return total.value, [node.value for node in nodes], pred.grad
 
@@ -121,31 +124,16 @@ def test_sliced_wasserstein_is_permutation_invariant(rng):
 
 
 def test_sliced_wasserstein_var_matches_scalar(rng):
+    """The node is L_s + SW at weights (1, 1), each term its closed form."""
     a = rng.random((6, 3))
-    b = rng.random((6, 3))
+    b = rng.random((2, 6, 3))
     thetas = sw_directions(3, 8, rng)
-    got = sliced_wasserstein_var(a, ad.Var(b), thetas).value
+    node, (l_s, sw) = sliced_wasserstein_var(a, ad.Var(b), thetas, (1.0, 1.0))
     proj_a = np.sort(a @ thetas, axis=0)
-    proj_b = np.sort(b @ thetas, axis=0)
-    assert np.isclose(got, np.mean((proj_a - proj_b) ** 2))
-
-
-def explicit_sliced_wasserstein(batch_a, batch_b, thetas):
-    """The axis-0 form kept as a reference: one projection per column of an
-    (n, P) array, a stable argsort down each column, and a VJP that scatters
-    each sorted difference back along that column's order."""
-    proj_a = np.sort(np.asarray(batch_a, dtype=np.float64) @ thetas, axis=0)
-    proj_b = batch_b @ thetas
-    order = np.argsort(proj_b, axis=0, kind="stable")
-    diff = np.take_along_axis(proj_b, order, axis=0) - proj_a
-
-    def vjp(g):
-        half = g / diff.size * diff
-        g_proj = np.zeros_like(proj_b)
-        np.put_along_axis(g_proj, order, half + half, axis=0)
-        return g_proj @ thetas.T
-
-    return (diff * diff).mean(), vjp
+    proj_b = np.sort(b[1] @ thetas, axis=0)
+    assert np.isclose(sw, np.mean((proj_a - proj_b) ** 2))
+    assert np.isclose(l_s, np.mean(-(a * np.log(b[0])).sum(axis=1)))
+    assert node.value == l_s + sw
 
 
 def simplex_rows(rng, n, c, kind):
@@ -183,10 +171,53 @@ def test_sliced_wasserstein_equals_the_explicit_form_bit_for_bit(monkeypatch):
             thetas = sw_directions(c, n_proj, rng)
             g = rng.standard_normal()
             want_value, want_vjp = explicit_sliced_wasserstein(batch_a, batch_b, thetas)
-            node = sliced_wasserstein_var(batch_a, ad.Var(batch_b), thetas)
-            assert np.array_equal(node.value, want_value), (n, c, n_proj, kind)
-            assert np.array_equal(node._backward(g)[0], want_vjp(g)), (n, c, n_proj, kind)
+            node, (_, sw) = sliced_wasserstein_var(batch_a, ad.Var(np.stack([batch_a, batch_b])),
+                                                   thetas, (1.0, 1.0))
+            assert np.array_equal(sw, want_value), (n, c, n_proj, kind)
+            assert np.array_equal(node._backward(g)[0][1], want_vjp(g)), (n, c, n_proj, kind)
     assert True in branches and False in branches
+
+
+@pytest.mark.parametrize("explainer_side", [False, True])
+@pytest.mark.parametrize("n, kind", [(1, "random"), (7, "random"), (40, "random"),
+                                     (40, "duplicates"), (40, "one-hot")])
+def test_sliced_wasserstein_pair_node_equals_the_two_node_form_bit_for_bit(
+        monkeypatch, explainer_side, n, kind):
+    """One node over the pair's (2, n, c) stack with weights (1, lambda_u), or
+    (1, -lambda_u) on the explainer's side: value, both terms and VJP equal
+    the two-node tape form, a take and a cross-entropy node for A_s and a
+    take and a sliced Wasserstein node for A_u joined by add/mul (sub/mul)
+    glue. Duplicate and one-hot rows tie in every projection and take the
+    stable-sort branch. Gradients compare by value: the tape summed two take
+    VJPs, which turns a -0.0 into +0.0."""
+    rising_rows, branches = approximators._rising_rows, []
+
+    def recording(rows):
+        branches.append(rising_rows(rows))
+        return branches[-1]
+
+    monkeypatch.setattr(approximators, "_rising_rows", recording)
+    rng = np.random.default_rng(n)
+    y = simplex_rows(rng, n, 3, "random")
+    preds = np.stack([simplex_rows(rng, n, 3, "random"), simplex_rows(rng, n, 3, kind)])
+    preds[0, 0, 0] = 0.5 * CE_EPS  # below CE_EPS: clamped, so it gets no gradient
+    thetas = sw_directions(3, 16, rng)
+    lambda_u = 0.7
+    pred = ad.Var(preds.copy())
+    l_s_node = cross_entropy_var(y, take(pred, 0))[0]
+    sw_node = sliced_wasserstein_node(y, take(pred, 1), thetas)
+    glue = sub if explainer_side else ad.add
+    want = glue(l_s_node, mul(sw_node, lambda_u))
+    ad.backward(want)
+    got_pred = ad.Var(preds.copy())
+    weights = (1.0, -lambda_u if explainer_side else lambda_u)
+    node, (l_s, sw) = sliced_wasserstein_var(y, got_pred, thetas, weights)
+    ad.backward(node)
+    assert node.value.tobytes() == want.value.tobytes()
+    assert l_s.tobytes() == l_s_node.value.tobytes() and sw.tobytes() == sw_node.value.tobytes()
+    assert np.array_equal(got_pred.grad, pred.grad)
+    assert got_pred.grad[0, 0, 0] == 0.0
+    assert branches[-1] == (kind == "random")
 
 
 def test_make_pair(rng):

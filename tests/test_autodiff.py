@@ -1,5 +1,6 @@
-"""Gradient checks of the tape against central finite differences: the
-elementwise glue, and each fused node's closed-form VJP."""
+"""Gradient checks of the tape against central finite differences: `add`
+and the reference glue of tests/helpers.py, and each fused node's
+closed-form VJP."""
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from meed.core import Mlp
 from meed.explainer import fuse_prior_var, prior_constraint_loss_var
 from meed.sampler import Z_EPS, relaxed_topk_var
 from tests.conftest import finite_difference, relative_error, weighted_sum
+from tests.helpers import mul, sub
 
 
 def check_gradient(build, value, tol=1e-6):
@@ -24,17 +26,18 @@ def check_gradient(build, value, tol=1e-6):
 
 
 def test_add_mul_broadcast(rng):
+    """`add` of two Vars, and the reference glue with broadcast constants."""
     def build(leaf):
-        m = ad.add(ad.mul(leaf, 2.0), 1.5)
-        return weighted_sum(ad.mul(m, m))
+        m = ad.add(mul(leaf, 2.0), sub(1.5, leaf))
+        return weighted_sum(mul(m, m))
 
     check_gradient(build, rng.standard_normal(6))
 
 
 def test_diamond_graph_accumulates():
     leaf = ad.Var(np.array([2.0]))
-    left = ad.mul(leaf, 3.0)
-    right = ad.mul(leaf, leaf)
+    left = mul(leaf, 3.0)
+    right = mul(leaf, leaf)
     out = weighted_sum(ad.add(left, right))
     ad.backward(out)
     assert np.allclose(leaf.grad, [3.0 + 2 * 2.0])
@@ -65,7 +68,7 @@ def test_matmul_relu_chain(rng):
 
     def build(leaf):
         h = net.forward_var(x, leaf)
-        return ad.mul(weighted_sum(ad.mul(h, h)), 1.0 / h.value.size)
+        return mul(weighted_sum(mul(h, h)), 1.0 / h.value.size)
 
     check_gradient(build, net.parameters.copy())
 
@@ -170,12 +173,32 @@ def test_fuse_prior_node_matches_finite_differences(rng):
 def test_prior_constraint_node_matches_finite_differences(rng):
     z = rng.random((3, 4))
     z_tilde = z + rng.choice([-1.0, 1.0], size=z.shape) * (0.1 + rng.random(z.shape))
-    check_gradient(lambda v: prior_constraint_loss_var(v, ad.Var(z), 2), z_tilde)
-    check_gradient(lambda v: prior_constraint_loss_var(ad.Var(z_tilde), v, 2), z)
+    check_gradient(lambda v: prior_constraint_loss_var(v, ad.Var(z), 2)[0], z_tilde)
+    check_gradient(lambda v: prior_constraint_loss_var(ad.Var(z_tilde), v, 2)[0], z)
+
+
+def test_weighted_prior_constraint_node_matches_finite_differences(rng):
+    """The node is weight * L_e; the L_e it returns is unweighted."""
+    z = rng.random((3, 4))
+    z_tilde = z + rng.choice([-1.0, 1.0], size=z.shape) * (0.1 + rng.random(z.shape))
+    check_gradient(lambda v: prior_constraint_loss_var(v, ad.Var(z), 2, 0.3)[0], z_tilde)
+    check_gradient(lambda v: prior_constraint_loss_var(ad.Var(z_tilde), v, 2, 0.3)[0], z)
+    node, l_e = prior_constraint_loss_var(ad.Var(z_tilde), ad.Var(z), 2, 0.3)
+    assert l_e == prior_constraint_loss_var(ad.Var(z_tilde), ad.Var(z), 2)[0].value
+    assert np.isclose(l_e, np.abs(z_tilde - z).mean() / 3.0)
+    assert node.value == 0.3 * l_e
 
 
 def test_sliced_wasserstein_node_matches_finite_differences(rng):
-    batch_a = rng.standard_normal((6, 3))
-    batch_b = rng.standard_normal((6, 3))
+    """The pair's node w_0*L_s + w_1*SW over the whole (2, n, c) stack, A_s's
+    cross-entropy and A_u's sliced Wasserstein distance to the target, at the
+    approximators' weights (1, lambda_u), the explainer's (1, -lambda_u) and
+    a weight on L_s other than 1."""
+    target = rng.random((6, 3))
+    target /= target.sum(axis=1, keepdims=True)
+    pred = rng.random((2, 6, 3)) + 0.05
     thetas = sw_directions(3, 5, rng)
-    check_gradient(lambda b: sliced_wasserstein_var(batch_a, b, thetas), batch_b)
+    for weights in ((1.0, 0.7), (1.0, -0.7), (0.4, 0.7)):
+        grad = check_gradient(lambda p, w=weights: sliced_wasserstein_var(target, p, thetas, w)[0],
+                              pred)
+        assert np.all(grad[0] != 0.0) and np.all(grad[1] != 0.0)

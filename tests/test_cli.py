@@ -660,6 +660,21 @@ def test_explain_rejects_a_model_file_layer_list_save_model_does_not_write(train
         assert "model.bin: bad model header" in capsys.readouterr().err
 
 
+def test_explain_rejects_a_model_file_with_in_dim_0_with_exit_2(trained_dir, tmp_path, capsys):
+    """A bias-only net used to load, then fail on the data's rows as a shape error (exit 4)."""
+    _, out = trained_dir
+    data_path = str(tmp_path / "data.txt")
+    export_dataset(generate_synthetic(SyntheticSpec(d=6, true_subset=(0, 1), n=8,
+                                                    kind="sparse-logit", seed=12))[0],
+                   None, data_path)
+    model_path = str(tmp_path / "model.bin")
+    write_record(model_path, MODEL_MAGIC, MODEL_VERSION,
+                 {"in_dim": 0, "layers": [["dense", 2], ["softmax"]]}, {"params": np.zeros(2)})
+    assert main(["explain", "--checkpoint", os.path.join(out, "checkpoint.bin"),
+                 "--data", data_path, "--model", model_path]) == EXIT_CONFIG
+    assert "model.bin: bad model header" in capsys.readouterr().err
+
+
 def test_explain_rejects_non_finite_model_or_checkpoint_vectors_with_exit_2(trained_dir,
                                                                            tmp_path, capsys):
     """A NaN parameter in model.bin or checkpoint.bin used to give scores=nan rows."""

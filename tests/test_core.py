@@ -68,6 +68,13 @@ def test_mlp_rejects_nets_below_1(nets):
         Mlp(3, (4, 2), nets=nets)
 
 
+@pytest.mark.parametrize("in_dim", [0, -2])
+def test_mlp_rejects_in_dim_below_1(in_dim):
+    """Rejected at construction: in_dim 0 would build a bias-only net."""
+    with pytest.raises(ConfigError, match="in_dim >= 1"):
+        Mlp(in_dim, (2,))
+
+
 def test_named_rng_streams_are_stable_and_distinct():
     a1 = named_rng(7, "data").standard_normal(4)
     a2 = named_rng(7, "data").standard_normal(4)

@@ -392,6 +392,16 @@ def test_model_file_rejects_a_layer_list_save_model_does_not_write(tmp_path, lay
         load_model(path)
 
 
+@pytest.mark.parametrize("in_dim", [0, -1])
+def test_model_file_rejects_in_dim_below_1(tmp_path, in_dim):
+    """A bias-only net is a bad model file, not a ShapeError at the first rows."""
+    path = str(tmp_path / "model.bin")
+    write_record(path, MODEL_MAGIC, MODEL_VERSION,
+                 {"in_dim": in_dim, "layers": [["dense", 2], ["softmax"]]}, {"params": np.zeros(2)})
+    with pytest.raises(ModelFileError, match="in_dim >= 1"):
+        load_model(path)
+
+
 def test_model_file_rejects_corrupt_blob(saved_model):
     blob, _, path = saved_model
     params_at = record_sections(blob)[1]

@@ -19,8 +19,7 @@ from hypothesis import strategies as st
 from meed import autodiff as ad
 from meed import trainer
 from meed.core import ConfigError, Mlp, ShapeError, TrainConfig, named_rng
-from meed.approximators import (cross_entropy_var, make_pair, relativistic_flip,
-                                sliced_wasserstein_var, sw_directions)
+from meed.approximators import cross_entropy_var, make_pair, relativistic_flip, sw_directions
 from meed.baselines import FD_STEP
 from meed.data import Dataset, MlpModel
 from meed.explainer import ExplainerNet, fuse_prior_var, prior_constraint_loss_var
@@ -30,6 +29,7 @@ from meed.trainer import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, Adam, Checkpoint
                           approximator_step, explainer_step, load_checkpoint,
                           nets_from_checkpoint, read_record, save_checkpoint, train)
 from tests.conftest import damage_record, record_sections
+from tests.helpers import mul, sliced_wasserstein_node, sub
 
 
 def small_problem(seed=0, n=48, d=6, c=2):
@@ -186,7 +186,7 @@ def scores(explainer, x, y, prior_r=None, m=0):
 
 def mask_values(explainer, x, y, xi, config):
     """The relaxed top-k mask values (n, d) of one minibatch without a prior."""
-    return relaxed_topk_var(explainer.score(x, y), xi, config.tau).value
+    return relaxed_topk_var(ad.Var(explainer.score(x, y)), xi, config.tau).value
 
 
 def explainer_step_on(explainer, pair, x, y, config, xi, opt_e):
@@ -372,19 +372,59 @@ def test_a_non_finite_loss_aborts_each_step_naming_it(loss_u, step, loss):
     assert np.array_equal(pair.net.parameters, before[1], equal_nan=True)
 
 
+def reachable_nodes(root) -> int:
+    """Nodes that `ad.backward(root)` visits."""
+    seen, stack = {id(root)}, [root]
+    while stack:
+        for p in stack.pop()._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return len(seen)
+
+
+@pytest.mark.parametrize("loss_u", ["cross-entropy", "sliced-wasserstein"])
+@pytest.mark.parametrize("prior, lambda_e, explainer_nodes",
+                         [(False, 0.0, 6), (True, 0.0, 7), (True, 0.5, 9)])
+def test_each_step_backpropagates_a_fixed_graph_for_either_adversary(
+        monkeypatch, loss_u, prior, lambda_e, explainer_nodes):
+    """The approximator step's graph is the pair's loss, the pair and its
+    parameter leaf: 3 nodes. The explainer step's is the pair's loss, the
+    pair, the mask stack, the relaxed top-k, the scores and their parameter
+    leaf: 6. A prior adds its fusion, and at lambda_e != 0 also the weighted
+    constraint loss and the add that joins it."""
+    counts, backward = [], ad.backward
+
+    def counting(root):
+        counts.append(reachable_nodes(root))
+        backward(root)
+
+    monkeypatch.setattr(ad, "backward", counting)
+    config = TrainConfig(k=2, epochs=1, seed=0, loss_u=loss_u, n_projections=8,
+                         lambda_e=lambda_e)
+    x, y, xi, explainer, pair, opts = step_inputs(config)
+    thetas = sw_directions(2, 8, np.random.default_rng(1))
+    prior_r = np.full((len(x), 6), 1.0 / 6) if prior else None
+    leaf, z, z_tilde = scores(explainer, x, y, prior_r, m=1)
+    v = relaxed_topk_var(z_tilde, xi, config.tau)
+    approximator_step(pair, x, y, v.value, config, opts["pair"], thetas)
+    explainer_step(leaf, z, z_tilde, pair, x, y, config, v, opts["e"], 1, thetas)
+    assert counts == [3, explainer_nodes]
+
+
 def two_net_approximator_step(nets, explainer, x, y, config, xi, opt_s, opt_u, prior_r, m,
                               thetas):
     """The approximator update with A_s and A_u as two nets and two optimizers."""
-    z = explainer.score(x, y)
+    z = ad.Var(explainer.score(x, y))
     if prior_r is not None:
-        z = fuse_prior_var(z, prior_r, m).value
+        z = fuse_prior_var(z, prior_r, m)
     v = relaxed_topk_var(z, xi, config.tau).value
     leaf_s, leaf_u = ad.Var(nets[0].parameters), ad.Var(nets[1].parameters)
     pred_s = nets[0].forward_var(x * v, leaf_s)
     pred_u = nets[1].forward_var(x * (1.0 - v), leaf_u)
     l_u = (cross_entropy_var(y, pred_u)[0] if config.loss_u == "cross-entropy"
-           else sliced_wasserstein_var(y, pred_u, thetas))
-    ad.backward(ad.add(cross_entropy_var(y, pred_s)[0], ad.mul(l_u, config.lambda_u)))
+           else sliced_wasserstein_node(y, pred_u, thetas))
+    ad.backward(ad.add(cross_entropy_var(y, pred_s)[0], mul(l_u, config.lambda_u)))
     opt_s.step(nets[0].parameters, leaf_s.grad)
     opt_u.step(nets[1].parameters, leaf_u.grad)
 
@@ -396,20 +436,20 @@ def two_net_explainer_step(explainer, nets, x, y, config, xi, opt_e, prior_r, m,
     l_e = None
     if prior_r is not None:
         z_tilde = fuse_prior_var(z, prior_r, m)
-        l_e = prior_constraint_loss_var(z_tilde, z, m)
+        l_e = prior_constraint_loss_var(z_tilde, z, m)[0]
         z = z_tilde
     v = relaxed_topk_var(z, xi, config.tau)
-    pred_s = nets[0].forward_var(ad.mul(v, x))
-    pred_u = nets[1].forward_var(ad.mul(ad.sub(1.0, v), x))
+    pred_s = nets[0].forward_var(mul(v, x))
+    pred_u = nets[1].forward_var(mul(sub(1.0, v), x))
     objective = cross_entropy_var(y, pred_s)[0]
     if config.loss_u == "cross-entropy":
-        objective = ad.add(objective, ad.mul(cross_entropy_var(relativistic_flip(y), pred_u)[0],
-                                             config.lambda_u))
+        objective = ad.add(objective, mul(cross_entropy_var(relativistic_flip(y), pred_u)[0],
+                                          config.lambda_u))
     else:
-        objective = ad.sub(objective, ad.mul(sliced_wasserstein_var(y, pred_u, thetas),
-                                             config.lambda_u))
+        objective = sub(objective, mul(sliced_wasserstein_node(y, pred_u, thetas),
+                                       config.lambda_u))
     if config.lambda_e != 0.0 and l_e is not None:
-        objective = ad.add(objective, ad.mul(l_e, config.lambda_e))
+        objective = ad.add(objective, mul(l_e, config.lambda_e))
     ad.backward(objective)
     opt_e.step(explainer.parameters, leaf.grad)
 
