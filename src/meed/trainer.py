@@ -402,7 +402,8 @@ def train(dataset, model, config: TrainConfig,
             z = explainer.score_var(xb, yb, leaf)
             z_tilde = z if prior_all is None else fuse_prior_var(z, prior_all[idx], m)
             shape = (config.k, len(idx), d)
-            xi = sample_gumbel_batch(noise[:np.prod(shape)].reshape(shape), rngs["gumbel"])
+            xi = sample_gumbel_batch(noise[:config.k * len(idx) * d].reshape(shape),
+                                     rngs["gumbel"])
             v = relaxed_topk_var(z_tilde, xi, config.tau)
             l_s, l_u = approximator_step(pair, xb, yb, v.value, config, opt_pair,
                                          sw_thetas=thetas, batch_id=bid)

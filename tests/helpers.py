@@ -5,8 +5,10 @@ best subset (criterion 4: AIL learns the selected-feature conditional) and the
 plug-in mutual information between mask pattern and class (criterion 7:
 combinatorial shortcuts). The reference tape ops build the losses the slow
 way, one node per net and per loss joined by elementwise glue, for the tests
-that compare the fused nodes with that form. The IDX writers make the image
-files that the package's IDX reader loads.
+that compare the fused nodes with that form; the sliced Wasserstein distance
+has an axis-0 form for any rows and a two-class one for rows on the simplex,
+and `record_sw_paths` logs which of the package's two forms each call takes.
+The IDX writers make the image files that the package's IDX reader loads.
 """
 
 import itertools
@@ -15,6 +17,7 @@ import struct
 
 import numpy as np
 
+from meed import approximators
 from meed import autodiff as ad
 from meed.core import SelectionSet
 from meed.data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC
@@ -119,11 +122,54 @@ def explicit_sliced_wasserstein(batch_a, batch_b, thetas) -> tuple:
     return (diff * diff).mean(), vjp
 
 
-def sliced_wasserstein_node(batch_a, batch_b: ad.Var, thetas) -> ad.Var:
+def two_class_sliced_wasserstein(batch_a, batch_b, thetas) -> tuple:
+    """(value, vjp) of the sliced Wasserstein distance between two-class
+    batches whose rows lie on the simplex, in its axis-0 form, one direction
+    block at a time. Each projection sorts such rows by column 0, rising
+    where theta_0 > theta_1 and falling elsewhere. So in each block every row
+    of batch_b is paired with batch_a's row of the same rank in the block's
+    order (batch_b's by a stable argsort down column 0, or down its negation),
+    and the pairs' differences are weighed by the block's (2, 2) sum of
+    theta theta^T."""
+    batch_a = np.asarray(batch_a, dtype=np.float64)
+    n, n_proj = batch_b.shape[0], thetas.shape[1]
+    rows_a = batch_a[np.argsort(batch_a[:, 0], kind="stable")]
+    rises = thetas[0] > thetas[1]
+    diffs, moved = [], []
+    for key, rows, block in ((batch_b[:, 0], rows_a, rises),
+                             (-batch_b[:, 0], rows_a[::-1], ~rises)):
+        rank = np.empty(n, dtype=int)
+        rank[np.argsort(key, kind="stable")] = np.arange(n)
+        diffs.append(batch_b - rows[rank])
+        moved.append(diffs[-1] @ ((thetas * block) @ thetas.T))
+    value = np.concatenate([d * m for d, m in zip(diffs, moved)]).sum() / (n * n_proj)
+
+    def vjp(g):
+        half = g / (n * n_proj) * (moved[0] + moved[1])
+        return half + half
+
+    return value, vjp
+
+
+def sliced_wasserstein_node(batch_a, batch_b: ad.Var, thetas,
+                            form=explicit_sliced_wasserstein) -> ad.Var:
     """The sliced Wasserstein distance between a constant batch and a Var
-    batch (n, c) as a tape node of its own, in the axis-0 form."""
-    value, vjp = explicit_sliced_wasserstein(batch_a, batch_b.value, thetas)
+    batch (n, c) as a tape node of its own, in the axis-0 `form`."""
+    value, vjp = form(batch_a, batch_b.value, thetas)
     return ad.Var(value, (batch_b,), lambda g: (vjp(g),))
+
+
+def record_sw_paths(monkeypatch) -> list:
+    """Patch both sliced Wasserstein paths of `approximators` to log each call
+    into the returned list: "two-class" for the closed form, "per-projection"
+    for one sort per projection."""
+    paths = []
+    for name, label in (("_two_class_sw", "two-class"), ("_per_projection_sw", "per-projection")):
+        def logged(*args, _run=getattr(approximators, name), _label=label):
+            paths.append(_label)
+            return _run(*args)
+        monkeypatch.setattr(approximators, name, logged)
+    return paths
 
 
 def write_idx_images(images: np.ndarray, path: str) -> None:

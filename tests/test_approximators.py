@@ -11,7 +11,9 @@ from meed.core import Mlp
 from meed.approximators import (CE_EPS, ApproximatorPair, cross_entropy_var, make_pair,
                                 relativistic_flip, sliced_wasserstein_var,
                                 sw_directions)
-from tests.helpers import explicit_sliced_wasserstein, mul, sliced_wasserstein_node, sub, take
+from tests.conftest import relative_error
+from tests.helpers import (explicit_sliced_wasserstein, mul, record_sw_paths,
+                           sliced_wasserstein_node, sub, take, two_class_sliced_wasserstein)
 
 
 def cross_entropy(target, pred):
@@ -138,7 +140,8 @@ def test_sliced_wasserstein_var_matches_scalar(rng):
 
 def simplex_rows(rng, n, c, kind):
     """n rows on the simplex of R^c: random, with exact duplicates of row 0,
-    rounded to one decimal (many ties), or one-hot."""
+    rounded to one decimal (many ties), or one-hot; or random rows each
+    scaled off the simplex by a factor of its own."""
     rows = rng.random((n, c)) + 0.01
     rows /= rows.sum(axis=1, keepdims=True)
     if kind == "duplicates":
@@ -147,13 +150,26 @@ def simplex_rows(rng, n, c, kind):
         rows = np.round(rows, 1)
     elif kind == "one-hot":
         rows = np.eye(c)[rng.integers(0, c, n)]
+    elif kind == "scaled":
+        rows *= rng.uniform(0.5, 1.5, (n, 1))
     return rows
 
 
+def on_a_line(rows):
+    """The closed form's condition, checked apart from the package's own
+    check: the row sums spread by at most 1e-12."""
+    return np.ptp(rows.sum(axis=1)) <= 1e-12
+
+
 def test_sliced_wasserstein_equals_the_explicit_form_bit_for_bit(monkeypatch):
-    """Value and VJP equal the axis-0 form over seeded random (n, c, P), n = 1
-    and c > 2 included; ties (duplicates, rounded and one-hot rows) take the
-    stable branch, tie-free batches the default sort, and both branches run."""
+    """Over seeded random (n, c, P), n = 1 included. Rows with c > 2, and
+    two-class rows off the simplex (scaled, n > 1), sort once per projection:
+    value and VJP equal the axis-0 form bit for bit. There ties (duplicates,
+    rounded and one-hot rows) take the stable branch, tie-free batches the
+    default sort, and both branches run. Two-class rows on the simplex
+    (random, duplicates, rounded, one-hot, and any single row) take the closed
+    form: value and VJP are within 1e-12 relative of the axis-0 form, and
+    equal the two-class reference of tests/helpers.py bit for bit."""
     rising_rows, branches = approximators._rising_rows, []
 
     def recording(rows):
@@ -161,21 +177,63 @@ def test_sliced_wasserstein_equals_the_explicit_form_bit_for_bit(monkeypatch):
         return branches[-1]
 
     monkeypatch.setattr(approximators, "_rising_rows", recording)
+    paths = record_sw_paths(monkeypatch)
     rng = np.random.default_rng(21)
-    shapes = [(1, 2, 1), (1, 3, 7), (2, 2, 5), (64, 2, 128), (33, 10, 199)]
+    shapes = [(1, 2, 1), (1, 3, 7), (2, 2, 5), (7, 2, 3), (64, 2, 128), (130, 2, 199),
+              (33, 10, 199)]
     shapes += [tuple(int(v) for v in rng.integers((1, 2, 1), (130, 11, 200)))
                for _ in range(40)]
     for n, c, n_proj in shapes:
-        for kind in ("random", "duplicates", "rounded", "one-hot"):
+        for kind in ("random", "duplicates", "rounded", "one-hot", "scaled"):
             batch_a, batch_b = simplex_rows(rng, n, c, kind), simplex_rows(rng, n, c, kind)
             thetas = sw_directions(c, n_proj, rng)
             g = rng.standard_normal()
             want_value, want_vjp = explicit_sliced_wasserstein(batch_a, batch_b, thetas)
             node, (_, sw) = sliced_wasserstein_var(batch_a, ad.Var(np.stack([batch_a, batch_b])),
                                                    thetas, (1.0, 1.0))
-            assert np.array_equal(sw, want_value), (n, c, n_proj, kind)
-            assert np.array_equal(node._backward(g)[0][1], want_vjp(g)), (n, c, n_proj, kind)
+            grad = node._backward(g)[0][1]
+            case = (n, c, n_proj, kind)
+            two_class = c == 2 and on_a_line(batch_a) and on_a_line(batch_b)
+            assert two_class == (c == 2 and (kind != "scaled" or n == 1)), case
+            assert paths.pop() == ("two-class" if two_class else "per-projection"), case
+            if two_class:
+                assert relative_error(sw, want_value) < 1e-12, case
+                assert relative_error(grad, want_vjp(g)) < 1e-12, case
+                ref_value, ref_vjp = two_class_sliced_wasserstein(batch_a, batch_b, thetas)
+                assert sw.tobytes() == ref_value.tobytes(), case
+                assert grad.tobytes() == ref_vjp(g).tobytes(), case
+            else:
+                assert np.array_equal(sw, want_value), case
+                assert np.array_equal(grad, want_vjp(g)), case
     assert True in branches and False in branches
+
+
+@given(st.integers(1, 130), st.integers(1, 200), st.integers(0, 130), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_two_class_sliced_wasserstein_is_within_1e_12_of_the_explicit_form(
+        n, n_proj, ties, seed):
+    """Two-class rows on the simplex, with up to `ties` rows of each side
+    overwritten by copies of other rows, take the closed form. Its value and
+    VJP are within 1e-12 relative of the axis-0 form, and so is the
+    two-class reference of tests/helpers.py."""
+    rng = np.random.default_rng(seed)
+    batches = [simplex_rows(rng, n, 2, "random") for _ in range(2)]
+    for rows in batches:
+        copies = rng.integers(0, n, min(ties, n))
+        rows[copies] = rows[rng.integers(0, n, len(copies))]
+    batch_a, batch_b = batches
+    thetas = sw_directions(2, n_proj, rng)
+    g = rng.standard_normal()
+    want_value, want_vjp = explicit_sliced_wasserstein(batch_a, batch_b, thetas)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        paths = record_sw_paths(monkeypatch)
+        node, (_, sw) = sliced_wasserstein_var(batch_a, ad.Var(np.stack([batch_a, batch_b])),
+                                               thetas, (1.0, 1.0))
+    assert paths == ["two-class"]
+    ref_value, ref_vjp = two_class_sliced_wasserstein(batch_a, batch_b, thetas)
+    for value, grad in ((sw, node._backward(g)[0][1]), (ref_value, ref_vjp(g))):
+        assert relative_error(value, want_value) < 1e-12
+        assert relative_error(grad, want_vjp(g)) < 1e-12
 
 
 @pytest.mark.parametrize("explainer_side", [False, True])

@@ -11,7 +11,7 @@ from meed.core import Mlp
 from meed.explainer import fuse_prior_var, prior_constraint_loss_var
 from meed.sampler import Z_EPS, relaxed_topk_var
 from tests.conftest import finite_difference, relative_error, weighted_sum
-from tests.helpers import mul, sub
+from tests.helpers import mul, record_sw_paths, sub
 
 
 def check_gradient(build, value, tol=1e-6):
@@ -189,16 +189,24 @@ def test_weighted_prior_constraint_node_matches_finite_differences(rng):
     assert node.value == 0.3 * l_e
 
 
-def test_sliced_wasserstein_node_matches_finite_differences(rng):
+def test_sliced_wasserstein_node_matches_finite_differences(monkeypatch, rng):
     """The pair's node w_0*L_s + w_1*SW over the whole (2, n, c) stack, A_s's
     cross-entropy and A_u's sliced Wasserstein distance to the target, at the
     approximators' weights (1, lambda_u), the explainer's (1, -lambda_u) and
-    a weight on L_s other than 1."""
-    target = rng.random((6, 3))
-    target /= target.sum(axis=1, keepdims=True)
-    pred = rng.random((2, 6, 3)) + 0.05
-    thetas = sw_directions(3, 5, rng)
-    for weights in ((1.0, 0.7), (1.0, -0.7), (0.4, 0.7)):
-        grad = check_gradient(lambda p, w=weights: sliced_wasserstein_var(target, p, thetas, w)[0],
-                              pred)
-        assert np.all(grad[0] != 0.0) and np.all(grad[1] != 0.0)
+    a weight on L_s other than 1. At c = 3 the node sorts per projection; at
+    c = 2 the outputs lie on the simplex, so it takes the closed form, whose
+    gradient must also hold off the simplex, where the differences step."""
+    paths = record_sw_paths(monkeypatch)
+    for c, path in ((3, "per-projection"), (2, "two-class")):
+        target = rng.random((6, c))
+        target /= target.sum(axis=1, keepdims=True)
+        pred = rng.random((2, 6, c)) + 0.05
+        if c == 2:
+            pred /= pred.sum(axis=-1, keepdims=True)
+        thetas = sw_directions(c, 5, rng)
+        for weights in ((1.0, 0.7), (1.0, -0.7), (0.4, 0.7)):
+            del paths[:]
+            grad = check_gradient(
+                lambda p, w=weights: sliced_wasserstein_var(target, p, thetas, w)[0], pred)
+            assert paths[0] == path
+            assert np.all(grad[0] != 0.0) and np.all(grad[1] != 0.0)

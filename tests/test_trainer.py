@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import hashlib
 import json
 import logging
 import os
@@ -29,7 +30,8 @@ from meed.trainer import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, Adam, Checkpoint
                           approximator_step, explainer_step, load_checkpoint,
                           nets_from_checkpoint, read_record, save_checkpoint, train)
 from tests.conftest import damage_record, record_sections
-from tests.helpers import mul, sliced_wasserstein_node, sub
+from tests.helpers import (mul, record_sw_paths, sliced_wasserstein_node, sub,
+                           two_class_sliced_wasserstein)
 
 
 def small_problem(seed=0, n=48, d=6, c=2):
@@ -414,7 +416,9 @@ def test_each_step_backpropagates_a_fixed_graph_for_either_adversary(
 
 def two_net_approximator_step(nets, explainer, x, y, config, xi, opt_s, opt_u, prior_r, m,
                               thetas):
-    """The approximator update with A_s and A_u as two nets and two optimizers."""
+    """The approximator update with A_s and A_u as two nets and two optimizers.
+    The sliced Wasserstein adversary takes the two-class axis-0 form: the
+    model and both nets output two classes on the simplex."""
     z = ad.Var(explainer.score(x, y))
     if prior_r is not None:
         z = fuse_prior_var(z, prior_r, m)
@@ -423,14 +427,15 @@ def two_net_approximator_step(nets, explainer, x, y, config, xi, opt_s, opt_u, p
     pred_s = nets[0].forward_var(x * v, leaf_s)
     pred_u = nets[1].forward_var(x * (1.0 - v), leaf_u)
     l_u = (cross_entropy_var(y, pred_u)[0] if config.loss_u == "cross-entropy"
-           else sliced_wasserstein_node(y, pred_u, thetas))
+           else sliced_wasserstein_node(y, pred_u, thetas, form=two_class_sliced_wasserstein))
     ad.backward(ad.add(cross_entropy_var(y, pred_s)[0], mul(l_u, config.lambda_u)))
     opt_s.step(nets[0].parameters, leaf_s.grad)
     opt_u.step(nets[1].parameters, leaf_u.grad)
 
 
 def two_net_explainer_step(explainer, nets, x, y, config, xi, opt_e, prior_r, m, thetas):
-    """The explainer update against A_s and A_u as two frozen nets."""
+    """The explainer update against A_s and A_u as two frozen nets, with the
+    two-class axis-0 form of the sliced Wasserstein adversary."""
     leaf = ad.Var(explainer.parameters)
     z = explainer.score_var(x, y, leaf)
     l_e = None
@@ -446,8 +451,8 @@ def two_net_explainer_step(explainer, nets, x, y, config, xi, opt_e, prior_r, m,
         objective = ad.add(objective, mul(cross_entropy_var(relativistic_flip(y), pred_u)[0],
                                           config.lambda_u))
     else:
-        objective = sub(objective, mul(sliced_wasserstein_node(y, pred_u, thetas),
-                                       config.lambda_u))
+        objective = sub(objective, mul(sliced_wasserstein_node(
+            y, pred_u, thetas, form=two_class_sliced_wasserstein), config.lambda_u))
     if config.lambda_e != 0.0 and l_e is not None:
         objective = ad.add(objective, mul(l_e, config.lambda_e))
     ad.backward(objective)
@@ -967,6 +972,31 @@ def test_sliced_wasserstein_training_smoke():
                             approx_hidden=(8,))
     z = explainer.score(ds.X, FixedModel().evaluate(ds.X))
     assert np.allclose(z.sum(axis=1), 1.0)
+
+
+@pytest.mark.parametrize("loss_u", ["cross-entropy", "sliced-wasserstein"])
+def test_train_on_three_classes_is_finite_and_deterministic(monkeypatch, tmp_path, loss_u):
+    """train() explains a 3-output model with either adversary: every logged
+    loss is finite, two runs write sha256-equal checkpoints, and every sliced
+    Wasserstein call sorts once per projection (the closed form is two-class)."""
+    paths = record_sw_paths(monkeypatch)
+    model = MlpModel(Mlp(6, (8, 3), rng=np.random.default_rng(4)))
+    config = TrainConfig(k=2, epochs=2, seed=3, batch_size=16, loss_u=loss_u,
+                         n_projections=16)
+    digests = []
+    for run in ("a", "b"):
+        lines = []
+        train(make_dataset(), model, config, explainer_hidden=(8,), approx_hidden=(8,),
+              out_dir=str(tmp_path / run), log_lines=lines)
+        for line in lines:
+            fields = dict(field.split("=") for field in line.split())
+            assert all(np.isfinite(float(fields[key])) for key in ("L_s", "L_u", "L_e"))
+        with open(tmp_path / run / "checkpoint.bin", "rb") as fh:
+            digests.append(hashlib.sha256(fh.read()).hexdigest())
+    assert digests[0] == digests[1]
+    runs_epochs_batches_steps = 2 * 2 * 3 * 2
+    assert paths == (["per-projection"] * runs_epochs_batches_steps
+                     if loss_u == "sliced-wasserstein" else [])
 
 
 # ---------------------------------------------------------------------------
