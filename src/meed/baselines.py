@@ -17,7 +17,11 @@ FD_STEP = 1e-4
 # changed the last bits against one row per call (OpenBLAS, one thread).
 FD_MAX_COPIES = 1024
 
-ABLATION_VARIANTS = ("full", "w/o-Output", "w/o-AIL", "w/o-Prior")
+# The TrainConfig overrides of each row of the ablation table.
+ABLATION_OVERRIDES = {"full": {}, "w/o-Output": {"use_output_feedback": False},
+                      "w/o-AIL": {"lambda_u": 0.0},
+                      "w/o-Prior": {"prior_method": "none", "lambda_e": 0.0}}
+ABLATION_VARIANTS = tuple(ABLATION_OVERRIDES)
 
 
 def _model_gradients(model, x: np.ndarray, class_index: np.ndarray) -> np.ndarray:
@@ -89,13 +93,7 @@ def prior_scores(model, x: np.ndarray, class_index, method: str) -> np.ndarray:
 
 def ablation_config(variant: str, base: TrainConfig) -> TrainConfig:
     """Config for one row of the ablation table; seeds stay identical."""
-    if variant == "full":
-        return dataclasses.replace(base)
-    if variant == "w/o-Output":
-        return dataclasses.replace(base, use_output_feedback=False)
-    if variant == "w/o-AIL":
-        return dataclasses.replace(base, lambda_u=0.0)
-    if variant == "w/o-Prior":
-        return dataclasses.replace(base, prior_method="none", lambda_e=0.0)
-    raise ValueError(f"unknown ablation variant: {variant}")
+    if variant not in ABLATION_OVERRIDES:
+        raise ValueError(f"unknown ablation variant: {variant}")
+    return dataclasses.replace(base, **ABLATION_OVERRIDES[variant])
 

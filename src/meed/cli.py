@@ -21,9 +21,7 @@ import numpy as np
 from . import data as datamod
 from . import metrics as metricsmod
 from .baselines import ABLATION_VARIANTS, ablation_config
-from .core import (ConfigError, ShapeError, TrainConfig, check_fields, checked_outputs,
-                   from_strings, read_text)
-from .sampler import hard_topk_batch
+from .core import ConfigError, ShapeError, TrainConfig, check_fields, from_strings, read_text
 from .trainer import (CheckpointError, TrainingAbort, load_checkpoint,
                       nets_from_checkpoint, train)
 
@@ -190,18 +188,20 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _check_width(ckpt, dataset) -> None:
+    if dataset.d != ckpt.meta["d"]:
+        raise ShapeError(f"checkpoint expects d={ckpt.meta['d']} but data has d={dataset.d}")
+
+
 def cmd_explain(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     explainer, _ = nets_from_checkpoint(ckpt)
     model_path = args.model or os.path.join(os.path.dirname(args.checkpoint), "model.bin")
     model = datamod.load_model(model_path)
     ds, _ = datamod.import_dataset(args.data)
-    if ds.d != ckpt.meta["d"]:
-        raise ShapeError(f"checkpoint expects d={ckpt.meta['d']} but data has d={ds.d}")
-    k = args.k if args.k is not None else ckpt.config.k
-    y = checked_outputs(model.evaluate(ds.X), len(ds))
-    z = explainer.score(ds.X, y)
-    masks = hard_topk_batch(z, k)
+    _check_width(ckpt, ds)
+    _, z, masks = metricsmod.score_set(explainer, model, ds,
+                                       args.k if args.k is not None else ckpt.config.k)
     out_path = args.out or "explanations.txt"
     with open(out_path, "w", encoding="utf-8") as fh:
         for i in range(len(ds)):
@@ -218,8 +218,7 @@ def _load_run(args):
     run = cfg["run"]
     train_set, _, test_set, _ = build_dataset(cfg)
     ckpt = load_checkpoint(args.checkpoint)
-    if train_set.d != ckpt.meta["d"]:
-        raise ShapeError(f"checkpoint expects d={ckpt.meta['d']} but data has d={train_set.d}")
+    _check_width(ckpt, train_set)
     explainer, _ = nets_from_checkpoint(ckpt)
     model = datamod.load_model(os.path.join(os.path.dirname(args.checkpoint), "model.bin"))
     return cfg, run, train_set, test_set, ckpt, explainer, model

@@ -37,6 +37,20 @@ def is_simplex(vec: np.ndarray) -> bool:
     return bool(np.all(vec >= 0.0) and np.all(np.abs(vec.sum(axis=-1) - 1.0) <= SIMPLEX_TOL))
 
 
+def checked_features(x) -> np.ndarray:
+    """x as float64 once it is an (n, d) array of finite values; else ShapeError
+    naming its shape or its first non-finite entry by row and column."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ShapeError(f"features must be an (n, d) array, got shape {x.shape}")
+    bad = np.argwhere(~np.isfinite(x))
+    if len(bad):
+        row, col = bad[0]
+        raise ShapeError(f"features must be finite values, row {row} column {col} "
+                         f"holds {x[row, col]}")
+    return x
+
+
 def checked_outputs(y, n: int, what: str = "model outputs") -> np.ndarray:
     """y as float64 once it holds (n, c) rows of finite values on the
     probability simplex, c >= 2; anything else raises ShapeError naming `what`."""
@@ -301,17 +315,14 @@ class Mlp:
         views, which would still read this net's vector; each builds its own."""
         return {**self.__dict__, "_views": {}}
 
-    def _layers(self, params: np.ndarray, lead: tuple) -> list:
-        """Each dense layer's (W, b) views of `params` for the stack shape
-        `lead`; those of this net's own vector are built once per shape."""
-        layers = self._views.get(lead) if params is self._params else None
-        if layers is None:
-            flat = params.reshape(lead + (-1,))
-            layers = [(flat[..., w_sl].reshape(lead + w_shape), flat[..., None, b_sl])
-                      for w_sl, w_shape, b_sl in self._slices]
-            if params is self._params:
-                self._views[lead] = layers
-        return layers
+    def _layers(self, lead: tuple) -> list:
+        """Each dense layer's (W, b) views of this net's vector for the stack
+        shape `lead`, built once per shape."""
+        if lead not in self._views:
+            flat = self._params.reshape(lead + (-1,))
+            self._views[lead] = [(flat[..., w_sl].reshape(lead + w_shape), flat[..., None, b_sl])
+                                 for w_sl, w_shape, b_sl in self._slices]
+        return self._views[lead]
 
     def view(self, i: int) -> "Mlp":
         """Net i of a stack as a one-net Mlp over a view of its parameters."""
@@ -320,14 +331,12 @@ class Mlp:
         one._params = self._params[i * one.n_params:(i + 1) * one.n_params]
         return one
 
-    def forward(self, x: np.ndarray, params: Optional[np.ndarray] = None,
-                keep: bool = True) -> tuple:
+    def forward(self, x: np.ndarray, keep: bool = True) -> tuple:
         """(out, saved) for a batch x (n, in_dim), or a stack (nets, n, in_dim),
-        over the flat `params` (default: this net's). `saved` holds what
+        over this net's parameters. `saved` holds what
         `backward` needs: each dense layer's input (after the relu), then the
         softmax output. With `keep=False` it stays empty, so each activation
         is freed once the next layer has read it."""
-        params = self._params if params is None else params
         # All but the matmuls run in place; x is copied only for a softmax alone.
         h = np.asarray(x, dtype=np.float64) if self._slices else np.array(x, dtype=np.float64)
         lead = h.shape[:-2]
@@ -336,7 +345,7 @@ class Mlp:
             raise ShapeError(f"dense layer 0 expects input width {self.in_dim} "
                              f"for {self.nets} net(s), got {h.shape}")
         saved = []
-        for i, (w, b) in enumerate(self._layers(params, lead)):
+        for i, (w, b) in enumerate(self._layers(lead)):
             if i:
                 np.maximum(h, 0.0, out=h)
             if keep:
@@ -350,8 +359,7 @@ class Mlp:
             saved.append(h)
         return h, saved
 
-    def backward(self, saved, g: np.ndarray, params: Optional[np.ndarray] = None,
-                 weights: bool = True, inputs: bool = True,
+    def backward(self, saved, g: np.ndarray, weights: bool = True, inputs: bool = True,
                  out: Optional[np.ndarray] = None) -> tuple:
         """(g_in, g_flat): the gradient `g` at the output of `forward` pulled
         back to its input and to the flat parameters. Per dense layer this is
@@ -359,12 +367,11 @@ class Mlp:
         `weights=False` (a frozen net) skips the weight gradients and
         `inputs=False` the input gradient; each skipped part comes back as None.
         g_flat is written into `out` (n_params,) when given, else a new vector."""
-        params = self._params if params is None else params
         lead = g.shape[:-2]
         rows = lead + (-1,)  # one row of parameters per net of a stack
         g_flat = (np.empty(self.n_params) if out is None else out) if weights else None
         g_nets = g_flat.reshape(rows) if weights else None
-        layers = self._layers(params, lead)
+        layers = self._layers(lead)
         y = saved[-1]
         g = y * (g - _rows(np.add, g * y))
         for i in reversed(range(len(self._slices))):
@@ -389,17 +396,17 @@ class Mlp:
     def forward_var(self, x, leaf: Optional[ad.Var] = None) -> ad.Var:
         """The whole net as one tape node over a batch x (n, in_dim).
 
-        The node's parents are `x` when it is a Var, then `leaf`, a Var over
-        the flat parameters, so `leaf.grad` is the flat weight gradient. With
-        `leaf=None` the weights are frozen and no weight gradient is computed.
+        The node's parents are `x` when it is a Var, then `leaf`, the Var over
+        this net's own vector (no other: ShapeError), so `leaf.grad` is the flat
+        weight gradient. With `leaf=None` the weights are frozen: no weight gradient.
         """
+        if leaf is not None and leaf.value is not self._params:
+            raise ShapeError("a weight leaf must be the Var over this net's own parameter vector")
         x_var = x if isinstance(x, ad.Var) else None
-        params = None if leaf is None else leaf.value
-        out, saved = self.forward(x.value if x_var is not None else x, params)
+        out, saved = self.forward(x.value if x_var is not None else x)
 
         def vjp(g):
-            grads = self.backward(saved, g, params, weights=leaf is not None,
-                                  inputs=x_var is not None)
+            grads = self.backward(saved, g, weights=leaf is not None, inputs=x_var is not None)
             return [grad for grad in grads if grad is not None]
 
         return ad.Var(out, tuple(p for p in (x_var, leaf) if p is not None), vjp)

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ConfigError, checked_outputs, from_strings, named_rng
+from .core import ConfigError, checked_features, checked_outputs, from_strings, named_rng
 from .data import Dataset
 from .sampler import hard_topk, hard_topk_batch
 from .trainer import fit_classifier
@@ -23,6 +23,7 @@ from .trainer import fit_classifier
 RETRAIN_BUDGET_DEFAULT = 20
 SEN_RADIUS_FRACTION = 0.05  # of the per-feature data range
 SEN_N_PERTURB = 32
+TPS_SAMPLES = 100  # timed rows of `time_per_sample`
 
 
 @dataclass
@@ -61,11 +62,11 @@ class MetricsReport:
 
 def score_set(explainer, model, dataset: Dataset, k: int) -> tuple:
     """One scoring pass over a set: its model outputs `y` (its `Y` when set,
-    else computed; off the simplex: ShapeError, as in `train()`), the
-    explainer's scores `z` and their binary top-k masks (n, d)."""
-    y = checked_outputs(model.evaluate(dataset.X) if dataset.Y is None else dataset.Y,
-                        len(dataset))
-    z = explainer.score(dataset.X, y)
+    else computed), the explainer's scores `z` and their binary top-k masks
+    (n, d). Bad features or outputs raise ShapeError first, as in `train()`."""
+    x = checked_features(dataset.X)
+    y = checked_outputs(model.evaluate(x) if dataset.Y is None else dataset.Y, len(x))
+    z = explainer.score(x, y)
     return y, z, hard_topk_batch(z, k)
 
 
@@ -170,11 +171,11 @@ def permuted_labels(train_set: Dataset, rng: np.random.Generator) -> Dataset:
     return replace(train_set, y_true=rng.permutation(train_set.y_true))
 
 
-def time_per_sample(explainer, model, x: np.ndarray, k: int, n_samples: int = 100) -> float:
-    """Mean wall-clock seconds for one explanation (model call included), each
-    a one-row batch, so a model that always answers (n, c) rows also fits."""
+def time_per_sample(explainer, model, x: np.ndarray, k: int) -> float:
+    """Mean wall-clock seconds for one explanation (model call included) over
+    up to TPS_SAMPLES one-row batches, so models answering (n, c) rows fit."""
     require_rows(evaluation=x)
-    n = min(n_samples, len(x))
+    n = min(TPS_SAMPLES, len(x))
     for i in range(min(5, n)):  # warm-up, excluded
         row = x[i:i + 1]
         hard_topk(explainer.score(row, model.evaluate(row))[0], k)

@@ -22,8 +22,8 @@ from . import autodiff as ad
 from .approximators import (ApproximatorPair, cross_entropy_grad, make_pair, pair_loss_var,
                             sw_directions)
 from .baselines import prior_scores
-from .core import (ConfigError, Mlp, ShapeError, TrainConfig, checked_outputs, from_strings,
-                   named_rng, read_record, write_record)
+from .core import (ConfigError, Mlp, ShapeError, TrainConfig, checked_features,
+                   checked_outputs, from_strings, named_rng, read_record, write_record)
 from .explainer import ExplainerNet, fuse_prior_var, prior_constraint_loss_var
 from .sampler import relaxed_topk_var, sample_gumbel_batch
 
@@ -31,6 +31,7 @@ log = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = b"MEEDCKPT"
 CHECKPOINT_VERSION = 3
+FIT_BATCH_SIZE = 64  # minibatch rows of `fit_classifier`
 
 
 class TrainingAbort(RuntimeError):
@@ -99,9 +100,8 @@ class Adam(Optimizer):
 
 
 def fit_classifier(x: np.ndarray, targets: np.ndarray, hidden: Sequence[int], epochs: int,
-                   rng: np.random.Generator, learning_rate: float = 1e-3,
-                   batch_size: int = 64) -> Mlp:
-    """Softmax MLP fitted to `targets` (n, c) by minibatch Adam on cross-entropy.
+                   rng: np.random.Generator, learning_rate: float = 1e-3) -> Mlp:
+    """Softmax MLP fitted to `targets` (n, c) by Adam on cross-entropy, FIT_BATCH_SIZE rows a step.
 
     `rng` draws the initial weights first, then one permutation per epoch.
     An (m, n, d) stack of inputs fits m nets of one `Mlp` at once, each
@@ -115,8 +115,8 @@ def fit_classifier(x: np.ndarray, targets: np.ndarray, hidden: Sequence[int], ep
     n = x.shape[-2]
     for _ in range(epochs):
         perm = rng.permutation(n)
-        for lo in range(0, n, batch_size):
-            idx = perm[lo:lo + batch_size]
+        for lo in range(0, n, FIT_BATCH_SIZE):
+            idx = perm[lo:lo + FIT_BATCH_SIZE]
             out, saved = net.forward(x[..., idx, :])
             g_out = cross_entropy_grad(targets[idx], out)
             opt.step(net.parameters, net.backward(saved, g_out, inputs=False, out=grad)[1])
@@ -303,17 +303,10 @@ def train(dataset, model, config: TrainConfig,
     """
     if fusion != "concat-raw":
         raise ConfigError(f"unknown feedback fusion: {fusion}")
-    x_all = np.asarray(dataset.X, dtype=np.float64)
-    if x_all.ndim != 2:
-        raise ShapeError(f"features must be an (n, d) array, got shape {x_all.shape}")
+    x_all = checked_features(dataset.X)
     n, d = x_all.shape
     if n == 0:
         raise ConfigError("dataset is empty")
-    bad = np.argwhere(~np.isfinite(x_all))
-    if len(bad):
-        row, col = bad[0]
-        raise ShapeError(f"features must be finite values, row {row} column {col} "
-                         f"holds {x_all[row, col]}")
     if config.k > d:
         raise ConfigError(f"k={config.k} exceeds d={d}")
     y_all = getattr(dataset, "Y", None)
@@ -412,7 +405,7 @@ def train(dataset, model, config: TrainConfig,
             del leaf, z, z_tilde, v  # the graph ends with the minibatch
             sums += (l_s, l_u, l_e)
             n_batches += 1
-        mean = sums / max(n_batches, 1)
+        mean = sums / n_batches
         line = (f"epoch={m} L_s={mean[0]:.6f} L_u={mean[1]:.6f} "
                 f"L_e={mean[2]:.6f} seconds={time.perf_counter() - tic:.3f}")
         if log_lines is not None:

@@ -25,6 +25,22 @@ def finite_difference(fn, params: np.ndarray, step: float = 1e-6) -> np.ndarray:
     return grad
 
 
+def parameter_finite_difference(net, fn, step: float = 1e-6) -> np.ndarray:
+    """Central finite differences of the scalar fn() in the flat parameters of
+    `net`, each perturbation set through `set_parameters`; the parameters are
+    restored after."""
+    base = net.parameters.copy()
+
+    def at(params):
+        net.set_parameters(params)
+        return fn()
+
+    try:
+        return finite_difference(at, base, step)
+    finally:
+        net.set_parameters(base)
+
+
 def weighted_sum(out, weights=1.0):
     """A scalar tape node, sum(out * weights), that depends on every entry of
     the Var `out`."""

@@ -10,7 +10,8 @@ from meed.approximators import CE_EPS, cross_entropy_var, sliced_wasserstein_var
 from meed.core import Mlp
 from meed.explainer import fuse_prior_var, prior_constraint_loss_var
 from meed.sampler import Z_EPS, relaxed_topk_var
-from tests.conftest import finite_difference, relative_error, weighted_sum
+from tests.conftest import (finite_difference, parameter_finite_difference, relative_error,
+                            weighted_sum)
 from tests.helpers import mul, record_sw_paths, sub
 
 
@@ -23,6 +24,16 @@ def check_gradient(build, value, tol=1e-6):
                            value.ravel())
     assert relative_error(leaf.grad.ravel(), fd) < tol
     return leaf.grad
+
+
+def check_parameter_gradient(net, build, tol=1e-6):
+    """build(leaf) must return a scalar Var from `leaf`, the Var over the flat
+    parameters of `net`; compares leaf's gradient with central FD, each
+    perturbation set through `set_parameters`."""
+    leaf = ad.Var(net.parameters)
+    ad.backward(build(leaf))
+    fd = parameter_finite_difference(net, lambda: float(build(ad.Var(net.parameters)).value))
+    assert relative_error(leaf.grad, fd) < tol
 
 
 def test_add_mul_broadcast(rng):
@@ -53,9 +64,9 @@ def test_mlp_node_gradients_match_finite_differences(rng):
     net = Mlp(4, (5, 3, 3), rng=rng)
     x = rng.standard_normal((6, 4))
     weights = rng.standard_normal((6, 3))
-    params = net.parameters.copy()
-    check_gradient(lambda xv: weighted_sum(net.forward_var(xv, ad.Var(params)), weights), x)
-    check_gradient(lambda leaf: weighted_sum(net.forward_var(x, leaf), weights), params)
+    check_gradient(lambda xv: weighted_sum(net.forward_var(xv, ad.Var(net.parameters)), weights),
+                   x)
+    check_parameter_gradient(net, lambda leaf: weighted_sum(net.forward_var(x, leaf), weights))
 
 
 def test_matmul_relu_chain(rng):
@@ -70,7 +81,7 @@ def test_matmul_relu_chain(rng):
         h = net.forward_var(x, leaf)
         return mul(weighted_sum(mul(h, h)), 1.0 / h.value.size)
 
-    check_gradient(build, net.parameters.copy())
+    check_parameter_gradient(net, build)
 
 
 def test_softmax_rows_and_gradient(rng):

@@ -12,7 +12,9 @@ from meed.approximators import cross_entropy_var, make_pair
 from meed.core import (ConfigError, Mlp, SelectionSet, ShapeError,
                        TrainConfig, is_simplex, named_rng)
 from meed.data import MlpModel
-from tests.conftest import finite_difference, relative_error
+from meed.explainer import ExplainerNet
+from tests.conftest import (finite_difference, parameter_finite_difference, relative_error,
+                            weighted_sum)
 
 
 def test_is_simplex():
@@ -123,7 +125,7 @@ def test_mlp_backward_matches_finite_differences(rng):
     params = net.parameters.copy()
     fd_in = finite_difference(lambda v: float((net.forward(v.reshape(x.shape))[0] * g).sum()),
                               x.ravel())
-    fd_flat = finite_difference(lambda p: float((net.forward(x, p)[0] * g).sum()), params)
+    fd_flat = parameter_finite_difference(net, lambda: float((net.forward(x)[0] * g).sum()))
     assert relative_error(g_in.ravel(), fd_in) < 1e-6
     assert relative_error(g_flat, fd_flat) < 1e-6
     assert np.array_equal(net.parameters, params)
@@ -142,13 +144,13 @@ def test_mlp_backward_of_a_frozen_net_gives_the_input_gradient_only(rng):
 
 def test_mlp_backward_without_the_input_gradient(rng):
     net, x, g = forward_backward_case(rng)
-    other = net.parameters + 0.1 * rng.standard_normal(net.n_params)
-    _, saved = net.forward(x, other)
-    g_in, g_flat = net.backward(saved, g, other, inputs=False)
+    net.set_parameters(net.parameters + 0.1 * rng.standard_normal(net.n_params))
+    _, saved = net.forward(x)
+    g_in, g_flat = net.backward(saved, g, inputs=False)
     assert g_in is None
-    fd_flat = finite_difference(lambda p: float((net.forward(x, p)[0] * g).sum()), other.copy())
+    fd_flat = parameter_finite_difference(net, lambda: float((net.forward(x)[0] * g).sum()))
     assert relative_error(g_flat, fd_flat) < 1e-6
-    assert np.array_equal(g_flat, net.backward(saved, g, other)[1])
+    assert np.array_equal(g_flat, net.backward(saved, g)[1])
 
 
 def stacked_case(m=3, n=5):
@@ -185,8 +187,7 @@ def test_stacked_mlp_backward_matches_finite_differences():
     g_in, g_flat = stack.backward(stack.forward(x)[1], g)
     fd_in = finite_difference(lambda v: float((stack.forward(v.reshape(x.shape))[0] * g).sum()),
                               x.ravel())
-    fd_flat = finite_difference(lambda p: float((stack.forward(x, p)[0] * g).sum()),
-                                stack.parameters.copy())
+    fd_flat = parameter_finite_difference(stack, lambda: float((stack.forward(x)[0] * g).sum()))
     assert relative_error(g_in.ravel(), fd_in) < 1e-6
     assert relative_error(g_flat, fd_flat) < 1e-6
 
@@ -313,8 +314,7 @@ def test_two_class_backward_matches_finite_differences(nets):
     g_in, g_flat = net.backward(net.forward(x)[1], g)
     fd_in = finite_difference(lambda v: float((net.forward(v.reshape(x.shape))[0] * g).sum()),
                               x.ravel())
-    fd_flat = finite_difference(lambda p: float((net.forward(x, p)[0] * g).sum()),
-                                net.parameters.copy())
+    fd_flat = parameter_finite_difference(net, lambda: float((net.forward(x)[0] * g).sum()))
     assert relative_error(g_in.ravel(), fd_in) < 1e-6
     assert relative_error(g_flat, fd_flat) < 1e-6
 
@@ -371,17 +371,22 @@ def test_pickled_net_sees_parameters_set_after_a_forward():
     assert not np.shares_memory(clone.parameters, net.parameters)
 
 
-def test_forward_with_other_parameters_uses_them():
-    net, x, g = stacked_case(m=2)
-    net.forward(x)
-    other = net.parameters + 0.5
-    twin = Mlp(4, net.widths, nets=2, parameters=other)
-    out, saved = net.forward(x, other)
-    twin_out, twin_saved = twin.forward(x)
-    assert bits(out) == bits(twin_out)
-    assert all(bits(a) == bits(b) for a, b in zip(net.backward(saved, g, other),
-                                                   twin.backward(twin_saved, g)))
-    assert not np.array_equal(out, net.predict(x))
+@pytest.mark.parametrize("leaf_over", ["copy", "view"])
+def test_weight_leaf_must_be_over_the_nets_own_vector(rng, leaf_over):
+    """A leaf over any other array than the net's own vector would take a
+    gradient at a point the net does not run: ShapeError, for the net and for
+    the explainer's scoring node."""
+    net = make_net(rng)
+    explainer = ExplainerNet(d=4, c=2, hidden=(5,), rng=rng)
+    x, y = rng.standard_normal((3, 4)), np.tile([0.25, 0.75], (3, 1))
+    for model, call in ((net, lambda leaf: net.forward_var(rng.standard_normal((3, 5)), leaf)),
+                        (explainer, lambda leaf: explainer.score_var(x, y, leaf))):
+        other = model.parameters.copy() if leaf_over == "copy" else model.parameters[:]
+        with pytest.raises(ShapeError, match="own parameter vector"):
+            call(ad.Var(other))
+        leaf = ad.Var(model.parameters)
+        ad.backward(weighted_sum(call(leaf)))
+        assert leaf.grad.shape == (model.n_params,)
 
 
 def test_mlp_clone_and_set_parameters(rng):

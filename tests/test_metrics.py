@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from meed.core import ConfigError, Mlp, SelectionSet, TrainConfig, named_rng
+from meed.core import ConfigError, Mlp, SelectionSet, ShapeError, TrainConfig, named_rng
 from meed.data import (Dataset, MlpModel, SyntheticSpec, generate_synthetic, split_dataset,
                        train_given_model)
 from meed.metrics import (SEN_N_PERTURB, MetricsReport, default_sen_radius,
@@ -142,7 +142,7 @@ def test_permuted_labels_permutes_only_the_labels():
 
 def test_time_per_sample_positive(trained_run):
     explainer, model, _, te = trained_run
-    assert time_per_sample(explainer, model, te.X, 2, n_samples=20) > 0.0
+    assert time_per_sample(explainer, model, te.X, 2) > 0.0
 
 
 def test_time_per_sample_rejects_an_empty_set(trained_run):
@@ -238,6 +238,37 @@ def test_evaluate_and_sanity_reject_an_empty_set(trained_run, empty):
         evaluate_explainer(explainer, model, tr, ev, 2, retrain_budget=1)
     with pytest.raises(ConfigError, match=f"the {empty} set is empty"):
         require_rows(evaluation=ev, training=tr)  # as `meed sanity` checks its sets
+
+
+class FiniteInputsModel(RowsModel):
+    """A black box that counts its calls; a non-finite feature reaching it
+    fails the test."""
+
+    def __init__(self, model):
+        super().__init__(model)
+        self.calls = 0
+
+    def evaluate(self, x):
+        assert np.all(np.isfinite(x)), "a non-finite feature reached the model"
+        self.calls += 1
+        return super().evaluate(x)
+
+
+@pytest.mark.parametrize("bad_set, value", [("training", np.nan), ("evaluation", np.nan),
+                                            ("training", np.inf)])
+def test_evaluate_explainer_rejects_non_finite_features_before_the_model(trained_run, bad_set,
+                                                                         value):
+    """A non-finite feature in either set is the data's fault, as in train():
+    ShapeError names its row and column before the model reads that set."""
+    explainer, model, feats, te = trained_run
+    sets = {"training": Dataset(ids=list(feats.ids), X=feats.X.copy()),
+            "evaluation": Dataset(ids=list(te.ids), X=te.X.copy())}
+    sets[bad_set].X[3, 1] = value
+    spy = FiniteInputsModel(model)
+    with pytest.raises(ShapeError, match="features must be finite.*row 3 column 1"):
+        evaluate_explainer(explainer, spy, sets["training"], sets["evaluation"], 2,
+                           retrain_budget=1)
+    assert spy.calls == (bad_set == "evaluation")  # only the training set was scored
 
 
 def test_evaluate_explainer_leaves_caller_datasets_untouched(trained_run):

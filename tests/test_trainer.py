@@ -25,8 +25,8 @@ from meed.baselines import FD_STEP
 from meed.data import Dataset, MlpModel
 from meed.explainer import ExplainerNet, fuse_prior_var, prior_constraint_loss_var
 from meed.sampler import relaxed_topk_var, sample_gumbel_batch
-from meed.trainer import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, Adam, Checkpoint,
-                          CheckpointError, Optimizer, TrainingAbort, fit_classifier,
+from meed.trainer import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, FIT_BATCH_SIZE, Adam,
+                          Checkpoint, CheckpointError, Optimizer, TrainingAbort, fit_classifier,
                           approximator_step, explainer_step, load_checkpoint,
                           nets_from_checkpoint, read_record, save_checkpoint, train)
 from tests.conftest import damage_record, record_sections
@@ -142,7 +142,7 @@ def step_inputs(config, seed=0, optimizer=Adam):
     return x, y, xi, explainer, pair, opts
 
 
-def tape_fit_classifier(x, targets, hidden, epochs, rng, learning_rate=1e-3, batch_size=64):
+def tape_fit_classifier(x, targets, hidden, epochs, rng, learning_rate=1e-3):
     """The classifier fit as a loop over the autodiff tape: one Mlp node and
     one cross-entropy node per minibatch, then one Adam step."""
     net = Mlp(x.shape[1], (*hidden, targets.shape[1]), rng=rng)
@@ -150,8 +150,8 @@ def tape_fit_classifier(x, targets, hidden, epochs, rng, learning_rate=1e-3, bat
     n = x.shape[0]
     for _ in range(epochs):
         perm = rng.permutation(n)
-        for lo in range(0, n, batch_size):
-            idx = perm[lo:lo + batch_size]
+        for lo in range(0, n, FIT_BATCH_SIZE):
+            idx = perm[lo:lo + FIT_BATCH_SIZE]
             leaf = ad.Var(net.parameters)
             ad.backward(cross_entropy_var(targets[idx], net.forward_var(x[idx], leaf))[0])
             opt.step(net.parameters, leaf.grad)
@@ -159,22 +159,21 @@ def tape_fit_classifier(x, targets, hidden, epochs, rng, learning_rate=1e-3, bat
 
 
 def test_fit_classifier_equals_the_tape_loop_bit_for_bit():
-    x, y = small_problem(n=70)  # 70 rows: the last minibatch of each epoch is short
-    fit = fit_classifier(x, y, (8, 4), 3, named_rng(2, "model"), learning_rate=1e-2,
-                         batch_size=16)
-    tape = tape_fit_classifier(x, y, (8, 4), 3, named_rng(2, "model"), learning_rate=1e-2,
-                               batch_size=16)
+    x, y = small_problem(n=70)  # 70 rows: each epoch ends on a short minibatch (64 + 6)
+    assert 70 % FIT_BATCH_SIZE == 6
+    fit = fit_classifier(x, y, (8, 4), 3, named_rng(2, "model"), learning_rate=1e-2)
+    tape = tape_fit_classifier(x, y, (8, 4), 3, named_rng(2, "model"), learning_rate=1e-2)
     assert fit.nets == 1 and np.array_equal(fit.parameters, tape.parameters)
 
 
 def test_stacked_fit_classifier_equals_one_fit_per_slice():
     x, y = small_problem(n=70)
     stack = np.stack([x, x * (x > 0.0)])
-    fit = fit_classifier(stack, y, (8,), 3, named_rng(2, "init"), batch_size=16)
+    fit = fit_classifier(stack, y, (8,), 3, named_rng(2, "init"))
     p = fit.n_params // 2
     assert fit.nets == 2
     for i in range(2):
-        one = fit_classifier(stack[i], y, (8,), 3, named_rng(2, "init"), batch_size=16)
+        one = fit_classifier(stack[i], y, (8,), 3, named_rng(2, "init"))
         assert np.array_equal(fit.parameters[i * p:(i + 1) * p], one.parameters)
     assert not np.array_equal(fit.parameters[:p], fit.parameters[p:])
 
