@@ -1,11 +1,11 @@
 """Minimal reverse-mode automatic differentiation over float64 numpy arrays.
 
-The tape is coarse: each network, the relaxed top-k, the prior fusion and
-its constraint loss is one node whose VJP is written out in closed form where
-it is defined (`Mlp.forward_var`, the sampler and the explainer), and the
-pair's loss L_s + lambda_u*L_u is one node for either adversary. This module
-keeps only the graph, the backward pass, and the `add` that joins the prior's
-constraint loss to the pair's.
+The tape is coarse. It holds the explainer's graph, whose scores
+(`Mlp.forward_var`), relaxed top-k, prior fusion, constraint loss and frozen
+pair outputs are one node each with a closed-form VJP, and the pair's loss
+L_s + lambda_u*L_u, one node for either adversary. The approximator step runs
+the pair's `Mlp` kernel itself around that loss node. This module keeps only
+the graph, the backward pass, and the `add` that joins L_e to the pair's loss.
 """
 
 from __future__ import annotations
@@ -24,10 +24,6 @@ class Var:
         self.grad = None
         self._parents = parents
         self._backward = backward
-
-
-def value(x) -> np.ndarray:
-    return x.value if isinstance(x, Var) else np.asarray(x, dtype=np.float64)
 
 
 def add(a: Var, b: Var) -> Var:

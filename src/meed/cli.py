@@ -21,7 +21,8 @@ import numpy as np
 from . import data as datamod
 from . import metrics as metricsmod
 from .baselines import ABLATION_VARIANTS, ablation_config
-from .core import ConfigError, ShapeError, TrainConfig, check_fields, from_strings, read_text
+from .core import (ConfigError, ShapeError, TrainConfig, check_fields, from_strings, named_rng,
+                   read_text)
 from .trainer import (CheckpointError, TrainingAbort, load_checkpoint,
                       nets_from_checkpoint, train)
 
@@ -238,7 +239,7 @@ def cmd_evaluate(args) -> int:
 def cmd_sanity(args) -> int:
     cfg, run, train_set, test_set, ckpt, explainer, model = _load_run(args)
     metricsmod.require_rows(evaluation=test_set, training=train_set)
-    k, x, rng = ckpt.config.k, test_set.X, np.random.default_rng(ckpt.config.seed)
+    k, x, rng = ckpt.config.k, test_set.X, named_rng(ckpt.config.seed, "sanity")
     _, _, masks = metricsmod.score_set(explainer, model, test_set, k)
     score_model = metricsmod.sanity_tests(explainer, model, x, masks, k, rng)
     # Data randomization, drawn from the rng after the model's: the test set's

@@ -234,7 +234,7 @@ class BlackBoxModel:
 
 def named_rng(seed: int, stream: str) -> np.random.Generator:
     """Independent substream of the run seed, keyed by a stream name."""
-    streams = {"data": 0, "init": 1, "gumbel": 2, "perturb": 3, "model": 4}
+    streams = {"data": 0, "init": 1, "gumbel": 2, "perturb": 3, "model": 4, "sanity": 5}
     key = streams[stream]
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(key,))))
 
@@ -393,20 +393,11 @@ class Mlp:
             return self.forward(x[None, :], keep=False)[0][0]
         return self.forward(x, keep=False)[0]
 
-    def forward_var(self, x, leaf: Optional[ad.Var] = None) -> ad.Var:
-        """The whole net as one tape node over a batch x (n, in_dim).
-
-        The node's parents are `x` when it is a Var, then `leaf`, the Var over
-        this net's own vector (no other: ShapeError), so `leaf.grad` is the flat
-        weight gradient. With `leaf=None` the weights are frozen: no weight gradient.
-        """
-        if leaf is not None and leaf.value is not self._params:
+    def forward_var(self, x: np.ndarray, leaf: ad.Var) -> ad.Var:
+        """The whole net as one tape node over a batch x (n, in_dim). Its parent
+        is `leaf`, the Var over this net's own vector (no other: ShapeError),
+        so `leaf.grad` is the flat weight gradient."""
+        if leaf.value is not self._params:
             raise ShapeError("a weight leaf must be the Var over this net's own parameter vector")
-        x_var = x if isinstance(x, ad.Var) else None
-        out, saved = self.forward(x.value if x_var is not None else x)
-
-        def vjp(g):
-            grads = self.backward(saved, g, weights=leaf is not None, inputs=x_var is not None)
-            return [grad for grad in grads if grad is not None]
-
-        return ad.Var(out, tuple(p for p in (x_var, leaf) if p is not None), vjp)
+        out, saved = self.forward(x)
+        return ad.Var(out, (leaf,), lambda g: (self.backward(saved, g, inputs=False)[1],))

@@ -190,10 +190,12 @@ def evaluate_explainer(explainer, model, train_set: Dataset, eval_set: Dataset, 
                        retrain_budget: int = RETRAIN_BUDGET_DEFAULT,
                        hidden: Sequence[int] = (32, 32), seed: int = 0) -> MetricsReport:
     """Full report over one trained explainer from one scoring pass per set,
-    whose arrays every metric reads. SANITY-DATA stays -1: it retrains a model
-    and an explainer, which `meed sanity` does."""
+    whose arrays every metric reads, once both sets' features are checked.
+    SANITY-MODEL randomizes the model from the "sanity" stream, as `meed
+    sanity` does; SANITY-DATA stays -1, as it retrains a model and an explainer."""
     require_rows(training=train_set, evaluation=eval_set)
-    rng = named_rng(seed, "perturb")
+    for dataset in (train_set, eval_set):
+        checked_features(dataset.X)
     y_tr, _, m_tr = score_set(explainer, model, train_set, k)
     y, z, masks = score_set(explainer, model, eval_set, k)
     x = eval_set.X
@@ -203,8 +205,8 @@ def evaluate_explainer(explainer, model, train_set: Dataset, eval_set: Dataset, 
         fs_m=fidelity_selected_model(model, x, y, masks),
         fu_m=fidelity_unselected_model(model, x, y, masks),
         fs_a=fs_a, fu_a=fu_a,
-        sen=sensitivity(explainer, model, x, z, rng),
-        sanity_model=sanity_tests(explainer, model, x, masks, k, rng),
+        sen=sensitivity(explainer, model, x, z, named_rng(seed, "perturb")),
+        sanity_model=sanity_tests(explainer, model, x, masks, k, named_rng(seed, "sanity")),
         sanity_data=-1.0,
         tps=time_per_sample(explainer, model, x, k),
         k=k, n_eval=len(eval_set))

@@ -127,13 +127,22 @@ def fit_classifier(x: np.ndarray, targets: np.ndarray, hidden: Sequence[int], ep
 # Update steps
 # ---------------------------------------------------------------------------
 
-def _pair_outputs(pair: ApproximatorPair, v, x: np.ndarray, leaf=None) -> ad.Var:
-    """One node of A_s's and A_u's outputs (2, n, c) on the (2, n, d) stack of
-    v*x and (1-v)*x; a Var mask v makes the stack a node (VJP g[0]*x - g[1]*x)."""
-    stack = np.stack([ad.value(v) * x, (1.0 - ad.value(v)) * x])
-    if isinstance(v, ad.Var):
-        stack = ad.Var(stack, (v,), lambda g: (g[0] * x - g[1] * x,))
-    return pair.net.forward_var(stack, leaf)
+def _pair_stack(v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The pair's (2, n, d) input for mask values v (n, d): A_s's v*x, then A_u's (1-v)*x."""
+    return np.stack([v * x, (1.0 - v) * x])
+
+
+def _pair_outputs(pair: ApproximatorPair, v: ad.Var, x: np.ndarray) -> ad.Var:
+    """A_s's and A_u's outputs (2, n, c) on the stack of the mask v as one node
+    of v. The nets are frozen: the VJP pulls g back to their inputs only, then
+    to v as g_in[0]*x - g_in[1]*x."""
+    out, saved = pair.net.forward(_pair_stack(v.value, x))
+
+    def vjp(g):
+        g_in = pair.net.backward(saved, g, weights=False)[0]
+        return (g_in[0] * x - g_in[1] * x,)
+
+    return ad.Var(out, (v,), vjp)
 
 
 def _check_finite(losses: dict, step: str, batch_id: str) -> None:
@@ -147,13 +156,13 @@ def approximator_step(pair: ApproximatorPair, x: np.ndarray, y: np.ndarray,
                       v: np.ndarray, config: TrainConfig, opt: Optimizer,
                       sw_thetas: Optional[np.ndarray] = None, batch_id: str = "?") -> tuple:
     """One update of both approximators on the relaxed mask values v (n, d),
-    stepping `opt` over the pair's stacked parameters."""
-    leaf = ad.Var(pair.net.parameters)
-    total, l_s, l_u = pair_loss_var(y, _pair_outputs(pair, v, x, leaf), config.loss_u,
-                                    config.lambda_u, sw_thetas)
+    stepping `opt` over the pair's stacked parameters; only the loss is on the tape."""
+    out, saved = pair.net.forward(_pair_stack(v, x))
+    preds = ad.Var(out)
+    total, l_s, l_u = pair_loss_var(y, preds, config.loss_u, config.lambda_u, sw_thetas)
     _check_finite({"L_s": l_s, "L_u": l_u}, "approximator", batch_id)
     ad.backward(total)
-    opt.step(pair.net.parameters, leaf.grad)
+    opt.step(pair.net.parameters, pair.net.backward(saved, preds.grad, inputs=False)[1])
     return l_s, l_u
 
 

@@ -4,10 +4,11 @@ The oracles check the paper's theory on small discrete tasks: the brute-force
 best subset (criterion 4: AIL learns the selected-feature conditional) and the
 plug-in mutual information between mask pattern and class (criterion 7:
 combinatorial shortcuts). The reference tape ops build the losses the slow
-way, one node per net and per loss joined by elementwise glue, for the tests
-that compare the fused nodes with that form; the sliced Wasserstein distance
-has an axis-0 form for any rows and a two-class one for rows on the simplex,
-and `record_sw_paths` logs which of the package's two forms each call takes.
+way, one node per net (a frozen net is a node of its input) and per loss
+joined by elementwise glue, for the tests that compare the fused nodes with
+that form; the sliced Wasserstein distance has an axis-0 form for any rows
+and a two-class one for rows on the simplex, and `record_sw_paths` logs
+which of the package's two forms each call takes.
 The IDX writers make the image files that the package's IDX reader loads.
 """
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from meed import approximators
 from meed import autodiff as ad
-from meed.core import SelectionSet
+from meed.core import Mlp, SelectionSet
 from meed.data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC
 
 
@@ -77,24 +78,36 @@ def mi_estimate(discrete_a, discrete_b) -> float:
     return max(mi, 0.0)
 
 
-def _glue(value, operands) -> ad.Var:
+def value(x) -> np.ndarray:
+    """The array of a Var, or a constant as a float64 array."""
+    return x.value if isinstance(x, ad.Var) else np.asarray(x, dtype=np.float64)
+
+
+def _glue(result, operands) -> ad.Var:
     """Node of an elementwise op over its (operand, VJP) pairs. Only Var
     operands become parents: a constant gets no gradient. A Var operand has
     the result's shape (only a constant may broadcast), so each VJP's
     gradient needs no reduction."""
     pairs = [(x, vjp) for x, vjp in operands if isinstance(x, ad.Var)]
-    return ad.Var(value, tuple(x for x, _ in pairs), lambda g: [vjp(g) for _, vjp in pairs])
+    return ad.Var(result, tuple(x for x, _ in pairs), lambda g: [vjp(g) for _, vjp in pairs])
 
 
 def sub(a, b) -> ad.Var:
     """a - b for Vars or constants."""
-    return _glue(ad.value(a) - ad.value(b), ((a, lambda g: g), (b, lambda g: -g)))
+    return _glue(value(a) - value(b), ((a, lambda g: g), (b, lambda g: -g)))
 
 
 def mul(a, b) -> ad.Var:
     """a * b for Vars or constants."""
-    av, bv = ad.value(a), ad.value(b)
+    av, bv = value(a), value(b)
     return _glue(av * bv, ((a, lambda g: g * bv), (b, lambda g: g * av)))
+
+
+def frozen_net_node(net: Mlp, x: ad.Var) -> ad.Var:
+    """The one-net `net` on the Var batch x as a node of x alone: its weights
+    are frozen, so the VJP is `Mlp.backward`'s input gradient."""
+    out, saved = net.forward(x.value)
+    return ad.Var(out, (x,), lambda g: (net.backward(saved, g, weights=False)[0],))
 
 
 def take(a: ad.Var, i: int) -> ad.Var:

@@ -1,15 +1,17 @@
 """Gradient checks of the tape against central finite differences: `add`
-and the reference glue of tests/helpers.py, and each fused node's
-closed-form VJP."""
+and the reference glue of tests/helpers.py, each fused node's closed-form
+VJP, and the Mlp kernel's input gradient that the frozen pair runs."""
 
 import numpy as np
 import pytest
 
 from meed import autodiff as ad
-from meed.approximators import CE_EPS, cross_entropy_var, sliced_wasserstein_var, sw_directions
+from meed.approximators import (CE_EPS, cross_entropy_var, make_pair, sliced_wasserstein_var,
+                                sw_directions)
 from meed.core import Mlp
 from meed.explainer import fuse_prior_var, prior_constraint_loss_var
 from meed.sampler import Z_EPS, relaxed_topk_var
+from meed.trainer import _pair_outputs
 from tests.conftest import (finite_difference, parameter_finite_difference, relative_error,
                             weighted_sum)
 from tests.helpers import mul, record_sw_paths, sub
@@ -34,6 +36,15 @@ def check_parameter_gradient(net, build, tol=1e-6):
     ad.backward(build(leaf))
     fd = parameter_finite_difference(net, lambda: float(build(ad.Var(net.parameters)).value))
     assert relative_error(leaf.grad, fd) < tol
+
+
+def check_input_gradient(net, x, weights, tol=1e-6):
+    """`Mlp.backward(weights=False)` of the scalar sum(out * weights) at the
+    batch x: no weight gradient, and an input gradient that matches central FD."""
+    g_in, g_flat = net.backward(net.forward(x)[1], weights, weights=False)
+    fd = finite_difference(lambda p: float((net.predict(p.reshape(x.shape)) * weights).sum()),
+                           x.ravel())
+    assert g_flat is None and relative_error(g_in.ravel(), fd) < tol
 
 
 def test_add_mul_broadcast(rng):
@@ -64,8 +75,7 @@ def test_mlp_node_gradients_match_finite_differences(rng):
     net = Mlp(4, (5, 3, 3), rng=rng)
     x = rng.standard_normal((6, 4))
     weights = rng.standard_normal((6, 3))
-    check_gradient(lambda xv: weighted_sum(net.forward_var(xv, ad.Var(net.parameters)), weights),
-                   x)
+    check_input_gradient(net, x, weights)
     check_parameter_gradient(net, lambda leaf: weighted_sum(net.forward_var(x, leaf), weights))
 
 
@@ -90,21 +100,31 @@ def test_softmax_rows_and_gradient(rng):
     p = rng.standard_normal((3, 4))
     net = Mlp(4, (4,), parameters=np.concatenate([np.eye(4).ravel(), np.zeros(4)]))
     e = np.exp(p - p.max(axis=1, keepdims=True))
-    assert np.allclose(net.forward_var(p).value, e / e.sum(axis=1, keepdims=True))
-    assert np.allclose(net.forward_var(p).value.sum(axis=1), 1.0)
-    assert np.allclose(net.predict(p), net.forward_var(p).value)
-    check_gradient(lambda leaf: weighted_sum(net.forward_var(leaf), np.arange(12.0).reshape(3, 4)), p)
+    out = net.forward(p)[0]
+    assert np.allclose(out, e / e.sum(axis=1, keepdims=True))
+    assert np.allclose(out.sum(axis=1), 1.0)
+    assert np.allclose(net.predict(p), out)
+    check_input_gradient(net, p, np.arange(12.0).reshape(3, 4))
 
 
-def test_frozen_mlp_node_differentiates_its_input_only(rng):
-    net = Mlp(4, (5, 3), rng=rng)
+@pytest.mark.parametrize("c", [2, 3])
+def test_pair_outputs_node_differentiates_the_mask_only(rng, c):
+    """The frozen pair's outputs are one node of the mask v alone, whose VJP
+    matches FD at an uneven mask (entries at 0, at 1 and between) through
+    A_s alone, A_u alone and both; the pair's weights do not move."""
+    pair = make_pair(d=4, c=c, hidden=(16,), rng=rng)
     x = rng.standard_normal((6, 4))
-    weights = rng.standard_normal((6, 3))
-    xv = ad.Var(x)
-    assert net.forward_var(xv)._parents == (xv,)
-    leaf = ad.Var(net.parameters)
-    assert net.forward_var(x, leaf)._parents == (leaf,)
-    check_gradient(lambda v: weighted_sum(net.forward_var(v), weights), x)
+    v = rng.random((6, 4))
+    v[0, :2], v[1, 2:] = 0.0, 1.0
+    before = pair.net.parameters.copy()
+    weights = rng.standard_normal((2, 6, c))
+    for side in (np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.ones(2)):
+        node_weights = weights * side[:, None, None]
+        mask = ad.Var(v)
+        assert _pair_outputs(pair, mask, x)._parents == (mask,)
+        grad = check_gradient(lambda m: weighted_sum(_pair_outputs(pair, m, x), node_weights), v)
+        assert np.all(grad != 0.0)
+    assert np.array_equal(pair.net.parameters, before)
 
 
 def test_relaxed_topk_node_matches_finite_differences(rng):

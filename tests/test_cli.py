@@ -865,6 +865,20 @@ def test_sanity_writes_the_same_bounded_scores_twice(trained_dir, tmp_path):
     assert 0.0 <= float(scores["SANITY-DATA"]) <= 100.0
 
 
+def test_evaluate_and_sanity_print_the_same_sanity_model_score(trained_dir, tmp_path, capsys):
+    """Both commands randomize the model from the checkpoint seed's "sanity"
+    stream, so one checkpoint gives one SANITY-MODEL line."""
+    config_path, out = trained_dir
+    ckpt, lines = os.path.join(out, "checkpoint.bin"), []
+    for command in ("evaluate", "sanity"):
+        capsys.readouterr()
+        assert main([command, "--config", config_path, "--checkpoint", ckpt,
+                     "--out", str(tmp_path / command)]) == EXIT_OK
+        lines.append([line for line in capsys.readouterr().out.splitlines()
+                      if line.startswith("SANITY-MODEL=")])
+    assert len(lines[0]) == 1 and lines[0] == lines[1]
+
+
 def test_evaluate_writes_parseable_report(trained_dir):
     config_path, out = trained_dir
     code = main(["evaluate", "--config", config_path,

@@ -30,14 +30,16 @@ from meed.trainer import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, FIT_BATCH_SIZE, 
                           approximator_step, explainer_step, load_checkpoint,
                           nets_from_checkpoint, read_record, save_checkpoint, train)
 from tests.conftest import damage_record, record_sections
-from tests.helpers import (mul, record_sw_paths, sliced_wasserstein_node, sub,
+from tests.helpers import (frozen_net_node, mul, record_sw_paths, sliced_wasserstein_node, sub,
                            two_class_sliced_wasserstein)
 
 
 def small_problem(seed=0, n=48, d=6, c=2):
+    """Features x (n, d) and softmax outputs y (n, c <= 3) of logits from
+    features 0 and 1, and for a third class from feature 2."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, d))
-    logits = np.stack([x[:, 0] + x[:, 1], -(x[:, 0] + x[:, 1])], axis=1)
+    logits = np.stack([x[:, 0] + x[:, 1], -(x[:, 0] + x[:, 1]), x[:, 2]][:c], axis=1)
     y = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
     return x, y
 
@@ -130,13 +132,13 @@ def test_adam_step_allocates_no_vector_of_its_size():
     assert peak < 8 * n // 4
 
 
-def step_inputs(config, seed=0, optimizer=Adam):
-    x, y = small_problem(seed)
+def step_inputs(config, seed=0, optimizer=Adam, c=2):
+    x, y = small_problem(seed, c=c)
     rng = named_rng(seed, "gumbel")
     xi = sample_gumbel_batch(np.empty((config.k, *x.shape)), rng)
     init = named_rng(seed, "init")
-    explainer = ExplainerNet(6, 2, hidden=(8,), rng=init)
-    pair = make_pair(6, 2, (8,), init)
+    explainer = ExplainerNet(6, c, hidden=(8,), rng=init)
+    pair = make_pair(6, c, (8,), init)
     opts = {"e": optimizer(config.learning_rate, explainer.n_params),
             "pair": optimizer(config.learning_rate, pair.net.n_params)}
     return x, y, xi, explainer, pair, opts
@@ -386,14 +388,15 @@ def reachable_nodes(root) -> int:
 
 @pytest.mark.parametrize("loss_u", ["cross-entropy", "sliced-wasserstein"])
 @pytest.mark.parametrize("prior, lambda_e, explainer_nodes",
-                         [(False, 0.0, 6), (True, 0.0, 7), (True, 0.5, 9)])
+                         [(False, 0.0, 5), (True, 0.0, 6), (True, 0.5, 8)])
 def test_each_step_backpropagates_a_fixed_graph_for_either_adversary(
         monkeypatch, loss_u, prior, lambda_e, explainer_nodes):
-    """The approximator step's graph is the pair's loss, the pair and its
-    parameter leaf: 3 nodes. The explainer step's is the pair's loss, the
-    pair, the mask stack, the relaxed top-k, the scores and their parameter
-    leaf: 6. A prior adds its fusion, and at lambda_e != 0 also the weighted
-    constraint loss and the add that joins it."""
+    """The approximator step's graph is the pair's loss and the pair's
+    outputs: 2 nodes, as the pair runs off the tape. The explainer step's is
+    the pair's loss, the frozen pair's outputs as a node of the mask, the
+    relaxed top-k, the scores and their parameter leaf: 5. A prior adds its
+    fusion, and at lambda_e != 0 also the weighted constraint loss and the
+    add that joins it."""
     counts, backward = [], ad.backward
 
     def counting(root):
@@ -410,7 +413,7 @@ def test_each_step_backpropagates_a_fixed_graph_for_either_adversary(
     v = relaxed_topk_var(z_tilde, xi, config.tau)
     approximator_step(pair, x, y, v.value, config, opts["pair"], thetas)
     explainer_step(leaf, z, z_tilde, pair, x, y, config, v, opts["e"], 1, thetas)
-    assert counts == [3, explainer_nodes]
+    assert counts == [2, explainer_nodes]
 
 
 def two_net_approximator_step(nets, explainer, x, y, config, xi, opt_s, opt_u, prior_r, m,
@@ -443,8 +446,8 @@ def two_net_explainer_step(explainer, nets, x, y, config, xi, opt_e, prior_r, m,
         l_e = prior_constraint_loss_var(z_tilde, z, m)[0]
         z = z_tilde
     v = relaxed_topk_var(z, xi, config.tau)
-    pred_s = nets[0].forward_var(mul(v, x))
-    pred_u = nets[1].forward_var(mul(sub(1.0, v), x))
+    pred_s = frozen_net_node(nets[0], mul(v, x))
+    pred_u = frozen_net_node(nets[1], mul(sub(1.0, v), x))
     objective = cross_entropy_var(y, pred_s)[0]
     if config.loss_u == "cross-entropy":
         objective = ad.add(objective, mul(cross_entropy_var(relativistic_flip(y), pred_u)[0],
@@ -459,11 +462,14 @@ def two_net_explainer_step(explainer, nets, x, y, config, xi, opt_e, prior_r, m,
 
 
 # Loss and prior-weight settings of the stacked-pair test; a "-prior" variant
-# fuses a uniform prior into the scores, and a "-saturated" one makes the model
-# outputs exactly one-hot, so targets and flipped targets hold exact zeros.
+# fuses a uniform prior into the scores, a "-saturated" one makes the model
+# outputs exactly one-hot, so targets and flipped targets hold exact zeros, and
+# a "-three-class" one has c = 3, where the softmax and its VJP take numpy's
+# last-axis reductions rather than the two-column op.
 PAIR_VARIANTS = {
     "cross-entropy": {},
     "cross-entropy-saturated": {},
+    "cross-entropy-three-class": {},
     "cross-entropy-prior": dict(lambda_e=0.1),
     "sliced-wasserstein-prior": dict(loss_u="sliced-wasserstein", n_projections=8, lambda_e=1.0),
 }
@@ -476,10 +482,11 @@ def test_stacked_pair_steps_equal_the_two_net_steps(optimizer, variant):
     slot exactly as A_s and A_u run as two nets with two optimizers."""
     config = TrainConfig(k=2, epochs=1, seed=0, lambda_u=0.7, tau=0.37, **PAIR_VARIANTS[variant])
     sliced = config.loss_u == "sliced-wasserstein"
-    x, y, _, explainer, pair, opts = step_inputs(config, optimizer=optimizer)
+    c = 3 if variant.endswith("-three-class") else 2
+    x, y, _, explainer, pair, opts = step_inputs(config, optimizer=optimizer, c=c)
     if variant.endswith("-saturated"):
-        y = np.eye(2)[y.argmax(axis=1)]
-    twin_e = ExplainerNet(6, 2, hidden=(8,), rng=np.random.default_rng(0))
+        y = np.eye(c)[y.argmax(axis=1)]
+    twin_e = ExplainerNet(6, c, hidden=(8,), rng=np.random.default_rng(0))
     twin_e.set_parameters(explainer.parameters)
     nets = [Mlp(6, view.widths, parameters=view.parameters)
             for view in (pair.a_selected, pair.a_unselected)]
