@@ -71,8 +71,11 @@ class SelectionSet:
     d: int
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
+        idx = tuple(map(int, self.indices))
         object.__setattr__(self, "indices", idx)
+        # One test passes a valid set; an invalid one raises the first rule it breaks.
+        if idx and idx[0] >= 0 and idx[-1] < self.d and all(map(int.__lt__, idx, idx[1:])):
+            return
         if not 1 <= len(idx) <= self.d:
             raise ValueError("need 1 <= k <= d")
         if any(i < 0 or i >= self.d for i in idx):
@@ -317,10 +320,12 @@ class Mlp:
 
     def _layers(self, lead: tuple) -> list:
         """Each dense layer's (W, b) views of this net's vector for the stack
-        shape `lead`, built once per shape."""
+        shape `lead`, built once per shape. Unstacked, b is (out,), which adds
+        to a row and to each row of a batch; a stack's is (nets, 1, out)."""
         if lead not in self._views:
             flat = self._params.reshape(lead + (-1,))
-            self._views[lead] = [(flat[..., w_sl].reshape(lead + w_shape), flat[..., None, b_sl])
+            self._views[lead] = [(flat[..., w_sl].reshape(lead + w_shape),
+                                  flat[..., None, b_sl] if lead else flat[b_sl])
                                  for w_sl, w_shape, b_sl in self._slices]
         return self._views[lead]
 
@@ -336,14 +341,20 @@ class Mlp:
         over this net's parameters. `saved` holds what
         `backward` needs: each dense layer's input (after the relu), then the
         softmax output. With `keep=False` it stays empty, so each activation
-        is freed once the next layer has read it."""
+        is freed once the next layer has read it. A one-net Mlp also runs one
+        row x (in_dim,) to an (out_dim,) row, but only with `keep=False`, as
+        `backward` takes batches: a row with `keep=True` or to a stack raises ShapeError."""
         # All but the matmuls run in place; x is copied only for a softmax alone.
         h = np.asarray(x, dtype=np.float64) if self._slices else np.array(x, dtype=np.float64)
-        lead = h.shape[:-2]
-        if (h.ndim not in (2, 3) or h.shape[-1] != self.in_dim
-                or lead != ((self.nets,) if h.ndim == 3 or self.nets > 1 else ())):
+        shape = h.shape
+        ndim, lead = len(shape), shape[:-2]
+        if (not 1 <= ndim <= 3 or shape[-1] != self.in_dim
+                or (ndim == 3 or self.nets > 1) and lead != (self.nets,)):
             raise ShapeError(f"dense layer 0 expects input width {self.in_dim} "
-                             f"for {self.nets} net(s), got {h.shape}")
+                             f"for {self.nets} net(s), got {shape}")
+        if keep and ndim == 1:
+            raise ShapeError(f"a single row {shape} runs only with keep=False; "
+                             f"backward takes (n, {self.in_dim}) batches")
         saved = []
         for i, (w, b) in enumerate(self._layers(lead)):
             if i:
@@ -388,9 +399,6 @@ class Mlp:
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """`forward`'s output alone; a single row x (in_dim,) gives one (out_dim,) row."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 1:
-            return self.forward(x[None, :], keep=False)[0][0]
         return self.forward(x, keep=False)[0]
 
     def forward_var(self, x: np.ndarray, leaf: ad.Var) -> ad.Var:

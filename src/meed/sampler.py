@@ -66,10 +66,11 @@ def relaxed_topk_var(z: ad.Var, xi: np.ndarray, tau: float) -> ad.Var:
 
 def _checked(z, k: int, rank: int) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
-    if z.ndim != rank:
-        raise ShapeError(f"hard top-k expects a {rank}-D score array, got shape {z.shape}")
-    if not 1 <= k <= z.shape[-1]:
-        raise ConfigError(f"need 1 <= k <= d, got k={k}, d={z.shape[-1]}")
+    shape = z.shape
+    if len(shape) != rank:
+        raise ShapeError(f"hard top-k expects a {rank}-D score array, got shape {shape}")
+    if not 1 <= k <= shape[-1]:
+        raise ConfigError(f"need 1 <= k <= d, got k={k}, d={shape[-1]}")
     return z
 
 
@@ -77,10 +78,10 @@ def hard_topk(z: np.ndarray, k: int) -> SelectionSet:
     """Indices of the k largest scores of one row z (d,): those at or above the k-th
     largest when they are k, else the stable argsort's (ties to the lower index, NaN last)."""
     z = _checked(z, k, 1)
-    idx = np.flatnonzero(z >= np.partition(z, -k)[-k])
+    idx = (z >= np.partition(z, -k)[-k]).nonzero()[0]  # np.flatnonzero without its ravel
     if len(idx) != k:  # a tie at the k-th score, or a NaN
         idx = np.sort(np.argsort(-z, kind="stable")[:k])
-    return SelectionSet(indices=tuple(idx.tolist()), d=len(z))
+    return SelectionSet(indices=idx.tolist(), d=len(z))
 
 
 def hard_topk_batch(z: np.ndarray, k: int) -> np.ndarray:

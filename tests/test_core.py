@@ -30,12 +30,13 @@ def test_is_simplex():
 def test_selection_set_invariants():
     sel = SelectionSet(indices=(np.int64(1), 4), d=6)
     assert sel.indices == (1, 4) and all(type(i) is int for i in sel.indices)
-    with pytest.raises(ValueError):
-        SelectionSet(indices=(4, 1), d=6)
-    with pytest.raises(ValueError):
-        SelectionSet(indices=(1, 1), d=6)
-    with pytest.raises(ValueError):
-        SelectionSet(indices=(0, 6), d=6)
+    # Each invalid set raises the first rule it breaks, in this order.
+    for indices, message in [((), "need 1 <= k <= d"), (tuple(range(7)), "need 1 <= k <= d"),
+                             ((-1, 2), "index out of range"), ((2, 9), "index out of range"),
+                             ((0, 6), "index out of range"), ((9, 2), "index out of range"),
+                             ((4, 1), "strictly increasing"), ((1, 1), "strictly increasing")]:
+        with pytest.raises(ValueError, match=message):
+            SelectionSet(indices=indices, d=6)
 
 
 def test_train_config_validation():
@@ -205,7 +206,8 @@ def test_stacked_mlp_rejects_a_batch_without_its_net_axis():
 
 def out_of_place_forward(net, x, keep=True):
     """`Mlp.forward` with every step making a fresh array: the reference the
-    in-place forward must equal bit for bit."""
+    in-place forward must equal bit for bit. A batch adds each bias as a
+    (1, out) row, a single row x (in_dim,) as an (out,) vector."""
     h = np.asarray(x, dtype=np.float64)
     lead = h.shape[:-2]
     flat = net.parameters.reshape(lead + (-1,))
@@ -215,7 +217,8 @@ def out_of_place_forward(net, x, keep=True):
             h = np.maximum(h, 0.0)
         if keep:
             saved.append(h)
-        h = h @ flat[..., w_sl].reshape(lead + w_shape) + flat[..., None, b_sl]
+        h = h @ flat[..., w_sl].reshape(lead + w_shape) + (flat[..., None, b_sl] if h.ndim > 1
+                                                           else flat[b_sl])
     e = np.exp(h - h.max(axis=-1, keepdims=True))
     h = e / e.sum(axis=-1, keepdims=True)
     if keep:
@@ -229,15 +232,20 @@ def bits(a) -> bytes:
 
 
 @pytest.mark.parametrize("widths", [(), (3,), (5, 3), (6, 5, 3)])
-@pytest.mark.parametrize("nets, shape", [(1, (7, 4)), (1, (1, 4)), (1, (1, 7, 4)),
+@pytest.mark.parametrize("nets, shape", [(1, (7, 4)), (1, (1, 4)), (1, (4,)), (1, (1, 7, 4)),
                                          (3, (3, 7, 4))])
 @pytest.mark.parametrize("keep", [True, False])
 def test_in_place_forward_equals_the_out_of_place_form_bit_for_bit(widths, nets, shape, keep):
-    """Batches (n, d), stacks (m, n, d) and single rows, with and without the
-    saved activations; x keeps its bytes, also under a softmax alone."""
+    """Batches (n, d), stacks (m, n, d) and single rows (d,) and (1, d), with
+    and without the saved activations (a row (d,) only without); x keeps its
+    bytes, also under a softmax alone."""
     net = Mlp(4, widths, rng=np.random.default_rng(3), nets=nets)
     x = 4.0 * np.random.default_rng(4).standard_normal(shape)
     before = bits(x)
+    if len(shape) == 1 and keep:
+        with pytest.raises(ShapeError, match="keep=False"):
+            net.forward(x, keep=keep)
+        return
     out, saved = net.forward(x, keep=keep)
     ref_out, ref_saved = out_of_place_forward(net, x.copy(), keep=keep)
     assert bits(out) == bits(ref_out) and bits(net.predict(x)) == bits(ref_out)
@@ -245,6 +253,33 @@ def test_in_place_forward_equals_the_out_of_place_form_bit_for_bit(widths, nets,
     if shape == (1, 4):
         assert bits(net.predict(x[0])) == bits(ref_out[0])
     assert bits(x) == before
+
+
+@pytest.mark.parametrize("widths", [(2,), (6, 2), (7, 20), (1, 3), (5, 1, 4)],
+                         ids=["two-class softmax", "two-class", "d=20", "width-1 hidden",
+                              "width-1 middle"])
+def test_a_row_runs_as_a_vector_with_the_bits_of_a_one_row_batch(widths):
+    """forward(row)[0] equals forward(row[None])[0][0] in every bit, and the
+    row keeps its bytes."""
+    net = Mlp(5, widths, rng=np.random.default_rng(11))
+    rows = 3.0 * np.random.default_rng(12).standard_normal((50, 5))
+    for row in rows:
+        before = bits(row)
+        out = net.forward(row, keep=False)[0]
+        assert out.shape == (net.out_dim,)
+        assert bits(out) == bits(net.forward(row[None], keep=False)[0][0])
+        assert bits(row) == before
+
+
+def test_a_row_given_to_a_stack_or_of_another_width_raises_shape_error():
+    """Only a one-net Mlp runs a row, and only of its input width (a row with
+    keep=True raises in the in-place forward test above)."""
+    stack = Mlp(4, (5, 3), rng=np.random.default_rng(3), nets=2)
+    for keep in (True, False):
+        with pytest.raises(ShapeError, match="2 net"):
+            stack.forward(np.zeros(4), keep=keep)
+    with pytest.raises(ShapeError, match="input width 4"):
+        Mlp(4, (5, 3), rng=np.random.default_rng(3)).forward(np.zeros(3), keep=False)
 
 
 def reduction_backward(net, saved, g):
