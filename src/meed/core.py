@@ -346,14 +346,13 @@ class Mlp:
         `backward` takes batches: a row with `keep=True` or to a stack raises ShapeError."""
         # All but the matmuls run in place; x is copied only for a softmax alone.
         h = np.asarray(x, dtype=np.float64) if self._slices else np.array(x, dtype=np.float64)
-        shape = h.shape
-        ndim, lead = len(shape), shape[:-2]
-        if (not 1 <= ndim <= 3 or shape[-1] != self.in_dim
-                or (ndim == 3 or self.nets > 1) and lead != (self.nets,)):
+        lead = h.shape[:-2]
+        if (not 1 <= h.ndim <= 3 or h.shape[-1] != self.in_dim
+                or (h.ndim == 3 or self.nets > 1) and lead != (self.nets,)):
             raise ShapeError(f"dense layer 0 expects input width {self.in_dim} "
-                             f"for {self.nets} net(s), got {shape}")
-        if keep and ndim == 1:
-            raise ShapeError(f"a single row {shape} runs only with keep=False; "
+                             f"for {self.nets} net(s), got {h.shape}")
+        if keep and h.ndim == 1:
+            raise ShapeError(f"a single row {h.shape} runs only with keep=False; "
                              f"backward takes (n, {self.in_dim}) batches")
         saved = []
         for i, (w, b) in enumerate(self._layers(lead)):

@@ -38,13 +38,13 @@ class ExplainerNet(Mlp):
         output widths."""
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
-        xs, ys = x.shape, y.shape
-        if xs[:-1] != ys[:-1]:
-            raise ShapeError(f"features {xs} and model outputs {ys} differ in their rows")
-        if xs[-1] != self.d:
-            raise ShapeError(f"expected {self.d} features, got {xs[-1]}")
-        if ys[-1] != self.c:
-            raise ShapeError(f"expected {self.c} model outputs, got {ys[-1]}")
+        if x.shape[:-1] != y.shape[:-1]:
+            raise ShapeError(f"features {x.shape} and model outputs {y.shape} "
+                             f"differ in their rows")
+        if x.shape[-1] != self.d:
+            raise ShapeError(f"expected {self.d} features, got {x.shape[-1]}")
+        if y.shape[-1] != self.c:
+            raise ShapeError(f"expected {self.c} model outputs, got {y.shape[-1]}")
         return np.concatenate([x, y], axis=-1) if self.use_output else x
 
     def score(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:

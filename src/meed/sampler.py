@@ -66,11 +66,10 @@ def relaxed_topk_var(z: ad.Var, xi: np.ndarray, tau: float) -> ad.Var:
 
 def _checked(z, k: int, rank: int) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
-    shape = z.shape
-    if len(shape) != rank:
-        raise ShapeError(f"hard top-k expects a {rank}-D score array, got shape {shape}")
-    if not 1 <= k <= shape[-1]:
-        raise ConfigError(f"need 1 <= k <= d, got k={k}, d={shape[-1]}")
+    if z.ndim != rank:
+        raise ShapeError(f"hard top-k expects a {rank}-D score array, got shape {z.shape}")
+    if not 1 <= k <= z.shape[-1]:
+        raise ConfigError(f"need 1 <= k <= d, got k={k}, d={z.shape[-1]}")
     return z
 
 

@@ -195,13 +195,14 @@ def test_stacked_mlp_backward_matches_finite_differences():
 
 def test_stacked_mlp_rejects_a_batch_without_its_net_axis():
     stack, x, _ = stacked_case(m=2)
-    for bad in (x[0], x[:1], np.concatenate([x, x])):
+    for bad in (x[0], x[0, 0], x[:1], np.concatenate([x, x])):
         with pytest.raises(ShapeError):
-            stack.forward(bad)
+            stack.forward(bad, keep=False)
     single = Mlp(4, stack.widths, parameters=stack.parameters[:stack.n_params // 2])
     assert np.array_equal(single.predict(x[:1])[0], single.predict(x[0]))
-    with pytest.raises(ShapeError):
-        single.predict(x)
+    for bad in (x, x[0, 0, :3]):
+        with pytest.raises(ShapeError):
+            single.predict(bad)
 
 
 def out_of_place_forward(net, x, keep=True):
@@ -231,7 +232,7 @@ def bits(a) -> bytes:
     return a.dtype.str.encode() + str(a.shape).encode() + a.tobytes()
 
 
-@pytest.mark.parametrize("widths", [(), (3,), (5, 3), (6, 5, 3)])
+@pytest.mark.parametrize("widths", [(), (3,), (5, 3), (6, 5, 3), (7, 20), (1, 3), (5, 1, 4)])
 @pytest.mark.parametrize("nets, shape", [(1, (7, 4)), (1, (1, 4)), (1, (4,)), (1, (1, 7, 4)),
                                          (3, (3, 7, 4))])
 @pytest.mark.parametrize("keep", [True, False])
@@ -253,33 +254,6 @@ def test_in_place_forward_equals_the_out_of_place_form_bit_for_bit(widths, nets,
     if shape == (1, 4):
         assert bits(net.predict(x[0])) == bits(ref_out[0])
     assert bits(x) == before
-
-
-@pytest.mark.parametrize("widths", [(2,), (6, 2), (7, 20), (1, 3), (5, 1, 4)],
-                         ids=["two-class softmax", "two-class", "d=20", "width-1 hidden",
-                              "width-1 middle"])
-def test_a_row_runs_as_a_vector_with_the_bits_of_a_one_row_batch(widths):
-    """forward(row)[0] equals forward(row[None])[0][0] in every bit, and the
-    row keeps its bytes."""
-    net = Mlp(5, widths, rng=np.random.default_rng(11))
-    rows = 3.0 * np.random.default_rng(12).standard_normal((50, 5))
-    for row in rows:
-        before = bits(row)
-        out = net.forward(row, keep=False)[0]
-        assert out.shape == (net.out_dim,)
-        assert bits(out) == bits(net.forward(row[None], keep=False)[0][0])
-        assert bits(row) == before
-
-
-def test_a_row_given_to_a_stack_or_of_another_width_raises_shape_error():
-    """Only a one-net Mlp runs a row, and only of its input width (a row with
-    keep=True raises in the in-place forward test above)."""
-    stack = Mlp(4, (5, 3), rng=np.random.default_rng(3), nets=2)
-    for keep in (True, False):
-        with pytest.raises(ShapeError, match="2 net"):
-            stack.forward(np.zeros(4), keep=keep)
-    with pytest.raises(ShapeError, match="input width 4"):
-        Mlp(4, (5, 3), rng=np.random.default_rng(3)).forward(np.zeros(3), keep=False)
 
 
 def reduction_backward(net, saved, g):
