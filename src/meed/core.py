@@ -9,6 +9,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import operator
 import os
 import struct
 import typing
@@ -63,6 +64,15 @@ def checked_outputs(y, n: int, what: str = "model outputs") -> np.ndarray:
     return y
 
 
+def int_indices(values, error: type, what: str = "indices") -> tuple:
+    """values as ints by `operator.index` (numpy integers pass); else `error` naming the entry."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        bad = next((v for v in values if not isinstance(v, (int, np.integer))), values)
+        raise error(f"{what} must be integers, got {bad!r}") from None
+
+
 @dataclass(frozen=True)
 class SelectionSet:
     """Hard selection of k feature indices out of d."""
@@ -71,7 +81,7 @@ class SelectionSet:
     d: int
 
     def __post_init__(self):
-        idx = tuple(map(int, self.indices))
+        idx = int_indices(self.indices, ValueError)
         object.__setattr__(self, "indices", idx)
         # One test passes a valid set; an invalid one raises the first rule it breaks.
         if idx and idx[0] >= 0 and idx[-1] < self.d and all(map(int.__lt__, idx, idx[1:])):
@@ -251,9 +261,11 @@ def _glorot_limit(fan_in: int, fan_out: int) -> float:
 
 
 def _rows(op: np.ufunc, h: np.ndarray) -> np.ndarray:
-    """`op.reduce` over h's last axis, kept. At width 2 (a two-class softmax) it
-    is one op of the two columns: the same IEEE result, without the 25-60 ns a
-    row that numpy's last-axis reductions cost there."""
+    """`op.reduce` over h's last axis, kept; a row (d,) reduces to a scalar. At
+    width 2 (a two-class softmax) it is one op of the two columns: the same
+    IEEE result, without the 25-60 ns a row that numpy's reductions cost there."""
+    if h.ndim == 1:
+        return op(h[0], h[1]) if len(h) == 2 else op.reduce(h)
     return (op(h[..., :1], h[..., 1:]) if h.shape[-1] == 2
             else op.reduce(h, axis=-1, keepdims=True))
 
@@ -354,13 +366,15 @@ class Mlp:
         if keep and h.ndim == 1:
             raise ShapeError(f"a single row {h.shape} runs only with keep=False; "
                              f"backward takes (n, {self.in_dim}) batches")
+        # A row runs np.dot (@'s dgemv, no ufunc dispatch), contiguous for the one-row batch's bits.
+        h, matmul = (np.ascontiguousarray(h), np.dot) if h.ndim == 1 else (h, np.matmul)
         saved = []
         for i, (w, b) in enumerate(self._layers(lead)):
             if i:
                 np.maximum(h, 0.0, out=h)
             if keep:
                 saved.append(h)
-            h = h @ w
+            h = matmul(h, w)
             h += b
         h -= _rows(np.maximum, h)
         np.exp(h, out=h)

@@ -10,8 +10,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import (BlackBoxModel, ConfigError, Mlp, SelectionSet, check_fields, named_rng,
-                   read_record, read_text, write_record)
+from .core import (BlackBoxModel, ConfigError, Mlp, SelectionSet, check_fields, int_indices,
+                   named_rng, read_record, read_text, write_record)
 from .trainer import fit_classifier
 
 SYNTH_KINDS = ("sparse-logit", "xor", "shortcut-bait")
@@ -67,9 +67,9 @@ class SyntheticSpec:
     seed: int = field(default=0, metadata={"ge": 0})
 
     def __post_init__(self):
-        object.__setattr__(self, "true_subset", tuple(int(i) for i in self.true_subset))
+        sub = int_indices(self.true_subset, ConfigError, "true_subset")
+        object.__setattr__(self, "true_subset", sub)
         check_fields(self)
-        sub = self.true_subset
         if not sub or len(set(sub)) != len(sub) or max(sub) >= self.d:
             raise ConfigError(f"true_subset {sub} needs 1 to d distinct indices in [0, d={self.d})")
 

@@ -80,7 +80,7 @@ def hard_topk(z: np.ndarray, k: int) -> SelectionSet:
     idx = (z >= np.partition(z, -k)[-k]).nonzero()[0]  # np.flatnonzero without its ravel
     if len(idx) != k:  # a tie at the k-th score, or a NaN
         idx = np.sort(np.argsort(-z, kind="stable")[:k])
-    return SelectionSet(indices=idx.tolist(), d=len(z))
+    return SelectionSet(idx.tolist(), len(z))
 
 
 def hard_topk_batch(z: np.ndarray, k: int) -> np.ndarray:

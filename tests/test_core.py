@@ -37,6 +37,12 @@ def test_selection_set_invariants():
                              ((4, 1), "strictly increasing"), ((1, 1), "strictly increasing")]:
         with pytest.raises(ValueError, match=message):
             SelectionSet(indices=indices, d=6)
+    # Indices are integers: a float, a float array or a string is not truncated or parsed.
+    for indices, bad in [((1.7, 3.2), "1.7"), (np.array([0.9, 2.5]), "0.9"), (("1", "2"), "'1'"),
+                         ((1, np.float64(3.0)), "3.0")]:
+        with pytest.raises(ValueError, match=f"indices must be integers, got .*{bad}"):
+            SelectionSet(indices=indices, d=5)
+    assert SelectionSet(np.array([1, 3], dtype=np.int32), 5).indices == (1, 3)
 
 
 def test_train_config_validation():
@@ -232,16 +238,21 @@ def bits(a) -> bytes:
     return a.dtype.str.encode() + str(a.shape).encode() + a.tobytes()
 
 
-@pytest.mark.parametrize("widths", [(), (3,), (5, 3), (6, 5, 3), (7, 20), (1, 3), (5, 1, 4)])
+@pytest.mark.parametrize("widths", [(), (3,), (5, 3), (6, 5, 3), (7, 20), (1, 3), (5, 1, 4),
+                                    (6, 1), (2,)])
 @pytest.mark.parametrize("nets, shape", [(1, (7, 4)), (1, (1, 4)), (1, (4,)), (1, (1, 7, 4)),
                                          (3, (3, 7, 4))])
 @pytest.mark.parametrize("keep", [True, False])
 def test_in_place_forward_equals_the_out_of_place_form_bit_for_bit(widths, nets, shape, keep):
     """Batches (n, d), stacks (m, n, d) and single rows (d,) and (1, d), with
     and without the saved activations (a row (d,) only without); x keeps its
-    bytes, also under a softmax alone."""
+    bytes, also under a softmax alone. A row (d,) reduces its softmax to
+    scalars at every output width (1, 2, 3, 4 and 20), and under a softmax
+    alone its largest logit ties."""
     net = Mlp(4, widths, rng=np.random.default_rng(3), nets=nets)
     x = 4.0 * np.random.default_rng(4).standard_normal(shape)
+    if shape == (4,) and not widths:
+        x[x.argmin()] = x.max()
     before = bits(x)
     if len(shape) == 1 and keep:
         with pytest.raises(ShapeError, match="keep=False"):
@@ -254,6 +265,22 @@ def test_in_place_forward_equals_the_out_of_place_form_bit_for_bit(widths, nets,
     if shape == (1, 4):
         assert bits(net.predict(x[0])) == bits(ref_out[0])
     assert bits(x) == before
+
+
+def test_a_row_has_the_bits_of_the_contiguous_one_row_batch_at_any_stride():
+    """A row of a Fortran-order array, every second entry of a longer vector
+    and a reversed view run as their contiguous copy, on nets of random widths."""
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        d, hidden, out = (int(v) for v in rng.integers(1, 80, size=3))
+        net = Mlp(d, (hidden, out), rng=rng)
+        x = rng.standard_normal((3, d))
+        before = bits(x)
+        ref = bits(net.predict(x[1:2])[0])
+        for row in (x[1], np.asfortranarray(x)[1], np.repeat(x[1], 2)[::2],
+                    x[1, ::-1].copy()[::-1]):
+            assert bits(net.predict(row)) == ref
+        assert bits(x) == before
 
 
 def reduction_backward(net, saved, g):
