@@ -31,7 +31,7 @@ def add(a: Var, b: Var) -> Var:
 
 
 def backward(root: Var) -> None:
-    """Accumulate gradients of a scalar `root` into every reachable Var."""
+    """Accumulate gradients of a scalar `root` into its leaves, consuming the graph."""
     if root.value.size != 1:
         raise ValueError("backward() requires a scalar root")
     order: list[Var] = []
@@ -56,3 +56,4 @@ def backward(root: Var) -> None:
         for parent, contrib in zip(node._parents, node._backward(node.grad)):
             # Out of place: a VJP may hand back its own input or a shared array.
             parent.grad = contrib if parent.grad is None else parent.grad + contrib
+        node.grad = node._backward = None  # frees what the VJP saved; leaves keep .grad

@@ -65,11 +65,14 @@ def checked_outputs(y, n: int, what: str = "model outputs") -> np.ndarray:
 
 
 def int_indices(values, error: type, what: str = "indices") -> tuple:
-    """values as ints by `operator.index` (numpy integers pass); else `error` naming the entry."""
+    """Sequence values as ints by `operator.index` (no bools); else `error` naming the entry."""
     try:
+        if bool in map(type, values):
+            raise TypeError
         return tuple(map(operator.index, values))
     except TypeError:
-        bad = next((v for v in values if not isinstance(v, (int, np.integer))), values)
+        bad = next((v for v in values if type(v) is bool or not isinstance(v, (int, np.integer))),
+                   values)
         raise error(f"{what} must be integers, got {bad!r}") from None
 
 

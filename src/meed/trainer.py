@@ -375,11 +375,10 @@ def train(dataset, model, config: TrainConfig,
                           optimizer_states={"explainer": opt_e.get_state(),
                                             "pair": opt_pair.get_state()})
 
-    ckpt = snapshot(start_epoch)
     ckpt_path = os.path.join(out_dir, "checkpoint.bin") if out_dir else None
     if ckpt_path:
         os.makedirs(out_dir, exist_ok=True)
-        save_checkpoint(ckpt, ckpt_path)
+        save_checkpoint(snapshot(start_epoch), ckpt_path)
 
     batch = config.batch_size
     # Each minibatch draws its (k, rows, d) noise into a prefix of this one
@@ -423,7 +422,6 @@ def train(dataset, model, config: TrainConfig,
             with open(os.path.join(out_dir, "train.log"), "w" if m == 0 else "a",
                       encoding="utf-8") as fh:
                 fh.write(line + "\n")
-        ckpt = snapshot(m + 1)
         if ckpt_path:
-            save_checkpoint(ckpt, ckpt_path)
-    return explainer, pair, ckpt
+            save_checkpoint(snapshot(m + 1), ckpt_path)
+    return explainer, pair, snapshot(config.epochs)

@@ -1,17 +1,18 @@
 """Gradient checks of the tape against central finite differences: `add`
 and the reference glue of tests/helpers.py, each fused node's closed-form
-VJP, and the Mlp kernel's input gradient that the frozen pair runs."""
+VJP, and the Mlp kernel's input gradient that the frozen pair runs; and the
+backward pass consuming the graph it ran."""
 
 import numpy as np
 import pytest
 
 from meed import autodiff as ad
-from meed.approximators import (CE_EPS, cross_entropy_var, make_pair, sliced_wasserstein_var,
-                                sw_directions)
-from meed.core import Mlp
-from meed.explainer import fuse_prior_var, prior_constraint_loss_var
+from meed.approximators import (CE_EPS, cross_entropy_var, make_pair, pair_loss_var,
+                                sliced_wasserstein_var, sw_directions)
+from meed.core import Mlp, TrainConfig
+from meed.explainer import ExplainerNet, fuse_prior_var, prior_constraint_loss_var
 from meed.sampler import Z_EPS, relaxed_topk_var
-from meed.trainer import _pair_outputs
+from meed.trainer import _pair_outputs, explainer_objective
 from tests.conftest import (finite_difference, parameter_finite_difference, relative_error,
                             weighted_sum)
 from tests.helpers import mul, record_sw_paths, sub
@@ -57,12 +58,86 @@ def test_add_mul_broadcast(rng):
 
 
 def test_diamond_graph_accumulates():
+    """The leaf sums both branches' gradients; backward consumes every
+    interior node, which keeps its parents."""
     leaf = ad.Var(np.array([2.0]))
     left = mul(leaf, 3.0)
     right = mul(leaf, leaf)
-    out = weighted_sum(ad.add(left, right))
+    total = ad.add(left, right)
+    out = weighted_sum(total)
     ad.backward(out)
     assert np.allclose(leaf.grad, [3.0 + 2 * 2.0])
+    for node in (left, right, total, out):
+        assert node.grad is None and node._backward is None and node._parents
+
+
+def keeping_backward(root):
+    """Reference: `ad.backward` without consuming the graph, so every node
+    keeps its gradient and its VJP; same visit order, so same sums."""
+    order, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((p, False) for p in node._parents if id(p) not in seen)
+    root.grad = np.ones_like(root.value)
+    for node in reversed(order):
+        if node.grad is not None and node._parents:
+            for parent, contrib in zip(node._parents, node._backward(node.grad)):
+                parent.grad = contrib if parent.grad is None else parent.grad + contrib
+
+
+def graph_nodes(root) -> list:
+    """Every Var reachable from root, root first."""
+    nodes, seen = [root], {id(root)}
+    for node in nodes:
+        for p in node._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                nodes.append(p)
+    return nodes
+
+
+@pytest.mark.parametrize("loss_u", ["cross-entropy", "sliced-wasserstein"])
+def test_backward_consumes_each_step_graph_and_leaves_keep_their_gradients(rng, loss_u):
+    """Both training steps' graphs, the explainer's at its largest (prior
+    fusion and a weighted constraint loss): after backward every interior node
+    has dropped its gradient and its VJP closure and keeps its parents, and
+    each leaf (the explainer's parameters; the pair's outputs) holds the
+    gradient of a backward that keeps the graph, bit for bit."""
+    config = TrainConfig(k=2, epochs=1, seed=0, loss_u=loss_u, n_projections=8, lambda_e=0.5)
+    explainer = ExplainerNet(6, 2, hidden=(8,), rng=rng)
+    pair = make_pair(6, 2, (8,), rng)
+    x = rng.standard_normal((10, 6))
+    y = pair.a_selected.predict(x)
+    prior_r = rng.random((10, 6))
+    xi, thetas = rng.gumbel(size=(2, 10, 6)), sw_directions(2, 8, rng)
+
+    def explainer_graph():
+        leaf = ad.Var(explainer.parameters)
+        z = explainer.score_var(x, y, leaf)
+        z_tilde = fuse_prior_var(z, prior_r / prior_r.sum(axis=1, keepdims=True), 1)
+        v = relaxed_topk_var(z_tilde, xi.copy(), config.tau)
+        return leaf, explainer_objective(pair, z, z_tilde, x, y, config, v, 1, thetas)[0]
+
+    def approximator_graph():
+        preds = ad.Var(pair.net.predict(np.stack([x, x])))
+        return preds, pair_loss_var(y, preds, loss_u, config.lambda_u, thetas)[0]
+
+    for build, n_nodes in ((explainer_graph, 8), (approximator_graph, 2)):
+        kept_leaf, kept_root = build()
+        keeping_backward(kept_root)
+        leaf, root = build()
+        nodes = graph_nodes(root)
+        assert len(nodes) == n_nodes
+        ad.backward(root)
+        interior = [node for node in nodes if node._parents]
+        assert [node for node in nodes if not node._parents] == [leaf]
+        assert all(node.grad is None and node._backward is None for node in interior)
+        assert np.array_equal(leaf.grad, kept_leaf.grad) and np.any(leaf.grad != 0.0)
 
 
 def test_node_gives_each_parent_its_part():

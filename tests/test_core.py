@@ -37,9 +37,11 @@ def test_selection_set_invariants():
                              ((4, 1), "strictly increasing"), ((1, 1), "strictly increasing")]:
         with pytest.raises(ValueError, match=message):
             SelectionSet(indices=indices, d=6)
-    # Indices are integers: a float, a float array or a string is not truncated or parsed.
+    # Indices are integers: a float, a float array, a string or a bool is not
+    # truncated, parsed or taken as 0 or 1.
     for indices, bad in [((1.7, 3.2), "1.7"), (np.array([0.9, 2.5]), "0.9"), (("1", "2"), "'1'"),
-                         ((1, np.float64(3.0)), "3.0")]:
+                         ((1, np.float64(3.0)), "3.0"), ((True, 3), "True"), ((0, False), "False"),
+                         (np.array([False, True]), "False"), ((np.True_, 3), "True")]:
         with pytest.raises(ValueError, match=f"indices must be integers, got .*{bad}"):
             SelectionSet(indices=indices, d=5)
     assert SelectionSet(np.array([1, 3], dtype=np.int32), 5).indices == (1, 3)

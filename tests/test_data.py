@@ -38,8 +38,10 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         SyntheticSpec(d=4, true_subset=(0,), n=10, noise_std=0.0,
                       kind="planted-lasso", seed=0)
-    # true_subset holds integers: a float or a string is not truncated or parsed.
-    for subset, bad in [((1.7, 3.2), "1.7"), (np.array([0.9, 2.5]), "0.9"), (("1", "2"), "'1'")]:
+    # true_subset holds integers: a float, a string or a bool is not truncated,
+    # parsed or taken as 0 or 1.
+    for subset, bad in [((1.7, 3.2), "1.7"), (np.array([0.9, 2.5]), "0.9"), (("1", "2"), "'1'"),
+                        ((False, True), "False"), ((2, True), "True")]:
         with pytest.raises(ConfigError, match=f"true_subset must be integers, got .*{bad}"):
             SyntheticSpec(d=5, true_subset=subset, n=10, kind="sparse-logit")
     assert SyntheticSpec(d=5, true_subset=np.array([1, 3]), n=10,

@@ -557,6 +557,31 @@ def test_train_is_deterministic_per_seed():
     assert not np.array_equal(e1.parameters, other.parameters)
 
 
+def test_train_builds_a_checkpoint_only_to_write_or_return_it(monkeypatch, tmp_path):
+    """Without out_dir, train() builds one Checkpoint, the one it returns; with
+    out_dir, one more per write (the start and each epoch), and the file holds
+    the returned state."""
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(Checkpoint(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(trainer, "Checkpoint", counted)
+    ds, kwargs = make_dataset(), dict(explainer_hidden=(8,), approx_hidden=(8,))
+    config = TrainConfig(k=2, epochs=2, seed=5, batch_size=16)
+    for resume in (None, train(ds, FixedModel(), dataclasses.replace(config, epochs=1),
+                               **kwargs)[2]):
+        del built[:]
+        _, _, ckpt = train(ds, FixedModel(), config, resume=resume, **kwargs)
+        assert len(built) == 1 and built[0] is ckpt
+    del built[:]
+    _, _, ckpt = train(ds, FixedModel(), config, out_dir=str(tmp_path), **kwargs)
+    assert len(built) == 4 and built[-1] is ckpt   # start, epochs 1 and 2, return
+    monkeypatch.undo()
+    assert same_checkpoint(load_checkpoint(str(tmp_path / "checkpoint.bin")), ckpt)
+
+
 def test_train_rejects_empty_or_oversized_k():
     config = TrainConfig(k=9, epochs=1, seed=0)
     with pytest.raises(ConfigError):
