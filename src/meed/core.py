@@ -7,6 +7,7 @@ vector so optimizers and checkpoints can treat them uniformly.
 from __future__ import annotations
 
 import copy
+import functools
 import json
 import math
 import operator
@@ -120,11 +121,30 @@ class TrainConfig:
         check_fields(self)
 
 
+_field_types = functools.cache(typing.get_type_hints)  # {field: annotated type} of a dataclass
+
+
+def _of_type(name: str, kind: type, value):
+    """`value` as a field of annotated type `kind` holds it, numpy integers as ints
+    (in a tuple too); a bool as a number, or another type, raises ConfigError naming `name`."""
+    if kind is tuple and isinstance(value, tuple):
+        return int_indices(value, ConfigError, f"config key {name} entries")
+    whole = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if kind in (int, float) and whole:
+        return operator.index(value)
+    if kind in (float, bool, str) and isinstance(value, kind):
+        return value
+    raise ConfigError(f"bad type for config key {name}: {value!r}, need {kind.__name__}")
+
+
 def check_fields(obj) -> None:
-    """ConfigError naming the first field of the dataclass `obj` that holds a non-finite
+    """Sets each field of the dataclass `obj` to its value of the field's annotated
+    type (`_of_type`); then ConfigError naming the first field that holds a non-finite
     float or breaks its metadata: `choices`, or a lower bound `ge` or `gt` (per tuple entry)."""
+    types = _field_types(type(obj))
     for f in fields(obj):
-        value, meta = getattr(obj, f.name), f.metadata
+        value, meta = _of_type(f.name, types[f.name], getattr(obj, f.name)), f.metadata
+        object.__setattr__(obj, f.name, value)
         entries = value if isinstance(value, tuple) else (value,)
         if (any(isinstance(v, float) and not math.isfinite(v)
                 or "ge" in meta and v < meta["ge"] or "gt" in meta and v <= meta["gt"]
@@ -156,7 +176,7 @@ def from_strings(cls, mapping: dict, section: str):
     """The dataclass `cls` from text values (a config section, checkpoint header
     or report), each converted by its field's annotated type; unset fields keep
     their defaults. Unknown or missing keys and bad values raise ConfigError."""
-    types = typing.get_type_hints(cls)
+    types = _field_types(cls)
     unknown = sorted(set(mapping) - set(types))
     if unknown:
         raise ConfigError(f"unknown [{section}] key(s): {', '.join(unknown)}")
@@ -386,32 +406,30 @@ class Mlp:
             saved.append(h)
         return h, saved
 
-    def backward(self, saved, g: np.ndarray, weights: bool = True, inputs: bool = True,
-                 out: Optional[np.ndarray] = None) -> tuple:
-        """(g_in, g_flat): the gradient `g` at the output of `forward` pulled
-        back to its input and to the flat parameters. Per dense layer this is
-        one `g @ W.T`, one `a.T @ g` and one bias sum, over a stack's net axis.
-        `weights=False` (a frozen net) skips the weight gradients and
-        `inputs=False` the input gradient; each skipped part comes back as None.
-        g_flat is written into `out` (n_params,) when given, else a new vector."""
+    def backward(self, saved, g: np.ndarray, inputs: bool = False,
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
+        """`g` at the output of `forward` pulled back to the flat parameters, into
+        `out` (n_params,) when given, else a new vector: per dense layer one
+        `a.T @ g` and one bias sum, over a stack's net axis. `inputs=True` pulls
+        it back to the input instead, one `g @ W.T` a layer, with no weight gradient."""
         lead = g.shape[:-2]
         rows = lead + (-1,)  # one row of parameters per net of a stack
-        g_flat = (np.empty(self.n_params) if out is None else out) if weights else None
-        g_nets = g_flat.reshape(rows) if weights else None
+        if not inputs:
+            g_flat = np.empty(self.n_params) if out is None else out
+            g_nets = g_flat.reshape(rows)
         layers = self._layers(lead)
         y = saved[-1]
         g = y * (g - _rows(np.add, g * y))
         for i in reversed(range(len(self._slices))):
-            w_sl, _, b_sl = self._slices[i]
-            if weights:
+            if not inputs:
+                w_sl, _, b_sl = self._slices[i]
                 g_nets[..., w_sl] = (saved[i].swapaxes(-1, -2) @ g).reshape(rows)
                 g_nets[..., b_sl] = g.sum(axis=-2)
-            if i == 0 and not inputs:
-                break
-            g = g @ layers[i][0].swapaxes(-1, -2)
+            if inputs or i:
+                g = g @ layers[i][0].swapaxes(-1, -2)
             if i:
                 g = g * (saved[i] > 0.0)
-        return (g if inputs else None), g_flat
+        return g if inputs else g_flat
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """`forward`'s output alone; a single row x (in_dim,) gives one (out_dim,) row."""
@@ -424,4 +442,4 @@ class Mlp:
         if leaf.value is not self._params:
             raise ShapeError("a weight leaf must be the Var over this net's own parameter vector")
         out, saved = self.forward(x)
-        return ad.Var(out, (leaf,), lambda g: (self.backward(saved, g, inputs=False)[1],))
+        return ad.Var(out, (leaf,), lambda g: (self.backward(saved, g),))

@@ -249,7 +249,8 @@ class MlpModel(BlackBoxModel):
         backward of the one-hot output gradient yields every row's at once;
         the frozen net computes no weight gradients."""
         _, saved = self.net.forward(x)
-        return self.net.backward(saved, np.eye(self.c)[class_index], weights=False)[0]
+        one_hot = np.eye(self.c)[class_index]
+        return self.net.backward(saved, one_hot, inputs=True)
 
     def randomize(self, rng: np.random.Generator) -> None:
         fresh = Mlp(self.net.in_dim, self.net.widths, rng=rng)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .core import ConfigError, SelectionSet, ShapeError
+from .core import ConfigError, SelectionSet, ShapeError, int_indices
 
 U_EPS = 1e-12  # uniform draws clamped to (U_EPS, 1 - U_EPS) before the double log
 Z_EPS = 1e-20  # scores clamped below this before log
@@ -64,19 +64,22 @@ def relaxed_topk_var(z: ad.Var, xi: np.ndarray, tau: float) -> ad.Var:
     return ad.Var(v, (z,), vjp)
 
 
-def _checked(z, k: int, rank: int) -> np.ndarray:
+def _checked(z, k: int, rank: int) -> tuple:
+    """(z as float64, k as an int) once z has `rank` axes and 1 <= k <= d."""
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != rank:
         raise ShapeError(f"hard top-k expects a {rank}-D score array, got shape {z.shape}")
+    if type(k) is not int:  # numpy integers as ints; no bools, floats or strings
+        (k,) = int_indices((k,), ConfigError, "k")
     if not 1 <= k <= z.shape[-1]:
         raise ConfigError(f"need 1 <= k <= d, got k={k}, d={z.shape[-1]}")
-    return z
+    return z, k
 
 
 def hard_topk(z: np.ndarray, k: int) -> SelectionSet:
     """Indices of the k largest scores of one row z (d,): those at or above the k-th
     largest when they are k, else the stable argsort's (ties to the lower index, NaN last)."""
-    z = _checked(z, k, 1)
+    z, k = _checked(z, k, 1)
     idx = (z >= np.partition(z, -k)[-k]).nonzero()[0]  # np.flatnonzero without its ravel
     if len(idx) != k:  # a tie at the k-th score, or a NaN
         idx = np.sort(np.argsort(-z, kind="stable")[:k])
@@ -86,7 +89,7 @@ def hard_topk(z: np.ndarray, k: int) -> SelectionSet:
 def hard_topk_batch(z: np.ndarray, k: int) -> np.ndarray:
     """Binary k-hot masks (n, d) for a batch of score rows, each row selected as
     `hard_topk` selects it; ties go to the lower index and NaN ranks last."""
-    z = _checked(z, k, 2)
+    z, k = _checked(z, k, 2)
     mask = (z >= np.partition(z, -k, axis=1)[:, -k, None]).astype(np.float64)
     # A matvec counts 0/1 entries exactly, in half the time of np.count_nonzero.
     rows = np.flatnonzero(mask @ np.ones(z.shape[1]) != k)

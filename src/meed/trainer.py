@@ -119,7 +119,7 @@ def fit_classifier(x: np.ndarray, targets: np.ndarray, hidden: Sequence[int], ep
             idx = perm[lo:lo + FIT_BATCH_SIZE]
             out, saved = net.forward(x[..., idx, :])
             g_out = cross_entropy_grad(targets[idx], out)
-            opt.step(net.parameters, net.backward(saved, g_out, inputs=False, out=grad)[1])
+            opt.step(net.parameters, net.backward(saved, g_out, out=grad))
     return net
 
 
@@ -139,7 +139,7 @@ def _pair_outputs(pair: ApproximatorPair, v: ad.Var, x: np.ndarray) -> ad.Var:
     out, saved = pair.net.forward(_pair_stack(v.value, x))
 
     def vjp(g):
-        g_in = pair.net.backward(saved, g, weights=False)[0]
+        g_in = pair.net.backward(saved, g, inputs=True)
         return (g_in[0] * x - g_in[1] * x,)
 
     return ad.Var(out, (v,), vjp)
@@ -162,7 +162,7 @@ def approximator_step(pair: ApproximatorPair, x: np.ndarray, y: np.ndarray,
     total, l_s, l_u = pair_loss_var(y, preds, config.loss_u, config.lambda_u, sw_thetas)
     _check_finite({"L_s": l_s, "L_u": l_u}, "approximator", batch_id)
     ad.backward(total)
-    opt.step(pair.net.parameters, pair.net.backward(saved, preds.grad, inputs=False)[1])
+    opt.step(pair.net.parameters, pair.net.backward(saved, preds.grad))
     return l_s, l_u
 
 

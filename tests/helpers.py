@@ -107,7 +107,7 @@ def frozen_net_node(net: Mlp, x: ad.Var) -> ad.Var:
     """The one-net `net` on the Var batch x as a node of x alone: its weights
     are frozen, so the VJP is `Mlp.backward`'s input gradient."""
     out, saved = net.forward(x.value)
-    return ad.Var(out, (x,), lambda g: (net.backward(saved, g, weights=False)[0],))
+    return ad.Var(out, (x,), lambda g: (net.backward(saved, g, inputs=True),))
 
 
 def take(a: ad.Var, i: int) -> ad.Var:

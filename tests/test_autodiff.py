@@ -40,12 +40,12 @@ def check_parameter_gradient(net, build, tol=1e-6):
 
 
 def check_input_gradient(net, x, weights, tol=1e-6):
-    """`Mlp.backward(weights=False)` of the scalar sum(out * weights) at the
-    batch x: no weight gradient, and an input gradient that matches central FD."""
-    g_in, g_flat = net.backward(net.forward(x)[1], weights, weights=False)
+    """`Mlp.backward(inputs=True)` of the scalar sum(out * weights) at the
+    batch x: an input gradient of x's shape that matches central FD."""
+    g_in = net.backward(net.forward(x)[1], weights, inputs=True)
     fd = finite_difference(lambda p: float((net.predict(p.reshape(x.shape)) * weights).sum()),
                            x.ravel())
-    assert g_flat is None and relative_error(g_in.ravel(), fd) < tol
+    assert g_in.shape == x.shape and relative_error(g_in.ravel(), fd) < tol
 
 
 def test_add_mul_broadcast(rng):

@@ -1,7 +1,6 @@
 """Domain types, configuration validation, RNG streams and the MLP base."""
 
 import copy
-import itertools
 import pickle
 
 import numpy as np
@@ -9,6 +8,7 @@ import pytest
 
 from meed import autodiff as ad
 from meed.approximators import cross_entropy_var, make_pair
+from meed.cli import ModelSection
 from meed.core import (ConfigError, Mlp, SelectionSet, ShapeError,
                        TrainConfig, is_simplex, named_rng)
 from meed.data import MlpModel
@@ -63,6 +63,33 @@ def test_train_config_validation():
         TrainConfig(k=2, epochs=1, seed=-1)
     with pytest.raises(ConfigError, match="lambda_e"):
         TrainConfig(k=2, epochs=1, seed=0, lambda_e=-1.0)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("use_output_feedback", "false"), ("use_output_feedback", 1), ("k", 2.5), ("k", True),
+    ("k", np.True_), ("epochs", 1.0), ("seed", "5"), ("tau", True), ("tau", np.float32(0.5)),
+    ("loss_u", 3), ("prior_method", None)])
+def test_train_config_rejects_a_value_of_another_type_naming_its_key(key, value):
+    """Each field holds its annotated type: a truthy string is no bool, a float
+    no int, and a bool no number."""
+    with pytest.raises(ConfigError, match=f"config key {key}: .*need "):
+        TrainConfig(**{"k": 2, "epochs": 1, key: value})
+
+
+def test_config_fields_hold_python_ints_for_numpy_integers():
+    config = TrainConfig(k=np.int64(2), epochs=np.int32(1), seed=np.uint8(5), tau=np.int64(1))
+    assert [(v, type(v)) for v in (config.k, config.epochs, config.seed, config.tau)] == \
+        [(2, int), (1, int), (5, int), (1, int)]
+    assert TrainConfig(k=2, epochs=1, tau=np.float64(0.25)).tau == 0.25
+    assert [(h, type(h)) for h in ModelSection(hidden=(np.int64(8), 4)).hidden] == \
+        [(8, int), (4, int)]
+
+
+@pytest.mark.parametrize("hidden, bad", [([8], "need tuple"), ((8, True), "entries must be"),
+                                         ((8.0,), "entries must be"), ("8", "need tuple")])
+def test_tuple_fields_hold_tuples_of_ints(hidden, bad):
+    with pytest.raises(ConfigError, match=f"config key hidden.*{bad}"):
+        ModelSection(hidden=hidden)
 
 
 @pytest.mark.parametrize("hidden, out", [((0,), 2), ((4, -1), 2), ((4,), 0)])
@@ -130,7 +157,7 @@ def test_mlp_backward_matches_finite_differences(rng):
     assert np.array_equal(out, net.predict(x))
     lean_out, lean_saved = net.forward(x, keep=False)
     assert np.array_equal(lean_out, out) and lean_saved == []
-    g_in, g_flat = net.backward(saved, g)
+    g_flat, g_in = net.backward(saved, g), net.backward(saved, g, inputs=True)
     params = net.parameters.copy()
     fd_in = finite_difference(lambda v: float((net.forward(v.reshape(x.shape))[0] * g).sum()),
                               x.ravel())
@@ -143,23 +170,23 @@ def test_mlp_backward_matches_finite_differences(rng):
 def test_mlp_backward_of_a_frozen_net_gives_the_input_gradient_only(rng):
     net, x, g = forward_backward_case(rng)
     _, saved = net.forward(x)
-    g_in, g_flat = net.backward(saved, g, weights=False)
-    assert g_flat is None
+    g_in = net.backward(saved, g, inputs=True)
+    assert g_in.shape == x.shape
     fd_in = finite_difference(lambda v: float((net.forward(v.reshape(x.shape))[0] * g).sum()),
                               x.ravel())
     assert relative_error(g_in.ravel(), fd_in) < 1e-6
-    assert np.array_equal(g_in, net.backward(saved, g)[0])
+    assert np.array_equal(g_in, reduction_backward(net, saved, g)[0])
 
 
 def test_mlp_backward_without_the_input_gradient(rng):
     net, x, g = forward_backward_case(rng)
     net.set_parameters(net.parameters + 0.1 * rng.standard_normal(net.n_params))
     _, saved = net.forward(x)
-    g_in, g_flat = net.backward(saved, g, inputs=False)
-    assert g_in is None
+    g_flat = net.backward(saved, g)
+    assert g_flat.shape == (net.n_params,)
     fd_flat = parameter_finite_difference(net, lambda: float((net.forward(x)[0] * g).sum()))
     assert relative_error(g_flat, fd_flat) < 1e-6
-    assert np.array_equal(g_flat, net.backward(saved, g)[1])
+    assert np.array_equal(g_flat, reduction_backward(net, saved, g)[1])
 
 
 def stacked_case(m=3, n=5):
@@ -178,22 +205,19 @@ def test_stacked_mlp_equals_separate_nets_bit_for_bit():
     out, saved = stack.forward(x)
     assert np.array_equal(out, stack.predict(x))
     p = stack.n_params // stack.nets
-    for weights, inputs in itertools.product((True, False), repeat=2):
-        g_in, g_flat = stack.backward(saved, g, weights=weights, inputs=inputs)
-        assert (g_in is None) != inputs and (g_flat is None) != weights
-        for i, net in enumerate(nets):
-            one_out, one_saved = net.forward(x[i])
-            assert np.array_equal(one_out, out[i])
-            one_in, one_flat = net.backward(one_saved, g[i], weights=weights, inputs=inputs)
-            if inputs:
-                assert np.array_equal(one_in, g_in[i])
-            if weights:
-                assert np.array_equal(one_flat, g_flat[i * p:(i + 1) * p])
+    g_flat, g_in = stack.backward(saved, g), stack.backward(saved, g, inputs=True)
+    assert g_flat.shape == (stack.n_params,) and g_in.shape == x.shape
+    for i, net in enumerate(nets):
+        one_out, one_saved = net.forward(x[i])
+        assert np.array_equal(one_out, out[i])
+        assert np.array_equal(net.backward(one_saved, g[i], inputs=True), g_in[i])
+        assert np.array_equal(net.backward(one_saved, g[i]), g_flat[i * p:(i + 1) * p])
 
 
 def test_stacked_mlp_backward_matches_finite_differences():
     stack, x, g = stacked_case(m=2)
-    g_in, g_flat = stack.backward(stack.forward(x)[1], g)
+    _, saved = stack.forward(x)
+    g_flat, g_in = stack.backward(saved, g), stack.backward(saved, g, inputs=True)
     fd_in = finite_difference(lambda v: float((stack.forward(v.reshape(x.shape))[0] * g).sum()),
                               x.ravel())
     fd_flat = parameter_finite_difference(stack, lambda: float((stack.forward(x)[0] * g).sum()))
@@ -337,7 +361,7 @@ def test_two_class_softmax_equals_the_reduction_form_bit_for_bit(head, nets, lay
     assert [bits(a) for a in saved] == [bits(a) for a in ref_saved]
     if layout == "row":
         assert bits(net.predict(x[0])) == bits(ref_out[0])
-    g_in, g_flat = net.backward(saved, g)
+    g_flat, g_in = net.backward(saved, g), net.backward(saved, g, inputs=True)
     ref_in, ref_flat = reduction_backward(net, ref_saved, g)
     assert bits(g_in) == bits(ref_in) and bits(g_flat) == bits(ref_flat)
     assert np.isnan(out).any() == (layout != "row")  # the NaN row stays NaN
@@ -349,7 +373,8 @@ def test_two_class_backward_matches_finite_differences(nets):
     rng = np.random.default_rng(10)
     lead = (nets,) if nets > 1 else ()
     x, g = rng.standard_normal(lead + (6, 4)), rng.standard_normal(lead + (6, 2))
-    g_in, g_flat = net.backward(net.forward(x)[1], g)
+    _, saved = net.forward(x)
+    g_flat, g_in = net.backward(saved, g), net.backward(saved, g, inputs=True)
     fd_in = finite_difference(lambda v: float((net.forward(v.reshape(x.shape))[0] * g).sum()),
                               x.ravel())
     fd_flat = parameter_finite_difference(net, lambda: float((net.forward(x)[0] * g).sum()))
@@ -361,10 +386,16 @@ def test_backward_writes_the_weight_gradient_into_out():
     net, x, g = stacked_case(m=2)
     _, saved = net.forward(x)
     buf = np.full(net.n_params, np.nan)
-    g_in, g_flat = net.backward(saved, g, out=buf)
-    fresh_in, fresh_flat = net.backward(saved, g)
-    assert g_flat is buf and bits(buf) == bits(fresh_flat) and bits(g_in) == bits(fresh_in)
-    assert net.backward(saved, g, weights=False, out=buf)[1] is None
+    assert net.backward(saved, g, out=buf) is buf and bits(buf) == bits(net.backward(saved, g))
+
+
+def test_backward_in_input_mode_leaves_out_untouched():
+    net, x, g = stacked_case(m=2)
+    _, saved = net.forward(x)
+    buf = np.full(net.n_params, 0.5)
+    g_in = net.backward(saved, g, inputs=True, out=buf)
+    assert bits(buf) == bits(np.full(net.n_params, 0.5))
+    assert bits(g_in) == bits(net.backward(saved, g, inputs=True))
 
 
 # Each net keeps (W, b) views of its own vector once a forward has built them:

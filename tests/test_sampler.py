@@ -155,6 +155,20 @@ def test_hard_topk_batch_rejects_k_outside_1_to_d(k):
         hard_topk_batch(np.full((2, 3), 1 / 3), k)
 
 
+@pytest.mark.parametrize("k", [True, np.True_, 2.0, np.float64(2.0), "2", None])
+@pytest.mark.parametrize("select", [hard_topk, hard_topk_batch])
+def test_hard_topk_rejects_a_k_that_is_not_an_integer(select, k):
+    z = np.array([0.1, 0.5, 0.3]) if select is hard_topk else np.full((2, 3), 1 / 3)
+    with pytest.raises(ConfigError, match="k must be integers"):
+        select(z, k)
+
+
+def test_hard_topk_takes_numpy_integers_for_k():
+    z = np.array([0.1, 0.5, 0.3, 0.2])
+    assert hard_topk(z, np.int64(2)) == hard_topk(z, 2)
+    assert np.array_equal(hard_topk_batch(z[None], np.int32(2)), hard_topk_batch(z[None], 2))
+
+
 def test_noise_is_deterministic_per_rng():
     a = sample_gumbel_batch(np.empty((2, 1, 4)), named_rng(3, "gumbel"))
     b = sample_gumbel_batch(np.empty((2, 1, 4)), named_rng(3, "gumbel"))

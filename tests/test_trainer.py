@@ -582,6 +582,16 @@ def test_train_builds_a_checkpoint_only_to_write_or_return_it(monkeypatch, tmp_p
     assert same_checkpoint(load_checkpoint(str(tmp_path / "checkpoint.bin")), ckpt)
 
 
+def test_a_numpy_integer_seed_trains_and_writes_its_checkpoint(tmp_path):
+    """The config holds the seed as a Python int, so the checkpoint's JSON header takes it."""
+    ds, kwargs = make_dataset(), dict(explainer_hidden=(8,), approx_hidden=(8,))
+    config = TrainConfig(k=np.int64(2), epochs=1, seed=np.int64(5), batch_size=16)
+    _, _, ckpt = train(ds, FixedModel(), config, out_dir=str(tmp_path), **kwargs)
+    plain = train(ds, FixedModel(), TrainConfig(k=2, epochs=1, seed=5, batch_size=16), **kwargs)[2]
+    assert same_checkpoint(load_checkpoint(str(tmp_path / "checkpoint.bin")), plain)
+    assert same_checkpoint(ckpt, plain)
+
+
 def test_train_rejects_empty_or_oversized_k():
     config = TrainConfig(k=9, epochs=1, seed=0)
     with pytest.raises(ConfigError):

@@ -9,13 +9,14 @@ exports the revision with `git archive` into a temporary directory and runs
 every job of `jobs()` once in each tree: README's example trained with the
 cross-entropy and the sliced-Wasserstein adversary, CI's three-class
 `sw3.cfg`, `meed explain` and `meed evaluate` on the example's checkpoint
-(the report with its TPS line zeroed, as TPS is a timing), and the first
-`BENCH_CYCLES` cycle seeds of each benchmark workload at run seed
-`BENCH_SEED`, trained as the benchmark trains them through
-`bench/workloads.py`'s `build`, `train_config` and `cycle_seed`. Each step
-is a fresh Python process with one BLAS thread and its tree's `src/` and
-`bench/` first on the path. Every config comes from the working tree's
-README, so both trees run the same inputs.
+(the report with its TPS line zeroed, as TPS is a timing), the `train()`
+set of `train_set()` (each adversary, prior and feedback setting on one
+small task), and the first `BENCH_CYCLES` cycle seeds of each benchmark
+workload at run seed `BENCH_SEED`, trained as the benchmark trains them
+through `bench/workloads.py`'s `build`, `train_config` and `cycle_seed`.
+Each step is a fresh Python process with one BLAS thread and its tree's
+`src/` and `bench/` first on the path. Every config comes from the working
+tree (its README and `train_set()`), so both trees run the same inputs.
 
 It prints one line per artefact: `equal` when its bytes are equal on both
 sides, else the largest relative difference between the numbers it holds
@@ -29,6 +30,8 @@ trees on one host, not across hosts.
 from __future__ import annotations
 
 import io
+import itertools
+import json
 import os
 import re
 import struct
@@ -45,10 +48,11 @@ BENCH_SEED = 1
 BENCH_CYCLES = 2
 NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
 
-# One step in one tree: `meed <args>` or the benchmark cycles of one workload,
-# refusing to run on a meed imported from anywhere but that tree's src/.
+# One step in one tree: `meed <args>`, the `train()` set or the benchmark
+# cycles of one workload, refusing to run on a meed imported from anywhere but
+# that tree's src/.
 WORKER = """
-import os, sys
+import json, os, sys
 tree, kind, args = sys.argv[1], sys.argv[2], sys.argv[3:]
 import meed
 if not os.path.abspath(meed.__file__).startswith(os.path.join(tree, "src", "")):
@@ -56,8 +60,21 @@ if not os.path.abspath(meed.__file__).startswith(os.path.join(tree, "src", "")):
 if kind == "meed":
     from meed.cli import main
     sys.exit(main(args))
-import workloads
 from meed import data, trainer
+if kind == "train-set":
+    from meed.core import TrainConfig
+    ds, _ = data.generate_synthetic(data.SyntheticSpec(
+        d=6, true_subset=(0, 1), n=96, kind="sparse-logit", seed=3))
+    model = data.train_given_model(ds, hidden=(8,), epochs=2)
+    class EvaluateOnly:
+        evaluate = staticmethod(model.evaluate)
+    for name, keys in json.loads(args[0]):
+        config = TrainConfig(**keys)
+        given = EvaluateOnly() if config.prior_method == "gradient-times-input" else model
+        _, _, ckpt = trainer.train(ds, given, config, explainer_hidden=(8,), approx_hidden=(8,))
+        trainer.save_checkpoint(ckpt, name + ".bin")
+    sys.exit()
+import workloads
 w = workloads.WORKLOADS[args[0]]
 setup = workloads.build(w, int(args[1]))
 for i in range(int(args[2])):
@@ -132,6 +149,25 @@ def readme_job() -> tuple:
              "out/demo/explanations.txt", "out/demo/report.txt"])
 
 
+def train_set() -> list:
+    """(name, TrainConfig keywords) of 12 short seeded trainings: either
+    adversary; no prior, `grad` at lambda_e = 0 on an `MlpModel` (the kernel's
+    input gradient), or `gradient-times-input` at lambda_e = 1 through a model
+    that exposes `evaluate` only (central differences); feedback on or off."""
+    priors = (("none", 0.0), ("grad", 0.0), ("gradient-times-input", 1.0))
+    return [(f"{loss}-{prior}-feedback-{'on' if feedback else 'off'}",
+             dict(k=2, epochs=2, seed=seed, batch_size=32, loss_u=loss, prior_method=prior,
+                  lambda_e=lambda_e, use_output_feedback=feedback))
+            for seed, (loss, (prior, lambda_e), feedback) in enumerate(itertools.product(
+                ("cross-entropy", "sliced-wasserstein"), priors, (True, False)))]
+
+
+def train_set_job() -> tuple:
+    configs = train_set()
+    return ("train-set", {}, [("train-set", json.dumps(configs))],
+            [f"{name}.bin" for name, _ in configs])
+
+
 def bench_job(workload: str, checkpoints: bool) -> tuple:
     artefacts = []
     for i in range(BENCH_CYCLES):
@@ -145,7 +181,7 @@ def jobs() -> list:
     """(name, {file: text}, steps, artefacts): each step is a worker argv or a
     function of the job's directory; artefacts are paths in that directory."""
     import workloads
-    return [readme_job(), *(bench_job(w.name, w.checkpoints) for w in workloads.WORKLOADS.values())]
+    return [readme_job(), train_set_job(), *(bench_job(w.name, w.checkpoints) for w in workloads.WORKLOADS.values())]
 
 
 def run_step(tree: str, work: str, step) -> None:
