@@ -62,12 +62,13 @@ class RunSection:
 class IdxSection:
     """`[data]` of kind idx: two classes of an IDX image/label file pair."""
 
-    kind: str
+    kind: str = field(metadata={"choices": ("idx",)})
     images_path: str
     labels_path: str
-    class_pair: tuple
+    class_pair: tuple = field(metadata={"ge": 0})
 
     def __post_init__(self):
+        check_fields(self)
         if len(self.class_pair) != 2:
             raise ConfigError(f"class_pair must be two class labels, got {self.class_pair}")
         if self.class_pair[0] == self.class_pair[1]:
@@ -78,8 +79,11 @@ class IdxSection:
 class FileSection:
     """`[data]` of kind file: a dataset text file as `meed synth` writes it."""
 
-    kind: str
+    kind: str = field(metadata={"choices": ("file",)})
     path: str
+
+    def __post_init__(self):
+        check_fields(self)
 
 
 SECTIONS = {"model": ModelSection, "train": TrainConfig, "run": RunSection}

@@ -98,7 +98,7 @@ class SelectionSet:
             raise ValueError("indices must be strictly increasing")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters for the alternating training loop."""
 

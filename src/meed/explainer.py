@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .core import ConfigError, Mlp, ShapeError
+from .core import Mlp, ShapeError
 from .sampler import Z_EPS
 
 
@@ -62,9 +62,7 @@ class ExplainerNet(Mlp):
 
 def fuse_prior_var(z: ad.Var, r: np.ndarray, m: int) -> ad.Var:
     """z~ propto (z^m r)^(1/(m+1)) for a batch: z (n, d), r (n, d) or (d,);
-    m=0 returns the prior, m->inf returns z. One tape node."""
-    if m < 0:
-        raise ConfigError("epoch counter m must be >= 0")
+    m >= 0 (a checked epoch); m=0 returns the prior, m->inf returns z. One tape node."""
     r = np.clip(np.asarray(r, dtype=np.float64), Z_EPS, None)
     inv = 1.0 / (m + 1.0)
     above = z.value > Z_EPS
@@ -84,9 +82,7 @@ def fuse_prior_var(z: ad.Var, r: np.ndarray, m: int) -> ad.Var:
 
 def prior_constraint_loss_var(z_tilde: ad.Var, z: ad.Var, m: int, weight: float = 1.0) -> tuple:
     """(node, L_e): L_e is the mean absolute error between z~ and z, faded by
-    1/(m+1), and the node, one tape node, is weight * L_e."""
-    if m < 0:
-        raise ConfigError("epoch counter m must be >= 0")
+    1/(m+1) for an epoch m >= 0, and the node, one tape node, is weight * L_e."""
     diff = z_tilde.value - z.value
     sign = np.sign(diff)
     inv = 1.0 / (m + 1.0)

@@ -30,7 +30,7 @@ def sample_gumbel_batch(noise: np.ndarray, rng: np.random.Generator) -> np.ndarr
 
 
 def relaxed_topk_var(z: ad.Var, xi: np.ndarray, tau: float) -> ad.Var:
-    """Differentiable mask for a batch: z (n, d), xi (k, n, d) -> v (n, d).
+    """Differentiable mask for a batch: z (n, d), xi (k, n, d) -> v (n, d), tau > 0.
 
     One tape node; v is the max over k of the softmax races s_j (n, d), and
     only the races are kept. xi is consumed: its array becomes the races that
@@ -40,8 +40,6 @@ def relaxed_topk_var(z: ad.Var, xi: np.ndarray, tau: float) -> ad.Var:
     An entry that several races win exactly (all of them, under zero noise)
     counts for the first of them only.
     """
-    if tau <= 0:
-        raise ConfigError("tau must be positive")
     inv_tau = 1.0 / tau
     z_floor = np.maximum(z.value, Z_EPS)
     races = xi

@@ -12,10 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meed.cli import (EXIT_CONFIG, EXIT_OK, EXIT_SHAPE, FileSection, IdxSection, ModelSection,
-                      RunSection, build_dataset, build_model, build_train_config, main,
-                      parse_config_file)
-from meed.baselines import FD_STEP
+from meed.cli import (EXIT_CONFIG, EXIT_OK, EXIT_SHAPE, EXIT_TRAINING, FileSection, IdxSection,
+                      ModelSection, RunSection, build_dataset, build_model, build_train_config,
+                      main, parse_config_file)
+from meed.baselines import ABLATION_VARIANTS, FD_STEP
 from meed.core import ConfigError, Mlp, TrainConfig, write_record
 from meed.data import (MODEL_MAGIC, MODEL_VERSION, MlpModel, SyntheticSpec, export_dataset,
                        generate_synthetic, import_dataset, load_model)
@@ -268,6 +268,25 @@ def test_every_field_checks_its_range_and_choices(section, name, value, valid):
             dataclasses.replace(section, **{name: value})
 
 
+IDX_SECTION = dict(kind="idx", images_path="i.idx", labels_path="l.idx", class_pair=(3, 8))
+
+
+@pytest.mark.parametrize("cls, keys, key", [
+    (IdxSection, dict(IDX_SECTION, class_pair=(True, 3)), "class_pair"),
+    (IdxSection, dict(IDX_SECTION, class_pair=(-1, 3)), "class_pair"),
+    (IdxSection, dict(IDX_SECTION, class_pair=[3, 8]), "class_pair"),
+    (IdxSection, dict(IDX_SECTION, kind="file"), "kind"),
+    (IdxSection, dict(IDX_SECTION, images_path=5), "images_path"),
+    (IdxSection, dict(IDX_SECTION, labels_path=None), "labels_path"),
+    (FileSection, dict(kind="file", path=5), "path"),
+    (FileSection, dict(kind="idx", path="data.txt"), "kind")])
+def test_idx_and_file_data_sections_check_each_fields_type_and_kind(cls, keys, key):
+    """Built in code rather than read from a config file, each of these
+    constructed without error."""
+    with pytest.raises(ConfigError, match=f"config key {key}"):
+        cls(**keys)
+
+
 @pytest.mark.parametrize("old, new, key", [
     ("batch_size = 32", "batch_size = 32\ntau = nan", "tau"),
     ("batch_size = 32", "batch_size = 32\nlambda_u = nan", "lambda_u"),
@@ -471,6 +490,58 @@ def test_non_finite_output_on_perturbed_row_exits_4(tmp_path, capsys, monkeypatc
                    .replace("batch_size = 32", "batch_size = 32\nprior_method = grad"))
     assert main(["train", "--config", str(cfg)]) == EXIT_SHAPE
     assert "perturbed copies of row 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, argv, message", [
+    ("[train]\nk = 2\nepochs = 1\n", ["train"], "the config has no [data] section"),
+    ("[data]\nkind = xor\nd = 4\ntrue_subset = 0,1\nn = 40\n", ["train"],
+     "the config has no [train] section"),
+    ("[data]\nkind = file\npath = data.txt\n", ["synth"],
+     "synth needs a [data] kind of sparse-logit, xor, shortcut-bait")])
+def test_a_missing_section_or_a_file_kind_for_synth_exits_2(tmp_path, capsys, text, argv,
+                                                              message):
+    cfg = tmp_path / "part.cfg"
+    cfg.write_text(text + f"[run]\nout_dir = {tmp_path / 'out'}\n")
+    assert main([*argv, "--config", str(cfg)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
+def test_a_non_boolean_use_output_feedback_exits_2_naming_the_key(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(CONFIG.format(out=tmp_path / "out")
+                   .replace("batch_size = 32", "batch_size = 32\nuse_output_feedback = maybe"))
+    assert main(["train", "--config", str(cfg)]) == EXIT_CONFIG
+    assert "config key use_output_feedback: not a boolean: maybe" in capsys.readouterr().err
+
+
+def test_a_diverging_training_exits_3_and_keeps_its_epoch_0_checkpoint(tmp_path, capsys):
+    """A learning rate of 1e300 passes the config check and overflows the
+    first explainer step (numpy's overflow warnings are silenced for this run
+    only); the checkpoint written before the first epoch stays."""
+    out = tmp_path / "out"
+    cfg = tmp_path / "diverge.cfg"
+    cfg.write_text(CONFIG.format(out=out)
+                   .replace("batch_size = 32", "batch_size = 32\nlearning_rate = 1e300"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["train", "--config", str(cfg)]) == EXIT_TRAINING
+    assert "training aborted: non-finite " in capsys.readouterr().err
+    ckpt = load_checkpoint(str(out / "checkpoint.bin"))
+    assert ckpt.epoch_counter == 0 and ckpt.config.learning_rate == 1e300
+
+
+def test_ablate_writes_one_report_per_variant(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = tmp_path / "ablate.cfg"
+    cfg.write_text(CONFIG.format(out=out).replace("n = 800", "n = 200")
+                   .replace("epochs = 3", "epochs = 1"))
+    assert main(["ablate", "--config", str(cfg)]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    slugs = ["full", "wo-output", "wo-ail", "wo-prior"]
+    assert len(lines) == len(ABLATION_VARIANTS) == len(slugs)
+    for line, variant, slug in zip(lines, ABLATION_VARIANTS, slugs):
+        path = out / f"report-{slug}.txt"
+        report = MetricsReport.parse(path.read_text())
+        assert line == f"{variant}: FS-M={report.fs_m:.2f} FU-A={report.fu_a:.2f} -> {path}"
 
 
 def test_parse_rejects_stray_lines(tmp_path):

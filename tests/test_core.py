@@ -1,6 +1,7 @@
 """Domain types, configuration validation, RNG streams and the MLP base."""
 
 import copy
+import dataclasses
 import pickle
 
 import numpy as np
@@ -76,6 +77,25 @@ def test_train_config_rejects_a_value_of_another_type_naming_its_key(key, value)
         TrainConfig(**{"k": 2, "epochs": 1, key: value})
 
 
+# One value per TrainConfig field that its check rejects.
+BAD_VALUES = {"k": 0, "epochs": -1, "seed": -1, "tau": -1.0, "lambda_u": -1.0, "lambda_e": -1.0,
+              "batch_size": 0, "learning_rate": 0.0, "loss_u": "bogus",
+              "use_output_feedback": "no", "prior_method": "bogus", "n_projections": 0}
+
+
+@pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(TrainConfig)])
+def test_a_train_config_changes_only_through_a_checked_copy(key):
+    """A value set after the check trained a model other than the one its
+    checkpoint records: a bogus prior_method ran the `grad` prior, and a
+    string use_output_feedback trained with feedback on."""
+    config = TrainConfig(k=2, epochs=1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(config, key, BAD_VALUES[key])
+    assert config == TrainConfig(k=2, epochs=1)
+    with pytest.raises(ConfigError, match=f"config key {key}: "):
+        dataclasses.replace(config, **{key: BAD_VALUES[key]})
+
+
 def test_config_fields_hold_python_ints_for_numpy_integers():
     config = TrainConfig(k=np.int64(2), epochs=np.int32(1), seed=np.uint8(5), tau=np.int64(1))
     assert [(v, type(v)) for v in (config.k, config.epochs, config.seed, config.tau)] == \
@@ -104,6 +124,14 @@ def test_mlp_rejects_nets_below_1(nets):
     """Rejected at construction, not by numpy's reshape at the first forward."""
     with pytest.raises(ConfigError, match="nets >= 1"):
         Mlp(3, (4, 2), nets=nets)
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_mlp_rejects_a_parameter_vector_of_another_length(extra):
+    n_params = Mlp(3, (4, 2)).n_params
+    with pytest.raises(ShapeError, match=f"expected {n_params} parameters, got "
+                                         rf"\({n_params + extra},\)"):
+        Mlp(3, (4, 2), parameters=np.zeros(n_params + extra))
 
 
 @pytest.mark.parametrize("in_dim", [0, -2])

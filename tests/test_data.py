@@ -67,6 +67,32 @@ def test_xor_labels_are_parity():
     assert set(np.unique(ds.X)) <= {0.0, 1.0}
 
 
+@pytest.mark.parametrize("seed", [2, 9])
+def test_xor_label_noise_flips_a_noise_std_share_the_same_way_per_seed(seed):
+    noisy = SyntheticSpec(d=5, true_subset=(0, 3), n=4000, noise_std=0.2, kind="xor", seed=seed)
+    ds, _ = generate_synthetic(noisy)
+    again, _ = generate_synthetic(noisy)
+    assert ds.X.tobytes() == again.X.tobytes() and np.array_equal(ds.y_true, again.y_true)
+    parity = (ds.X[:, 0] + ds.X[:, 3]) % 2
+    assert abs(np.mean(ds.y_true != parity) - 0.2) < 0.03
+    other, _ = generate_synthetic(SyntheticSpec(d=5, true_subset=(0, 3), n=4000, noise_std=0.2,
+                                                kind="xor", seed=seed + 1))
+    assert not np.array_equal(ds.y_true, other.y_true)
+
+
+def test_shortcut_bait_feature_noise_is_the_same_per_seed():
+    """The noise adds to the features of the noise-free set of the same seed."""
+    spec = SyntheticSpec(d=10, true_subset=(0, 1, 2, 3, 4, 5), n=2000, noise_std=0.5,
+                         kind="shortcut-bait", seed=3)
+    ds, _ = generate_synthetic(spec)
+    again, _ = generate_synthetic(spec)
+    assert ds.X.tobytes() == again.X.tobytes() and np.array_equal(ds.y_true, again.y_true)
+    clean, _ = generate_synthetic(SyntheticSpec(d=10, true_subset=(0, 1, 2, 3, 4, 5), n=2000,
+                                                noise_std=0.0, kind="shortcut-bait", seed=3))
+    assert np.array_equal(ds.y_true, clean.y_true)
+    assert abs(np.std(ds.X - clean.X) - 0.5) < 0.02
+
+
 def test_shortcut_bait_group_means():
     spec = SyntheticSpec(d=10, true_subset=(0, 1, 2, 3, 4, 5), n=6000,
                          noise_std=0.0, kind="shortcut-bait", seed=3)
@@ -197,6 +223,15 @@ def test_idx_class_pair_filter(tmp_path):
     assert np.array_equal(ds.y_true, [0, 1, 0, 1])
     assert ds.X.shape == (4, 4)
     assert ds.X.max() <= 1.0 and ds.X.min() >= 0.0
+
+
+def test_idx_image_and_label_counts_must_match(tmp_path):
+    ipath = os.path.join(tmp_path, "imgs")
+    lpath = os.path.join(tmp_path, "labs")
+    write_idx_images(np.zeros((5, 2, 2), dtype=np.uint8), ipath)
+    write_idx_labels(np.array([3, 8, 3, 8], dtype=np.uint8), lpath)
+    with pytest.raises(IdxParseError, match="image/label count mismatch: 5 vs 4"):
+        load_idx_images(ipath, lpath, (3, 8))
 
 
 def test_idx_bad_magic_reports_offset(tmp_path):

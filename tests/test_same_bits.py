@@ -40,7 +40,7 @@ def same_bits():
 
 
 def test_the_working_tree_against_itself_is_equal_on_every_line(same_bits, tmp_path):
-    """Two short trainings, one per adversary, and the 12 of the `train()` set,
+    """Two short trainings, one per adversary, and the 15 of the `train()` set,
     each job run once per side in fresh processes."""
     configs = {"ce": SHORT_CONFIG,
                "sw": same_bits.with_train_line(SHORT_CONFIG, "loss_u = sliced-wasserstein")}
@@ -49,7 +49,7 @@ def test_the_working_tree_against_itself_is_equal_on_every_line(same_bits, tmp_p
     lines = same_bits.compare(same_bits.ROOT, same_bits.ROOT, [*jobs, same_bits.train_set_job()],
                               str(tmp_path))
     names = [name for name, _ in same_bits.train_set()]
-    assert len(set(names)) == 12
+    assert len(set(names)) == 15
     assert lines == ["ce/out/checkpoint.bin: equal", "sw/out/checkpoint.bin: equal",
                      *(f"train-set/{name}.bin: equal" for name in names)]
     ckpt = load_checkpoint(str(tmp_path / "a" / "ce" / "out" / "checkpoint.bin"))

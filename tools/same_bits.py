@@ -11,8 +11,9 @@ cross-entropy and the sliced-Wasserstein adversary, CI's three-class
 `sw3.cfg`, `meed explain` and `meed evaluate` on the example's checkpoint
 (the report with its TPS line zeroed, as TPS is a timing), the `train()`
 set of `train_set()` (each adversary, prior and feedback setting on one
-small task), and the first `BENCH_CYCLES` cycle seeds of each benchmark
-workload at run seed `BENCH_SEED`, trained as the benchmark trains them
+small task, plus saturated outputs, three classes and a weighted prior),
+and the first `BENCH_CYCLES` cycle seeds of each benchmark workload at run
+seed `BENCH_SEED`, trained as the benchmark trains them
 through `bench/workloads.py`'s `build`, `train_config` and `cycle_seed`.
 Each step is a fresh Python process with one BLAS thread and its tree's
 `src/` and `bench/` first on the path. Every config comes from the working
@@ -62,16 +63,25 @@ if kind == "meed":
     sys.exit(main(args))
 from meed import data, trainer
 if kind == "train-set":
+    from dataclasses import replace
+    import numpy as np
     from meed.core import TrainConfig
     ds, _ = data.generate_synthetic(data.SyntheticSpec(
         d=6, true_subset=(0, 1), n=96, kind="sparse-logit", seed=3))
     model = data.train_given_model(ds, hidden=(8,), epochs=2)
     class EvaluateOnly:
         evaluate = staticmethod(model.evaluate)
+    three = replace(ds, y_true=np.where(np.arange(len(ds)) % 3 == 2, 2, ds.y_true))
+    three_model = data.train_given_model(three, hidden=(8,), epochs=2)
     for name, keys in json.loads(args[0]):
         config = TrainConfig(**keys)
         given = EvaluateOnly() if config.prior_method == "gradient-times-input" else model
-        _, _, ckpt = trainer.train(ds, given, config, explainer_hidden=(8,), approx_hidden=(8,))
+        rows = ds
+        if name.endswith("-saturated"):
+            rows = replace(ds, Y=np.eye(2)[model.evaluate(ds.X).argmax(axis=1)])
+        elif name.endswith("-three-class"):
+            rows, given = three, three_model
+        _, _, ckpt = trainer.train(rows, given, config, explainer_hidden=(8,), approx_hidden=(8,))
         trainer.save_checkpoint(ckpt, name + ".bin")
     sys.exit()
 import workloads
@@ -150,16 +160,26 @@ def readme_job() -> tuple:
 
 
 def train_set() -> list:
-    """(name, TrainConfig keywords) of 12 short seeded trainings: either
-    adversary; no prior, `grad` at lambda_e = 0 on an `MlpModel` (the kernel's
-    input gradient), or `gradient-times-input` at lambda_e = 1 through a model
-    that exposes `evaluate` only (central differences); feedback on or off."""
+    """(name, TrainConfig keywords) of 15 short seeded trainings. Twelve cross
+    either adversary; no prior, `grad` at lambda_e = 0 on an `MlpModel` (the
+    kernel's input gradient), or `gradient-times-input` at lambda_e = 1 through
+    a model that exposes `evaluate` only (central differences); feedback on or
+    off. Three are the cross-entropy cases of the stacked-pair test's
+    `PAIR_VARIANTS`, picked by the name's ending: model outputs made exactly
+    one-hot and passed as `Dataset.Y` (`-saturated`), every third row
+    relabelled 2 before the model is fitted, as `three_classes` does
+    (`-three-class`), and the `grad` prior at lambda_e = 0.1 (`-prior`)."""
     priors = (("none", 0.0), ("grad", 0.0), ("gradient-times-input", 1.0))
-    return [(f"{loss}-{prior}-feedback-{'on' if feedback else 'off'}",
-             dict(k=2, epochs=2, seed=seed, batch_size=32, loss_u=loss, prior_method=prior,
-                  lambda_e=lambda_e, use_output_feedback=feedback))
-            for seed, (loss, (prior, lambda_e), feedback) in enumerate(itertools.product(
-                ("cross-entropy", "sliced-wasserstein"), priors, (True, False)))]
+    base = dict(k=2, epochs=2, batch_size=32)
+    crossed = [(f"{loss}-{prior}-feedback-{'on' if feedback else 'off'}",
+                dict(base, seed=seed, loss_u=loss, prior_method=prior, lambda_e=lambda_e,
+                     use_output_feedback=feedback))
+               for seed, (loss, (prior, lambda_e), feedback) in enumerate(itertools.product(
+                   ("cross-entropy", "sliced-wasserstein"), priors, (True, False)))]
+    return crossed + [("cross-entropy-saturated", dict(base, seed=12)),
+                      ("cross-entropy-three-class", dict(base, seed=13)),
+                      ("cross-entropy-prior", dict(base, seed=14, prior_method="grad",
+                                                   lambda_e=0.1))]
 
 
 def train_set_job() -> tuple:
